@@ -32,14 +32,14 @@ print(f"trainer objective  {report.objective_trace[-1]:.6f}")
 print(f"subgradient oracle {oracle_best:.6f}")
 print(f"ratio              {report.objective_trace[-1] / oracle_best:.6f}")
 
-# 2) Row subproblem: iterative reweighting against coordinate-wise
-#    golden-section search.
+# 2) Row subproblem: the exact sort-and-threshold proximal map against
+#    coordinate-wise golden-section search.
 C = 4
 P_row = rng.normal(size=(1, C))
 Q_row = rng.normal(size=(1, C))
 state = SolverState(W=np.ones((1, C)), b=np.zeros(C), E=np.zeros((1, C)),
                     P=P_row, Q=Q_row, Z=np.zeros((1, C)), mu=1.3)
-w = solve_w_subproblem(state, SolverConfig(components=C, inner_max_iters=200_000))[0]
+w = solve_w_subproblem(state)[0]
 w_ref = w_row_reference(P_row[0], Q_row[0], 1.3)
 print("\nrow solver   :", np.round(w, 6))
 print("row reference:", np.round(w_ref, 6))

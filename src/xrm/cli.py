@@ -11,7 +11,6 @@ import argparse
 import csv
 import json
 import sys
-import time
 from pathlib import Path
 
 import numpy as np
@@ -223,9 +222,8 @@ def cmd_bench(args) -> int:
             else:
                 spec = datasets.SplitSpec(train_size=size, seed=args.seed, trials=args.runs)
                 subsample, _ = datasets.split(data, spec, run)
-            started = time.perf_counter()
-            solver.train(subsample, config)
-            total += time.perf_counter() - started
+            _, report = solver.train(subsample, config)
+            total += report.wall_time
         rows.append([size, _fmt(0.0 if args.no_timing else total)])
     with open(args.out, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)

@@ -9,10 +9,10 @@ with the row-wise l1,2 penalty from :mod:`xrm.diversity`:
 Two auxiliary blocks make the objective separable: P, a split copy of W, and
 E, the per-instance slack matrix with e[i,c] = y_i - (x_i . w_c + b_c), so the
 loss becomes a function of (Y * E)_+ alone.  Each outer iteration updates the
-blocks in turn (W by iterative reweighting, b in closed form, E elementwise,
-P through one cached SPD solve), then performs multiplier ascent on Q and Z
-and grows the penalty mu geometrically.  Termination monitors the change of
-the primal objective evaluated at the current (W, b).
+blocks in turn (W by an exact row-wise proximal map, b in closed form, E
+elementwise, P through one cached SPD solve), then performs multiplier ascent
+on Q and Z and grows the penalty mu geometrically.  Termination monitors the
+change of the primal objective evaluated at the current (W, b).
 """
 
 from __future__ import annotations
@@ -43,20 +43,17 @@ class SolverConfig:
     the ensemble width C, ``loss_power`` the hinge exponent p >= 1.  The
     penalty mu starts at ``mu_init``, is multiplied by ``rho`` each iteration,
     and is clamped at ``mu_cap`` so late-iteration arithmetic stays well
-    conditioned.  ``epsilon`` guards the reweighting denominators.
+    conditioned.
     """
 
     lam: float = 2.0
     components: int = 10
     loss_power: float = 2.0
     rho: float = 1.1
-    epsilon: float = 1e-10
     mu_init: float = 1.0
     mu_cap: float = 1e10
     outer_tol: float = 0.05
     outer_max_iters: int = 300
-    inner_tol: float = 1e-8
-    inner_max_iters: int = 100
     general_p_tol: float = 1e-10
 
     def __post_init__(self):
@@ -68,12 +65,12 @@ class SolverConfig:
             raise ValueError("loss_power must be at least 1")
         if self.rho <= 1:
             raise ValueError("rho must exceed 1")
-        if self.epsilon <= 0 or self.mu_init <= 0 or self.mu_cap < self.mu_init:
-            raise ValueError("epsilon and mu_init must be positive, mu_cap >= mu_init")
-        if self.outer_tol <= 0 or self.inner_tol <= 0 or self.general_p_tol <= 0:
+        if self.mu_init <= 0 or self.mu_cap < self.mu_init:
+            raise ValueError("mu_init must be positive, mu_cap >= mu_init")
+        if self.outer_tol <= 0 or self.general_p_tol <= 0:
             raise ValueError("tolerances must be positive")
-        if self.outer_max_iters < 1 or self.inner_max_iters < 1:
-            raise ValueError("iteration caps must be positive")
+        if self.outer_max_iters < 1:
+            raise ValueError("the iteration cap must be positive")
 
     def to_dict(self) -> dict:
         return {
@@ -81,13 +78,10 @@ class SolverConfig:
             "components": self.components,
             "loss_power": self.loss_power,
             "rho": self.rho,
-            "epsilon": self.epsilon,
             "mu_init": self.mu_init,
             "mu_cap": self.mu_cap,
             "outer_tol": self.outer_tol,
             "outer_max_iters": self.outer_max_iters,
-            "inner_tol": self.inner_tol,
-            "inner_max_iters": self.inner_max_iters,
             "general_p_tol": self.general_p_tol,
         }
 
@@ -153,42 +147,25 @@ def factor_gram(X: np.ndarray):
         raise ValueError(f"factorization of the regularized Gram matrix failed: {exc}") from exc
 
 
-def reweight_G(row: np.ndarray, epsilon: float) -> np.ndarray:
-    """Diagonal reweighting for one row of W: ||row||_1 / (|row(c)| + epsilon).
+def solve_w_subproblem(state: SolverState) -> np.ndarray:
+    """Minimize the W block exactly, row by row.
 
-    An all-zero row yields an all-zero diagonal, which turns the next row
-    update into a plain ridge step.
+    Each row solves min_w 0.5 * ||w||_1^2 + mu/2 * ||w - v||^2 with
+    v = P + Q/mu, the proximal map of half a squared l1 norm.  The minimizer
+    soft-thresholds v at tau_k = (sum of the k largest |v|) / (mu + k), where
+    k is the largest count whose k-th largest |v| exceeds tau_k (Kowalski
+    2009; Zhou, Jin and Hoi 2010).  That threshold makes ||w||_1 = mu * tau_k,
+    so w_c = v_c - sign(v_c) * ||w||_1 / mu wherever w_c is nonzero, the
+    row's optimality condition.  An all-zero row of v gives a zero row.
     """
-    return np.abs(row).sum() / (np.abs(row) + epsilon)
-
-
-def update_row(G_diag: np.ndarray, P_row: np.ndarray, Q_row: np.ndarray, mu: float) -> np.ndarray:
-    """Stationary point of the reweighted row problem:
-    (mu * P_row + Q_row) / (G_diag + mu), elementwise."""
-    return (mu * P_row + Q_row) / (G_diag + mu)
-
-
-def solve_w_subproblem(state: SolverState, config: SolverConfig) -> np.ndarray:
-    """Minimize the W block by per-row iterative reweighting.
-
-    Rows are independent, so all still-moving rows are updated in lockstep;
-    a row retires once its max-norm change drops below ``inner_tol`` or it has
-    been updated ``inner_max_iters`` times.  The fixed point is the global
-    minimizer of the row problem.
-    """
-    W = state.W.copy()
-    rhs = state.mu * state.P + state.Q
-    active = np.arange(W.shape[0])
-    for _ in range(config.inner_max_iters):
-        rows = W[active]
-        G = np.abs(rows).sum(axis=1, keepdims=True) / (np.abs(rows) + config.epsilon)
-        updated = rhs[active] / (G + state.mu)
-        W[active] = updated
-        moved = np.abs(updated - rows).max(axis=1) >= config.inner_tol
-        active = active[moved]
-        if active.size == 0:
-            break
-    return W
+    V = state.P + state.Q / state.mu
+    magnitude = np.abs(V)
+    ranked = -np.sort(-magnitude, axis=1)
+    counts = np.arange(1, V.shape[1] + 1)
+    thresholds = np.cumsum(ranked, axis=1) / (state.mu + counts)
+    support = np.where(ranked > thresholds, counts, 0).max(axis=1)
+    tau = np.take_along_axis(thresholds, np.maximum(support - 1, 0)[:, None], axis=1)
+    return np.sign(V) * np.maximum(magnitude - tau, 0.0)
 
 
 def update_b(state: SolverState, data) -> np.ndarray:
@@ -291,13 +268,13 @@ def train(data, config: SolverConfig = SolverConfig()) -> tuple[EnsembleModel, T
     traces together with the final diversity structure.
     """
     started = time.perf_counter()
-    Y = np.repeat(data.y[:, None], config.components, axis=1)
+    Y = np.broadcast_to(data.y[:, None], (data.y.size, config.components))
     K_factor = factor_gram(data.X)
     state = make_initial_state(data, config)
     report = TrainReport()
     previous_objective = None
     for iteration in range(1, config.outer_max_iters + 1):
-        W = solve_w_subproblem(state, config)
+        W = solve_w_subproblem(state)
         b = update_b(state, data)
         S = Y - data.X.T @ state.P - b[None, :] - state.Z / state.mu
         E = update_E(S, Y, config.lam, state.mu, config.loss_power, config.general_p_tol)

@@ -98,8 +98,7 @@ def test_criterion_03_row_subproblem_optimality():
         mu = float(rng.uniform(0.2, 5.0))
         state = solver.SolverState(W=np.ones((1, C)), b=np.zeros(C), E=np.zeros((1, C)),
                                    P=P_row, Q=Q_row, Z=np.zeros((1, C)), mu=mu)
-        config = SolverConfig(components=C, inner_max_iters=200_000)
-        w = solver.solve_w_subproblem(state, config)[0]
+        w = solver.solve_w_subproblem(state)[0]
         reference = oracles.w_row_reference(P_row[0], Q_row[0], mu)
         gap = (oracles.w_row_objective(w, P_row[0], Q_row[0], mu)
                - oracles.w_row_objective(reference, P_row[0], Q_row[0], mu))

@@ -1,5 +1,8 @@
+import hypothesis.extra.numpy as hnp
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 from scipy.linalg import cho_factor
 
 from conftest import make_blobs, random_instance
@@ -34,8 +37,8 @@ class TestConfig:
 
     @pytest.mark.parametrize("kwargs", [
         {"lam": 0.0}, {"components": 0}, {"loss_power": 0.5}, {"rho": 1.0},
-        {"epsilon": 0.0}, {"mu_init": 0.0}, {"mu_cap": 0.5}, {"outer_tol": 0.0},
-        {"outer_max_iters": 0}, {"inner_max_iters": 0},
+        {"general_p_tol": 0.0}, {"mu_init": 0.0}, {"mu_cap": 0.5}, {"outer_tol": 0.0},
+        {"outer_max_iters": 0},
     ])
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
@@ -54,70 +57,70 @@ class TestInitialState:
         assert state.mu == 1.0
 
 
-class TestReweight:
-    def test_symmetric_row(self):
-        np.testing.assert_allclose(solver.reweight_G(np.array([1.0, -1.0]), 1e-15), [2.0, 2.0])
-
-    def test_zero_coordinate_heavily_penalized(self):
-        G = solver.reweight_G(np.array([3.0, 0.0]), 1e-10)
-        assert G[0] == pytest.approx(1.0, rel=1e-9)
-        assert G[1] == pytest.approx(3e10)
-
-    def test_zero_row(self):
-        np.testing.assert_array_equal(solver.reweight_G(np.zeros(3), 1e-10), np.zeros(3))
-
-
-class TestUpdateRow:
-    def test_basic(self):
-        out = solver.update_row(np.array([1.0, 1.0]), np.array([1.0, 1.0]),
-                                np.array([0.0, 0.0]), mu=1.0)
-        np.testing.assert_allclose(out, [0.5, 0.5])
-
-    def test_multiplier_only(self):
-        out = solver.update_row(np.array([1.0, 2.0]), np.array([0.0, 0.0]),
-                                np.array([3.0, 0.0]), mu=2.0)
-        np.testing.assert_allclose(out, [1.0, 0.0])
-
-    def test_zero_weighting_is_ridge_limit(self):
-        P_row = np.array([0.4, -0.2])
-        Q_row = np.array([1.0, 2.0])
-        out = solver.update_row(np.zeros(2), P_row, Q_row, mu=4.0)
-        np.testing.assert_allclose(out, P_row + Q_row / 4.0)
-
-
 class TestWSubproblem:
     def test_penalty_dominated_limit(self):
         P = np.array([[0.3, -0.2], [1.0, 0.5]])
         Q = np.array([[0.1, 0.4], [-0.3, 0.2]])
         state = _state(W=np.ones((2, 2)), P=P, Q=Q, mu=1e8)
-        W = solver.solve_w_subproblem(state, SolverConfig(components=2))
+        W = solver.solve_w_subproblem(state)
         np.testing.assert_allclose(W, P, atol=1e-6)
 
     def test_zero_inputs_give_zero_row(self):
         state = _state(W=np.ones((1, 3)), P=np.zeros((1, 3)), Q=np.zeros((1, 3)), mu=1.0)
-        W = solver.solve_w_subproblem(state, SolverConfig(components=3))
+        W = solver.solve_w_subproblem(state)
         np.testing.assert_allclose(W, 0.0, atol=1e-12)
 
     def test_known_symmetric_solution(self):
         # with targets (1, 1) and mu = 1 the row optimum is (1/3, 1/3)
         state = _state(W=np.ones((1, 2)), P=np.array([[1.0, 1.0]]), Q=np.zeros((1, 2)), mu=1.0)
-        W = solver.solve_w_subproblem(state, SolverConfig(components=2))
+        W = solver.solve_w_subproblem(state)
         np.testing.assert_allclose(W, [[1 / 3, 1 / 3]], atol=1e-6)
 
     def test_matches_reference_on_random_rows(self):
         rng = np.random.default_rng(17)
-        config = SolverConfig(components=5, inner_max_iters=200_000)
         for _ in range(40):
             C = int(rng.integers(1, 6))
             P_row = rng.normal(size=(1, C))
             Q_row = rng.normal(size=(1, C))
             mu = float(rng.uniform(0.2, 5.0))
             state = _state(W=np.ones((1, C)), P=P_row, Q=Q_row, mu=mu)
-            W = solver.solve_w_subproblem(state, config)
+            W = solver.solve_w_subproblem(state)
             reference = oracles.w_row_reference(P_row[0], Q_row[0], mu)
             ours = oracles.w_row_objective(W[0], P_row[0], Q_row[0], mu)
             best = oracles.w_row_objective(reference, P_row[0], Q_row[0], mu)
             assert ours <= best + 1e-6
+
+    def test_hand_computed_exact_zeros(self):
+        # v = (3, 1, 0.2), mu = 1: only the largest entry survives the
+        # threshold 3 / (1 + 1) = 1.5, and the others are exactly zero
+        state = _state(P=np.array([[3.0, 1.0, 0.2]]), Q=np.zeros((1, 3)), mu=1.0)
+        np.testing.assert_array_equal(solver.solve_w_subproblem(state), [[1.5, 0.0, 0.0]])
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        V=hnp.arrays(
+            np.float64,
+            st.tuples(st.integers(1, 4), st.integers(1, 6)),
+            elements=st.one_of(st.sampled_from([0.0, 1.0, -1.0, 2.5, -2.5]),
+                               st.floats(-1e3, 1e3)),
+        ),
+        mu=st.floats(1e-3, 1e3),
+    )
+    def test_prox_optimality_conditions(self, V, mu):
+        # the row minimizer of 0.5*||w||_1^2 + mu/2*||w - v||^2 satisfies
+        # w_c = v_c - sign(v_c) * ||w||_1 / mu where w_c != 0, and
+        # |v_c| <= ||w||_1 / mu where w_c == 0.  Both are checked multiplied
+        # by mu, because dividing the rounding error of ||w||_1 by a small mu
+        # would swamp the tolerance, which is relative to the size of v.
+        state = _state(P=V, Q=np.zeros_like(V), mu=mu)
+        W = solver.solve_w_subproblem(state)
+        for v, w in zip(V, W):
+            l1 = np.abs(w).sum()
+            tol = 1e-12 * (1.0 + mu) * max(1.0, float(np.abs(v).max()))
+            nonzero = w != 0.0
+            np.testing.assert_allclose(mu * (v - w)[nonzero], np.sign(v[nonzero]) * l1,
+                                       rtol=0.0, atol=tol)
+            assert np.all(mu * np.abs(v[~nonzero]) <= l1 + tol)
 
 
 class TestUpdateB:
