@@ -139,7 +139,7 @@ def cmd_train(args) -> int:
     payload.update(report.to_dict())
     Path(args.out).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
     print(f"objective={report.objective_trace[-1]:.6g} iterations={report.iterations} "
-          f"wall_time={report.wall_time:.6g}s")
+          f"stop_reason={report.stop_reason} wall_time={report.wall_time:.6g}s")
     return _EXIT_OK
 
 
@@ -149,11 +149,17 @@ def cmd_eval(args) -> int:
         if not Path(args.model).is_file():
             raise FileNotFoundError(args.model)
         trained = model_mod.load_model(args.model)
-        if trained.feature_count != data.feature_count:
+        missing = trained.feature_count - data.feature_count
+        if missing < 0:
             raise ValueError(
                 f"model has {trained.feature_count} features but dataset has "
                 f"{data.feature_count}"
             )
+        if missing > 0:
+            # Sparse text cannot show trailing features that are zero in every
+            # instance, so a narrower file is padded with zero feature rows.
+            padding = np.zeros((missing, data.instance_count))
+            data = datasets.DataSet(X=np.vstack([data.X, padding]), y=data.y)
         if args.standardize:
             data = datasets.standardize(data)
         error = 100.0 * model_mod.test_error(trained, data)

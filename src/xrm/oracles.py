@@ -36,16 +36,24 @@ class OracleConfig:
             raise ValueError("grid_step must be positive")
 
 
+def _hinge(W, b, data) -> np.ndarray:
+    """max(0, 1 - (x_i . w_c + b_c) y_i) for every instance i and component c."""
+    return np.maximum(1.0 - (data.X.T @ W + b) * data.y[:, None], 0.0)
+
+
+def _objective_from_parts(row_l1, hinge, lam: float, p: float) -> float:
+    penalty = 0.5 * float((row_l1**2).sum())
+    loss = float((hinge**p).sum())
+    return penalty + lam * loss
+
+
 def joint_objective(W, b, data, lam: float, p: float) -> float:
     """Regularized ensemble training objective, derived independently here:
     half the squared row-wise l1 sums of W, plus lam times the powered hinge
     loss summed over components and instances."""
     W = np.asarray(W, dtype=float)
     b = np.asarray(b, dtype=float)
-    penalty = 0.5 * float((np.abs(W).sum(axis=1) ** 2).sum())
-    margins = 1.0 - (data.X.T @ W + b) * data.y[:, None]
-    loss = float((np.maximum(margins, 0.0) ** p).sum())
-    return penalty + lam * loss
+    return _objective_from_parts(np.abs(W).sum(axis=1), _hinge(W, b, data), lam, p)
 
 
 def reference_primal_solver(data, lam: float, components: int, p: float,
@@ -55,7 +63,8 @@ def reference_primal_solver(data, lam: float, components: int, p: float,
     Deterministic given its inputs: starts from zero, moves step_size/sqrt(t)
     along the normalized subgradient, projects back onto a ball that provably
     contains every minimizer, and returns the best (W, b, objective) seen.
-    Meant for small instances only.
+    The hinge terms and row l1 sums that score one iterate also give the
+    next step's subgradient.  Meant for small instances only.
     """
     if p not in (1.0, 2.0, 1, 2):
         raise ValueError("reference solver supports p in {1, 2}")
@@ -68,16 +77,17 @@ def reference_primal_solver(data, lam: float, components: int, p: float,
     radius_b = (components * N) ** (1.0 / p) + column_norm * radius_W + 1.0
     W = np.zeros((M, components))
     b = np.zeros(components)
-    best_obj = joint_objective(W, b, data, lam, p)
+    row_l1 = np.abs(W).sum(axis=1)
+    hinge = _hinge(W, b, data)
+    best_obj = _objective_from_parts(row_l1, hinge, lam, p)
     best_W, best_b = W.copy(), b.copy()
     for t in range(1, config.max_iters + 1):
-        margins = 1.0 - (X.T @ W + b) * y[:, None]
         if p == 1:
-            active = (margins > 0.0).astype(float)  # zero subgradient at the kink
+            active = (hinge > 0.0).astype(float)  # zero subgradient at the kink
         else:
-            active = 2.0 * np.maximum(margins, 0.0)
+            active = 2.0 * hinge
         signed = active * y[:, None]
-        grad_W = np.abs(W).sum(axis=1, keepdims=True) * np.sign(W) - lam * (X @ signed)
+        grad_W = row_l1[:, None] * np.sign(W) - lam * (X @ signed)
         grad_b = -lam * signed.sum(axis=0)
         norm = np.sqrt((grad_W**2).sum() + (grad_b**2).sum())
         if norm == 0.0:
@@ -89,7 +99,9 @@ def reference_primal_solver(data, lam: float, components: int, p: float,
         if scale_W > radius_W:
             W *= radius_W / scale_W
         np.clip(b, -radius_b, radius_b, out=b)
-        obj = joint_objective(W, b, data, lam, p)
+        row_l1 = np.abs(W).sum(axis=1)
+        hinge = _hinge(W, b, data)
+        obj = _objective_from_parts(row_l1, hinge, lam, p)
         if obj < best_obj:
             best_obj = obj
             best_W, best_b = W.copy(), b.copy()

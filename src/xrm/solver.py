@@ -13,6 +13,12 @@ blocks in turn (W by an exact row-wise proximal map, b in closed form, E
 elementwise, P through one cached SPD solve), then performs multiplier ascent
 on Q and Z and grows the penalty mu geometrically.  Termination monitors the
 change of the primal objective evaluated at the current (W, b).
+
+Each iteration costs three N x M x C products plus one solve with the cached
+M x M Cholesky factor: X (R - E) in the P update, X^T P once the new P is
+known, and X^T W in the objective.  X^T P is carried into the next
+iteration's b and E updates, and the two constraint gaps are formed once for
+both the multiplier ascent and the residual trace.
 """
 
 from __future__ import annotations
@@ -108,6 +114,7 @@ class TrainReport:
     residual_trace: list[tuple[float, float]] = field(default_factory=list)
     multiplier_sup_trace: list[float] = field(default_factory=list)
     iterations: int = 0
+    stop_reason: str = ""  # "objective_change" or "max_iters"
     wall_time: float = 0.0
     diversity: DiversityReport | None = None
 
@@ -117,17 +124,22 @@ class TrainReport:
             "residual_trace": [list(pair) for pair in self.residual_trace],
             "multiplier_sup_trace": self.multiplier_sup_trace,
             "iterations": self.iterations,
+            "stop_reason": self.stop_reason,
             "wall_time": self.wall_time,
             "diversity": self.diversity.to_dict() if self.diversity is not None else None,
         }
 
 
 def make_initial_state(data, config: SolverConfig) -> SolverState:
-    """Starting point: W and Q all ones, everything else zero, mu = mu_init."""
+    """Starting point: Q all ones, everything else zero, mu = mu_init.
+
+    The first W update reads only P, Q and mu, so the starting W is never
+    used; zero keeps it consistent with P = W.
+    """
     M, N = data.X.shape
     C = config.components
     return SolverState(
-        W=np.ones((M, C)),
+        W=np.zeros((M, C)),
         b=np.zeros(C),
         E=np.zeros((N, C)),
         P=np.zeros((M, C)),
@@ -168,9 +180,10 @@ def solve_w_subproblem(state: SolverState) -> np.ndarray:
     return np.sign(V) * np.maximum(magnitude - tau, 0.0)
 
 
-def update_b(state: SolverState, data) -> np.ndarray:
-    """Closed-form bias update: per-component mean of Y - E - X^T P - Z / mu."""
-    residual = data.y[:, None] - state.E - data.X.T @ state.P - state.Z / state.mu
+def update_b(state: SolverState, data, XtP: np.ndarray, Z_over_mu: np.ndarray) -> np.ndarray:
+    """Closed-form bias update: per-component mean of Y - E - X^T P - Z / mu,
+    given XtP = X^T state.P and Z_over_mu = state.Z / state.mu."""
+    residual = data.y[:, None] - state.E - XtP - Z_over_mu
     return residual.mean(axis=0)
 
 
@@ -224,22 +237,28 @@ def update_E(S: np.ndarray, Y: np.ndarray, lam: float, mu: float, p: float,
 
 
 def update_P(state: SolverState, data, W_new: np.ndarray, E_new: np.ndarray,
-             b_new: np.ndarray, K_factor) -> np.ndarray:
+             b_new: np.ndarray, K_factor, Z_over_mu: np.ndarray) -> np.ndarray:
     """Closed-form P update through the cached factorization of I + X X^T:
-    solve (I + X X^T) P = W - Q/mu + X (R - E) with R = Y - 1 b^T - Z/mu."""
-    R = data.y[:, None] - b_new[None, :] - state.Z / state.mu
+    solve (I + X X^T) P = W - Q/mu + X (R - E) with R = Y - 1 b^T - Z/mu,
+    given Z_over_mu = state.Z / state.mu."""
+    R = data.y[:, None] - b_new[None, :] - Z_over_mu
     rhs = W_new - state.Q / state.mu + data.X @ (R - E_new)
     return cho_solve(K_factor, rhs)
 
 
-def update_multipliers(state: SolverState, data, W_new: np.ndarray, E_new: np.ndarray,
-                       P_new: np.ndarray, b_new: np.ndarray, rho: float,
-                       mu_cap: float) -> tuple[np.ndarray, np.ndarray, float]:
-    """Ascent on both multipliers, then geometric penalty growth capped at
-    mu_cap."""
-    slack_residual = E_new - data.y[:, None] + data.X.T @ P_new + b_new[None, :]
-    Z = state.Z + state.mu * slack_residual
-    Q = state.Q + state.mu * (P_new - W_new)
+def constraint_gaps(W: np.ndarray, b: np.ndarray, E: np.ndarray, P: np.ndarray,
+                    XtP: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Violations of the two constraints, P - W and E - Y + X^T P + 1 b^T,
+    given XtP = X^T P."""
+    return P - W, E - y[:, None] + XtP + b[None, :]
+
+
+def update_multipliers(state: SolverState, split_gap: np.ndarray, slack_gap: np.ndarray,
+                       rho: float, mu_cap: float) -> tuple[np.ndarray, np.ndarray, float]:
+    """Ascent on both multipliers along the constraint gaps of the new
+    iterate, then geometric penalty growth capped at mu_cap."""
+    Z = state.Z + state.mu * slack_gap
+    Q = state.Q + state.mu * split_gap
     mu = min(rho * state.mu, mu_cap)
     return Z, Q, mu
 
@@ -252,10 +271,8 @@ def primal_objective(W: np.ndarray, b: np.ndarray, data, lam: float, p: float) -
     return exclusivity_regularizer(W) + lam * loss
 
 
-def constraint_residuals(state: SolverState, data) -> tuple[float, float]:
-    """Frobenius norms of (P - W) and (E - Y + X^T P + 1 b^T)."""
-    split_gap = state.P - state.W
-    slack_gap = state.E - data.y[:, None] + data.X.T @ state.P + state.b[None, :]
+def constraint_residuals(split_gap: np.ndarray, slack_gap: np.ndarray) -> tuple[float, float]:
+    """Frobenius norms of the two gaps from :func:`constraint_gaps`."""
     return float(np.linalg.norm(split_gap)), float(np.linalg.norm(slack_gap))
 
 
@@ -263,7 +280,8 @@ def train(data, config: SolverConfig = SolverConfig()) -> tuple[EnsembleModel, T
     """Run the outer loop to convergence and return the averaged ensemble.
 
     Stops when the absolute change of the primal objective between consecutive
-    outer iterations falls below ``outer_tol``, or at ``outer_max_iters``.
+    outer iterations falls below ``outer_tol`` (stop reason
+    ``"objective_change"``), or at ``outer_max_iters`` (``"max_iters"``).
     The report carries per-iteration objective, residual, and multiplier-size
     traces together with the final diversity structure.
     """
@@ -271,15 +289,24 @@ def train(data, config: SolverConfig = SolverConfig()) -> tuple[EnsembleModel, T
     Y = np.broadcast_to(data.y[:, None], (data.y.size, config.components))
     K_factor = factor_gram(data.X)
     state = make_initial_state(data, config)
-    report = TrainReport()
+    XtP = np.zeros_like(state.E)  # X^T state.P for the starting P = 0
+    report = TrainReport(stop_reason="max_iters")
     previous_objective = None
     for iteration in range(1, config.outer_max_iters + 1):
+        Z_over_mu = state.Z / state.mu
         W = solve_w_subproblem(state)
-        b = update_b(state, data)
-        S = Y - data.X.T @ state.P - b[None, :] - state.Z / state.mu
-        E = update_E(S, Y, config.lam, state.mu, config.loss_power, config.general_p_tol)
-        P = update_P(state, data, W, E, b, K_factor)
-        Z, Q, mu = update_multipliers(state, data, W, E, P, b, config.rho, config.mu_cap)
+        b = update_b(state, data, XtP, Z_over_mu)
+        # The E target Y - X^T P - 1 b^T - Z/mu is a temporary and the gaps are
+        # dropped after use: X^T P is then the only N x C array that outlives
+        # its block, so it alone adds to the peak memory.
+        E = update_E(Y - XtP - b[None, :] - Z_over_mu, Y, config.lam, state.mu,
+                     config.loss_power, config.general_p_tol)
+        P = update_P(state, data, W, E, b, K_factor, Z_over_mu)
+        XtP = data.X.T @ P
+        split_gap, slack_gap = constraint_gaps(W, b, E, P, XtP, data.y)
+        Z, Q, mu = update_multipliers(state, split_gap, slack_gap, config.rho, config.mu_cap)
+        residuals = constraint_residuals(split_gap, slack_gap)
+        del split_gap, slack_gap
         state.W, state.b, state.E, state.P, state.Z, state.Q, state.mu = W, b, E, P, Z, Q, mu
         state.iteration = iteration
 
@@ -288,10 +315,11 @@ def train(data, config: SolverConfig = SolverConfig()) -> tuple[EnsembleModel, T
 
         objective = primal_objective(W, b, data, config.lam, config.loss_power)
         report.objective_trace.append(objective)
-        report.residual_trace.append(constraint_residuals(state, data))
+        report.residual_trace.append(residuals)
         report.multiplier_sup_trace.append(max(float(np.abs(Z).max()), float(np.abs(Q).max())))
 
         if previous_objective is not None and abs(objective - previous_objective) < config.outer_tol:
+            report.stop_reason = "objective_change"
             break
         previous_objective = objective
 

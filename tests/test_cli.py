@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import make_blobs, random_instance
-from xrm import load_model, save_dataset
+from xrm import DataSet, load_dataset, load_model, save_dataset
 from xrm.cli import build_parser, main
 
 
@@ -31,6 +31,14 @@ class TestTrain:
         assert report["iterations"] == len(report["objective_trace"])
         assert report["config"]["lambda"] == 2.0
         assert report["diversity"]["regularizer_value"] > 0
+
+    def test_reports_stop_reason(self, tmp_path, blob_file, capsys):
+        report_path = tmp_path / "report.json"
+        rc = main(["train", "--data", str(blob_file), "--model", str(tmp_path / "m.json"),
+                   "--out", str(report_path), "--max-iters", "2"])
+        assert rc == 0
+        assert "stop_reason=max_iters" in capsys.readouterr().out
+        assert json.loads(report_path.read_text())["stop_reason"] == "max_iters"
 
     def test_missing_file_exit_two(self, tmp_path, capsys):
         rc = main(["train", "--data", str(tmp_path / "absent.txt")])
@@ -75,6 +83,24 @@ class TestEval:
         assert rc == 1
         err = capsys.readouterr().err
         assert "4" in err and "7" in err
+
+    def test_narrow_file_is_zero_padded(self, tmp_path, blob_file):
+        model_path = tmp_path / "model.json"
+        main(["train", "--data", str(blob_file), "--model", str(model_path),
+              "--out", str(tmp_path / "r.json")])
+        narrow = make_blobs(40, 3, seed=4, separation=1.0)
+        padded = DataSet(X=np.vstack([narrow.X, np.zeros((1, 40))]), y=narrow.y)
+        errors = []
+        for name, data in (("narrow", narrow), ("padded", padded)):
+            save_dataset(data, tmp_path / f"{name}.txt")
+            out = tmp_path / f"{name}.json"
+            rc = main(["eval", "--data", str(tmp_path / f"{name}.txt"),
+                       "--model", str(model_path), "--out", str(out)])
+            assert rc == 0
+            errors.append(json.loads(out.read_text())["error_percent"])
+        assert load_dataset(tmp_path / "narrow.txt").feature_count == 3
+        assert errors[0] == errors[1]
+        assert errors[0] > 0.0
 
     def test_trials_mode(self, tmp_path, blob_file):
         out = tmp_path / "eval.json"

@@ -49,7 +49,7 @@ class TestInitialState:
     def test_starting_point(self):
         data = DataSet(X=np.ones((3, 5)), y=np.array([1.0, -1.0, 1.0, -1.0, 1.0]))
         state = solver.make_initial_state(data, SolverConfig(components=2))
-        np.testing.assert_array_equal(state.W, np.ones((3, 2)))
+        np.testing.assert_array_equal(state.W, np.zeros((3, 2)))
         np.testing.assert_array_equal(state.b, np.zeros(2))
         np.testing.assert_array_equal(state.P, np.zeros((3, 2)))
         np.testing.assert_array_equal(state.Q, np.ones((3, 2)))
@@ -129,13 +129,15 @@ class TestUpdateB:
         # choose E so that the residual matrix has one column equal to (1, 3)
         E = data.y[:, None] - np.array([[1.0], [3.0]])
         state = _state(W=np.ones((1, 1)), E=E, P=np.zeros((1, 1)), Z=np.zeros((2, 1)))
-        assert solver.update_b(state, data) == pytest.approx(np.array([2.0]))
+        assert solver.update_b(state, data, data.X.T @ state.P,
+                               state.Z / state.mu) == pytest.approx(np.array([2.0]))
 
     def test_zero_residual(self):
         data = DataSet(X=np.zeros((1, 3)), y=np.array([1.0, -1.0, 1.0]))
         state = _state(W=np.ones((1, 2)), E=data.y[:, None] * np.ones((1, 2)),
                        P=np.zeros((1, 2)), Z=np.zeros((3, 2)))
-        np.testing.assert_allclose(solver.update_b(state, data), np.zeros(2))
+        np.testing.assert_allclose(solver.update_b(state, data, data.X.T @ state.P,
+                                                   state.Z / state.mu), np.zeros(2))
 
     def test_minimizes_by_finite_differences(self):
         rng = np.random.default_rng(19)
@@ -144,7 +146,7 @@ class TestUpdateB:
         state = _state(W=rng.normal(size=(M, C)), E=rng.normal(size=(N, C)),
                        P=rng.normal(size=(M, C)), Z=rng.normal(size=(N, C)),
                        Q=rng.normal(size=(M, C)), mu=1.7)
-        b = solver.update_b(state, data)
+        b = solver.update_b(state, data, data.X.T @ state.P, state.Z / state.mu)
 
         def penalty(b_vec):
             resid = state.E - data.y[:, None] + data.X.T @ state.P + b_vec[None, :]
@@ -207,7 +209,7 @@ class TestUpdateP:
         Q = np.array([[0.5, 0.0], [0.0, 0.5]])
         state = _state(W=W, Q=Q, E=np.zeros((3, 2)), P=np.zeros((2, 2)), Z=np.zeros((3, 2)), mu=2.0)
         K = cho_factor(np.eye(2) + data.X @ data.X.T)
-        P = solver.update_P(state, data, W, np.zeros((3, 2)), np.zeros(2), K)
+        P = solver.update_P(state, data, W, np.zeros((3, 2)), np.zeros(2), K, state.Z / state.mu)
         np.testing.assert_allclose(P, W - Q / 2.0)
 
     def test_matches_generic_dense_solve(self):
@@ -220,7 +222,7 @@ class TestUpdateP:
         state = _state(W=W, E=E, P=rng.normal(size=(M, C)), Q=rng.normal(size=(M, C)),
                        Z=rng.normal(size=(N, C)), mu=1.3)
         K = cho_factor(np.eye(M) + data.X @ data.X.T)
-        P = solver.update_P(state, data, W, E, b, K)
+        P = solver.update_P(state, data, W, E, b, K, state.Z / state.mu)
         R = data.y[:, None] - b[None, :] - state.Z / state.mu
         rhs = W - state.Q / state.mu + data.X @ (R - E)
         expected = np.linalg.solve(np.eye(M) + data.X @ data.X.T, rhs)
@@ -236,7 +238,7 @@ class TestUpdateP:
         state = _state(W=W, E=E, P=rng.normal(size=(M, C)), Q=rng.normal(size=(M, C)),
                        Z=rng.normal(size=(N, C)), mu=0.9)
         K = cho_factor(np.eye(M) + data.X @ data.X.T)
-        P = solver.update_P(state, data, W, E, b, K)
+        P = solver.update_P(state, data, W, E, b, K, state.Z / state.mu)
 
         def objective(P_mat):
             split = P_mat - W
@@ -262,8 +264,8 @@ class TestMultipliers:
         b = np.zeros(2)
         E = data.y[:, None] * np.ones((1, 2))  # feasible: E = Y - X^T P - 1 b^T with X = 0
         state = _state(W=W, E=E, P=W.copy(), Q=np.ones((2, 2)), Z=np.ones((3, 2)), mu=1.0)
-        Z, Q, mu = solver.update_multipliers(state, data, W, E, W.copy(), b,
-                                             rho=1.1, mu_cap=1e10)
+        gaps = solver.constraint_gaps(W, b, E, W.copy(), data.X.T @ W, data.y)
+        Z, Q, mu = solver.update_multipliers(state, *gaps, rho=1.1, mu_cap=1e10)
         np.testing.assert_array_equal(Z, state.Z)
         np.testing.assert_array_equal(Q, state.Q)
         assert mu == pytest.approx(1.1)
@@ -274,8 +276,8 @@ class TestMultipliers:
         P = W + 1.0
         E = data.y[:, None] * np.ones((1, 2)) + 1.0
         state = _state(W=W, E=E, P=P, Q=np.zeros((2, 2)), Z=np.zeros((2, 2)), mu=2.0)
-        Z, Q, mu = solver.update_multipliers(state, data, W, E, P, np.zeros(2),
-                                             rho=1.5, mu_cap=1e10)
+        gaps = solver.constraint_gaps(W, np.zeros(2), E, P, data.X.T @ P, data.y)
+        Z, Q, mu = solver.update_multipliers(state, *gaps, rho=1.5, mu_cap=1e10)
         np.testing.assert_allclose(Q, np.full((2, 2), 2.0))
         np.testing.assert_allclose(Z, np.full((2, 2), 2.0))
         assert mu == 3.0
@@ -284,8 +286,9 @@ class TestMultipliers:
         data = DataSet(X=np.zeros((1, 1)), y=np.array([1.0]))
         state = _state(W=np.zeros((1, 1)), E=np.ones((1, 1)), P=np.zeros((1, 1)),
                        Z=np.zeros((1, 1)), mu=9e9)
-        _, _, mu = solver.update_multipliers(state, data, np.zeros((1, 1)), np.ones((1, 1)),
-                                             np.zeros((1, 1)), np.zeros(1), rho=2.0, mu_cap=1e10)
+        gaps = solver.constraint_gaps(np.zeros((1, 1)), np.zeros(1), np.ones((1, 1)),
+                                      np.zeros((1, 1)), data.X.T @ np.zeros((1, 1)), data.y)
+        _, _, mu = solver.update_multipliers(state, *gaps, rho=2.0, mu_cap=1e10)
         assert mu == 1e10
 
 
@@ -321,7 +324,9 @@ class TestResiduals:
         b = rng.normal(size=2)
         E = data.y[:, None] - data.X.T @ W - b[None, :]
         state = _state(W=W, b=b, E=E, P=W.copy(), Z=np.zeros((5, 2)))
-        np.testing.assert_allclose(solver.constraint_residuals(state, data), (0.0, 0.0),
+        gaps = solver.constraint_gaps(state.W, state.b, state.E, state.P,
+                                      data.X.T @ state.P, data.y)
+        np.testing.assert_allclose(solver.constraint_residuals(*gaps), (0.0, 0.0),
                                    atol=1e-12)
 
     def test_unit_offset(self):
@@ -329,7 +334,9 @@ class TestResiduals:
         W = np.zeros((3, 2))
         E = np.ones((4, 1)) * np.array([[1.0, 1.0]])
         state = _state(W=W, b=np.zeros(2), E=E + 0.0, P=W + 1.0, Z=np.zeros((4, 2)))
-        first, _ = solver.constraint_residuals(state, data)
+        gaps = solver.constraint_gaps(state.W, state.b, state.E, state.P,
+                                      data.X.T @ state.P, data.y)
+        first, _ = solver.constraint_residuals(*gaps)
         assert first == pytest.approx(np.sqrt(3 * 2))
 
 
@@ -389,6 +396,38 @@ class TestTrain:
         first, second = report.residual_trace[-1]
         assert first < 1e-3 and second < 1e-3
         assert np.all(np.isfinite(model.W))
+
+    def test_stop_reason(self):
+        _, capped = train(make_blobs(40, 3, seed=2), SolverConfig(components=2, outer_max_iters=3))
+        assert capped.iterations == 3
+        assert capped.stop_reason == "max_iters"
+        data = DataSet(X=np.array([[1.0, -1.0]]), y=np.array([1.0, -1.0]))
+        _, settled = train(data, SolverConfig(lam=2.0, components=2, outer_tol=1e-8,
+                                              outer_max_iters=400))
+        assert settled.iterations < 400
+        assert settled.stop_reason == "objective_change"
+        assert settled.to_dict()["stop_reason"] == "objective_change"
+
+    def test_three_products_with_x_per_iteration(self):
+        # Each outer iteration needs X (R - E), X^T P and X^T W; the Gram
+        # factorization adds one X X^T.  Count every product that has X (or
+        # a view of it, such as X.T) as an operand.
+        products = []
+
+        class CountingArray(np.ndarray):
+            def __matmul__(self, other):
+                products.append(1)
+                return np.asarray(self) @ np.asarray(other)
+
+            def __rmatmul__(self, other):
+                products.append(1)
+                return np.asarray(other) @ np.asarray(self)
+
+        data = make_blobs(60, 4, seed=3)
+        object.__setattr__(data, "X", data.X.view(CountingArray))
+        _, report = train(data, SolverConfig(components=3))
+        assert report.iterations > 1
+        assert len(products) == 1 + 3 * report.iterations
 
     def test_divergence_error_attributes(self):
         err = solver.DivergenceError("boom", iteration=12)
