@@ -8,8 +8,10 @@ The solver is an augmented Lagrangian scheme with closed-form block updates;
 
 from .datasets import (
     DataSet,
+    Scaler,
     SparseFormatError,
     SplitSpec,
+    fit_scaler,
     format_sparse_text,
     load_dataset,
     map_labels,
@@ -50,8 +52,10 @@ from .solver import (
 
 __all__ = [
     "DataSet",
+    "Scaler",
     "SparseFormatError",
     "SplitSpec",
+    "fit_scaler",
     "format_sparse_text",
     "load_dataset",
     "map_labels",

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -49,7 +50,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--max-iters", type=int, default=300, help="outer iteration cap")
         p.add_argument("--seed", type=int, default=0, help="base seed for splits")
         p.add_argument("--standardize", action="store_true",
-                       help="z-score features (fit on train, applied to test)")
+                       help="z-score features (fit on train, applied to test); "
+                            "eval --model applies the model's saved scaler")
         p.add_argument("--no-timing", action="store_true",
                        help="write wall times as 0 for reproducible artifacts")
         if with_split:
@@ -128,10 +130,13 @@ def _run_trial(data, args, config, trial: int):
 
 def cmd_train(args) -> int:
     data = _load(args.data)
+    scaler = None
     if args.standardize:
-        data = datasets.standardize(data)
+        scaler = datasets.fit_scaler(data)
+        data = datasets.standardize(data, scaler=scaler)
     config = _make_config(args)
     trained, report = solver.train(data, config)
+    trained = dataclasses.replace(trained, scaler=scaler)
     if args.no_timing:
         report.wall_time = 0.0
     model_mod.save_model(trained, args.model)
@@ -160,8 +165,15 @@ def cmd_eval(args) -> int:
             # instance, so a narrower file is padded with zero feature rows.
             padding = np.zeros((missing, data.instance_count))
             data = datasets.DataSet(X=np.vstack([data.X, padding]), y=data.y)
-        if args.standardize:
-            data = datasets.standardize(data)
+        if args.standardize and trained.scaler is None:
+            raise ValueError(
+                f"model {args.model} carries no feature scaler (format "
+                f"{model_mod.MODEL_FORMAT_VERSION}); train it with --standardize to save "
+                "the training transform"
+            )
+        if trained.scaler is not None:
+            # The model's own training transform, never one fitted on the eval file.
+            data = datasets.standardize(data, scaler=trained.scaler)
         error = 100.0 * model_mod.test_error(trained, data)
         payload = {"error_percent": error, "data": str(args.data), "model": str(args.model)}
         print(f"test error: {error:.2f}%")

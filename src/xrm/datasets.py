@@ -225,15 +225,48 @@ def split(data: DataSet, spec: SplitSpec, trial_index: int) -> tuple[DataSet, Da
     )
 
 
-def standardize(train: DataSet, test: DataSet | None = None):
+@dataclass(frozen=True)
+class Scaler:
+    """A per-feature z-score x -> (x - mean) / scale, as fitted by
+    :func:`fit_scaler`; ``mean`` and ``scale`` hold one entry per feature."""
+
+    mean: np.ndarray
+    scale: np.ndarray
+
+    def __post_init__(self):
+        mean = np.array(self.mean, dtype=float)
+        scale = np.array(self.scale, dtype=float)
+        if mean.ndim != 1 or scale.shape != mean.shape:
+            raise ValueError(f"scaler mean {mean.shape} and scale {scale.shape} must be "
+                             "vectors of one length")
+        if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(scale)) and np.all(scale > 0)):
+            raise ValueError("scaler mean must be finite and scale finite and positive")
+        object.__setattr__(self, "mean", mean)
+        object.__setattr__(self, "scale", scale)
+        self.mean.setflags(write=False)
+        self.scale.setflags(write=False)
+
+
+def fit_scaler(train: DataSet) -> Scaler:
+    """Per-feature mean and standard deviation of ``train``; constant
+    features get scale 1, so they are centered but not scaled."""
+    std = train.X.std(axis=1)
+    return Scaler(mean=train.X.mean(axis=1), scale=np.where(std == 0.0, 1.0, std))
+
+
+def standardize(train: DataSet, test: DataSet | None = None, *, scaler: Scaler | None = None):
     """Per-feature z-score fitted on the training set and applied to both sets.
 
-    Constant features are left centered but unscaled.  Returns the transformed
-    training set, or a (train, test) pair when ``test`` is given.
+    A given ``scaler`` (for example one saved with a model) is applied instead
+    of fitting one on ``train``.  Returns the transformed training set, or a
+    (train, test) pair when ``test`` is given.
     """
-    mean = train.X.mean(axis=1, keepdims=True)
-    std = train.X.std(axis=1, keepdims=True)
-    std = np.where(std == 0.0, 1.0, std)
+    if scaler is None:
+        scaler = fit_scaler(train)
+    if scaler.mean.size != train.feature_count:
+        raise ValueError(f"scaler has {scaler.mean.size} features but dataset has "
+                         f"{train.feature_count}")
+    mean, std = scaler.mean[:, None], scaler.scale[:, None]
     scaled_train = DataSet(X=(train.X - mean) / std, y=train.y)
     if test is None:
         return scaled_train

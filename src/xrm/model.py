@@ -4,6 +4,12 @@ An ensemble holds C linear components (columns of W with biases b) and
 predicts with their uniform average (w_e, b_e).  By convexity of the powered
 hinge, the averaged predictor's loss never exceeds the mean component loss;
 ``verify_ensemble_bound`` checks that numerically.
+
+A model trained on standardized features carries the training
+:class:`~xrm.datasets.Scaler`; prediction here works on features that are
+already transformed, and callers apply ``model.scaler`` first.  Such a model
+is saved as ``xrm-model/2``; a model without a scaler is saved as
+``xrm-model/1``, and both load.
 """
 
 from __future__ import annotations
@@ -14,20 +20,25 @@ from pathlib import Path
 
 import numpy as np
 
+from .datasets import Scaler
+
 MODEL_FORMAT_VERSION = "xrm-model/1"
+SCALED_MODEL_FORMAT_VERSION = "xrm-model/2"  # adds feature_mean and feature_scale
 
 _BOUND_TOL = 1e-9
 
 
 @dataclass(frozen=True)
 class EnsembleModel:
-    """Component weights W (features x components), biases b, and the training
-    hyperparameters recorded for provenance."""
+    """Component weights W (features x components), biases b, the training
+    hyperparameters recorded for provenance, and the feature scaler the model
+    was trained under (None when trained on raw features)."""
 
     W: np.ndarray
     b: np.ndarray
     lam: float
     p: float
+    scaler: Scaler | None = None
 
     def __post_init__(self):
         W = np.array(self.W, dtype=float)
@@ -36,6 +47,8 @@ class EnsembleModel:
             raise ValueError(f"W must be a matrix, got shape {W.shape}")
         if b.shape != (W.shape[1],):
             raise ValueError(f"bias length {b.shape} does not match {W.shape[1]} components")
+        if self.scaler is not None and self.scaler.mean.size != W.shape[0]:
+            raise ValueError(f"scaler has {self.scaler.mean.size} features but W has {W.shape[0]}")
         object.__setattr__(self, "W", W)
         object.__setattr__(self, "b", b)
         self.W.setflags(write=False)
@@ -120,8 +133,8 @@ def test_error(model: EnsembleModel, data) -> float:
 
 
 def model_to_dict(model: EnsembleModel) -> dict:
-    return {
-        "version": MODEL_FORMAT_VERSION,
+    payload = {
+        "version": MODEL_FORMAT_VERSION if model.scaler is None else SCALED_MODEL_FORMAT_VERSION,
         "feature_count": model.feature_count,
         "components": model.components,
         "W": model.W.ravel(order="C").tolist(),
@@ -129,17 +142,25 @@ def model_to_dict(model: EnsembleModel) -> dict:
         "lambda": model.lam,
         "p": model.p,
     }
+    if model.scaler is not None:
+        payload["feature_mean"] = model.scaler.mean.tolist()
+        payload["feature_scale"] = model.scaler.scale.tolist()
+    return payload
 
 
 def model_from_dict(payload: dict) -> EnsembleModel:
     version = payload.get("version")
-    if version != MODEL_FORMAT_VERSION:
-        raise ValueError(f"unsupported model format {version!r}; expected {MODEL_FORMAT_VERSION!r}")
+    if version not in (MODEL_FORMAT_VERSION, SCALED_MODEL_FORMAT_VERSION):
+        raise ValueError(f"unsupported model format {version!r}; expected "
+                         f"{MODEL_FORMAT_VERSION!r} or {SCALED_MODEL_FORMAT_VERSION!r}")
     M = int(payload["feature_count"])
     C = int(payload["components"])
     W = np.asarray(payload["W"], dtype=float).reshape(M, C)
+    scaler = None
+    if version == SCALED_MODEL_FORMAT_VERSION:
+        scaler = Scaler(mean=payload["feature_mean"], scale=payload["feature_scale"])
     return EnsembleModel(W=W, b=np.asarray(payload["b"], dtype=float),
-                         lam=float(payload["lambda"]), p=float(payload["p"]))
+                         lam=float(payload["lambda"]), p=float(payload["p"]), scaler=scaler)
 
 
 def save_model(model: EnsembleModel, path) -> None:

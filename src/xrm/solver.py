@@ -14,11 +14,22 @@ elementwise, P through one cached SPD solve), then performs multiplier ascent
 on Q and Z and grows the penalty mu geometrically.  Termination monitors the
 change of the primal objective evaluated at the current (W, b).
 
-Each iteration costs three N x M x C products plus one solve with the cached
-M x M Cholesky factor: X (R - E) in the P update, X^T P once the new P is
-known, and X^T W in the objective.  X^T P is carried into the next
-iteration's b and E updates, and the two constraint gaps are formed once for
-both the multiplier ascent and the residual trace.
+The P update solves with I + X X^T, factored once per fit on the smaller side
+of X (M features x N instances):
+
+* M <= N ("features"): the M x M Cholesky of I + X X^T, formed with M^2 N
+  flops and factored with M^3/3; each solve costs about 2 M^2 C.
+* M > N ("instances"): the N x N Cholesky of I + X^T X, formed with N^2 M
+  flops and factored with N^3/3, applied through the matrix inversion lemma
+  (I + X X^T)^-1 = I - X (I + X^T X)^-1 X^T; each solve costs two
+  N x M x C products (about 4 M N C) plus about 2 N^2 C.
+
+Besides that solve, each iteration costs three N x M x C products: X (R - E)
+in the P update, X^T P once the new P is known, and X^T W in the objective.
+That makes three products with X per iteration on the features side and
+five on the instances side, plus one per fit to form the Gram matrix.  X^T P
+is carried into the next iteration's b and E updates, and the two constraint
+gaps are formed once for both the multiplier ascent and the residual trace.
 """
 
 from __future__ import annotations
@@ -115,6 +126,7 @@ class TrainReport:
     multiplier_sup_trace: list[float] = field(default_factory=list)
     iterations: int = 0
     stop_reason: str = ""  # "objective_change" or "max_iters"
+    gram_side: str = ""  # "features" (M x M factor) or "instances" (N x N)
     wall_time: float = 0.0
     diversity: DiversityReport | None = None
 
@@ -125,6 +137,7 @@ class TrainReport:
             "multiplier_sup_trace": self.multiplier_sup_trace,
             "iterations": self.iterations,
             "stop_reason": self.stop_reason,
+            "gram_side": self.gram_side,
             "wall_time": self.wall_time,
             "diversity": self.diversity.to_dict() if self.diversity is not None else None,
         }
@@ -149,14 +162,33 @@ def make_initial_state(data, config: SolverConfig) -> SolverState:
     )
 
 
+def gram_side(X: np.ndarray) -> str:
+    """The side of X (M x N) that :func:`factor_gram` factors: ``"features"``
+    (the M x M matrix I + X X^T) when M <= N, else ``"instances"`` (the
+    N x N matrix I + X^T X)."""
+    M, N = X.shape
+    return "features" if M <= N else "instances"
+
+
 def factor_gram(X: np.ndarray):
-    """Cholesky factorization of I + X X^T, reused for every P update."""
-    M = X.shape[0]
-    K = np.eye(M) + X @ X.T
+    """Factor I + X X^T once per fit and return ``solve(rhs)``, which gives
+    (I + X X^T)^-1 rhs for an M x C right-hand side.
+
+    On the features side (M <= N) this is the Cholesky of the M x M matrix
+    I + X X^T: M^2 N flops to form, M^3/3 to factor, about 2 M^2 C per solve.
+    On the instances side (M > N) it is the Cholesky of the N x N matrix
+    I + X^T X, and a solve is rhs - X (I + X^T X)^-1 X^T rhs: N^2 M flops to
+    form, N^3/3 to factor, about 4 M N C + 2 N^2 C per solve.
+    """
+    features = gram_side(X) == "features"
+    K = np.eye(X.shape[0]) + X @ X.T if features else np.eye(X.shape[1]) + X.T @ X
     try:
-        return cho_factor(K)
+        factor = cho_factor(K)
     except np.linalg.LinAlgError as exc:  # unreachable for finite X
         raise ValueError(f"factorization of the regularized Gram matrix failed: {exc}") from exc
+    if features:
+        return lambda rhs: cho_solve(factor, rhs)
+    return lambda rhs: rhs - X @ cho_solve(factor, X.T @ rhs)
 
 
 def solve_w_subproblem(state: SolverState) -> np.ndarray:
@@ -237,13 +269,15 @@ def update_E(S: np.ndarray, Y: np.ndarray, lam: float, mu: float, p: float,
 
 
 def update_P(state: SolverState, data, W_new: np.ndarray, E_new: np.ndarray,
-             b_new: np.ndarray, K_factor, Z_over_mu: np.ndarray) -> np.ndarray:
-    """Closed-form P update through the cached factorization of I + X X^T:
-    solve (I + X X^T) P = W - Q/mu + X (R - E) with R = Y - 1 b^T - Z/mu,
-    given Z_over_mu = state.Z / state.mu."""
+             b_new: np.ndarray, solve_gram, Z_over_mu: np.ndarray) -> np.ndarray:
+    """Closed-form P update: solve (I + X X^T) P = W - Q/mu + X (R - E) with
+    R = Y - 1 b^T - Z/mu, given Z_over_mu = state.Z / state.mu and the
+    ``solve_gram`` that :func:`factor_gram` returned.  Forming the right-hand
+    side costs one N x M x C product; the solve costs about 2 M^2 C flops on
+    the features side and two more N x M x C products on the instances side."""
     R = data.y[:, None] - b_new[None, :] - Z_over_mu
     rhs = W_new - state.Q / state.mu + data.X @ (R - E_new)
-    return cho_solve(K_factor, rhs)
+    return solve_gram(rhs)
 
 
 def constraint_gaps(W: np.ndarray, b: np.ndarray, E: np.ndarray, P: np.ndarray,
@@ -287,10 +321,10 @@ def train(data, config: SolverConfig = SolverConfig()) -> tuple[EnsembleModel, T
     """
     started = time.perf_counter()
     Y = np.broadcast_to(data.y[:, None], (data.y.size, config.components))
-    K_factor = factor_gram(data.X)
+    solve_gram = factor_gram(data.X)
     state = make_initial_state(data, config)
     XtP = np.zeros_like(state.E)  # X^T state.P for the starting P = 0
-    report = TrainReport(stop_reason="max_iters")
+    report = TrainReport(stop_reason="max_iters", gram_side=gram_side(data.X))
     previous_objective = None
     for iteration in range(1, config.outer_max_iters + 1):
         Z_over_mu = state.Z / state.mu
@@ -301,7 +335,7 @@ def train(data, config: SolverConfig = SolverConfig()) -> tuple[EnsembleModel, T
         # its block, so it alone adds to the peak memory.
         E = update_E(Y - XtP - b[None, :] - Z_over_mu, Y, config.lam, state.mu,
                      config.loss_power, config.general_p_tol)
-        P = update_P(state, data, W, E, b, K_factor, Z_over_mu)
+        P = update_P(state, data, W, E, b, solve_gram, Z_over_mu)
         XtP = data.X.T @ P
         split_gap, slack_gap = constraint_gaps(W, b, E, P, XtP, data.y)
         Z, Q, mu = update_multipliers(state, split_gap, slack_gap, config.rho, config.mu_cap)

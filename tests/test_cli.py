@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from conftest import make_blobs, random_instance
-from xrm import DataSet, load_dataset, load_model, save_dataset
+from xrm import DataSet, fit_scaler, load_dataset, load_model, save_dataset, standardize
 from xrm.cli import build_parser, main
+from xrm.model import test_error as error_rate
 
 
 @pytest.fixture
@@ -51,6 +52,29 @@ class TestTrain:
         rc = main(["train", "--data", str(bad), "--model", str(tmp_path / "m.json"),
                    "--out", str(tmp_path / "r.json")])
         assert rc == 1
+
+    def test_reports_gram_side(self, tmp_path, blob_file):
+        wide_file = tmp_path / "wide.txt"
+        save_dataset(make_blobs(8, 20, seed=3), wide_file)
+        sides = []
+        for path in (blob_file, wide_file):
+            report_path = tmp_path / "report.json"
+            rc = main(["train", "--data", str(path), "--model", str(tmp_path / "m.json"),
+                       "--out", str(report_path)])
+            assert rc == 0
+            sides.append(json.loads(report_path.read_text())["gram_side"])
+        assert sides == ["features", "instances"]
+
+    def test_standardize_saves_training_scaler(self, tmp_path, blob_file):
+        model_path = tmp_path / "model.json"
+        rc = main(["train", "--data", str(blob_file), "--standardize", "--model", str(model_path),
+                   "--out", str(tmp_path / "r.json")])
+        assert rc == 0
+        assert json.loads(model_path.read_text())["version"] == "xrm-model/2"
+        scaler = load_model(model_path).scaler
+        expected = fit_scaler(load_dataset(blob_file))
+        np.testing.assert_array_equal(scaler.mean, expected.mean)
+        np.testing.assert_array_equal(scaler.scale, expected.scale)
 
     def test_no_timing_zeroes_wall_time(self, tmp_path, blob_file):
         report_path = tmp_path / "report.json"
@@ -101,6 +125,54 @@ class TestEval:
         assert load_dataset(tmp_path / "narrow.txt").feature_count == 3
         assert errors[0] == errors[1]
         assert errors[0] > 0.0
+
+    def test_saved_scaler_is_applied(self, tmp_path):
+        # Evaluating on a shifted copy of the training instances must use the
+        # training transform; a z-score re-fitted on the eval file hides the shift.
+        data = make_blobs(200, 5, seed=1, separation=3.0)
+        shifted = DataSet(X=data.X[:, :60] + 2.0, y=data.y[:60])
+        save_dataset(data, tmp_path / "train.txt")
+        save_dataset(shifted, tmp_path / "shifted.txt")
+        model_path = tmp_path / "model.json"
+        main(["train", "--data", str(tmp_path / "train.txt"), "--standardize",
+              "--model", str(model_path), "--out", str(tmp_path / "r.json")])
+        trained = load_model(model_path)
+        under_training = 100.0 * error_rate(trained, standardize(shifted, scaler=fit_scaler(data)))
+        refitted = 100.0 * error_rate(trained, standardize(shifted))
+        assert under_training == pytest.approx(35.0)
+        assert refitted == pytest.approx(5.0)
+        for flags in ([], ["--standardize"]):
+            out = tmp_path / "e.json"
+            rc = main(["eval", "--data", str(tmp_path / "shifted.txt"), "--model", str(model_path),
+                       "--out", str(out), *flags])
+            assert rc == 0
+            assert json.loads(out.read_text())["error_percent"] == under_training
+
+    def test_saved_scaler_applies_after_zero_padding(self, tmp_path, blob_file):
+        model_path = tmp_path / "model.json"
+        main(["train", "--data", str(blob_file), "--standardize", "--model", str(model_path),
+              "--out", str(tmp_path / "r.json")])
+        narrow = make_blobs(40, 3, seed=4, separation=1.0)
+        padded = DataSet(X=np.vstack([narrow.X, np.zeros((1, 40))]), y=narrow.y)
+        save_dataset(narrow, tmp_path / "narrow.txt")
+        out = tmp_path / "e.json"
+        rc = main(["eval", "--data", str(tmp_path / "narrow.txt"), "--model", str(model_path),
+                   "--out", str(out)])
+        assert rc == 0
+        trained = load_model(model_path)
+        expected = 100.0 * error_rate(trained, standardize(padded, scaler=trained.scaler))
+        assert json.loads(out.read_text())["error_percent"] == expected
+
+    def test_standardize_needs_a_saved_scaler(self, tmp_path, blob_file, capsys):
+        model_path = tmp_path / "model.json"
+        main(["train", "--data", str(blob_file), "--model", str(model_path),
+              "--out", str(tmp_path / "r.json")])
+        assert json.loads(model_path.read_text())["version"] == "xrm-model/1"
+        rc = main(["eval", "--data", str(blob_file), "--model", str(model_path), "--standardize",
+                   "--out", str(tmp_path / "e.json")])
+        assert rc == 1
+        assert "no feature scaler" in capsys.readouterr().err
+        assert not (tmp_path / "e.json").exists()
 
     def test_trials_mode(self, tmp_path, blob_file):
         out = tmp_path / "eval.json"

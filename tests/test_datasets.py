@@ -6,8 +6,10 @@ import pytest
 from xrm import datasets
 from xrm.datasets import (
     DataSet,
+    Scaler,
     SparseFormatError,
     SplitSpec,
+    fit_scaler,
     format_sparse_text,
     map_labels,
     parse_sparse_text,
@@ -210,3 +212,23 @@ class TestStandardize:
         train = DataSet(X=np.array([[5.0, 5.0], [1.0, 2.0]]), y=np.array([1.0, -1.0]))
         scaled = standardize(train)
         np.testing.assert_allclose(scaled.X[0], [0.0, 0.0])
+
+    def test_given_scaler_is_applied_unchanged(self):
+        train = DataSet(X=np.array([[0.0, 2.0], [5.0, 5.0]]), y=np.array([1.0, -1.0]))
+        scaler = fit_scaler(train)
+        np.testing.assert_array_equal(scaler.mean, [1.0, 5.0])
+        np.testing.assert_array_equal(scaler.scale, [1.0, 1.0])
+        other = DataSet(X=np.array([[4.0], [7.0]]), y=np.array([1.0]))
+        # the scaler fitted on train, not one fitted on the single instance
+        np.testing.assert_array_equal(standardize(other, scaler=scaler).X, [[3.0], [2.0]])
+        np.testing.assert_array_equal(standardize(train, other)[1].X,
+                                      standardize(other, scaler=scaler).X)
+
+    def test_scaler_validation(self):
+        with pytest.raises(ValueError):
+            Scaler(mean=[0.0, 1.0], scale=[1.0])
+        with pytest.raises(ValueError):
+            Scaler(mean=[0.0], scale=[0.0])
+        train = DataSet(X=np.ones((2, 3)), y=np.array([1.0, -1.0, 1.0]))
+        with pytest.raises(ValueError):
+            standardize(train, scaler=Scaler(mean=[0.0], scale=[1.0]))

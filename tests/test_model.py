@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import make_blobs
-from xrm import DataSet
+from xrm import DataSet, Scaler
 from xrm.model import (
     EnsembleModel,
     average_component_loss,
@@ -183,6 +183,24 @@ class TestSerialization:
     def test_version_field(self):
         payload = model_to_dict(_model([[1.0]], [0.0]))
         assert payload["version"] == "xrm-model/1"
+
+    def test_scaler_round_trip(self, tmp_path):
+        scaler = Scaler(mean=[0.5, -1.0], scale=[2.0, 1.0])
+        model = EnsembleModel(W=[[1.0], [2.0]], b=[0.0], lam=2.0, p=2.0, scaler=scaler)
+        payload = model_to_dict(model)
+        assert payload["version"] == "xrm-model/2"
+        assert payload["feature_mean"] == [0.5, -1.0]
+        assert payload["feature_scale"] == [2.0, 1.0]
+        save_model(model, tmp_path / "model.json")
+        again = load_model(tmp_path / "model.json")
+        np.testing.assert_array_equal(again.scaler.mean, scaler.mean)
+        np.testing.assert_array_equal(again.scaler.scale, scaler.scale)
+        assert model_from_dict(model_to_dict(_model([[1.0]], [0.0]))).scaler is None
+
+    def test_scaler_must_match_features(self):
+        with pytest.raises(ValueError):
+            EnsembleModel(W=[[1.0], [2.0]], b=[0.0], lam=2.0, p=2.0,
+                          scaler=Scaler(mean=[0.0], scale=[1.0]))
 
     def test_unknown_version_rejected(self):
         payload = model_to_dict(_model([[1.0]], [0.0]))

@@ -2,8 +2,7 @@ import hypothesis.extra.numpy as hnp
 import hypothesis.strategies as st
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from scipy.linalg import cho_factor
+from hypothesis import example, given, settings
 
 from conftest import make_blobs, random_instance
 from xrm import DataSet, SolverConfig, train
@@ -25,6 +24,25 @@ def _state(W=None, b=None, E=None, P=None, Q=None, Z=None, mu=1.0):
         Z=Z if Z is not None else np.zeros((N, C)),
         mu=mu,
     )
+
+
+def _count_products_with_x(data, config):
+    """Train while counting every product that has X, or a view of it such
+    as X.T, as an operand; returns (count, report)."""
+    products = []
+
+    class CountingArray(np.ndarray):
+        def __matmul__(self, other):
+            products.append(1)
+            return np.asarray(self) @ np.asarray(other)
+
+        def __rmatmul__(self, other):
+            products.append(1)
+            return np.asarray(other) @ np.asarray(self)
+
+    object.__setattr__(data, "X", data.X.view(CountingArray))
+    _, report = train(data, config)
+    return len(products), report
 
 
 class TestConfig:
@@ -208,53 +226,77 @@ class TestUpdateP:
         W = np.array([[1.0, 2.0], [3.0, 4.0]])
         Q = np.array([[0.5, 0.0], [0.0, 0.5]])
         state = _state(W=W, Q=Q, E=np.zeros((3, 2)), P=np.zeros((2, 2)), Z=np.zeros((3, 2)), mu=2.0)
-        K = cho_factor(np.eye(2) + data.X @ data.X.T)
+        K = solver.factor_gram(data.X)
         P = solver.update_P(state, data, W, np.zeros((3, 2)), np.zeros(2), K, state.Z / state.mu)
         np.testing.assert_allclose(P, W - Q / 2.0)
 
     def test_matches_generic_dense_solve(self):
         rng = np.random.default_rng(23)
-        M, N, C = 4, 9, 3
-        data = DataSet(X=rng.normal(size=(M, N)), y=rng.choice([-1.0, 1.0], N))
-        W = rng.normal(size=(M, C))
-        E = rng.normal(size=(N, C))
-        b = rng.normal(size=C)
-        state = _state(W=W, E=E, P=rng.normal(size=(M, C)), Q=rng.normal(size=(M, C)),
-                       Z=rng.normal(size=(N, C)), mu=1.3)
-        K = cho_factor(np.eye(M) + data.X @ data.X.T)
-        P = solver.update_P(state, data, W, E, b, K, state.Z / state.mu)
-        R = data.y[:, None] - b[None, :] - state.Z / state.mu
-        rhs = W - state.Q / state.mu + data.X @ (R - E)
-        expected = np.linalg.solve(np.eye(M) + data.X @ data.X.T, rhs)
-        np.testing.assert_allclose(P, expected, atol=1e-8)
+        # M < N factors I + X X^T; M > N factors I + X^T X.
+        for M, N, C in ((4, 9, 3), (9, 4, 3)):
+            data = DataSet(X=rng.normal(size=(M, N)), y=rng.choice([-1.0, 1.0], N))
+            W = rng.normal(size=(M, C))
+            E = rng.normal(size=(N, C))
+            b = rng.normal(size=C)
+            state = _state(W=W, E=E, P=rng.normal(size=(M, C)), Q=rng.normal(size=(M, C)),
+                           Z=rng.normal(size=(N, C)), mu=1.3)
+            K = solver.factor_gram(data.X)
+            P = solver.update_P(state, data, W, E, b, K, state.Z / state.mu)
+            R = data.y[:, None] - b[None, :] - state.Z / state.mu
+            rhs = W - state.Q / state.mu + data.X @ (R - E)
+            expected = np.linalg.solve(np.eye(M) + data.X @ data.X.T, rhs)
+            np.testing.assert_allclose(P, expected, atol=1e-8)
 
     def test_first_order_optimality(self):
         rng = np.random.default_rng(24)
-        M, N, C = 3, 6, 2
-        data = DataSet(X=rng.normal(size=(M, N)), y=rng.choice([-1.0, 1.0], N))
-        W = rng.normal(size=(M, C))
-        E = rng.normal(size=(N, C))
-        b = rng.normal(size=C)
-        state = _state(W=W, E=E, P=rng.normal(size=(M, C)), Q=rng.normal(size=(M, C)),
-                       Z=rng.normal(size=(N, C)), mu=0.9)
-        K = cho_factor(np.eye(M) + data.X @ data.X.T)
-        P = solver.update_P(state, data, W, E, b, K, state.Z / state.mu)
+        for M, N, C in ((3, 6, 2), (9, 4, 2)):
+            data = DataSet(X=rng.normal(size=(M, N)), y=rng.choice([-1.0, 1.0], N))
+            W = rng.normal(size=(M, C))
+            E = rng.normal(size=(N, C))
+            b = rng.normal(size=C)
+            state = _state(W=W, E=E, P=rng.normal(size=(M, C)), Q=rng.normal(size=(M, C)),
+                           Z=rng.normal(size=(N, C)), mu=0.9)
+            K = solver.factor_gram(data.X)
+            P = solver.update_P(state, data, W, E, b, K, state.Z / state.mu)
 
-        def objective(P_mat):
-            split = P_mat - W
-            slack = E - data.y[:, None] + data.X.T @ P_mat + b[None, :]
-            return (0.5 * state.mu * (split**2).sum() + (state.Q * split).sum()
-                    + 0.5 * state.mu * (slack**2).sum() + (state.Z * slack).sum())
+            def objective(P_mat):
+                split = P_mat - W
+                slack = E - data.y[:, None] + data.X.T @ P_mat + b[None, :]
+                return (0.5 * state.mu * (split**2).sum() + (state.Q * split).sum()
+                        + 0.5 * state.mu * (slack**2).sum() + (state.Z * slack).sum())
 
-        h = 1e-6
-        worst = 0.0
-        for j in range(M):
-            for c in range(C):
-                shift = np.zeros((M, C))
-                shift[j, c] = h
-                gradient = (objective(P + shift) - objective(P - shift)) / (2 * h)
-                worst = max(worst, abs(gradient))
-        assert worst < 1e-6
+            h = 1e-6
+            worst = 0.0
+            for j in range(M):
+                for c in range(C):
+                    shift = np.zeros((M, C))
+                    shift[j, c] = h
+                    gradient = (objective(P + shift) - objective(P - shift)) / (2 * h)
+                    worst = max(worst, abs(gradient))
+            assert worst < 1e-6
+
+
+class TestFactorGram:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 12), st.integers(1, 12), st.integers(1, 4), st.integers(0, 2**32 - 1))
+    @example(M=1, N=1, C=1, seed=0)
+    @example(M=1, N=12, C=2, seed=1)
+    @example(M=12, N=1, C=2, seed=2)
+    @example(M=7, N=7, C=3, seed=3)
+    def test_solve_matches_dense_inverse(self, M, N, C, seed):
+        rng = np.random.default_rng(seed)
+        X = rng.normal(size=(M, N)) * rng.choice([0.1, 1.0, 10.0])
+        R = rng.normal(size=(M, C))
+        expected = np.linalg.solve(np.eye(M) + X @ X.T, R)
+        got = solver.factor_gram(X)(R)
+        scale = 1.0 + np.abs(X).max() ** 2
+        np.testing.assert_allclose(got, expected, rtol=0, atol=1e-10 * scale * (1 + np.abs(R).max()))
+
+    def test_side_follows_shape(self):
+        assert solver.gram_side(np.zeros((3, 5))) == "features"
+        assert solver.gram_side(np.zeros((4, 4))) == "features"
+        assert solver.gram_side(np.zeros((5, 3))) == "instances"
+        assert solver.gram_side(np.zeros((1, 1))) == "features"
 
 
 class TestMultipliers:
@@ -412,22 +454,42 @@ class TestTrain:
         # Each outer iteration needs X (R - E), X^T P and X^T W; the Gram
         # factorization adds one X X^T.  Count every product that has X (or
         # a view of it, such as X.T) as an operand.
-        products = []
-
-        class CountingArray(np.ndarray):
-            def __matmul__(self, other):
-                products.append(1)
-                return np.asarray(self) @ np.asarray(other)
-
-            def __rmatmul__(self, other):
-                products.append(1)
-                return np.asarray(other) @ np.asarray(self)
-
-        data = make_blobs(60, 4, seed=3)
-        object.__setattr__(data, "X", data.X.view(CountingArray))
-        _, report = train(data, SolverConfig(components=3))
+        products, report = _count_products_with_x(make_blobs(60, 4, seed=3),
+                                                  SolverConfig(components=3))
         assert report.iterations > 1
-        assert len(products) == 1 + 3 * report.iterations
+        assert products == 1 + 3 * report.iterations
+
+    def test_five_products_per_iteration_on_instances_side(self):
+        # With M > N the Gram solve adds X^T rhs and X (...) to the three
+        # products above; forming I + X^T X is the one product outside the loop.
+        products, report = _count_products_with_x(make_blobs(12, 30, seed=3),
+                                                  SolverConfig(components=3))
+        assert report.gram_side == "instances"
+        assert report.iterations > 1
+        assert products == 1 + 5 * report.iterations
+
+    def test_instances_side_matches_dense_reference(self, monkeypatch):
+        data = make_blobs(15, 40, seed=11)
+        config = SolverConfig(components=3, loss_power=1.5, outer_tol=1e-6)
+        _, fast = train(data, config)
+
+        def dense_reference(X):
+            K = np.eye(X.shape[0]) + X @ X.T
+            return lambda rhs: np.linalg.solve(K, rhs)
+
+        monkeypatch.setattr(solver, "factor_gram", dense_reference)
+        _, dense = train(data, config)
+        assert fast.gram_side == "instances"
+        assert fast.iterations == dense.iterations
+        assert fast.objective_trace[-1] == pytest.approx(dense.objective_trace[-1], rel=1e-9)
+
+    def test_gram_side_in_report(self):
+        _, tall = train(make_blobs(40, 3, seed=2), SolverConfig(components=2))
+        _, wide = train(make_blobs(5, 20, seed=2), SolverConfig(components=2))
+        assert tall.gram_side == "features"
+        assert wide.gram_side == "instances"
+        assert tall.to_dict()["gram_side"] == "features"
+        assert wide.to_dict()["gram_side"] == "instances"
 
     def test_divergence_error_attributes(self):
         err = solver.DivergenceError("boom", iteration=12)
