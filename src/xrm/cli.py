@@ -145,6 +145,11 @@ def cmd_train(args) -> int:
     Path(args.out).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
     print(f"objective={report.objective_trace[-1]:.6g} iterations={report.iterations} "
           f"stop_reason={report.stop_reason} wall_time={report.wall_time:.6g}s")
+    if report.stop_reason == "max_iters":
+        split, slack = report.residual_trace[-1]
+        print(f"warning: training stopped at the iteration cap ({config.outer_max_iters}) "
+              f"before the objective settled; final residuals split={split:.3g} "
+              f"slack={slack:.3g}", file=sys.stderr)
     return _EXIT_OK
 
 

@@ -164,7 +164,7 @@ def model_from_dict(payload: dict) -> EnsembleModel:
 
 
 def save_model(model: EnsembleModel, path) -> None:
-    Path(path).write_text(json.dumps(model_to_dict(model), indent=2) + "\n", encoding="utf-8")
+    Path(path).write_text(json.dumps(model_to_dict(model)) + "\n", encoding="utf-8")
 
 
 def load_model(path) -> EnsembleModel:

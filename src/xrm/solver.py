@@ -127,6 +127,7 @@ class TrainReport:
     iterations: int = 0
     stop_reason: str = ""  # "objective_change" or "max_iters"
     gram_side: str = ""  # "features" (M x M factor) or "instances" (N x N)
+    e_inner_steps: list[int] = field(default_factory=list)  # E-block steps per iteration
     wall_time: float = 0.0
     diversity: DiversityReport | None = None
 
@@ -138,6 +139,7 @@ class TrainReport:
             "iterations": self.iterations,
             "stop_reason": self.stop_reason,
             "gram_side": self.gram_side,
+            "e_inner_steps": self.e_inner_steps,
             "wall_time": self.wall_time,
             "diversity": self.diversity.to_dict() if self.diversity is not None else None,
         }
@@ -219,53 +221,73 @@ def update_b(state: SolverState, data, XtP: np.ndarray, Z_over_mu: np.ndarray) -
     return residual.mean(axis=0)
 
 
-def _positive_branch_minimizer(a: np.ndarray, k: float, p: float, tol: float) -> np.ndarray:
-    """Solve min_{t >= 0} k * t^p + 0.5 * (t - a)^2 by bisecting its monotone
-    derivative.  ``a`` holds the (positive) targets of the active branch."""
-    with np.errstate(over="ignore"):
-        excess = float(np.float64(k) ** (1.0 / (p - 1.0)))
-    if not np.isfinite(excess):
-        # The stationary point never exceeds a, so a finite bracket suffices.
-        excess = 0.0
-    lo = np.zeros_like(a)
-    hi = np.abs(a) + excess + 1.0
-    for _ in range(200):
-        if float((hi - lo).max()) <= tol:
-            break
-        mid = 0.5 * (lo + hi)
-        positive = k * p * mid ** (p - 1.0) + mid - a > 0.0
-        hi = np.where(positive, mid, hi)
-        lo = np.where(positive, lo, mid)
-    return 0.5 * (lo + hi)
+def _positive_branch_minimizer(a: np.ndarray, k: float, p: float,
+                               tol: float) -> tuple[np.ndarray, int]:
+    """Solve min_{t >= 0} k * t^p + 0.5 * (t - a)^2 for positive targets ``a``
+    by safeguarded Newton on the increasing derivative f(t) = k p t^(p-1) + t - a
+    (the Newton-bisection hybrid ``rtsafe`` of Numerical Recipes).
+
+    The root lies in [lo, hi] with lo = min(a/2, (a/(2kp))^(1/(p-1))) and
+    hi = min(a, (a/(kp))^(1/(p-1))), since f(lo) <= 0 <= f(hi).  Starting at
+    hi, every step shrinks the bracket by the sign of f and takes the Newton
+    step when it lands inside the bracket (ends included, where a converged
+    iterate sits), else the midpoint.  Iteration stops once no entry moves by
+    more than ``tol`` plus a few units in the last place of t (for large t the
+    iterates can alternate between two neighbouring floats further apart than
+    ``tol``), or after 200 steps.  Returns the minimizers and the step count.
+    """
+    slope = k * p
+    resolution = 4.0 * np.finfo(float).eps
+    # Near p = 1 the bracket powers overflow to inf, which the minimum with a
+    # absorbs.  Where they underflow to [0, 0], the Newton quotient at t = 0 is
+    # 0/0, and the bracket test rejects it in favour of the midpoint 0.
+    with np.errstate(over="ignore", invalid="ignore"):
+        lo = np.minimum(0.5 * a, (0.5 * a / slope) ** (1.0 / (p - 1.0)))
+        hi = np.minimum(a, (a / slope) ** (1.0 / (p - 1.0)))
+        t = hi
+        for steps in range(1, 201):
+            power_term = slope * t ** (p - 1.0)
+            f = power_term + t - a
+            lo = np.where(f < 0.0, t, lo)
+            hi = np.where(f > 0.0, t, hi)
+            # f / f'(t) with f'(t) = (p - 1) k p t^(p-2) + 1, reusing t^(p-1).
+            newton = t - f * t / ((p - 1.0) * power_term + t)
+            step = np.where((lo <= newton) & (newton <= hi), newton, 0.5 * (lo + hi))
+            settled = np.abs(step - t) <= tol + resolution * t
+            t = step
+            if settled.all():
+                break
+    return t, steps
 
 
 def update_E(S: np.ndarray, Y: np.ndarray, lam: float, mu: float, p: float,
-             general_p_tol: float = 1e-10) -> np.ndarray:
-    """Elementwise minimizer of (lam/mu) * (Y*E)_+^p + 0.5 * (E - S)^2.
+             general_p_tol: float = 1e-10) -> tuple[np.ndarray, int]:
+    """Elementwise minimizer of (lam/mu) * (Y*E)_+^p + 0.5 * (E - S)^2, and the
+    number of safeguarded Newton steps it took (0 at p = 1 and p = 2).
 
     p = 1 soft-thresholds the entries whose target violates the margin,
-    p = 2 shrinks them by 1 / (1 + 2 lam/mu), and any other p >= 1 falls back
-    to a bisection on the active branch followed by a branch comparison.
+    p = 2 shrinks them by 1 / (1 + 2 lam/mu), and any other p >= 1 solves the
+    active branch by :func:`_positive_branch_minimizer`.  That branch needs no
+    comparison with the boundary t = 0: for p >= 1 the scalar problem is
+    convex with slope -a < 0 at t = 0, so its stationary point beats 0.5 a^2.
     Entries with Y*S <= 0 keep their target S.
     """
     if p < 1:
         raise ValueError("loss power p must be at least 1")
     k = lam / mu
-    active = (Y * S) > 0.0
+    target = Y * S
+    active = target > 0.0
     if p == 1:
         shrunk = np.sign(S) * np.maximum(np.abs(S) - k, 0.0)
-        return np.where(active, shrunk, S)
+        return np.where(active, shrunk, S), 0
     if p == 2:
-        return np.where(active, S / (1.0 + 2.0 * k), S)
+        return np.where(active, S / (1.0 + 2.0 * k), S), 0
     E = S.copy()
+    steps = 0
     if np.any(active):
-        a = (Y * S)[active]
-        t = _positive_branch_minimizer(a, k, p, general_p_tol)
-        branch_obj = k * t**p + 0.5 * (t - a) ** 2
-        boundary_obj = 0.5 * a**2  # best the complementary branch can do here
-        t = np.where(branch_obj <= boundary_obj, t, 0.0)
-        E[active] = (Y[active]) * t
-    return E
+        t, steps = _positive_branch_minimizer(target[active], k, p, general_p_tol)
+        E[active] = Y[active] * t
+    return E, steps
 
 
 def update_P(state: SolverState, data, W_new: np.ndarray, E_new: np.ndarray,
@@ -333,8 +355,9 @@ def train(data, config: SolverConfig = SolverConfig()) -> tuple[EnsembleModel, T
         # The E target Y - X^T P - 1 b^T - Z/mu is a temporary and the gaps are
         # dropped after use: X^T P is then the only N x C array that outlives
         # its block, so it alone adds to the peak memory.
-        E = update_E(Y - XtP - b[None, :] - Z_over_mu, Y, config.lam, state.mu,
-                     config.loss_power, config.general_p_tol)
+        E, e_steps = update_E(Y - XtP - b[None, :] - Z_over_mu, Y, config.lam, state.mu,
+                              config.loss_power, config.general_p_tol)
+        report.e_inner_steps.append(e_steps)
         P = update_P(state, data, W, E, b, solve_gram, Z_over_mu)
         XtP = data.X.T @ P
         split_gap, slack_gap = constraint_gaps(W, b, E, P, XtP, data.y)

@@ -115,7 +115,7 @@ def test_criterion_04_slack_update_matches_grid_search():
         s = float(rng.uniform(-5.0, 5.0))
         k = float(rng.uniform(0.01, 3.0))
         p = float(rng.choice([1.0, 1.5, 2.0]))
-        e = solver.update_E(np.array([[s]]), np.array([[y]]), lam=k, mu=1.0, p=p)[0, 0]
+        e = solver.update_E(np.array([[s]]), np.array([[y]]), lam=k, mu=1.0, p=p)[0][0, 0]
         reference = oracles.scalar_e_minimizer(y, s, k, p)
         gap = abs(e - reference)
         worst = max(worst, gap)

@@ -38,8 +38,29 @@ class TestTrain:
         rc = main(["train", "--data", str(blob_file), "--model", str(tmp_path / "m.json"),
                    "--out", str(report_path), "--max-iters", "2"])
         assert rc == 0
-        assert "stop_reason=max_iters" in capsys.readouterr().out
-        assert json.loads(report_path.read_text())["stop_reason"] == "max_iters"
+        captured = capsys.readouterr()
+        assert "stop_reason=max_iters" in captured.out
+        report = json.loads(report_path.read_text())
+        assert report["stop_reason"] == "max_iters"
+        split, slack = report["residual_trace"][-1]
+        assert captured.err == (
+            "warning: training stopped at the iteration cap (2) before the objective settled; "
+            f"final residuals split={split:.3g} slack={slack:.3g}\n")
+
+    def test_converged_run_prints_no_warning(self, tmp_path, blob_file, capsys):
+        reports = []
+        for run in range(2):
+            report_path = tmp_path / f"report{run}.json"
+            rc = main(["train", "--data", str(blob_file), "--model", str(tmp_path / "m.json"),
+                       "--out", str(report_path), "--p", "1.5", "--no-timing"])
+            assert rc == 0
+            captured = capsys.readouterr()
+            assert "stop_reason=objective_change" in captured.out
+            assert captured.err == ""
+            reports.append(report_path.read_text())
+        report = json.loads(reports[0])
+        assert len(report["e_inner_steps"]) == report["iterations"]
+        assert reports[0] == reports[1]
 
     def test_missing_file_exit_two(self, tmp_path, capsys):
         rc = main(["train", "--data", str(tmp_path / "absent.txt")])

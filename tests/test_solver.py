@@ -45,6 +45,22 @@ def _count_products_with_x(data, config):
     return len(products), report
 
 
+def _bisection_reference(a, k, p, tol):
+    """Plain bisection of f(t) = k p t^(p-1) + t - a on [0, a] down to width
+    tol (at most 200 halvings); returns the midpoints and the halving count,
+    the same contract as ``solver._positive_branch_minimizer``."""
+    lo = np.zeros_like(a)
+    hi = np.array(a, dtype=float)
+    steps = 0
+    while steps < 200 and float((hi - lo).max()) > tol:
+        mid = 0.5 * (lo + hi)
+        positive = k * p * mid ** (p - 1.0) + mid - a > 0.0
+        hi = np.where(positive, mid, hi)
+        lo = np.where(positive, lo, mid)
+        steps += 1
+    return 0.5 * (lo + hi), steps
+
+
 class TestConfig:
     def test_defaults(self):
         config = SolverConfig()
@@ -182,16 +198,16 @@ class TestUpdateE:
     def test_soft_threshold_cases(self):
         Y = np.array([[1.0], [1.0], [-1.0]])
         S = np.array([[2.0], [0.3], [0.3]])
-        E = solver.update_E(S, Y, lam=0.5, mu=1.0, p=1.0)
+        E, _ = solver.update_E(S, Y, lam=0.5, mu=1.0, p=1.0)
         np.testing.assert_allclose(E, [[1.5], [0.0], [0.3]])
 
     def test_quadratic_shrink(self):
-        E = solver.update_E(np.array([[2.0]]), np.array([[1.0]]), lam=0.5, mu=1.0, p=2.0)
+        E, _ = solver.update_E(np.array([[2.0]]), np.array([[1.0]]), lam=0.5, mu=1.0, p=2.0)
         assert E[0, 0] == pytest.approx(1.0)
 
     def test_intermediate_power(self):
         # frozen from the grid oracle: argmin of t^1.5 + (t-2)^2/2 is ~0.723828
-        E = solver.update_E(np.array([[2.0]]), np.array([[1.0]]), lam=1.0, mu=1.0, p=1.5)
+        E, _ = solver.update_E(np.array([[2.0]]), np.array([[1.0]]), lam=1.0, mu=1.0, p=1.5)
         assert E[0, 0] == pytest.approx(0.7238284, abs=1e-6)
         reference = oracles.scalar_e_minimizer(1.0, 2.0, 1.0, 1.5)
         assert abs(E[0, 0] - reference) <= 1e-4
@@ -201,7 +217,7 @@ class TestUpdateE:
         S = rng.normal(size=(6, 3))
         Y = rng.choice([-1.0, 1.0], size=(6, 1)) * np.ones((1, 3))
         for p in (1.0, 1.7, 2.0):
-            E = solver.update_E(S, Y, lam=1e-14, mu=1.0, p=p)
+            E, _ = solver.update_E(S, Y, lam=1e-14, mu=1.0, p=p)
             np.testing.assert_allclose(E, S, atol=1e-10)
 
     def test_rejects_power_below_one(self):
@@ -215,9 +231,37 @@ class TestUpdateE:
             s = float(rng.uniform(-5, 5))
             k = float(rng.uniform(0.01, 3.0))
             p = float(rng.choice([1.0, 1.5, 2.0, 3.0]))
-            e = solver.update_E(np.array([[s]]), np.array([[y]]), lam=k, mu=1.0, p=p)[0, 0]
+            e = solver.update_E(np.array([[s]]), np.array([[y]]), lam=k, mu=1.0, p=p)[0][0, 0]
             reference = oracles.scalar_e_minimizer(y, s, k, p)
             assert abs(e - reference) <= 1e-4
+
+    @pytest.mark.filterwarnings("error")
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(1.01, 4.0), st.floats(-12.0, 8.0),
+           hnp.arrays(np.float64, st.integers(1, 6), elements=st.floats(-8.0, 8.0)))
+    @example(p=1.01, log_k=-2.0, log_a=np.array([8.0, 0.0, -8.0]))  # bracket powers overflow
+    @example(p=1.01, log_k=8.0, log_a=np.array([-8.0, 8.0]))  # the small root underflows to 0
+    @example(p=3.0, log_k=-12.0, log_a=np.array([8.0, -8.0, 0.0]))
+    @example(p=3.0, log_k=-9.0, log_a=np.array([8.0]))  # neighbouring floats alternate
+    @example(p=1.5, log_k=2.5, log_a=np.array([7.5]))  # likewise
+    @example(p=4.0, log_k=8.0, log_a=np.array([-8.0]))
+    def test_general_power_minimizer(self, p, log_k, log_a):
+        k, a, tol = 10.0**log_k, 10.0**log_a, 1e-10
+        t, steps = solver._positive_branch_minimizer(a, k, p, tol)
+        assert np.all(np.isfinite(t)) and np.all((t >= 0.0) & (t <= a))
+        assert 1 <= steps < 200
+        # f(t) = k p t^(p-1) + t - a changes sign within a few tol (or float
+        # spacings of a) of t.  |f(t)| itself is not small against a when the
+        # root underflows to 0 or when a is comparable to tol.
+        slack = 4 * tol + 16 * np.spacing(a)
+
+        def f(u):
+            return k * p * u ** (p - 1.0) + u - a
+
+        assert np.all(f(np.maximum(t - slack, 0.0)) <= 0.0)
+        assert np.all(f(t + slack) >= 0.0)
+        reference, _ = _bisection_reference(a, k, p, tol)
+        assert np.all(np.abs(t - reference) <= slack)
 
 
 class TestUpdateP:
@@ -482,6 +526,26 @@ class TestTrain:
         assert fast.gram_side == "instances"
         assert fast.iterations == dense.iterations
         assert fast.objective_trace[-1] == pytest.approx(dense.objective_trace[-1], rel=1e-9)
+
+    def test_general_power_matches_bisection_reference(self, monkeypatch):
+        data = make_blobs(60, 5, seed=12)
+        config = SolverConfig(components=3, loss_power=1.5)
+        _, newton = train(data, config)
+        monkeypatch.setattr(solver, "_positive_branch_minimizer", _bisection_reference)
+        _, bisection = train(data, config)
+        assert newton.e_inner_steps != bisection.e_inner_steps
+        assert newton.iterations == bisection.iterations
+        assert newton.objective_trace[-1] == pytest.approx(bisection.objective_trace[-1], rel=1e-9)
+
+    def test_e_inner_steps_in_report(self):
+        data = make_blobs(40, 3, seed=2)
+        _, quadratic = train(data, SolverConfig(components=2))
+        _, general = train(data, SolverConfig(components=2, loss_power=1.5))
+        assert quadratic.e_inner_steps == [0] * quadratic.iterations
+        assert len(general.e_inner_steps) == general.iterations
+        # Newton takes a handful of steps; bisection to 1e-10 would take ~40.
+        assert all(0 < steps < 20 for steps in general.e_inner_steps)
+        assert general.to_dict()["e_inner_steps"] == general.e_inner_steps
 
     def test_gram_side_in_report(self):
         _, tall = train(make_blobs(40, 3, seed=2), SolverConfig(components=2))
