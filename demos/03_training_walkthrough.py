@@ -12,7 +12,7 @@ from xrm import (
     DataSet,
     SolverConfig,
     load_model,
-    predict,
+    predict_all,
     save_model,
     test_error,
     train,
@@ -43,7 +43,7 @@ print(f"final constraint residuals: split {split_gap:.2e}, slack {slack_gap:.2e}
 holds, ens, avg = verify_ensemble_bound(model, data)
 print(f"\ntraining error: {test_error(model, data):.3f}")
 print(f"ensemble loss {ens:.2f} <= average component loss {avg:.2f}: {holds}")
-print("one prediction:", predict(model, data.X[:, 0]), "true label:", data.y[0])
+print("first predictions:", predict_all(model, data.X[:, :5]), "true labels:", data.y[:5])
 
 # Diversity structure of the trained components.
 print("\npairwise relaxed exclusivity of trained components:")

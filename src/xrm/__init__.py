@@ -30,11 +30,9 @@ from .diversity import (
 from .model import (
     EnsembleModel,
     average_component_loss,
-    decision_value,
     decision_values,
     ensemble_loss,
     load_model,
-    predict,
     predict_all,
     save_model,
     test_error,
@@ -70,11 +68,9 @@ __all__ = [
     "relaxed_exclusivity",
     "EnsembleModel",
     "average_component_loss",
-    "decision_value",
     "decision_values",
     "ensemble_loss",
     "load_model",
-    "predict",
     "predict_all",
     "save_model",
     "test_error",

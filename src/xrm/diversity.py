@@ -51,35 +51,55 @@ def exclusivity_regularizer(W) -> float:
     return float(0.5 * (row_l1**2).sum())
 
 
+DISTINCT_RTOL = 1e-9  # columns closer than this, relative to max |W|, count as one
+
+
 @dataclass(frozen=True)
 class DiversityReport:
-    """Pairwise exclusivity structure of a trained component matrix."""
+    """Pairwise exclusivity structure of a trained component matrix, and the
+    number of distinct components among its columns."""
 
     pairwise_relaxed_exclusivity: np.ndarray
     pairwise_exclusivity: np.ndarray
     regularizer_value: float
+    distinct_components: int
 
     def to_dict(self) -> dict:
         return {
             "pairwise_relaxed_exclusivity": self.pairwise_relaxed_exclusivity.tolist(),
             "pairwise_exclusivity": self.pairwise_exclusivity.tolist(),
             "regularizer_value": self.regularizer_value,
+            "distinct_components": self.distinct_components,
         }
 
 
 def diversity_report(W) -> DiversityReport:
-    """Evaluate both exclusivity measures over every component pair of W."""
+    """Evaluate both exclusivity measures over every component pair of W, and
+    count the distinct components: the columns whose largest entrywise
+    difference from every earlier column exceeds ``DISTINCT_RTOL * max |W|``
+    (the first column always counts).
+
+    Pairwise exclusivity follows :func:`exclusivity`: a coordinate counts when
+    the computed product is nonzero, so products that underflow to 0 do not.
+    Each column is compared with all columns at once, which keeps the extra
+    memory at one features-by-components array.
+    """
     W = np.asarray(W, dtype=float)
     if W.ndim != 2 or W.shape[1] < 1:
         raise ValueError(f"expected a features-by-components matrix, got shape {W.shape}")
     C = W.shape[1]
     relaxed = np.abs(W).T @ np.abs(W)
     counts = np.empty((C, C))
+    tolerance = DISTINCT_RTOL * np.max(np.abs(W), initial=0.0)
+    distinct = 0
     for c in range(C):
-        for other in range(c, C):
-            counts[c, other] = counts[other, c] = exclusivity(W[:, c], W[:, other])
+        column = W[:, c, None]
+        counts[c] = np.count_nonzero(column * W, axis=0)
+        nearest = np.min(np.max(np.abs(W[:, :c] - column), axis=0, initial=0.0), initial=np.inf)
+        distinct += int(nearest > tolerance)
     return DiversityReport(
         pairwise_relaxed_exclusivity=relaxed,
         pairwise_exclusivity=counts,
         regularizer_value=exclusivity_regularizer(W),
+        distinct_components=distinct,
     )

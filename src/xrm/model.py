@@ -73,14 +73,6 @@ class EnsembleModel:
         return float(self.b.mean())
 
 
-def decision_value(model: EnsembleModel, x) -> float:
-    """Ensemble decision function x . w_e + b_e for a single instance."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (model.feature_count,):
-        raise ValueError(f"instance of shape {x.shape} does not match {model.feature_count} features")
-    return float(x @ model.w_e + model.b_e)
-
-
 def decision_values(model: EnsembleModel, X) -> np.ndarray:
     """Ensemble decision values for a column-major instance matrix."""
     X = np.asarray(X, dtype=float)
@@ -89,12 +81,8 @@ def decision_values(model: EnsembleModel, X) -> np.ndarray:
     return X.T @ model.w_e + model.b_e
 
 
-def predict(model: EnsembleModel, x) -> int:
-    """Sign of the decision value; an exact zero maps to +1."""
-    return 1 if decision_value(model, x) >= 0.0 else -1
-
-
 def predict_all(model: EnsembleModel, X) -> np.ndarray:
+    """Sign of each decision value as +/-1.0; an exact zero maps to +1."""
     return np.where(decision_values(model, X) >= 0.0, 1.0, -1.0)
 
 

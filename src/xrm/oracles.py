@@ -117,17 +117,14 @@ def scalar_e_minimizer(y: float, s: float, lambda_over_mu: float, p: float,
     return float(grid[int(np.argmin(values))])
 
 
-def w_row_objective(row, P_row, Q_row, mu: float, epsilon: float = 0.0) -> float:
+def w_row_objective(row, P_row, Q_row, mu: float) -> float:
     """Objective of the per-row weight problem:
-    0.5 * (sum_c (|row(c)| + epsilon))**2 + mu/2 * ||P_row - row||^2
-    + Q_row . (P_row - row).  epsilon = 0 gives the unsmoothed form."""
+    0.5 * (sum_c |row(c)|)**2 + mu/2 * ||P_row - row||^2 + Q_row . (P_row - row)."""
     row = np.asarray(row, dtype=float)
     P_row = np.asarray(P_row, dtype=float)
     Q_row = np.asarray(Q_row, dtype=float)
     gap = P_row - row
-    return float(
-        0.5 * (np.abs(row) + epsilon).sum() ** 2 + 0.5 * mu * (gap @ gap) + Q_row @ gap
-    )
+    return float(0.5 * np.abs(row).sum() ** 2 + 0.5 * mu * (gap @ gap) + Q_row @ gap)
 
 
 def _golden_section(fn, lo: float, hi: float, tol: float = 1e-13, max_iters: int = 200) -> float:
@@ -149,8 +146,7 @@ def _golden_section(fn, lo: float, hi: float, tol: float = 1e-13, max_iters: int
     return 0.5 * (a + b)
 
 
-def w_row_reference(P_row, Q_row, mu: float, epsilon: float = 0.0,
-                    config: OracleConfig = OracleConfig()) -> np.ndarray:
+def w_row_reference(P_row, Q_row, mu: float, config: OracleConfig = OracleConfig()) -> np.ndarray:
     """Minimize the per-row weight objective by cyclic coordinate descent,
     each coordinate solved with golden-section search.
 
@@ -163,19 +159,19 @@ def w_row_reference(P_row, Q_row, mu: float, epsilon: float = 0.0,
     v = P_row + Q_row / mu
     C = v.size
     row = np.zeros(C)
-    previous = w_row_objective(row, P_row, Q_row, mu, epsilon)
+    previous = w_row_objective(row, P_row, Q_row, mu)
     sweeps = min(config.max_iters, 500)
     for _ in range(sweeps):
         for c in range(C):
-            rest = float((np.abs(row) + epsilon).sum() - (abs(row[c]) + epsilon))
+            rest = float(np.abs(row).sum() - abs(row[c]))
             p_c, q_c = P_row[c], Q_row[c]
 
             def coordinate_objective(t):
-                return 0.5 * (abs(t) + epsilon + rest) ** 2 + 0.5 * mu * (p_c - t) ** 2 + q_c * (p_c - t)
+                return 0.5 * (abs(t) + rest) ** 2 + 0.5 * mu * (p_c - t) ** 2 + q_c * (p_c - t)
 
             row[c] = _golden_section(coordinate_objective, min(0.0, v[c]) - 1e-12,
                                      max(0.0, v[c]) + 1e-12)
-        current = w_row_objective(row, P_row, Q_row, mu, epsilon)
+        current = w_row_objective(row, P_row, Q_row, mu)
         if previous - current < 1e-12:
             break
         previous = current

@@ -14,26 +14,34 @@ elementwise, P through one cached SPD solve), then performs multiplier ascent
 on Q and Z and grows the penalty mu geometrically.  Termination monitors the
 change of the primal objective evaluated at the current (W, b).
 
+The default start is symmetric under column permutations (Q all ones, every
+other block zero) and every block update is column-equivariant, so the C
+columns of the iterates stay identical.  :func:`train` therefore carries one
+column, weighted by its multiplicity C wherever the C columns are summed (the
+W prox, the objective and the residuals), and repeats it C times at the end.
+
 The P update solves with I + X X^T, factored once per fit on the smaller side
 of X (M features x N instances):
 
 * M <= N ("features"): the M x M Cholesky of I + X X^T, formed with M^2 N
-  flops and factored with M^3/3; each solve costs about 2 M^2 C.
+  flops and factored with M^3/3; each solve costs about 2 M^2 per column.
 * M > N ("instances"): the N x N Cholesky of I + X^T X, formed with N^2 M
   flops and factored with N^3/3, applied through the matrix inversion lemma
   (I + X X^T)^-1 = I - X (I + X^T X)^-1 X^T; each solve costs two
-  N x M x C products (about 4 M N C) plus about 2 N^2 C.
+  products with X plus about 2 N^2 per column.
 
-Besides that solve, each iteration costs three N x M x C products: X (R - E)
-in the P update, X^T P once the new P is known, and X^T W in the objective.
-That makes three products with X per iteration on the features side and
-five on the instances side, plus one per fit to form the Gram matrix.  X^T P
-is carried into the next iteration's b and E updates, and the two constraint
-gaps are formed once for both the multiplier ascent and the residual trace.
+Besides that solve, each iteration costs three products of X with a single
+column, N x M flops each whatever C is: X (r - e) in the P update, X^T p
+once the new p is known, and X^T w in the objective.  That makes three
+products with X per iteration on the features side and five on the
+instances side, plus one per fit to form the Gram matrix.  X^T p is carried
+into the next iteration's b and E updates, and the two constraint gaps are
+formed once for both the multiplier ascent and the residual trace.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import time
 from dataclasses import dataclass, field
 
@@ -193,23 +201,31 @@ def factor_gram(X: np.ndarray):
     return lambda rhs: rhs - X @ cho_solve(factor, X.T @ rhs)
 
 
-def solve_w_subproblem(state: SolverState) -> np.ndarray:
+def solve_w_subproblem(state: SolverState, multiplicity=None) -> np.ndarray:
     """Minimize the W block exactly, row by row.
 
-    Each row solves min_w 0.5 * ||w||_1^2 + mu/2 * ||w - v||^2 with
-    v = P + Q/mu, the proximal map of half a squared l1 norm.  The minimizer
-    soft-thresholds v at tau_k = (sum of the k largest |v|) / (mu + k), where
-    k is the largest count whose k-th largest |v| exceeds tau_k (Kowalski
-    2009; Zhou, Jin and Hoi 2010).  That threshold makes ||w||_1 = mu * tau_k,
-    so w_c = v_c - sign(v_c) * ||w||_1 / mu wherever w_c is nonzero, the
-    row's optimality condition.  An all-zero row of v gives a zero row.
+    Each row solves min_w 0.5 * (sum_c m_c |w_c|)^2 + mu/2 * sum_c m_c (w_c - v_c)^2
+    with v = P + Q/mu, where column c stands for m_c identical columns
+    (``multiplicity``, all ones by default).  With unit m this is the proximal
+    map of half a squared l1 norm.  The minimizer soft-thresholds v at
+    tau_k = (sum of m|v| over the k largest |v|) / (mu + sum of their m),
+    where k is the largest count whose k-th largest |v| exceeds tau_k
+    (Kowalski 2009; Zhou, Jin and Hoi 2010): the prox of the row in which
+    column c is repeated m_c times, whose tied copies pass the test together.
+    That threshold makes sum_c m_c |w_c| = mu * tau_k, so
+    w_c = v_c - sign(v_c) * sum_c m_c |w_c| / mu wherever w_c is nonzero,
+    the row's optimality condition.  One column of multiplicity C shrinks v
+    to v * mu / (mu + C).  An all-zero row of v gives a zero row.
     """
     V = state.P + state.Q / state.mu
     magnitude = np.abs(V)
-    ranked = -np.sort(-magnitude, axis=1)
-    counts = np.arange(1, V.shape[1] + 1)
-    thresholds = np.cumsum(ranked, axis=1) / (state.mu + counts)
-    support = np.where(ranked > thresholds, counts, 0).max(axis=1)
+    order = np.argsort(-magnitude, axis=1)
+    ranked = np.take_along_axis(magnitude, order, axis=1)
+    weight = np.ones(V.shape[1]) if multiplicity is None else np.asarray(multiplicity, float)
+    weight = weight[order]
+    thresholds = np.cumsum(weight * ranked, axis=1) / (state.mu + np.cumsum(weight, axis=1))
+    positions = np.arange(1, V.shape[1] + 1)
+    support = np.where(ranked > thresholds, positions, 0).max(axis=1)
     tau = np.take_along_axis(thresholds, np.maximum(support - 1, 0)[:, None], axis=1)
     return np.sign(V) * np.maximum(magnitude - tau, 0.0)
 
@@ -319,21 +335,33 @@ def update_multipliers(state: SolverState, split_gap: np.ndarray, slack_gap: np.
     return Z, Q, mu
 
 
-def primal_objective(W: np.ndarray, b: np.ndarray, data, lam: float, p: float) -> float:
+def primal_objective(W: np.ndarray, b: np.ndarray, data, lam: float, p: float,
+                     multiplicity=None) -> float:
     """The quantity being minimized: diversity penalty plus weighted powered
-    hinge loss over all components and instances."""
+    hinge loss over all components and instances.  Column c of (W, b) counts
+    ``multiplicity[c]`` times (once by default):
+    0.5 * sum_j (sum_c m_c |W[j,c]|)^2 + lam * sum_c m_c * loss_c."""
+    m = 1.0 if multiplicity is None else np.asarray(multiplicity, float)
     margins = 1.0 - (data.X.T @ W + b[None, :]) * data.y[:, None]
-    loss = float((np.maximum(margins, 0.0) ** p).sum())
-    return exclusivity_regularizer(W) + lam * loss
+    loss = float((np.maximum(margins, 0.0) ** p * m).sum())
+    return exclusivity_regularizer(W * m) + lam * loss
 
 
-def constraint_residuals(split_gap: np.ndarray, slack_gap: np.ndarray) -> tuple[float, float]:
-    """Frobenius norms of the two gaps from :func:`constraint_gaps`."""
-    return float(np.linalg.norm(split_gap)), float(np.linalg.norm(slack_gap))
+def constraint_residuals(split_gap: np.ndarray, slack_gap: np.ndarray,
+                         multiplicity=None) -> tuple[float, float]:
+    """Frobenius norms of the two gaps from :func:`constraint_gaps`, with
+    column c counted ``multiplicity[c]`` times: sqrt(sum_c m_c ||gap_c||^2)."""
+    root = 1.0 if multiplicity is None else np.sqrt(np.asarray(multiplicity, float))
+    return float(np.linalg.norm(split_gap * root)), float(np.linalg.norm(slack_gap * root))
 
 
 def train(data, config: SolverConfig = SolverConfig()) -> tuple[EnsembleModel, TrainReport]:
     """Run the outer loop to convergence and return the averaged ensemble.
+
+    The C components start identical and every block update treats columns
+    alike, so the loop carries one column of multiplicity C and the returned
+    model repeats it C times.  The objective and residual traces are those of
+    the C-column problem.
 
     Stops when the absolute change of the primal objective between consecutive
     outer iterations falls below ``outer_tol`` (stop reason
@@ -342,19 +370,21 @@ def train(data, config: SolverConfig = SolverConfig()) -> tuple[EnsembleModel, T
     traces together with the final diversity structure.
     """
     started = time.perf_counter()
-    Y = np.broadcast_to(data.y[:, None], (data.y.size, config.components))
+    C = config.components
+    multiplicity = (C,)
+    Y = data.y[:, None]
     solve_gram = factor_gram(data.X)
-    state = make_initial_state(data, config)
+    state = make_initial_state(data, dataclasses.replace(config, components=1))
     XtP = np.zeros_like(state.E)  # X^T state.P for the starting P = 0
     report = TrainReport(stop_reason="max_iters", gram_side=gram_side(data.X))
     previous_objective = None
     for iteration in range(1, config.outer_max_iters + 1):
         Z_over_mu = state.Z / state.mu
-        W = solve_w_subproblem(state)
+        W = solve_w_subproblem(state, multiplicity)
         b = update_b(state, data, XtP, Z_over_mu)
         # The E target Y - X^T P - 1 b^T - Z/mu is a temporary and the gaps are
-        # dropped after use: X^T P is then the only N x C array that outlives
-        # its block, so it alone adds to the peak memory.
+        # dropped after use: X^T P is then the only N-vector that outlives its
+        # block, so it alone adds to the peak memory.
         E, e_steps = update_E(Y - XtP - b[None, :] - Z_over_mu, Y, config.lam, state.mu,
                               config.loss_power, config.general_p_tol)
         report.e_inner_steps.append(e_steps)
@@ -362,7 +392,7 @@ def train(data, config: SolverConfig = SolverConfig()) -> tuple[EnsembleModel, T
         XtP = data.X.T @ P
         split_gap, slack_gap = constraint_gaps(W, b, E, P, XtP, data.y)
         Z, Q, mu = update_multipliers(state, split_gap, slack_gap, config.rho, config.mu_cap)
-        residuals = constraint_residuals(split_gap, slack_gap)
+        residuals = constraint_residuals(split_gap, slack_gap, multiplicity)
         del split_gap, slack_gap
         state.W, state.b, state.E, state.P, state.Z, state.Q, state.mu = W, b, E, P, Z, Q, mu
         state.iteration = iteration
@@ -370,7 +400,7 @@ def train(data, config: SolverConfig = SolverConfig()) -> tuple[EnsembleModel, T
         if not all(np.all(np.isfinite(block)) for block in (W, b, E, P, Z, Q)):
             raise DivergenceError(f"non-finite solver state at iteration {iteration}", iteration)
 
-        objective = primal_objective(W, b, data, config.lam, config.loss_power)
+        objective = primal_objective(W, b, data, config.lam, config.loss_power, multiplicity)
         report.objective_trace.append(objective)
         report.residual_trace.append(residuals)
         report.multiplier_sup_trace.append(max(float(np.abs(Z).max()), float(np.abs(Q).max())))
@@ -382,6 +412,7 @@ def train(data, config: SolverConfig = SolverConfig()) -> tuple[EnsembleModel, T
 
     report.iterations = state.iteration
     report.wall_time = time.perf_counter() - started
-    report.diversity = diversity_report(state.W)
-    model = EnsembleModel(W=state.W, b=state.b, lam=config.lam, p=config.loss_power)
+    W = np.repeat(state.W, C, axis=1)
+    report.diversity = diversity_report(W)
+    model = EnsembleModel(W=W, b=np.repeat(state.b, C), lam=config.lam, p=config.loss_power)
     return model, report

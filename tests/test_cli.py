@@ -33,6 +33,15 @@ class TestTrain:
         assert report["config"]["lambda"] == 2.0
         assert report["diversity"]["regularizer_value"] > 0
 
+    def test_reports_distinct_components(self, tmp_path, blob_file):
+        report_path = tmp_path / "report.json"
+        rc = main(["train", "--data", str(blob_file), "--model", str(tmp_path / "m.json"),
+                   "--out", str(report_path), "--components", "4"])
+        assert rc == 0
+        diversity = json.loads(report_path.read_text())["diversity"]
+        assert diversity["distinct_components"] == 1
+        assert len(diversity["pairwise_exclusivity"]) == 4
+
     def test_reports_stop_reason(self, tmp_path, blob_file, capsys):
         report_path = tmp_path / "report.json"
         rc = main(["train", "--data", str(blob_file), "--model", str(tmp_path / "m.json"),

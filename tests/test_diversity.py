@@ -130,3 +130,27 @@ class TestDiversityReport:
         payload = report.to_dict()
         assert payload["regularizer_value"] == 4.0
         assert payload["pairwise_exclusivity"] == [[2, 2], [2, 2]]
+
+    def test_pairwise_counts_match_exclusivity_with_underflow(self):
+        # 1e-200 * 1e-200 underflows to 0, so that coordinate does not count,
+        # on the diagonal either; every entry equals exclusivity pair by pair.
+        W = np.array([[1e-200, 1e-200, 1.0, 0.0],
+                      [1.0, 0.0, 2.0, -3.0],
+                      [3.0, 1.0, 0.0, 5e-324],
+                      [-2.0, 4.0, 1e-200, 1.0]])
+        counts = diversity_report(W).pairwise_exclusivity
+        for c in range(4):
+            for other in range(4):
+                assert counts[c, other] == exclusivity(W[:, c], W[:, other])
+        assert counts[0, 1] == 2
+        assert counts[0, 0] == 3
+        assert counts[3, 3] == 2
+
+    def test_distinct_components(self):
+        W = np.array([[1.0, 1.0, 0.0, 1.0], [2.0, 2.0, 1.0, 2.0 + 1e-12]])
+        report = diversity_report(W)
+        assert report.distinct_components == 2
+        assert report.to_dict()["distinct_components"] == 2
+        assert diversity_report(np.repeat(W[:, :1], 5, axis=1)).distinct_components == 1
+        assert diversity_report(np.zeros((3, 4))).distinct_components == 1
+        assert diversity_report(np.eye(3)).distinct_components == 3

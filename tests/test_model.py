@@ -6,12 +6,11 @@ from xrm import DataSet, Scaler
 from xrm.model import (
     EnsembleModel,
     average_component_loss,
-    decision_value,
+    decision_values,
     ensemble_loss,
     load_model,
     model_from_dict,
     model_to_dict,
-    predict,
     predict_all,
     save_model,
     verify_ensemble_bound,
@@ -26,19 +25,19 @@ def _model(W, b, lam=1.0, p=2.0):
 class TestDecision:
     def test_on_margin(self):
         model = _model([[1.0], [0.0]], [-1.0])
-        assert decision_value(model, [1.0, 0.0]) == 0.0
+        assert decision_values(model, [[1.0], [0.0]])[0] == 0.0
 
     def test_constant_model(self):
         model = _model([[0.0], [0.0]], [0.5])
-        assert decision_value(model, [3.0, -4.0]) == 0.5
+        assert decision_values(model, [[3.0], [-4.0]])[0] == 0.5
 
     def test_component_averaging(self):
         model = _model([[2.0, 0.0]], [0.0, 0.0])
-        assert decision_value(model, [1.0]) == 1.0
+        assert decision_values(model, [[1.0]])[0] == 1.0
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            decision_value(_model([[1.0]], [0.0]), [1.0, 2.0])
+            decision_values(_model([[1.0]], [0.0]), [[1.0], [2.0]])
 
     def test_averages_recomputed(self):
         rng = np.random.default_rng(0)
@@ -51,13 +50,13 @@ class TestDecision:
 
 class TestPredict:
     def test_positive(self):
-        assert predict(_model([[0.3]], [0.0]), [1.0]) == 1
+        assert predict_all(_model([[0.3]], [0.0]), [[1.0]])[0] == 1
 
     def test_negative(self):
-        assert predict(_model([[-0.3]], [0.0]), [1.0]) == -1
+        assert predict_all(_model([[-0.3]], [0.0]), [[1.0]])[0] == -1
 
     def test_zero_ties_positive(self):
-        assert predict(_model([[0.0]], [0.0]), [1.0]) == 1
+        assert predict_all(_model([[0.0]], [0.0]), [[1.0]])[0] == 1
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(1)

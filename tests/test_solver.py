@@ -27,22 +27,61 @@ def _state(W=None, b=None, E=None, P=None, Q=None, Z=None, mu=1.0):
 
 
 def _count_products_with_x(data, config):
-    """Train while counting every product that has X, or a view of it such
-    as X.T, as an operand; returns (count, report)."""
+    """Train while recording every product that has X, or a view of it such
+    as X.T, as an operand; returns (count, report, widths), where widths
+    lists the column count of the other operand of each product except the
+    Gram product of X with itself."""
     products = []
+    widths = []
+
+    def record(other):
+        products.append(1)
+        if not isinstance(other, CountingArray):
+            widths.append(other.shape[1] if other.ndim == 2 else 1)
 
     class CountingArray(np.ndarray):
         def __matmul__(self, other):
-            products.append(1)
+            record(other)
             return np.asarray(self) @ np.asarray(other)
 
         def __rmatmul__(self, other):
-            products.append(1)
+            record(other)
             return np.asarray(other) @ np.asarray(self)
 
     object.__setattr__(data, "X", data.X.view(CountingArray))
     _, report = train(data, config)
-    return len(products), report
+    return len(products), report, widths
+
+
+def _reference_train(data, config):
+    """The outer loop of ``solver.train`` carried on all C columns: the public
+    block functions with unit multiplicities from the symmetric start
+    ``make_initial_state(data, config)``.  Returns the final state and the
+    objective and residual traces, the iteration count and the stop reason."""
+    C = config.components
+    Y = np.broadcast_to(data.y[:, None], (data.y.size, C))
+    solve_gram = solver.factor_gram(data.X)
+    state = solver.make_initial_state(data, config)
+    XtP = np.zeros_like(state.E)
+    objectives, residuals = [], []
+    stop_reason = "max_iters"
+    for iteration in range(1, config.outer_max_iters + 1):
+        Z_over_mu = state.Z / state.mu
+        W = solver.solve_w_subproblem(state)
+        b = solver.update_b(state, data, XtP, Z_over_mu)
+        E, _ = solver.update_E(Y - XtP - b[None, :] - Z_over_mu, Y, config.lam, state.mu,
+                               config.loss_power, config.general_p_tol)
+        P = solver.update_P(state, data, W, E, b, solve_gram, Z_over_mu)
+        XtP = data.X.T @ P
+        gaps = solver.constraint_gaps(W, b, E, P, XtP, data.y)
+        Z, Q, mu = solver.update_multipliers(state, *gaps, config.rho, config.mu_cap)
+        residuals.append(solver.constraint_residuals(*gaps))
+        state = solver.SolverState(W=W, b=b, E=E, P=P, Q=Q, Z=Z, mu=mu, iteration=iteration)
+        objectives.append(solver.primal_objective(W, b, data, config.lam, config.loss_power))
+        if len(objectives) > 1 and abs(objectives[-1] - objectives[-2]) < config.outer_tol:
+            stop_reason = "objective_change"
+            break
+    return state, objectives, residuals, state.iteration, stop_reason
 
 
 def _bisection_reference(a, k, p, tol):
@@ -155,6 +194,45 @@ class TestWSubproblem:
             np.testing.assert_allclose(mu * (v - w)[nonzero], np.sign(v[nonzero]) * l1,
                                        rtol=0.0, atol=tol)
             assert np.all(mu * np.abs(v[~nonzero]) <= l1 + tol)
+
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        V=hnp.arrays(
+            np.float64,
+            st.tuples(st.integers(1, 4), st.integers(1, 5)),
+            elements=st.one_of(st.sampled_from([0.0, 1.0, -1.0, 2.5, -2.5]),
+                               st.floats(-1e3, 1e3)),
+        ),
+        data=st.data(),
+        mu=st.floats(1e-3, 1e3),
+    )
+    @example(V=np.array([[1.5]]), data=None, mu=1.0)  # m = (1,)
+    @example(V=np.array([[2.0, -2.0, 0.0, 1.0]]), data=None, mu=0.5)  # ties and a zero
+    def test_multiplicity_repeats_columns(self, V, data, mu):
+        # Column c with multiplicity m_c gives the unit-multiplicity prox of
+        # the row in which column c appears m_c times, de-duplicated.
+        C = V.shape[1]
+        if data is None:
+            m = np.ones(C, dtype=int) if C == 1 else np.array([1, 3, 2, 1][:C])
+        else:
+            m = np.array(data.draw(st.lists(st.integers(1, 4), min_size=C, max_size=C)))
+        repeated = np.repeat(V, m, axis=1)
+        expanded = solver.solve_w_subproblem(_state(P=repeated, Q=np.zeros_like(repeated), mu=mu))
+        first = np.cumsum(m) - m
+        for c in range(C):
+            np.testing.assert_array_equal(expanded[:, first[c]:first[c] + m[c]],
+                                          np.repeat(expanded[:, first[c], None], m[c], axis=1))
+        weighted = solver.solve_w_subproblem(_state(P=V, Q=np.zeros_like(V), mu=mu), m)
+        tol = 1e-12 * max(1.0, float(np.abs(V).max()))
+        np.testing.assert_allclose(weighted, expanded[:, first], rtol=0.0, atol=tol)
+
+    def test_single_column_of_multiplicity_c_shrinks(self):
+        rng = np.random.default_rng(31)
+        P, Q = rng.normal(size=(6, 1)), rng.normal(size=(6, 1))
+        for C, mu in ((1, 1.0), (7, 0.3), (30, 2.5)):
+            W = solver.solve_w_subproblem(_state(P=P, Q=Q, mu=mu), (C,))
+            np.testing.assert_allclose(W, (P + Q / mu) * mu / (mu + C), rtol=1e-14)
 
 
 class TestUpdateB:
@@ -401,6 +479,20 @@ class TestPrimalObjective:
             expected = exclusivity_regularizer(W) + lam * 3 * average_component_loss(model, data, p)
             assert solver.primal_objective(W, b, data, lam, p) == pytest.approx(expected, abs=1e-12)
 
+    def test_multiplicity_counts_repeated_columns(self):
+        rng = np.random.default_rng(32)
+        data = DataSet(X=rng.normal(size=(4, 12)), y=rng.choice([-1.0, 1.0], 12))
+        W = rng.normal(size=(4, 3))
+        b = rng.normal(size=3)
+        m = np.array([2, 1, 4])
+        for lam, p in ((0.5, 1.0), (2.0, 1.5), (2.0, 2.0)):
+            expected = solver.primal_objective(np.repeat(W, m, axis=1), np.repeat(b, m), data,
+                                               lam, p)
+            assert solver.primal_objective(W, b, data, lam, p, m) == pytest.approx(expected,
+                                                                                   rel=1e-14)
+            assert solver.primal_objective(W, b, data, lam, p, np.ones(3)) == \
+                solver.primal_objective(W, b, data, lam, p)
+
 
 class TestResiduals:
     def test_feasible(self):
@@ -424,6 +516,52 @@ class TestResiduals:
                                       data.X.T @ state.P, data.y)
         first, _ = solver.constraint_residuals(*gaps)
         assert first == pytest.approx(np.sqrt(3 * 2))
+
+    def test_multiplicity_counts_repeated_columns(self):
+        rng = np.random.default_rng(33)
+        split_gap, slack_gap = rng.normal(size=(3, 2)), rng.normal(size=(5, 2))
+        m = np.array([3, 1])
+        expected = solver.constraint_residuals(np.repeat(split_gap, m, axis=1),
+                                               np.repeat(slack_gap, m, axis=1))
+        np.testing.assert_allclose(solver.constraint_residuals(split_gap, slack_gap, m),
+                                   expected, rtol=1e-14)
+
+
+class TestColumnSymmetry:
+    def test_block_updates_permute_with_columns(self):
+        # From a start state with distinct columns, permuting the columns of
+        # every input permutes the output of every block update alike.
+        rng = np.random.default_rng(34)
+        M, N, C = 4, 9, 5
+        data = DataSet(X=rng.normal(size=(M, N)), y=rng.choice([-1.0, 1.0], N))
+        state = _state(W=rng.normal(size=(M, C)), b=rng.normal(size=C), E=rng.normal(size=(N, C)),
+                       P=rng.normal(size=(M, C)), Q=rng.normal(size=(M, C)),
+                       Z=rng.normal(size=(N, C)), mu=1.7)
+        perm = rng.permutation(C)
+        swapped = _state(W=state.W[:, perm], b=state.b[perm], E=state.E[:, perm],
+                         P=state.P[:, perm], Q=state.Q[:, perm], Z=state.Z[:, perm], mu=state.mu)
+        solve_gram = solver.factor_gram(data.X)
+        Y = np.broadcast_to(data.y[:, None], (N, C))
+
+        def blocks(s):
+            XtP, Z_over_mu = data.X.T @ s.P, s.Z / s.mu
+            W = solver.solve_w_subproblem(s)
+            b = solver.update_b(s, data, XtP, Z_over_mu)
+            E, _ = solver.update_E(Y - XtP - b[None, :] - Z_over_mu, Y, 2.0, s.mu, 1.5)
+            P = solver.update_P(s, data, W, E, b, solve_gram, Z_over_mu)
+            gaps = solver.constraint_gaps(W, b, E, P, data.X.T @ P, data.y)
+            Z, Q, mu = solver.update_multipliers(s, *gaps, rho=1.1, mu_cap=1e10)
+            return W, b, E, P, Z, Q, mu
+
+        W, b, E, P, Z, Q, mu = blocks(state)
+        W2, b2, E2, P2, Z2, Q2, mu2 = blocks(swapped)
+        assert len({tuple(column) for column in W.T}) == C  # the columns stay distinct
+        np.testing.assert_array_equal(W2, W[:, perm])
+        np.testing.assert_array_equal(b2, b[perm])
+        for got, want in ((E2, E[:, perm]), (P2, P[:, perm]), (Z2, Z[:, perm]),
+                          (Q2, Q[:, perm])):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+        assert mu2 == mu
 
 
 class TestTrain:
@@ -498,7 +636,7 @@ class TestTrain:
         # Each outer iteration needs X (R - E), X^T P and X^T W; the Gram
         # factorization adds one X X^T.  Count every product that has X (or
         # a view of it, such as X.T) as an operand.
-        products, report = _count_products_with_x(make_blobs(60, 4, seed=3),
+        products, report, _ = _count_products_with_x(make_blobs(60, 4, seed=3),
                                                   SolverConfig(components=3))
         assert report.iterations > 1
         assert products == 1 + 3 * report.iterations
@@ -506,7 +644,7 @@ class TestTrain:
     def test_five_products_per_iteration_on_instances_side(self):
         # With M > N the Gram solve adds X^T rhs and X (...) to the three
         # products above; forming I + X^T X is the one product outside the loop.
-        products, report = _count_products_with_x(make_blobs(12, 30, seed=3),
+        products, report, _ = _count_products_with_x(make_blobs(12, 30, seed=3),
                                                   SolverConfig(components=3))
         assert report.gram_side == "instances"
         assert report.iterations > 1
@@ -554,6 +692,42 @@ class TestTrain:
         assert wide.gram_side == "instances"
         assert tall.to_dict()["gram_side"] == "features"
         assert wide.to_dict()["gram_side"] == "instances"
+
+    @pytest.mark.parametrize("components", [1, 3, 7])
+    @pytest.mark.parametrize("shape", [(40, 5), (12, 30)], ids=["features", "instances"])
+    @pytest.mark.parametrize("power", [1.0, 1.5, 2.0])
+    def test_matches_c_column_reference(self, power, shape, components):
+        # train carries one column of multiplicity C; the reference loop runs
+        # all C columns with unit multiplicities from the symmetric start.
+        N, M = shape
+        data = make_blobs(N, M, seed=int(10 * power) + components)
+        config = SolverConfig(components=components, loss_power=power)
+        model, report = train(data, config)
+        state, objectives, residuals, iterations, stop_reason = _reference_train(data, config)
+        assert report.iterations == iterations
+        assert report.stop_reason == stop_reason
+        np.testing.assert_allclose(report.objective_trace, objectives, rtol=1e-12)
+        np.testing.assert_allclose(report.residual_trace, residuals, rtol=1e-9, atol=1e-12)
+        scale = max(1.0, float(np.abs(state.W).max()))
+        np.testing.assert_allclose(model.W, state.W, rtol=0.0, atol=1e-12 * scale)
+        np.testing.assert_allclose(model.b, state.b, rtol=0.0, atol=1e-12 * max(1.0, np.abs(state.b).max()))
+        # the reference's columns coincide too: the start and the blocks are symmetric
+        assert np.ptp(state.W, axis=1).max() <= 1e-12 * scale
+
+    def test_products_with_x_have_one_column(self):
+        # Every product with X inside the loop is with a single column,
+        # whatever C is; only the Gram product X X^T is wider.
+        for N, M in ((60, 4), (12, 30)):
+            products, report, widths = _count_products_with_x(make_blobs(N, M, seed=3),
+                                                              SolverConfig(components=3))
+            assert len(widths) == products - 1
+            assert widths == [1] * len(widths)
+
+    def test_reports_one_distinct_component(self):
+        model, report = train(make_blobs(40, 3, seed=2), SolverConfig())
+        assert model.W.shape == (3, 10)
+        assert report.diversity.distinct_components == 1
+        assert report.to_dict()["diversity"]["distinct_components"] == 1
 
     def test_divergence_error_attributes(self):
         err = solver.DivergenceError("boom", iteration=12)
