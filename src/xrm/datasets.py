@@ -13,6 +13,7 @@ labels live in {-1, +1}.
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
@@ -93,9 +94,11 @@ def map_labels(raw_labels) -> np.ndarray:
 
     The larger raw value becomes +1 and the smaller -1.  Input already valued
     in {-1, +1} passes through unchanged (this covers files where only one of
-    the two canonical labels happens to occur).
+    the two canonical labels happens to occur).  Non-finite labels raise.
     """
     raw = np.asarray(raw_labels, dtype=float)
+    if not np.all(np.isfinite(raw)):
+        raise ValueError("labels must be finite")
     values = np.unique(raw)
     if np.all(np.isin(values, (-1.0, 1.0))):
         return raw.copy()
@@ -116,8 +119,8 @@ def parse_sparse_text(source) -> DataSet:
     Raises
     ------
     SparseFormatError
-        On a non-numeric token, a duplicate or non-increasing index, an index
-        below 1, or input with no instances at all.
+        On a non-numeric or non-finite token, a duplicate or non-increasing
+        index, an index below 1, or input with no instances at all.
     """
     if isinstance(source, str):
         source = io.StringIO(source)
@@ -133,6 +136,8 @@ def parse_sparse_text(source) -> DataSet:
             label = float(tokens[0])
         except ValueError:
             raise SparseFormatError(f"label {tokens[0]!r} is not numeric", line_number) from None
+        if not math.isfinite(label):
+            raise SparseFormatError(f"label {tokens[0]!r} is not finite", line_number)
         entries: list[tuple[int, float]] = []
         previous = 0
         for token in tokens[1:]:
@@ -144,6 +149,8 @@ def parse_sparse_text(source) -> DataSet:
                 value = float(value_text)
             except ValueError:
                 raise SparseFormatError(f"entry {token!r} is not numeric", line_number) from None
+            if not math.isfinite(value):
+                raise SparseFormatError(f"entry {token!r} is not finite", line_number)
             if index < 1:
                 raise SparseFormatError(f"index {index} is not 1-based", line_number)
             if index <= previous:

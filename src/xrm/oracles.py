@@ -8,6 +8,7 @@ search.  These are deliberately slow and simple.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,8 +43,8 @@ def _hinge(W, b, data) -> np.ndarray:
 
 
 def _objective_from_parts(row_l1, hinge, lam: float, p: float) -> float:
-    penalty = 0.5 * float((row_l1**2).sum())
-    loss = float((hinge**p).sum())
+    penalty = 0.5 * float(np.add.reduce(row_l1**2, axis=None))
+    loss = float(np.add.reduce(hinge**p, axis=None))
     return penalty + lam * loss
 
 
@@ -81,6 +82,8 @@ def reference_primal_solver(data, lam: float, components: int, p: float,
     hinge = _hinge(W, b, data)
     best_obj = _objective_from_parts(row_l1, hinge, lam, p)
     best_W, best_b = W.copy(), b.copy()
+    # Per-call overhead dominates on small instances, so ufuncs, their reduce
+    # and vdot stand in for the ndarray.sum, np.linalg.norm and np.clip wrappers.
     for t in range(1, config.max_iters + 1):
         if p == 1:
             active = (hinge > 0.0).astype(float)  # zero subgradient at the kink
@@ -88,18 +91,18 @@ def reference_primal_solver(data, lam: float, components: int, p: float,
             active = 2.0 * hinge
         signed = active * y[:, None]
         grad_W = row_l1[:, None] * np.sign(W) - lam * (X @ signed)
-        grad_b = -lam * signed.sum(axis=0)
-        norm = np.sqrt((grad_W**2).sum() + (grad_b**2).sum())
+        grad_b = -lam * np.add.reduce(signed, axis=0)
+        norm = math.sqrt(np.add.reduce(grad_W**2, axis=None) + np.add.reduce(grad_b**2, axis=None))
         if norm == 0.0:
             break
-        step = config.step_size / (np.sqrt(t) * norm)
+        step = config.step_size / (math.sqrt(t) * norm)
         W = W - step * grad_W
         b = b - step * grad_b
-        scale_W = np.linalg.norm(W)
+        scale_W = math.sqrt(np.vdot(W, W))
         if scale_W > radius_W:
             W *= radius_W / scale_W
-        np.clip(b, -radius_b, radius_b, out=b)
-        row_l1 = np.abs(W).sum(axis=1)
+        np.minimum(np.maximum(b, -radius_b, out=b), radius_b, out=b)
+        row_l1 = np.add.reduce(np.abs(W), axis=1)
         hinge = _hinge(W, b, data)
         obj = _objective_from_parts(row_l1, hinge, lam, p)
         if obj < best_obj:

@@ -17,8 +17,9 @@ change of the primal objective evaluated at the current (W, b).
 The default start is symmetric under column permutations (Q all ones, every
 other block zero) and every block update is column-equivariant, so the C
 columns of the iterates stay identical.  :func:`train` therefore carries one
-column, weighted by its multiplicity C wherever the C columns are summed (the
-W prox, the objective and the residuals), and repeats it C times at the end.
+column with the integer ``multiplicity`` C wherever the C columns are summed
+(the W prox, the objective and the residuals), and repeats it C times at the
+end.
 
 The P update solves with I + X X^T, factored once per fit on the smaller side
 of X (M features x N instances):
@@ -41,15 +42,18 @@ formed once for both the multiplier ascent and the residual trace.
 
 from __future__ import annotations
 
-import dataclasses
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from .diversity import DiversityReport, diversity_report, exclusivity_regularizer
 from .model import EnsembleModel
+
+MU_INIT = 1.0  # starting penalty mu
+MU_CAP = 1e10  # mu stops growing here, so late-iteration arithmetic stays well conditioned
+GENERAL_P_TOL = 1e-10  # step tolerance of the slack solver at p not in {1, 2}
 
 
 class DivergenceError(RuntimeError):
@@ -66,20 +70,16 @@ class SolverConfig:
 
     ``lam`` weighs the loss against the diversity penalty, ``components`` is
     the ensemble width C, ``loss_power`` the hinge exponent p >= 1.  The
-    penalty mu starts at ``mu_init``, is multiplied by ``rho`` each iteration,
-    and is clamped at ``mu_cap`` so late-iteration arithmetic stays well
-    conditioned.
+    penalty mu starts at ``MU_INIT``, is multiplied by ``rho`` each iteration,
+    and is clamped at ``MU_CAP``.
     """
 
     lam: float = 2.0
     components: int = 10
     loss_power: float = 2.0
     rho: float = 1.1
-    mu_init: float = 1.0
-    mu_cap: float = 1e10
     outer_tol: float = 0.05
     outer_max_iters: int = 300
-    general_p_tol: float = 1e-10
 
     def __post_init__(self):
         if self.lam <= 0:
@@ -90,25 +90,14 @@ class SolverConfig:
             raise ValueError("loss_power must be at least 1")
         if self.rho <= 1:
             raise ValueError("rho must exceed 1")
-        if self.mu_init <= 0 or self.mu_cap < self.mu_init:
-            raise ValueError("mu_init must be positive, mu_cap >= mu_init")
-        if self.outer_tol <= 0 or self.general_p_tol <= 0:
-            raise ValueError("tolerances must be positive")
+        if self.outer_tol <= 0:
+            raise ValueError("outer_tol must be positive")
         if self.outer_max_iters < 1:
             raise ValueError("the iteration cap must be positive")
 
     def to_dict(self) -> dict:
-        return {
-            "lambda": self.lam,
-            "components": self.components,
-            "loss_power": self.loss_power,
-            "rho": self.rho,
-            "mu_init": self.mu_init,
-            "mu_cap": self.mu_cap,
-            "outer_tol": self.outer_tol,
-            "outer_max_iters": self.outer_max_iters,
-            "general_p_tol": self.general_p_tol,
-        }
+        """The fields in order, with ``lam`` under the key ``lambda``."""
+        return {"lambda" if name == "lam" else name: value for name, value in asdict(self).items()}
 
 
 @dataclass
@@ -153,22 +142,21 @@ class TrainReport:
         }
 
 
-def make_initial_state(data, config: SolverConfig) -> SolverState:
-    """Starting point: Q all ones, everything else zero, mu = mu_init.
+def make_initial_state(data, columns: int) -> SolverState:
+    """Starting point with ``columns`` columns: Q all ones, the rest zero, mu = MU_INIT.
 
     The first W update reads only P, Q and mu, so the starting W is never
     used; zero keeps it consistent with P = W.
     """
     M, N = data.X.shape
-    C = config.components
     return SolverState(
-        W=np.zeros((M, C)),
-        b=np.zeros(C),
-        E=np.zeros((N, C)),
-        P=np.zeros((M, C)),
-        Q=np.ones((M, C)),
-        Z=np.zeros((N, C)),
-        mu=config.mu_init,
+        W=np.zeros((M, columns)),
+        b=np.zeros(columns),
+        E=np.zeros((N, columns)),
+        P=np.zeros((M, columns)),
+        Q=np.ones((M, columns)),
+        Z=np.zeros((N, columns)),
+        mu=MU_INIT,
     )
 
 
@@ -201,30 +189,27 @@ def factor_gram(X: np.ndarray):
     return lambda rhs: rhs - X @ cho_solve(factor, X.T @ rhs)
 
 
-def solve_w_subproblem(state: SolverState, multiplicity=None) -> np.ndarray:
+def solve_w_subproblem(state: SolverState, multiplicity: int = 1) -> np.ndarray:
     """Minimize the W block exactly, row by row.
 
-    Each row solves min_w 0.5 * (sum_c m_c |w_c|)^2 + mu/2 * sum_c m_c (w_c - v_c)^2
-    with v = P + Q/mu, where column c stands for m_c identical columns
-    (``multiplicity``, all ones by default).  With unit m this is the proximal
-    map of half a squared l1 norm.  The minimizer soft-thresholds v at
-    tau_k = (sum of m|v| over the k largest |v|) / (mu + sum of their m),
-    where k is the largest count whose k-th largest |v| exceeds tau_k
-    (Kowalski 2009; Zhou, Jin and Hoi 2010): the prox of the row in which
-    column c is repeated m_c times, whose tied copies pass the test together.
-    That threshold makes sum_c m_c |w_c| = mu * tau_k, so
-    w_c = v_c - sign(v_c) * sum_c m_c |w_c| / mu wherever w_c is nonzero,
-    the row's optimality condition.  One column of multiplicity C shrinks v
-    to v * mu / (mu + C).  An all-zero row of v gives a zero row.
+    Each row solves min_w 0.5 * (m sum_c |w_c|)^2 + mu/2 * m sum_c (w_c - v_c)^2
+    with v = P + Q/mu, where every column stands for m identical columns
+    (``multiplicity``, 1 by default).  With m = 1 this is the proximal map of
+    half a squared l1 norm.  The minimizer soft-thresholds v at
+    tau_k = m * (sum of the k largest |v|) / (mu + m k), where k is the largest
+    count whose k-th largest |v| exceeds tau_k (Kowalski 2009; Zhou, Jin and
+    Hoi 2010): the prox of the row in which every column is repeated m times,
+    whose tied copies pass the test together.  That threshold makes
+    m sum_c |w_c| = mu * tau_k, so w_c = v_c - sign(v_c) * m sum_c |w_c| / mu
+    wherever w_c is nonzero, the row's optimality condition.  A single column
+    of multiplicity C shrinks v to v * mu / (mu + C).  An all-zero row of v
+    gives a zero row.  The one threshold per row couples the columns of a call.
     """
     V = state.P + state.Q / state.mu
     magnitude = np.abs(V)
-    order = np.argsort(-magnitude, axis=1)
-    ranked = np.take_along_axis(magnitude, order, axis=1)
-    weight = np.ones(V.shape[1]) if multiplicity is None else np.asarray(multiplicity, float)
-    weight = weight[order]
-    thresholds = np.cumsum(weight * ranked, axis=1) / (state.mu + np.cumsum(weight, axis=1))
+    ranked = np.sort(magnitude, axis=1)[:, ::-1]
     positions = np.arange(1, V.shape[1] + 1)
+    thresholds = multiplicity * np.cumsum(ranked, axis=1) / (state.mu + multiplicity * positions)
     support = np.where(ranked > thresholds, positions, 0).max(axis=1)
     tau = np.take_along_axis(thresholds, np.maximum(support - 1, 0)[:, None], axis=1)
     return np.sign(V) * np.maximum(magnitude - tau, 0.0)
@@ -276,16 +261,17 @@ def _positive_branch_minimizer(a: np.ndarray, k: float, p: float,
     return t, steps
 
 
-def update_E(S: np.ndarray, Y: np.ndarray, lam: float, mu: float, p: float,
-             general_p_tol: float = 1e-10) -> tuple[np.ndarray, int]:
+def update_E(S: np.ndarray, Y: np.ndarray, lam: float, mu: float,
+             p: float) -> tuple[np.ndarray, int]:
     """Elementwise minimizer of (lam/mu) * (Y*E)_+^p + 0.5 * (E - S)^2, and the
     number of safeguarded Newton steps it took (0 at p = 1 and p = 2).
 
     p = 1 soft-thresholds the entries whose target violates the margin,
     p = 2 shrinks them by 1 / (1 + 2 lam/mu), and any other p >= 1 solves the
-    active branch by :func:`_positive_branch_minimizer`.  That branch needs no
-    comparison with the boundary t = 0: for p >= 1 the scalar problem is
-    convex with slope -a < 0 at t = 0, so its stationary point beats 0.5 a^2.
+    active branch by :func:`_positive_branch_minimizer` to ``GENERAL_P_TOL``.
+    That branch needs no comparison with the boundary t = 0: for p >= 1 the
+    scalar problem is convex with slope -a < 0 at t = 0, so its stationary
+    point beats 0.5 a^2.
     Entries with Y*S <= 0 keep their target S.
     """
     if p < 1:
@@ -301,7 +287,7 @@ def update_E(S: np.ndarray, Y: np.ndarray, lam: float, mu: float, p: float,
     E = S.copy()
     steps = 0
     if np.any(active):
-        t, steps = _positive_branch_minimizer(target[active], k, p, general_p_tol)
+        t, steps = _positive_branch_minimizer(target[active], k, p, GENERAL_P_TOL)
         E[active] = Y[active] * t
     return E, steps
 
@@ -326,32 +312,31 @@ def constraint_gaps(W: np.ndarray, b: np.ndarray, E: np.ndarray, P: np.ndarray,
 
 
 def update_multipliers(state: SolverState, split_gap: np.ndarray, slack_gap: np.ndarray,
-                       rho: float, mu_cap: float) -> tuple[np.ndarray, np.ndarray, float]:
+                       rho: float) -> tuple[np.ndarray, np.ndarray, float]:
     """Ascent on both multipliers along the constraint gaps of the new
-    iterate, then geometric penalty growth capped at mu_cap."""
+    iterate, then geometric penalty growth capped at MU_CAP."""
     Z = state.Z + state.mu * slack_gap
     Q = state.Q + state.mu * split_gap
-    mu = min(rho * state.mu, mu_cap)
+    mu = min(rho * state.mu, MU_CAP)
     return Z, Q, mu
 
 
 def primal_objective(W: np.ndarray, b: np.ndarray, data, lam: float, p: float,
-                     multiplicity=None) -> float:
+                     multiplicity: int = 1) -> float:
     """The quantity being minimized: diversity penalty plus weighted powered
-    hinge loss over all components and instances.  Column c of (W, b) counts
-    ``multiplicity[c]`` times (once by default):
-    0.5 * sum_j (sum_c m_c |W[j,c]|)^2 + lam * sum_c m_c * loss_c."""
-    m = 1.0 if multiplicity is None else np.asarray(multiplicity, float)
+    hinge loss over all components and instances.  Every column of (W, b)
+    counts ``multiplicity`` times (once by default):
+    0.5 * sum_j (m sum_c |W[j,c]|)^2 + lam * m sum_c loss_c."""
     margins = 1.0 - (data.X.T @ W + b[None, :]) * data.y[:, None]
-    loss = float((np.maximum(margins, 0.0) ** p * m).sum())
-    return exclusivity_regularizer(W * m) + lam * loss
+    loss = float((np.maximum(margins, 0.0) ** p * multiplicity).sum())
+    return exclusivity_regularizer(W * multiplicity) + lam * loss
 
 
 def constraint_residuals(split_gap: np.ndarray, slack_gap: np.ndarray,
-                         multiplicity=None) -> tuple[float, float]:
+                         multiplicity: int = 1) -> tuple[float, float]:
     """Frobenius norms of the two gaps from :func:`constraint_gaps`, with
-    column c counted ``multiplicity[c]`` times: sqrt(sum_c m_c ||gap_c||^2)."""
-    root = 1.0 if multiplicity is None else np.sqrt(np.asarray(multiplicity, float))
+    every column counted ``multiplicity`` times: sqrt(m sum_c ||gap_c||^2)."""
+    root = np.sqrt(multiplicity)
     return float(np.linalg.norm(split_gap * root)), float(np.linalg.norm(slack_gap * root))
 
 
@@ -371,28 +356,27 @@ def train(data, config: SolverConfig = SolverConfig()) -> tuple[EnsembleModel, T
     """
     started = time.perf_counter()
     C = config.components
-    multiplicity = (C,)
     Y = data.y[:, None]
     solve_gram = factor_gram(data.X)
-    state = make_initial_state(data, dataclasses.replace(config, components=1))
+    state = make_initial_state(data, 1)
     XtP = np.zeros_like(state.E)  # X^T state.P for the starting P = 0
     report = TrainReport(stop_reason="max_iters", gram_side=gram_side(data.X))
     previous_objective = None
     for iteration in range(1, config.outer_max_iters + 1):
         Z_over_mu = state.Z / state.mu
-        W = solve_w_subproblem(state, multiplicity)
+        W = solve_w_subproblem(state, C)
         b = update_b(state, data, XtP, Z_over_mu)
         # The E target Y - X^T P - 1 b^T - Z/mu is a temporary and the gaps are
         # dropped after use: X^T P is then the only N-vector that outlives its
         # block, so it alone adds to the peak memory.
         E, e_steps = update_E(Y - XtP - b[None, :] - Z_over_mu, Y, config.lam, state.mu,
-                              config.loss_power, config.general_p_tol)
+                              config.loss_power)
         report.e_inner_steps.append(e_steps)
         P = update_P(state, data, W, E, b, solve_gram, Z_over_mu)
         XtP = data.X.T @ P
         split_gap, slack_gap = constraint_gaps(W, b, E, P, XtP, data.y)
-        Z, Q, mu = update_multipliers(state, split_gap, slack_gap, config.rho, config.mu_cap)
-        residuals = constraint_residuals(split_gap, slack_gap, multiplicity)
+        Z, Q, mu = update_multipliers(state, split_gap, slack_gap, config.rho)
+        residuals = constraint_residuals(split_gap, slack_gap, C)
         del split_gap, slack_gap
         state.W, state.b, state.E, state.P, state.Z, state.Q, state.mu = W, b, E, P, Z, Q, mu
         state.iteration = iteration
@@ -400,7 +384,7 @@ def train(data, config: SolverConfig = SolverConfig()) -> tuple[EnsembleModel, T
         if not all(np.all(np.isfinite(block)) for block in (W, b, E, P, Z, Q)):
             raise DivergenceError(f"non-finite solver state at iteration {iteration}", iteration)
 
-        objective = primal_objective(W, b, data, config.lam, config.loss_power, multiplicity)
+        objective = primal_objective(W, b, data, config.lam, config.loss_power, C)
         report.objective_trace.append(objective)
         report.residual_trace.append(residuals)
         report.multiplier_sup_trace.append(max(float(np.abs(Z).max()), float(np.abs(Q).max())))

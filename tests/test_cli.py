@@ -33,6 +33,15 @@ class TestTrain:
         assert report["config"]["lambda"] == 2.0
         assert report["diversity"]["regularizer_value"] > 0
 
+    def test_config_lists_the_six_settings(self, tmp_path, blob_file):
+        report_path = tmp_path / "report.json"
+        rc = main(["train", "--data", str(blob_file), "--model", str(tmp_path / "m.json"),
+                   "--out", str(report_path), "--max-iters", "2"])
+        assert rc == 0
+        config = json.loads(report_path.read_text())["config"]
+        assert list(config) == ["lambda", "components", "loss_power", "rho", "outer_tol",
+                                "outer_max_iters"]
+
     def test_reports_distinct_components(self, tmp_path, blob_file):
         report_path = tmp_path / "report.json"
         rc = main(["train", "--data", str(blob_file), "--model", str(tmp_path / "m.json"),

@@ -71,6 +71,20 @@ class TestParse:
         data = parse_sparse_text("\n+1 1:1\n\n-1 1:-1\n\n")
         assert data.instance_count == 2
 
+    @pytest.mark.parametrize("label", ["nan", "inf", "-inf", "NaN"])
+    def test_non_finite_label_reports_line(self, label):
+        with pytest.raises(SparseFormatError) as err:
+            parse_sparse_text(f"1 1:0.5\n{label} 1:0.2\n1 2:0.3\n")
+        assert err.value.line_number == 2
+        assert "not finite" in str(err.value)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-Infinity"])
+    def test_non_finite_value_reports_line(self, value):
+        with pytest.raises(SparseFormatError) as err:
+            parse_sparse_text(f"1 1:0.5\n-1 1:0.2\n\n1 1:1 2:{value}\n")
+        assert err.value.line_number == 4
+        assert "not finite" in str(err.value)
+
 
 class TestMapLabels:
     def test_zero_one(self):
@@ -98,6 +112,14 @@ class TestMapLabels:
 
     def test_larger_value_maps_positive(self):
         np.testing.assert_array_equal(map_labels([2, 7, 2]), [-1.0, 1.0, -1.0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_label_rejected(self, bad):
+        # np.unique sorts NaN last, so an unchecked NaN turns every label into -1
+        with pytest.raises(ValueError, match="finite"):
+            map_labels([1.0, bad, 1.0])
+        with pytest.raises(ValueError, match="finite"):
+            map_labels([0.0, bad, 2.0])
 
 
 class TestDataSetValidation:

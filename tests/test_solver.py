@@ -55,13 +55,13 @@ def _count_products_with_x(data, config):
 
 def _reference_train(data, config):
     """The outer loop of ``solver.train`` carried on all C columns: the public
-    block functions with unit multiplicities from the symmetric start
-    ``make_initial_state(data, config)``.  Returns the final state and the
+    block functions with unit multiplicity from the symmetric start
+    ``make_initial_state(data, C)``.  Returns the final state and the
     objective and residual traces, the iteration count and the stop reason."""
     C = config.components
     Y = np.broadcast_to(data.y[:, None], (data.y.size, C))
     solve_gram = solver.factor_gram(data.X)
-    state = solver.make_initial_state(data, config)
+    state = solver.make_initial_state(data, C)
     XtP = np.zeros_like(state.E)
     objectives, residuals = [], []
     stop_reason = "max_iters"
@@ -70,11 +70,11 @@ def _reference_train(data, config):
         W = solver.solve_w_subproblem(state)
         b = solver.update_b(state, data, XtP, Z_over_mu)
         E, _ = solver.update_E(Y - XtP - b[None, :] - Z_over_mu, Y, config.lam, state.mu,
-                               config.loss_power, config.general_p_tol)
+                               config.loss_power)
         P = solver.update_P(state, data, W, E, b, solve_gram, Z_over_mu)
         XtP = data.X.T @ P
         gaps = solver.constraint_gaps(W, b, E, P, XtP, data.y)
-        Z, Q, mu = solver.update_multipliers(state, *gaps, config.rho, config.mu_cap)
+        Z, Q, mu = solver.update_multipliers(state, *gaps, config.rho)
         residuals.append(solver.constraint_residuals(*gaps))
         state = solver.SolverState(W=W, b=b, E=E, P=P, Q=Q, Z=Z, mu=mu, iteration=iteration)
         objectives.append(solver.primal_objective(W, b, data, config.lam, config.loss_power))
@@ -105,13 +105,14 @@ class TestConfig:
         config = SolverConfig()
         assert config.lam == 2.0
         assert config.rho == 1.1
-        assert config.mu_init == 1.0
         assert config.outer_tol == 0.05
+        assert solver.MU_INIT == 1.0
+        assert solver.MU_CAP == 1e10
+        assert solver.GENERAL_P_TOL == 1e-10
 
     @pytest.mark.parametrize("kwargs", [
         {"lam": 0.0}, {"components": 0}, {"loss_power": 0.5}, {"rho": 1.0},
-        {"general_p_tol": 0.0}, {"mu_init": 0.0}, {"mu_cap": 0.5}, {"outer_tol": 0.0},
-        {"outer_max_iters": 0},
+        {"outer_tol": 0.0}, {"outer_max_iters": 0},
     ])
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
@@ -121,7 +122,7 @@ class TestConfig:
 class TestInitialState:
     def test_starting_point(self):
         data = DataSet(X=np.ones((3, 5)), y=np.array([1.0, -1.0, 1.0, -1.0, 1.0]))
-        state = solver.make_initial_state(data, SolverConfig(components=2))
+        state = solver.make_initial_state(data, 2)
         np.testing.assert_array_equal(state.W, np.zeros((3, 2)))
         np.testing.assert_array_equal(state.b, np.zeros(2))
         np.testing.assert_array_equal(state.P, np.zeros((3, 2)))
@@ -207,22 +208,22 @@ class TestWSubproblem:
         data=st.data(),
         mu=st.floats(1e-3, 1e3),
     )
-    @example(V=np.array([[1.5]]), data=None, mu=1.0)  # m = (1,)
+    @example(V=np.array([[1.5]]), data=None, mu=1.0)  # m = 1
     @example(V=np.array([[2.0, -2.0, 0.0, 1.0]]), data=None, mu=0.5)  # ties and a zero
     def test_multiplicity_repeats_columns(self, V, data, mu):
-        # Column c with multiplicity m_c gives the unit-multiplicity prox of
-        # the row in which column c appears m_c times, de-duplicated.
+        # Every column with multiplicity m gives the unit-multiplicity prox
+        # of the row in which each column appears m times, de-duplicated.
         C = V.shape[1]
         if data is None:
-            m = np.ones(C, dtype=int) if C == 1 else np.array([1, 3, 2, 1][:C])
+            m = 1 if C == 1 else 3
         else:
-            m = np.array(data.draw(st.lists(st.integers(1, 4), min_size=C, max_size=C)))
+            m = data.draw(st.integers(1, 4))
         repeated = np.repeat(V, m, axis=1)
         expanded = solver.solve_w_subproblem(_state(P=repeated, Q=np.zeros_like(repeated), mu=mu))
-        first = np.cumsum(m) - m
+        first = np.arange(C) * m
         for c in range(C):
-            np.testing.assert_array_equal(expanded[:, first[c]:first[c] + m[c]],
-                                          np.repeat(expanded[:, first[c], None], m[c], axis=1))
+            np.testing.assert_array_equal(expanded[:, first[c]:first[c] + m],
+                                          np.repeat(expanded[:, first[c], None], m, axis=1))
         weighted = solver.solve_w_subproblem(_state(P=V, Q=np.zeros_like(V), mu=mu), m)
         tol = 1e-12 * max(1.0, float(np.abs(V).max()))
         np.testing.assert_allclose(weighted, expanded[:, first], rtol=0.0, atol=tol)
@@ -231,7 +232,7 @@ class TestWSubproblem:
         rng = np.random.default_rng(31)
         P, Q = rng.normal(size=(6, 1)), rng.normal(size=(6, 1))
         for C, mu in ((1, 1.0), (7, 0.3), (30, 2.5)):
-            W = solver.solve_w_subproblem(_state(P=P, Q=Q, mu=mu), (C,))
+            W = solver.solve_w_subproblem(_state(P=P, Q=Q, mu=mu), C)
             np.testing.assert_allclose(W, (P + Q / mu) * mu / (mu + C), rtol=1e-14)
 
 
@@ -429,7 +430,7 @@ class TestMultipliers:
         E = data.y[:, None] * np.ones((1, 2))  # feasible: E = Y - X^T P - 1 b^T with X = 0
         state = _state(W=W, E=E, P=W.copy(), Q=np.ones((2, 2)), Z=np.ones((3, 2)), mu=1.0)
         gaps = solver.constraint_gaps(W, b, E, W.copy(), data.X.T @ W, data.y)
-        Z, Q, mu = solver.update_multipliers(state, *gaps, rho=1.1, mu_cap=1e10)
+        Z, Q, mu = solver.update_multipliers(state, *gaps, rho=1.1)
         np.testing.assert_array_equal(Z, state.Z)
         np.testing.assert_array_equal(Q, state.Q)
         assert mu == pytest.approx(1.1)
@@ -441,7 +442,7 @@ class TestMultipliers:
         E = data.y[:, None] * np.ones((1, 2)) + 1.0
         state = _state(W=W, E=E, P=P, Q=np.zeros((2, 2)), Z=np.zeros((2, 2)), mu=2.0)
         gaps = solver.constraint_gaps(W, np.zeros(2), E, P, data.X.T @ P, data.y)
-        Z, Q, mu = solver.update_multipliers(state, *gaps, rho=1.5, mu_cap=1e10)
+        Z, Q, mu = solver.update_multipliers(state, *gaps, rho=1.5)
         np.testing.assert_allclose(Q, np.full((2, 2), 2.0))
         np.testing.assert_allclose(Z, np.full((2, 2), 2.0))
         assert mu == 3.0
@@ -452,7 +453,7 @@ class TestMultipliers:
                        Z=np.zeros((1, 1)), mu=9e9)
         gaps = solver.constraint_gaps(np.zeros((1, 1)), np.zeros(1), np.ones((1, 1)),
                                       np.zeros((1, 1)), data.X.T @ np.zeros((1, 1)), data.y)
-        _, _, mu = solver.update_multipliers(state, *gaps, rho=2.0, mu_cap=1e10)
+        _, _, mu = solver.update_multipliers(state, *gaps, rho=2.0)
         assert mu == 1e10
 
 
@@ -484,14 +485,14 @@ class TestPrimalObjective:
         data = DataSet(X=rng.normal(size=(4, 12)), y=rng.choice([-1.0, 1.0], 12))
         W = rng.normal(size=(4, 3))
         b = rng.normal(size=3)
-        m = np.array([2, 1, 4])
-        for lam, p in ((0.5, 1.0), (2.0, 1.5), (2.0, 2.0)):
-            expected = solver.primal_objective(np.repeat(W, m, axis=1), np.repeat(b, m), data,
-                                               lam, p)
-            assert solver.primal_objective(W, b, data, lam, p, m) == pytest.approx(expected,
-                                                                                   rel=1e-14)
-            assert solver.primal_objective(W, b, data, lam, p, np.ones(3)) == \
-                solver.primal_objective(W, b, data, lam, p)
+        for m in (2, 4):
+            for lam, p in ((0.5, 1.0), (2.0, 1.5), (2.0, 2.0)):
+                expected = solver.primal_objective(np.repeat(W, m, axis=1), np.repeat(b, m),
+                                                   data, lam, p)
+                assert solver.primal_objective(W, b, data, lam, p, m) == \
+                    pytest.approx(expected, rel=1e-14)
+                assert solver.primal_objective(W, b, data, lam, p, 1) == \
+                    solver.primal_objective(W, b, data, lam, p)
 
 
 class TestResiduals:
@@ -520,7 +521,7 @@ class TestResiduals:
     def test_multiplicity_counts_repeated_columns(self):
         rng = np.random.default_rng(33)
         split_gap, slack_gap = rng.normal(size=(3, 2)), rng.normal(size=(5, 2))
-        m = np.array([3, 1])
+        m = 3
         expected = solver.constraint_residuals(np.repeat(split_gap, m, axis=1),
                                                np.repeat(slack_gap, m, axis=1))
         np.testing.assert_allclose(solver.constraint_residuals(split_gap, slack_gap, m),
@@ -550,7 +551,7 @@ class TestColumnSymmetry:
             E, _ = solver.update_E(Y - XtP - b[None, :] - Z_over_mu, Y, 2.0, s.mu, 1.5)
             P = solver.update_P(s, data, W, E, b, solve_gram, Z_over_mu)
             gaps = solver.constraint_gaps(W, b, E, P, data.X.T @ P, data.y)
-            Z, Q, mu = solver.update_multipliers(s, *gaps, rho=1.1, mu_cap=1e10)
+            Z, Q, mu = solver.update_multipliers(s, *gaps, rho=1.1)
             return W, b, E, P, Z, Q, mu
 
         W, b, E, P, Z, Q, mu = blocks(state)
