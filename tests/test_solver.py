@@ -112,7 +112,8 @@ class TestConfig:
 
     @pytest.mark.parametrize("kwargs", [
         {"lam": 0.0}, {"components": 0}, {"loss_power": 0.5}, {"rho": 1.0},
-        {"outer_tol": 0.0}, {"outer_max_iters": 0},
+        {"lam": -1.0}, {"loss_power": 0.0}, {"rho": 0.5}, {"outer_tol": 0.0},
+        {"outer_max_iters": 0},
     ])
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
