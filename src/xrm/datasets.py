@@ -5,18 +5,25 @@ per line::
 
     <label> <index>:<value> <index>:<value> ...
 
-with 1-based, strictly increasing feature indices.  Internally instances are
-stored as columns of a dense matrix (benchmark datasets here are small) and
-labels live in {-1, +1}.
+Labels are finite numbers of two values; indices are integers of at least 1
+that strictly increase along a line; values are finite floats.  Tokens are
+read exactly as ``int()`` and ``float()`` read them.  Blank lines are skipped,
+and lines are counted at ``\\n`` (a file read in text mode also ends lines at
+``\\r\\n`` and ``\\r``); :func:`load_dataset` ignores a leading UTF-8
+byte-order mark.  A parse splits each line into tokens and then converts and
+checks all tokens in whole-input passes; it reports the first defect in line
+and token order.  :func:`format_sparse_text` writes nonzero entries as
+shortest round-trip floats and pins the feature count with ``M:0.0`` when the
+last feature is all zero.
+
+Internally instances are stored as columns of a dense matrix (benchmark
+datasets here are small) and labels live in {-1, +1}.
 """
 
 from __future__ import annotations
 
-import io
-import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable
 
 import numpy as np
 
@@ -109,94 +116,173 @@ def map_labels(raw_labels) -> np.ndarray:
     return np.where(raw == values[1], 1.0, -1.0)
 
 
+def _convert_prefix(kind, tokens) -> list:
+    """Apply ``kind`` (``int`` or ``float``) to ``tokens`` in one pass that
+    stops at the first token it rejects, so the length of the result is the
+    position of that token (``len(tokens)`` when all of them convert)."""
+    converted = []
+    try:
+        converted.extend(map(kind, tokens))  # keeps what was converted before the error
+    except ValueError:
+        pass
+    return converted
+
+
+def _first(mask: np.ndarray) -> int:
+    """Position of the first True in ``mask``, or its length when none is."""
+    hits = np.flatnonzero(mask)
+    return int(hits[0]) if hits.size else mask.size
+
+
+def _token(joined: str, position: int) -> str:
+    """The token at ``position`` of tokens joined by single spaces."""
+    return joined.split(" ", position + 1)[position]
+
+
+def _label_defect(tokens: list, labels: list):
+    """(instance, 0, message) for the first label that is not a finite number, or None."""
+    not_finite = _first(~np.isfinite(np.array(labels, dtype=float)))
+    if not_finite < len(labels):
+        return not_finite, 0, f"label {tokens[not_finite]!r} is not finite"
+    if len(labels) < len(tokens):
+        return len(labels), 0, f"label {tokens[len(labels)]!r} is not numeric"
+    return None
+
+
+def _entry_arrays(joined: str, instance: np.ndarray):
+    """Feature indices and values of the ``index:value`` tokens in ``joined``,
+    separated by single spaces, and (instance, 1, message) for the first
+    defective token or None; ``instance`` names the instance of each token.
+
+    The tokens are checked, split at every colon and converted by kind in
+    whole-input passes.  The checks run on the tokens before the first one
+    that cannot be split or converted, which is itself the defect when they
+    find none earlier.
+    """
+    count = len(instance)
+    if not count:
+        return np.zeros(0, dtype=np.int64), np.zeros(0), None
+    # Tokens hold no spaces, so the colons and spaces of ``joined`` alternate
+    # ": : ... :" exactly when every token holds one colon.  Where they first
+    # do not, an even position is a token without a colon and an odd one a
+    # token with a second colon.
+    code = np.frombuffer(joined.encode("utf-8", "surrogatepass"), dtype=np.uint8)
+    separators = code[(code == ord(":")) | (code == ord(" "))]
+    span = min(separators.size, 2 * count - 1)
+    wrong = np.empty(span, dtype=bool)
+    wrong[0::2] = separators[0:span:2] != ord(":")
+    wrong[1::2] = separators[1:span:2] != ord(" ")
+    mismatch = _first(wrong)
+    if mismatch == span and separators.size == 2 * count - 1:
+        split_count, parts = count, joined.replace(" ", ":").split(":")
+    else:
+        split_count = mismatch // 2
+        parts = ":".join(joined.split(" ", split_count)[:split_count]).split(":")
+    index_texts, value_texts = parts[0::2], parts[1::2]
+    del parts  # the texts are most of a parse's memory: free each kind once read
+    index = _convert_prefix(int, index_texts)
+    del index_texts
+    values = _convert_prefix(float, value_texts)
+    del value_texts
+    clean = min(len(index), len(values), split_count)
+    del index[clean:], values[clean:]
+    try:
+        index = np.array(index, dtype=np.int64)
+    except OverflowError:  # such an index is read; allocating the matrix rejects it
+        index = np.array(index, dtype=object)
+    values = np.array(values, dtype=float)
+
+    not_finite = _first(~np.isfinite(values))
+    below = _first(index < 1)
+    owner = instance[:clean]
+    rises = (owner[1:] != owner[:-1]) | (index[1:] > index[:-1])
+    no_rise = 1 + _first(~rises)
+    position = min(not_finite, below, no_rise)
+    if position < clean:
+        if position == not_finite:
+            message = f"entry {_token(joined, position)!r} is not finite"
+        elif position == below:
+            message = f"index {index[position]} is not 1-based"
+        else:
+            message = (f"index {index[position]} does not increase "
+                       f"(previous index {index[position - 1]})")
+    elif clean < count:
+        position = clean
+        if clean == split_count and mismatch % 2 == 0:
+            message = f"entry {_token(joined, position)!r} lacks an index:value separator"
+        else:
+            message = f"entry {_token(joined, position)!r} is not numeric"
+    else:
+        return index, values, None
+    return index, values, (int(instance[position]), 1, message)
+
+
 def parse_sparse_text(source) -> DataSet:
     """Parse sparse `label index:value` text into a :class:`DataSet`.
 
-    ``source`` may be a string, a text stream, or any iterable of lines.
-    The feature count is the largest index seen anywhere; absent indices are
-    zero.  Labels go through :func:`map_labels`.
+    ``source`` may be a string, a text stream, or any iterable of lines; a
+    string is split into lines at ``\\n`` only, as iterating a
+    :class:`io.StringIO` would split it.  The feature count is the largest
+    index seen anywhere; absent indices are zero.  Labels go through
+    :func:`map_labels`.
 
     Raises
     ------
     SparseFormatError
         On a non-numeric or non-finite token, a duplicate or non-increasing
-        index, an index below 1, or input with no instances at all.
+        index, an index below 1, or input with no instances at all.  The first
+        defect in line and token order is reported, with its line number.
     """
-    if isinstance(source, str):
-        source = io.StringIO(source)
-    labels: list[float] = []
-    rows: list[list[tuple[int, float]]] = []
-    max_index = 0
-    for line_number, raw_line in enumerate(source, start=1):
-        line = raw_line.strip()
-        if not line:
-            continue
+    lines = source.split("\n") if isinstance(source, str) else source
+    label_tokens, entry_texts, line_numbers, counts = [], [], [], []
+    for line_number, line in enumerate(lines, start=1):
         tokens = line.split()
-        try:
-            label = float(tokens[0])
-        except ValueError:
-            raise SparseFormatError(f"label {tokens[0]!r} is not numeric", line_number) from None
-        if not math.isfinite(label):
-            raise SparseFormatError(f"label {tokens[0]!r} is not finite", line_number)
-        entries: list[tuple[int, float]] = []
-        previous = 0
-        for token in tokens[1:]:
-            index_text, sep, value_text = token.partition(":")
-            if not sep:
-                raise SparseFormatError(f"entry {token!r} lacks an index:value separator", line_number)
-            try:
-                index = int(index_text)
-                value = float(value_text)
-            except ValueError:
-                raise SparseFormatError(f"entry {token!r} is not numeric", line_number) from None
-            if not math.isfinite(value):
-                raise SparseFormatError(f"entry {token!r} is not finite", line_number)
-            if index < 1:
-                raise SparseFormatError(f"index {index} is not 1-based", line_number)
-            if index <= previous:
-                raise SparseFormatError(
-                    f"index {index} does not increase (previous index {previous})", line_number
-                )
-            previous = index
-            entries.append((index, value))
-        max_index = max(max_index, previous)
-        labels.append(label)
-        rows.append(entries)
-    if not labels:
+        if tokens:
+            label_tokens.append(tokens[0])
+            entry_texts.append(" ".join(tokens[1:]))  # one space between tokens
+            line_numbers.append(line_number)
+            counts.append(len(tokens) - 1)
+    if not label_tokens:
         raise SparseFormatError("input contains no instances", 0)
-    if max_index == 0:
+    instance = np.repeat(np.arange(len(counts)), counts)
+    labels = _convert_prefix(float, label_tokens)
+    index, values, entry_defect = _entry_arrays(" ".join(filter(None, entry_texts)), instance)
+    defect = min(filter(None, (_label_defect(label_tokens, labels), entry_defect)), default=None)
+    if defect is not None:
+        row, _, message = defect
+        raise SparseFormatError(message, line_numbers[row])
+    if not index.size:
         raise SparseFormatError("input contains no feature entries", 0)
-    X = np.zeros((max_index, len(labels)))
-    for column, entries in enumerate(rows):
-        for index, value in entries:
-            X[index - 1, column] = value
+    X = np.zeros((index.max(), len(counts)))
+    X[index - 1, instance] = values
     return DataSet(X=X, y=map_labels(labels))
 
 
 def format_sparse_text(data: DataSet) -> str:
     """Serialize a dataset back to sparse text.
 
-    Only nonzero entries are written, except that the highest feature index is
-    pinned with an explicit ``M:0.0`` entry on the first line when it would
-    otherwise vanish, so parse/format round-trips preserve the matrix shape.
+    Only nonzero entries are written, each value as the shortest text that
+    reads back to the same float, and labels as ``+1``/``-1``.  The highest
+    feature index is pinned with an explicit ``M:0.0`` entry on the first
+    line when it would otherwise vanish, so parse/format round-trips preserve
+    the matrix shape.
     """
     M = data.feature_count
-    highest_written = 0
-    lines = []
-    for i in range(data.instance_count):
-        tokens = [f"{int(data.y[i]):+d}"]
-        column = data.X[:, i]
-        for j in np.flatnonzero(column):
-            tokens.append(f"{j + 1}:{float(column[j])!r}")
-            highest_written = max(highest_written, j + 1)
-        lines.append(tokens)
-    if highest_written < M:
-        lines[0].append(f"{M}:0.0")
-    return "\n".join(" ".join(tokens) for tokens in lines) + "\n"
+    instance, feature = np.nonzero(data.X.T)  # instance-major, as the lines run
+    entries = np.array(list(map(" {}:{!r}".format, (feature + 1).tolist(),
+                                data.X[feature, instance].tolist())), dtype=object)
+    starts = np.searchsorted(instance, np.arange(data.instance_count))
+    # Each label opens its line; the newline before the first one is dropped.
+    tokens = np.insert(entries, starts, np.where(data.y > 0, "\n+1", "\n-1").astype(object))
+    if feature.size == 0 or feature.max() + 1 < M:
+        first_line_end = starts[1] if data.instance_count > 1 else entries.size  # its last token
+        tokens[first_line_end] += f" {M}:0.0"
+    return "".join(tokens.tolist())[1:] + "\n"
 
 
 def load_dataset(path) -> DataSet:
-    with open(path, "r", encoding="utf-8") as handle:
+    """Read a sparse-text file; a leading UTF-8 byte-order mark is ignored."""
+    with open(path, "r", encoding="utf-8-sig") as handle:
         return parse_sparse_text(handle)
 
 

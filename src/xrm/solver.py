@@ -130,6 +130,7 @@ class TrainReport:
 
     def to_dict(self) -> dict:
         return {
+            "schema_version": 1,  # raise when a key is renamed, removed or changes meaning
             "objective_trace": self.objective_trace,
             "residual_trace": [list(pair) for pair in self.residual_trace],
             "multiplier_sup_trace": self.multiplier_sup_trace,
@@ -182,8 +183,14 @@ def factor_gram(X: np.ndarray):
     K = np.eye(X.shape[0]) + X @ X.T if features else np.eye(X.shape[1]) + X.T @ X
     try:
         factor = cho_factor(K)
-    except np.linalg.LinAlgError as exc:  # unreachable for finite X
-        raise ValueError(f"factorization of the regularized Gram matrix failed: {exc}") from exc
+    except np.linalg.LinAlgError as exc:
+        # I + X X^T is positive definite in exact arithmetic, but once |X|^2
+        # nears 1/eps rounding swallows the identity and can leave it singular.
+        raise ValueError(
+            f"factorization of the regularized Gram matrix failed ({exc}): the features are "
+            "too large for the Gram factorization in double precision; rescale them, "
+            "for example with --standardize"
+        ) from exc
     if features:
         return lambda rhs: cho_solve(factor, rhs)
     return lambda rhs: rhs - X @ cho_solve(factor, X.T @ rhs)

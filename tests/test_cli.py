@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from conftest import make_blobs, random_instance
+from conftest import make_blobs, make_ill_scaled, random_instance
 from xrm import DataSet, fit_scaler, load_dataset, load_model, save_dataset, standardize
 from xrm.cli import build_parser, main
 from xrm.model import test_error as error_rate
@@ -77,6 +77,7 @@ class TestTrain:
             assert captured.err == ""
             reports.append(report_path.read_text())
         report = json.loads(reports[0])
+        assert report["schema_version"] == 1
         assert len(report["e_inner_steps"]) == report["iterations"]
         assert reports[0] == reports[1]
 
@@ -91,6 +92,23 @@ class TestTrain:
         rc = main(["train", "--data", str(bad), "--model", str(tmp_path / "m.json"),
                    "--out", str(tmp_path / "r.json")])
         assert rc == 1
+
+    def test_byte_order_mark_is_ignored(self, tmp_path, blob_file):
+        marked = tmp_path / "marked.txt"
+        marked.write_bytes(b"\xef\xbb\xbf" + blob_file.read_bytes())
+        rc = main(["train", "--data", str(marked), "--model", str(tmp_path / "m.json"),
+                   "--out", str(tmp_path / "r.json")])
+        assert rc == 0
+
+    def test_ill_scaled_features_exit_one(self, tmp_path, capsys):
+        data_path = tmp_path / "ill.txt"
+        save_dataset(make_ill_scaled(), data_path)
+        argv = ["train", "--data", str(data_path), "--model", str(tmp_path / "m.json"),
+                "--out", str(tmp_path / "r.json")]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "too large for the Gram factorization" in err and "--standardize" in err
+        assert main(argv + ["--standardize"]) == 0  # the advice works
 
     def test_reports_gram_side(self, tmp_path, blob_file):
         wide_file = tmp_path / "wide.txt"

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 
-from conftest import make_blobs, random_instance
+from conftest import make_blobs, make_ill_scaled, random_instance
 from xrm import DataSet, SolverConfig, train
 from xrm import oracles, solver
 from xrm.diversity import exclusivity_regularizer
@@ -415,6 +415,13 @@ class TestFactorGram:
         got = solver.factor_gram(X)(R)
         scale = 1.0 + np.abs(X).max() ** 2
         np.testing.assert_allclose(got, expected, rtol=0, atol=1e-10 * scale * (1 + np.abs(R).max()))
+
+    def test_ill_scaled_features_fail_with_advice(self):
+        # finite X whose squared norm nears 1/eps: rounding costs I + X X^T its
+        # positive definiteness, and the error says to rescale the features
+        with pytest.raises(ValueError, match="too large for the Gram factorization") as err:
+            train(make_ill_scaled(), SolverConfig())
+        assert "--standardize" in str(err.value)
 
     def test_side_follows_shape(self):
         assert solver.gram_side(np.zeros((3, 5))) == "features"
