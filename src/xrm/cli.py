@@ -53,7 +53,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="z-score features (fit on train, applied to test); "
                             "eval --model applies the model's saved scaler")
         p.add_argument("--no-timing", action="store_true",
-                       help="write wall times as 0 for reproducible artifacts")
+                       help="write wall and block times as 0 for reproducible artifacts")
         if with_split:
             p.add_argument("--train-size", type=int, default=150,
                            help="training instances per trial (default 150)")
@@ -139,6 +139,7 @@ def cmd_train(args) -> int:
     trained = dataclasses.replace(trained, scaler=scaler)
     if args.no_timing:
         report.wall_time = 0.0
+        report.block_ms = dict.fromkeys(report.block_ms, 0.0)
     model_mod.save_model(trained, args.model)
     payload = {"config": config.to_dict(), "data": str(args.data)}
     payload.update(report.to_dict())

@@ -18,26 +18,38 @@ The default start is symmetric under column permutations (Q all ones, every
 other block zero) and every block update is column-equivariant, so the C
 columns of the iterates stay identical.  :func:`train` therefore carries one
 column with the integer ``multiplicity`` C wherever the C columns are summed
-(the W prox, the objective and the residuals), and repeats it C times at the
-end.
+(the objective and the residuals), and repeats it C times at the end.  For
+one column of multiplicity C the row prox of the W block is the shrink
+W = (P + Q/mu) * mu / (mu + C).
 
 The P update solves with I + X X^T, factored once per fit on the smaller side
 of X (M features x N instances):
 
 * M <= N ("features"): the M x M Cholesky of I + X X^T, formed with M^2 N
   flops and factored with M^3/3; each solve costs about 2 M^2 per column.
-* M > N ("instances"): the N x N Cholesky of I + X^T X, formed with N^2 M
-  flops and factored with N^3/3, applied through the matrix inversion lemma
-  (I + X X^T)^-1 = I - X (I + X^T X)^-1 X^T; each solve costs two
-  products with X plus about 2 N^2 per column.
+* M > N ("instances"): the N x N Cholesky of I + K with K = X^T X, formed
+  with N^2 M flops and factored with N^3/3, applied through the matrix
+  inversion lemma (I + X X^T)^-1 = I - X (I + K)^-1 X^T; K is kept beside
+  the factor.
 
-Besides that solve, each iteration costs three products of X with a single
-column, N x M flops each whatever C is: X (r - e) in the P update, X^T p
-once the new p is known, and X^T w in the objective.  That makes three
-products with X per iteration on the features side and five on the
-instances side, plus one per fit to form the Gram matrix.  X^T p is carried
-into the next iteration's b and E updates, and the two constraint gaps are
-formed once for both the multiplier ascent and the residual trace.
+With the W block a shrink, W, the multiplier ascent on Q and the P update are
+all affine, so :func:`train` carries the N-vectors X^T P, X^T Q and X^T W
+beside P, Q and W and updates them by the same formulas instead of
+multiplying by X again: X^T W = (X^T P + X^T Q/mu) * mu / (mu + C) and
+X^T Q <- X^T Q + mu (X^T P - X^T W), starting from X^T Q = X^T 1.  X^T P
+feeds the next iteration's b and E updates, X^T W the objective, and the two
+constraint gaps are formed once for both the multiplier ascent and the
+residual trace.  The products with X, N x M flops each whatever C is, are:
+
+* features side: two per iteration, X (r - e) for the right-hand side of
+  the P solve and X^T p of its solution;
+* instances side: one per iteration.  The P update forms
+  X^T rhs = X^T w - X^T q/mu + K u with u = r - e from the carried vectors,
+  solves s = (I + K)^-1 X^T rhs, and returns p = w - q/mu + X (u - s) and
+  X^T p = X^T rhs - K s, which costs the one product X (u - s) plus about
+  6 N^2 flops;
+
+plus, once per fit, the Gram product and X^T Q for the starting Q.
 """
 
 from __future__ import annotations
@@ -54,14 +66,18 @@ from .model import EnsembleModel
 MU_INIT = 1.0  # starting penalty mu
 MU_CAP = 1e10  # mu stops growing here, so late-iteration arithmetic stays well conditioned
 GENERAL_P_TOL = 1e-10  # step tolerance of the slack solver at p not in {1, 2}
+TIMED_BLOCKS = ("W", "b", "E", "P", "multipliers", "objective", "factorization")
 
 
 class DivergenceError(RuntimeError):
-    """Non-finite solver state; carries the outer iteration that produced it."""
+    """Non-finite solver state; carries the outer iteration that produced it
+    and ``block``, the first non-finite quantity in update order (``"W"``,
+    ``"b"``, ``"E"``, ``"P"``, ``"Z"``, ``"Q"`` or ``"objective"``), when known."""
 
-    def __init__(self, message: str, iteration: int):
+    def __init__(self, message: str, iteration: int, block: str | None = None):
         super().__init__(message)
         self.iteration = iteration
+        self.block = block
 
 
 @dataclass(frozen=True)
@@ -126,6 +142,9 @@ class TrainReport:
     gram_side: str = ""  # "features" (M x M factor) or "instances" (N x N)
     e_inner_steps: list[int] = field(default_factory=list)  # E-block steps per iteration
     wall_time: float = 0.0
+    # milliseconds per block summed over the iterations; "multipliers" includes
+    # the gaps and residuals, "objective" the finiteness check
+    block_ms: dict[str, float] = field(default_factory=lambda: dict.fromkeys(TIMED_BLOCKS, 0.0))
     diversity: DiversityReport | None = None
 
     def to_dict(self) -> dict:
@@ -139,6 +158,7 @@ class TrainReport:
             "gram_side": self.gram_side,
             "e_inner_steps": self.e_inner_steps,
             "wall_time": self.wall_time,
+            "block_ms": dict(self.block_ms),
             "diversity": self.diversity.to_dict() if self.diversity is not None else None,
         }
 
@@ -170,19 +190,24 @@ def gram_side(X: np.ndarray) -> str:
 
 
 def factor_gram(X: np.ndarray):
-    """Factor I + X X^T once per fit and return ``solve(rhs)``, which gives
-    (I + X X^T)^-1 rhs for an M x C right-hand side.
+    """Factor I + X X^T once per fit and return ``solve(base, Xt_base, u)``,
+    which gives P = (I + X X^T)^-1 (base + X u) and X^T P for an M x C
+    ``base`` with ``Xt_base`` = X^T base and an N x C ``u``.
 
     On the features side (M <= N) this is the Cholesky of the M x M matrix
-    I + X X^T: M^2 N flops to form, M^3/3 to factor, about 2 M^2 C per solve.
+    I + X X^T: M^2 N flops to form, M^3/3 to factor; a solve costs the two
+    products X u and X^T P plus about 2 M^2 C flops, and ignores ``Xt_base``.
     On the instances side (M > N) it is the Cholesky of the N x N matrix
-    I + X^T X, and a solve is rhs - X (I + X^T X)^-1 X^T rhs: N^2 M flops to
-    form, N^3/3 to factor, about 4 M N C + 2 N^2 C per solve.
+    I + K with K = X^T X, which is kept: N^2 M flops to form, N^3/3 to
+    factor.  By the matrix inversion lemma P = base + X (u - s) and
+    X^T P = X^T rhs - K s, with X^T rhs = Xt_base + K u and
+    s = (I + K)^-1 X^T rhs, so a solve costs the one product X (u - s) plus
+    about 6 N^2 C flops.
     """
     features = gram_side(X) == "features"
-    K = np.eye(X.shape[0]) + X @ X.T if features else np.eye(X.shape[1]) + X.T @ X
+    gram = X @ X.T if features else X.T @ X
     try:
-        factor = cho_factor(K)
+        factor = cho_factor(np.eye(gram.shape[0]) + gram)
     except np.linalg.LinAlgError as exc:
         # I + X X^T is positive definite in exact arithmetic, but once |X|^2
         # nears 1/eps rounding swallows the identity and can leave it singular.
@@ -191,32 +216,42 @@ def factor_gram(X: np.ndarray):
             "too large for the Gram factorization in double precision; rescale them, "
             "for example with --standardize"
         ) from exc
+    # A non-finite right-hand side passes through unchecked, so that train
+    # can name the block that produced it.
     if features:
-        return lambda rhs: cho_solve(factor, rhs)
-    return lambda rhs: rhs - X @ cho_solve(factor, X.T @ rhs)
+        def solve(base, Xt_base, u):
+            P = cho_solve(factor, base + X @ u, check_finite=False)
+            return P, X.T @ P
+        return solve
+
+    def solve(base, Xt_base, u):
+        Xt_rhs = Xt_base + gram @ u
+        s = cho_solve(factor, Xt_rhs, check_finite=False)
+        return base + X @ (u - s), Xt_rhs - gram @ s
+    return solve
 
 
-def solve_w_subproblem(state: SolverState, multiplicity: int = 1) -> np.ndarray:
-    """Minimize the W block exactly, row by row.
+def solve_w_subproblem(state: SolverState) -> np.ndarray:
+    """Minimize the W block of C separate columns exactly, row by row.
 
-    Each row solves min_w 0.5 * (m sum_c |w_c|)^2 + mu/2 * m sum_c (w_c - v_c)^2
-    with v = P + Q/mu, where every column stands for m identical columns
-    (``multiplicity``, 1 by default).  With m = 1 this is the proximal map of
-    half a squared l1 norm.  The minimizer soft-thresholds v at
-    tau_k = m * (sum of the k largest |v|) / (mu + m k), where k is the largest
-    count whose k-th largest |v| exceeds tau_k (Kowalski 2009; Zhou, Jin and
-    Hoi 2010): the prox of the row in which every column is repeated m times,
-    whose tied copies pass the test together.  That threshold makes
-    m sum_c |w_c| = mu * tau_k, so w_c = v_c - sign(v_c) * m sum_c |w_c| / mu
-    wherever w_c is nonzero, the row's optimality condition.  A single column
-    of multiplicity C shrinks v to v * mu / (mu + C).  An all-zero row of v
-    gives a zero row.  The one threshold per row couples the columns of a call.
+    Each row solves min_w 0.5 * (sum_c |w_c|)^2 + mu/2 * sum_c (w_c - v_c)^2
+    with v = P + Q/mu, the proximal map of half a squared l1 norm.  The
+    minimizer soft-thresholds v at tau_k = (sum of the k largest |v|) / (mu + k),
+    where k is the largest count whose k-th largest |v| exceeds tau_k
+    (Kowalski 2009; Zhou, Jin and Hoi 2010).  That threshold makes
+    sum_c |w_c| = mu * tau_k, so w_c = v_c - sign(v_c) * sum_c |w_c| / mu
+    wherever w_c is nonzero, the row's optimality condition.  An all-zero row
+    of v gives a zero row.  The one threshold per row couples the columns.
+
+    :func:`train` does not call it: for its one column of multiplicity C the
+    prox is the shrink v * mu / (mu + C), which equals this prox of the
+    column repeated C times.
     """
     V = state.P + state.Q / state.mu
     magnitude = np.abs(V)
     ranked = np.sort(magnitude, axis=1)[:, ::-1]
     positions = np.arange(1, V.shape[1] + 1)
-    thresholds = multiplicity * np.cumsum(ranked, axis=1) / (state.mu + multiplicity * positions)
+    thresholds = np.cumsum(ranked, axis=1) / (state.mu + positions)
     support = np.where(ranked > thresholds, positions, 0).max(axis=1)
     tau = np.take_along_axis(thresholds, np.maximum(support - 1, 0)[:, None], axis=1)
     return np.sign(V) * np.maximum(magnitude - tau, 0.0)
@@ -300,15 +335,15 @@ def update_E(S: np.ndarray, Y: np.ndarray, lam: float, mu: float,
 
 
 def update_P(state: SolverState, data, W_new: np.ndarray, E_new: np.ndarray,
-             b_new: np.ndarray, solve_gram, Z_over_mu: np.ndarray) -> np.ndarray:
+             b_new: np.ndarray, solve_gram, Z_over_mu: np.ndarray, XtW_new: np.ndarray,
+             XtQ: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Closed-form P update: solve (I + X X^T) P = W - Q/mu + X (R - E) with
-    R = Y - 1 b^T - Z/mu, given Z_over_mu = state.Z / state.mu and the
-    ``solve_gram`` that :func:`factor_gram` returned.  Forming the right-hand
-    side costs one N x M x C product; the solve costs about 2 M^2 C flops on
-    the features side and two more N x M x C products on the instances side."""
+    R = Y - 1 b^T - Z/mu, and return P and X^T P.  Takes Z_over_mu =
+    state.Z / state.mu, the ``solve_gram`` that :func:`factor_gram` returned,
+    XtW_new = X^T W_new and XtQ = X^T state.Q.  Costs two products with X on
+    the features side and one on the instances side (see :func:`factor_gram`)."""
     R = data.y[:, None] - b_new[None, :] - Z_over_mu
-    rhs = W_new - state.Q / state.mu + data.X @ (R - E_new)
-    return solve_gram(rhs)
+    return solve_gram(W_new - state.Q / state.mu, XtW_new - XtQ / state.mu, R - E_new)
 
 
 def constraint_gaps(W: np.ndarray, b: np.ndarray, E: np.ndarray, P: np.ndarray,
@@ -328,13 +363,13 @@ def update_multipliers(state: SolverState, split_gap: np.ndarray, slack_gap: np.
     return Z, Q, mu
 
 
-def primal_objective(W: np.ndarray, b: np.ndarray, data, lam: float, p: float,
-                     multiplicity: int = 1) -> float:
+def primal_objective(W: np.ndarray, b: np.ndarray, XtW: np.ndarray, y: np.ndarray,
+                     lam: float, p: float, multiplicity: int = 1) -> float:
     """The quantity being minimized: diversity penalty plus weighted powered
-    hinge loss over all components and instances.  Every column of (W, b)
-    counts ``multiplicity`` times (once by default):
-    0.5 * sum_j (m sum_c |W[j,c]|)^2 + lam * m sum_c loss_c."""
-    margins = 1.0 - (data.X.T @ W + b[None, :]) * data.y[:, None]
+    hinge loss over all components and instances, given XtW = X^T W and the
+    labels y.  Every column of (W, b) counts ``multiplicity`` times (once by
+    default): 0.5 * sum_j (m sum_c |W[j,c]|)^2 + lam * m sum_c loss_c."""
+    margins = 1.0 - (XtW + b[None, :]) * y[:, None]
     loss = float((np.maximum(margins, 0.0) ** p * multiplicity).sum())
     return exclusivity_regularizer(W * multiplicity) + lam * loss
 
@@ -345,6 +380,21 @@ def constraint_residuals(split_gap: np.ndarray, slack_gap: np.ndarray,
     every column counted ``multiplicity`` times: sqrt(m sum_c ||gap_c||^2)."""
     root = np.sqrt(multiplicity)
     return float(np.linalg.norm(split_gap * root)), float(np.linalg.norm(slack_gap * root))
+
+
+def _lap(block_ms: dict[str, float], block: str, since: float) -> float:
+    """Add the milliseconds since ``since`` to ``block_ms[block]``; return now."""
+    now = time.perf_counter()
+    block_ms[block] += (now - since) * 1e3
+    return now
+
+
+def _first_non_finite(blocks) -> str | None:
+    """The name of the first ``(name, *arrays)`` entry with a non-finite value."""
+    for name, *arrays in blocks:
+        if not all(np.isfinite(array).all() for array in arrays):
+            return name
+    return None
 
 
 def train(data, config: SolverConfig = SolverConfig()) -> tuple[EnsembleModel, TrainReport]:
@@ -359,39 +409,60 @@ def train(data, config: SolverConfig = SolverConfig()) -> tuple[EnsembleModel, T
     outer iterations falls below ``outer_tol`` (stop reason
     ``"objective_change"``), or at ``outer_max_iters`` (``"max_iters"``).
     The report carries per-iteration objective, residual, and multiplier-size
-    traces together with the final diversity structure.
+    traces, the time spent per block, and the final diversity structure.
+    Raises :class:`DivergenceError` naming the first block that went
+    non-finite.
     """
     started = time.perf_counter()
     C = config.components
     Y = data.y[:, None]
-    solve_gram = factor_gram(data.X)
-    state = make_initial_state(data, 1)
-    XtP = np.zeros_like(state.E)  # X^T state.P for the starting P = 0
     report = TrainReport(stop_reason="max_iters", gram_side=gram_side(data.X))
+    solve_gram = factor_gram(data.X)
+    _lap(report.block_ms, "factorization", started)
+    state = make_initial_state(data, 1)
+    # X^T P, X^T Q and X^T W follow P, Q and W by the same affine updates.
+    XtP = np.zeros_like(state.E)  # X^T state.P for the starting P = 0
+    XtQ = data.X.T @ state.Q
     previous_objective = None
     for iteration in range(1, config.outer_max_iters + 1):
+        tick = time.perf_counter()
+        # The row prox of one column of multiplicity C is the shrink
+        # (P + Q/mu) * mu / (mu + C).
+        shrink = state.mu / (state.mu + C)
+        W = state.P * shrink + state.Q / (state.mu + C)
+        XtW = XtP * shrink + XtQ / (state.mu + C)
+        tick = _lap(report.block_ms, "W", tick)
         Z_over_mu = state.Z / state.mu
-        W = solve_w_subproblem(state, C)
         b = update_b(state, data, XtP, Z_over_mu)
+        tick = _lap(report.block_ms, "b", tick)
         # The E target Y - X^T P - 1 b^T - Z/mu is a temporary and the gaps are
-        # dropped after use: X^T P is then the only N-vector that outlives its
-        # block, so it alone adds to the peak memory.
+        # dropped after use, so only the carried N-vectors outlive their block.
         E, e_steps = update_E(Y - XtP - b[None, :] - Z_over_mu, Y, config.lam, state.mu,
                               config.loss_power)
         report.e_inner_steps.append(e_steps)
-        P = update_P(state, data, W, E, b, solve_gram, Z_over_mu)
-        XtP = data.X.T @ P
+        tick = _lap(report.block_ms, "E", tick)
+        P, XtP = update_P(state, data, W, E, b, solve_gram, Z_over_mu, XtW, XtQ)
+        tick = _lap(report.block_ms, "P", tick)
         split_gap, slack_gap = constraint_gaps(W, b, E, P, XtP, data.y)
         Z, Q, mu = update_multipliers(state, split_gap, slack_gap, config.rho)
+        XtQ = XtQ + state.mu * (XtP - XtW)
         residuals = constraint_residuals(split_gap, slack_gap, C)
         del split_gap, slack_gap
+        tick = _lap(report.block_ms, "multipliers", tick)
         state.W, state.b, state.E, state.P, state.Z, state.Q, state.mu = W, b, E, P, Z, Q, mu
         state.iteration = iteration
 
-        if not all(np.all(np.isfinite(block)) for block in (W, b, E, P, Z, Q)):
-            raise DivergenceError(f"non-finite solver state at iteration {iteration}", iteration)
-
-        objective = primal_objective(W, b, data, config.lam, config.loss_power, C)
+        block = _first_non_finite((("W", W, XtW), ("b", b), ("E", E), ("P", P, XtP), ("Z", Z),
+                                   ("Q", Q, XtQ)))
+        if block is None:
+            objective = primal_objective(W, b, XtW, data.y, config.lam, config.loss_power, C)
+            _lap(report.block_ms, "objective", tick)
+            if not np.isfinite(objective):
+                block = "objective"
+        if block is not None:
+            raise DivergenceError(
+                f"non-finite solver state at iteration {iteration} in block {block}",
+                iteration, block)
         report.objective_trace.append(objective)
         report.residual_trace.append(residuals)
         report.multiplier_sup_trace.append(max(float(np.abs(Z).max()), float(np.abs(Q).max())))

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import make_blobs, make_ill_scaled, random_instance
-from xrm import DataSet, fit_scaler, load_dataset, load_model, save_dataset, standardize
+from xrm import DataSet, fit_scaler, load_dataset, load_model, save_dataset, solver, standardize
 from xrm.cli import build_parser, main
 from xrm.model import test_error as error_rate
 
@@ -138,7 +138,28 @@ class TestTrain:
         rc = main(["train", "--data", str(blob_file), "--model", str(tmp_path / "m.json"),
                    "--out", str(report_path), "--no-timing"])
         assert rc == 0
-        assert json.loads(report_path.read_text())["wall_time"] == 0.0
+        report = json.loads(report_path.read_text())
+        assert report["wall_time"] == 0.0
+        assert report["block_ms"] == dict.fromkeys(
+            ["W", "b", "E", "P", "multipliers", "objective", "factorization"], 0.0)
+
+    def test_divergence_names_block_and_exits_one(self, tmp_path, blob_file, capsys,
+                                                  monkeypatch):
+        original = solver.update_E
+        calls = []
+
+        def poisoned(*args):
+            calls.append(1)
+            E, steps = original(*args)
+            return (E * np.nan if len(calls) == 3 else E), steps
+
+        monkeypatch.setattr(solver, "update_E", poisoned)
+        rc = main(["train", "--data", str(blob_file), "--model", str(tmp_path / "m.json"),
+                   "--out", str(tmp_path / "r.json")])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: non-finite solver state at iteration 3 in block E\n")
+        assert not (tmp_path / "m.json").exists()
 
 
 class TestEval:

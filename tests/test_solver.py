@@ -26,6 +26,11 @@ def _state(W=None, b=None, E=None, P=None, Q=None, Z=None, mu=1.0):
     )
 
 
+def _objective(W, b, data, lam, p, multiplicity=1):
+    """``solver.primal_objective`` with X^T W formed directly."""
+    return solver.primal_objective(W, b, data.X.T @ W, data.y, lam, p, multiplicity)
+
+
 def _count_products_with_x(data, config):
     """Train while recording every product that has X, or a view of it such
     as X.T, as an operand; returns (count, report, widths), where widths
@@ -71,13 +76,14 @@ def _reference_train(data, config):
         b = solver.update_b(state, data, XtP, Z_over_mu)
         E, _ = solver.update_E(Y - XtP - b[None, :] - Z_over_mu, Y, config.lam, state.mu,
                                config.loss_power)
-        P = solver.update_P(state, data, W, E, b, solve_gram, Z_over_mu)
+        P, _ = solver.update_P(state, data, W, E, b, solve_gram, Z_over_mu, data.X.T @ W,
+                               data.X.T @ state.Q)
         XtP = data.X.T @ P
         gaps = solver.constraint_gaps(W, b, E, P, XtP, data.y)
         Z, Q, mu = solver.update_multipliers(state, *gaps, config.rho)
         residuals.append(solver.constraint_residuals(*gaps))
         state = solver.SolverState(W=W, b=b, E=E, P=P, Q=Q, Z=Z, mu=mu, iteration=iteration)
-        objectives.append(solver.primal_objective(W, b, data, config.lam, config.loss_power))
+        objectives.append(_objective(W, b, data, config.lam, config.loss_power))
         if len(objectives) > 1 and abs(objectives[-1] - objectives[-2]) < config.outer_tol:
             stop_reason = "objective_change"
             break
@@ -212,29 +218,29 @@ class TestWSubproblem:
     @example(V=np.array([[1.5]]), data=None, mu=1.0)  # m = 1
     @example(V=np.array([[2.0, -2.0, 0.0, 1.0]]), data=None, mu=0.5)  # ties and a zero
     def test_multiplicity_repeats_columns(self, V, data, mu):
-        # Every column with multiplicity m gives the unit-multiplicity prox
-        # of the row in which each column appears m times, de-duplicated.
+        # One column of multiplicity m, shrunk by mu / (mu + m) as train does,
+        # equals the unit-multiplicity prox of that column repeated m times.
         C = V.shape[1]
         if data is None:
             m = 1 if C == 1 else 3
         else:
             m = data.draw(st.integers(1, 4))
-        repeated = np.repeat(V, m, axis=1)
-        expanded = solver.solve_w_subproblem(_state(P=repeated, Q=np.zeros_like(repeated), mu=mu))
-        first = np.arange(C) * m
-        for c in range(C):
-            np.testing.assert_array_equal(expanded[:, first[c]:first[c] + m],
-                                          np.repeat(expanded[:, first[c], None], m, axis=1))
-        weighted = solver.solve_w_subproblem(_state(P=V, Q=np.zeros_like(V), mu=mu), m)
         tol = 1e-12 * max(1.0, float(np.abs(V).max()))
-        np.testing.assert_allclose(weighted, expanded[:, first], rtol=0.0, atol=tol)
+        for c in range(C):
+            repeated = np.repeat(V[:, c, None], m, axis=1)
+            expanded = solver.solve_w_subproblem(_state(P=repeated, Q=np.zeros_like(repeated),
+                                                        mu=mu))
+            np.testing.assert_array_equal(expanded, np.repeat(expanded[:, :1], m, axis=1))
+            np.testing.assert_allclose(expanded[:, 0], V[:, c] * mu / (mu + m), rtol=0.0, atol=tol)
 
     def test_single_column_of_multiplicity_c_shrinks(self):
         rng = np.random.default_rng(31)
         P, Q = rng.normal(size=(6, 1)), rng.normal(size=(6, 1))
         for C, mu in ((1, 1.0), (7, 0.3), (30, 2.5)):
-            W = solver.solve_w_subproblem(_state(P=P, Q=Q, mu=mu), C)
-            np.testing.assert_allclose(W, (P + Q / mu) * mu / (mu + C), rtol=1e-14)
+            W = solver.solve_w_subproblem(_state(P=np.repeat(P, C, axis=1),
+                                                 Q=np.repeat(Q, C, axis=1), mu=mu))
+            np.testing.assert_allclose(W, np.repeat((P + Q / mu) * mu / (mu + C), C, axis=1),
+                                       rtol=1e-14)
 
 
 class TestUpdateB:
@@ -351,8 +357,10 @@ class TestUpdateP:
         Q = np.array([[0.5, 0.0], [0.0, 0.5]])
         state = _state(W=W, Q=Q, E=np.zeros((3, 2)), P=np.zeros((2, 2)), Z=np.zeros((3, 2)), mu=2.0)
         K = solver.factor_gram(data.X)
-        P = solver.update_P(state, data, W, np.zeros((3, 2)), np.zeros(2), K, state.Z / state.mu)
+        P, XtP = solver.update_P(state, data, W, np.zeros((3, 2)), np.zeros(2), K,
+                                 state.Z / state.mu, data.X.T @ W, data.X.T @ Q)
         np.testing.assert_allclose(P, W - Q / 2.0)
+        np.testing.assert_array_equal(XtP, np.zeros((3, 2)))
 
     def test_matches_generic_dense_solve(self):
         rng = np.random.default_rng(23)
@@ -365,11 +373,13 @@ class TestUpdateP:
             state = _state(W=W, E=E, P=rng.normal(size=(M, C)), Q=rng.normal(size=(M, C)),
                            Z=rng.normal(size=(N, C)), mu=1.3)
             K = solver.factor_gram(data.X)
-            P = solver.update_P(state, data, W, E, b, K, state.Z / state.mu)
+            P, XtP = solver.update_P(state, data, W, E, b, K, state.Z / state.mu,
+                                     data.X.T @ W, data.X.T @ state.Q)
             R = data.y[:, None] - b[None, :] - state.Z / state.mu
             rhs = W - state.Q / state.mu + data.X @ (R - E)
             expected = np.linalg.solve(np.eye(M) + data.X @ data.X.T, rhs)
             np.testing.assert_allclose(P, expected, atol=1e-8)
+            np.testing.assert_allclose(XtP, data.X.T @ P, rtol=0.0, atol=1e-12)
 
     def test_first_order_optimality(self):
         rng = np.random.default_rng(24)
@@ -381,7 +391,8 @@ class TestUpdateP:
             state = _state(W=W, E=E, P=rng.normal(size=(M, C)), Q=rng.normal(size=(M, C)),
                            Z=rng.normal(size=(N, C)), mu=0.9)
             K = solver.factor_gram(data.X)
-            P = solver.update_P(state, data, W, E, b, K, state.Z / state.mu)
+            P, _ = solver.update_P(state, data, W, E, b, K, state.Z / state.mu,
+                                   data.X.T @ W, data.X.T @ state.Q)
 
             def objective(P_mat):
                 split = P_mat - W
@@ -412,9 +423,12 @@ class TestFactorGram:
         X = rng.normal(size=(M, N)) * rng.choice([0.1, 1.0, 10.0])
         R = rng.normal(size=(M, C))
         expected = np.linalg.solve(np.eye(M) + X @ X.T, R)
-        got = solver.factor_gram(X)(R)
+        got, Xt_got = solver.factor_gram(X)(R, X.T @ R, np.zeros((N, C)))
         scale = 1.0 + np.abs(X).max() ** 2
         np.testing.assert_allclose(got, expected, rtol=0, atol=1e-10 * scale * (1 + np.abs(R).max()))
+        # X^T P comes back without a product on the instances side
+        np.testing.assert_allclose(Xt_got, X.T @ got, rtol=0,
+                                   atol=1e-10 * scale * (1 + np.abs(R).max()))
 
     def test_ill_scaled_features_fail_with_advice(self):
         # finite X whose squared norm nears 1/eps: rounding costs I + X X^T its
@@ -468,15 +482,14 @@ class TestMultipliers:
 class TestPrimalObjective:
     def test_hand_computed(self):
         data = DataSet(X=np.zeros((2, 1)), y=np.array([1.0]))
-        value = solver.primal_objective(np.array([[1.0], [0.0]]), np.zeros(1), data,
-                                        lam=1.0, p=1.0)
+        value = _objective(np.array([[1.0], [0.0]]), np.zeros(1), data, lam=1.0, p=1.0)
         assert value == pytest.approx(1.5)
 
     def test_zero_model(self):
         N = 5
         data = DataSet(X=np.zeros((2, N)), y=np.ones(N))
-        assert solver.primal_objective(np.zeros((2, 1)), np.zeros(1), data, 1.0, 2.0) == N
-        assert solver.primal_objective(np.zeros((2, 3)), np.zeros(3), data, 1.0, 2.0) == 3 * N
+        assert _objective(np.zeros((2, 1)), np.zeros(1), data, 1.0, 2.0) == N
+        assert _objective(np.zeros((2, 3)), np.zeros(3), data, 1.0, 2.0) == 3 * N
 
     def test_compositional_identity(self):
         rng = np.random.default_rng(25)
@@ -486,7 +499,7 @@ class TestPrimalObjective:
         for lam, p in ((0.5, 1.0), (2.0, 2.0)):
             model = EnsembleModel(W=W, b=b, lam=lam, p=p)
             expected = exclusivity_regularizer(W) + lam * 3 * average_component_loss(model, data, p)
-            assert solver.primal_objective(W, b, data, lam, p) == pytest.approx(expected, abs=1e-12)
+            assert _objective(W, b, data, lam, p) == pytest.approx(expected, abs=1e-12)
 
     def test_multiplicity_counts_repeated_columns(self):
         rng = np.random.default_rng(32)
@@ -495,12 +508,9 @@ class TestPrimalObjective:
         b = rng.normal(size=3)
         for m in (2, 4):
             for lam, p in ((0.5, 1.0), (2.0, 1.5), (2.0, 2.0)):
-                expected = solver.primal_objective(np.repeat(W, m, axis=1), np.repeat(b, m),
-                                                   data, lam, p)
-                assert solver.primal_objective(W, b, data, lam, p, m) == \
-                    pytest.approx(expected, rel=1e-14)
-                assert solver.primal_objective(W, b, data, lam, p, 1) == \
-                    solver.primal_objective(W, b, data, lam, p)
+                expected = _objective(np.repeat(W, m, axis=1), np.repeat(b, m), data, lam, p)
+                assert _objective(W, b, data, lam, p, m) == pytest.approx(expected, rel=1e-14)
+                assert _objective(W, b, data, lam, p, 1) == _objective(W, b, data, lam, p)
 
 
 class TestResiduals:
@@ -557,7 +567,8 @@ class TestColumnSymmetry:
             W = solver.solve_w_subproblem(s)
             b = solver.update_b(s, data, XtP, Z_over_mu)
             E, _ = solver.update_E(Y - XtP - b[None, :] - Z_over_mu, Y, 2.0, s.mu, 1.5)
-            P = solver.update_P(s, data, W, E, b, solve_gram, Z_over_mu)
+            P, _ = solver.update_P(s, data, W, E, b, solve_gram, Z_over_mu, data.X.T @ W,
+                                   data.X.T @ s.Q)
             gaps = solver.constraint_gaps(W, b, E, P, data.X.T @ P, data.y)
             Z, Q, mu = solver.update_multipliers(s, *gaps, rho=1.1)
             return W, b, E, P, Z, Q, mu
@@ -641,23 +652,26 @@ class TestTrain:
         assert settled.stop_reason == "objective_change"
         assert settled.to_dict()["stop_reason"] == "objective_change"
 
-    def test_three_products_with_x_per_iteration(self):
-        # Each outer iteration needs X (R - E), X^T P and X^T W; the Gram
-        # factorization adds one X X^T.  Count every product that has X (or
-        # a view of it, such as X.T) as an operand.
+    def test_two_products_with_x_per_iteration(self):
+        # Each outer iteration needs X (R - E) and X^T P; X^T W and X^T Q are
+        # carried.  The Gram factorization adds one X X^T and the start one
+        # X^T Q.  Count every product that has X (or a view of it, such as
+        # X.T) as an operand.
         products, report, _ = _count_products_with_x(make_blobs(60, 4, seed=3),
                                                   SolverConfig(components=3))
+        assert report.gram_side == "features"
         assert report.iterations > 1
-        assert products == 1 + 3 * report.iterations
+        assert products == 2 + 2 * report.iterations
 
-    def test_five_products_per_iteration_on_instances_side(self):
-        # With M > N the Gram solve adds X^T rhs and X (...) to the three
-        # products above; forming I + X^T X is the one product outside the loop.
+    def test_one_product_per_iteration_on_instances_side(self):
+        # With M > N the P update reads X once, in X (u - s), and gets X^T P
+        # from the kept X^T X; forming I + X^T X and the starting X^T Q are
+        # the two products outside the loop.
         products, report, _ = _count_products_with_x(make_blobs(12, 30, seed=3),
                                                   SolverConfig(components=3))
         assert report.gram_side == "instances"
         assert report.iterations > 1
-        assert products == 1 + 5 * report.iterations
+        assert products == 2 + report.iterations
 
     def test_instances_side_matches_dense_reference(self, monkeypatch):
         data = make_blobs(15, 40, seed=11)
@@ -666,7 +680,11 @@ class TestTrain:
 
         def dense_reference(X):
             K = np.eye(X.shape[0]) + X @ X.T
-            return lambda rhs: np.linalg.solve(K, rhs)
+
+            def solve(base, Xt_base, u):
+                P = np.linalg.solve(K, base + X @ u)
+                return P, X.T @ P
+            return solve
 
         monkeypatch.setattr(solver, "factor_gram", dense_reference)
         _, dense = train(data, config)
@@ -738,7 +756,63 @@ class TestTrain:
         assert report.diversity.distinct_components == 1
         assert report.to_dict()["diversity"]["distinct_components"] == 1
 
+    @pytest.mark.parametrize("power", [1.0, 1.5, 2.0])
+    @pytest.mark.parametrize("shape", [(40, 5), (12, 30)], ids=["features", "instances"])
+    def test_carried_xtw_does_not_drift(self, monkeypatch, shape, power):
+        # 300 iterations of carried X^T W against a direct product at every one.
+        N, M = shape
+        data = make_blobs(N, M, seed=int(10 * power))
+        seen = []
+        original = solver.primal_objective
+
+        def capture(W, b, XtW, *args):
+            seen.append((W.copy(), XtW.copy()))
+            return original(W, b, XtW, *args)
+
+        monkeypatch.setattr(solver, "primal_objective", capture)
+        _, report = train(data, SolverConfig(components=3, loss_power=power, outer_tol=1e-300))
+        assert report.iterations == len(seen) == 300
+        instance_norm = float(np.abs(data.X).sum(axis=0).max())  # max_i ||x_i||_1
+        for W, XtW in seen:
+            bound = 1e-10 * instance_norm * float(np.abs(W).max())
+            np.testing.assert_allclose(XtW, data.X.T @ W, rtol=0.0, atol=bound)
+
+    def test_block_times_in_report(self):
+        _, report = train(make_blobs(60, 4, seed=3), SolverConfig(components=3))
+        assert list(report.block_ms) == ["W", "b", "E", "P", "multipliers", "objective",
+                                         "factorization"]
+        assert all(value >= 0.0 for value in report.block_ms.values())
+        assert sum(report.block_ms.values()) <= report.wall_time * 1e3
+        assert report.to_dict()["block_ms"] == report.block_ms
+
     def test_divergence_error_attributes(self):
         err = solver.DivergenceError("boom", iteration=12)
         assert err.iteration == 12
+        assert err.block is None
         assert "boom" in str(err)
+
+    @pytest.mark.parametrize("shape", [(40, 5), (12, 30)], ids=["features", "instances"])
+    @pytest.mark.parametrize("name, block", [("update_E", "E"), ("update_P", "P")])
+    def test_divergence_names_block(self, monkeypatch, shape, name, block):
+        # The block that turns NaN at iteration 3 is the one reported, even
+        # though every later block inherits the NaN.
+        original = getattr(solver, name)
+        calls = []
+
+        def poisoned(*args):
+            calls.append(1)
+            result, extra = original(*args)
+            return (result * np.nan if len(calls) == 3 else result), extra
+
+        monkeypatch.setattr(solver, name, poisoned)
+        N, M = shape
+        with pytest.raises(solver.DivergenceError, match=f"in block {block}") as err:
+            train(make_blobs(N, M, seed=2), SolverConfig(components=3, outer_tol=1e-300))
+        assert err.value.iteration == 3
+        assert err.value.block == block
+
+    def test_non_finite_objective_is_named(self, monkeypatch):
+        monkeypatch.setattr(solver, "primal_objective", lambda *args: float("inf"))
+        with pytest.raises(solver.DivergenceError) as err:
+            train(make_blobs(40, 3, seed=2), SolverConfig(components=2))
+        assert (err.value.iteration, err.value.block) == (1, "objective")
