@@ -192,11 +192,12 @@ def gram_side(X: np.ndarray) -> str:
 def factor_gram(X: np.ndarray):
     """Factor I + X X^T once per fit and return ``solve(base, Xt_base, u)``,
     which gives P = (I + X X^T)^-1 (base + X u) and X^T P for an M x C
-    ``base`` with ``Xt_base`` = X^T base and an N x C ``u``.
+    ``base`` and an N x C ``u``.  ``Xt_base`` is a function of no arguments
+    returning X^T base; only the instances side calls it.
 
     On the features side (M <= N) this is the Cholesky of the M x M matrix
     I + X X^T: M^2 N flops to form, M^3/3 to factor; a solve costs the two
-    products X u and X^T P plus about 2 M^2 C flops, and ignores ``Xt_base``.
+    products X u and X^T P plus about 2 M^2 C flops.
     On the instances side (M > N) it is the Cholesky of the N x N matrix
     I + K with K = X^T X, which is kept: N^2 M flops to form, N^3/3 to
     factor.  By the matrix inversion lemma P = base + X (u - s) and
@@ -225,7 +226,7 @@ def factor_gram(X: np.ndarray):
         return solve
 
     def solve(base, Xt_base, u):
-        Xt_rhs = Xt_base + gram @ u
+        Xt_rhs = Xt_base() + gram @ u
         s = cho_solve(factor, Xt_rhs, check_finite=False)
         return base + X @ (u - s), Xt_rhs - gram @ s
     return solve
@@ -340,10 +341,11 @@ def update_P(state: SolverState, data, W_new: np.ndarray, E_new: np.ndarray,
     """Closed-form P update: solve (I + X X^T) P = W - Q/mu + X (R - E) with
     R = Y - 1 b^T - Z/mu, and return P and X^T P.  Takes Z_over_mu =
     state.Z / state.mu, the ``solve_gram`` that :func:`factor_gram` returned,
-    XtW_new = X^T W_new and XtQ = X^T state.Q.  Costs two products with X on
-    the features side and one on the instances side (see :func:`factor_gram`)."""
+    XtW_new = X^T W_new and XtQ = X^T state.Q, which only the instances side
+    reads.  Costs two products with X on the features side and one on the
+    instances side (see :func:`factor_gram`)."""
     R = data.y[:, None] - b_new[None, :] - Z_over_mu
-    return solve_gram(W_new - state.Q / state.mu, XtW_new - XtQ / state.mu, R - E_new)
+    return solve_gram(W_new - state.Q / state.mu, lambda: XtW_new - XtQ / state.mu, R - E_new)
 
 
 def constraint_gaps(W: np.ndarray, b: np.ndarray, E: np.ndarray, P: np.ndarray,

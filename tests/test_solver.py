@@ -423,7 +423,14 @@ class TestFactorGram:
         X = rng.normal(size=(M, N)) * rng.choice([0.1, 1.0, 10.0])
         R = rng.normal(size=(M, C))
         expected = np.linalg.solve(np.eye(M) + X @ X.T, R)
-        got, Xt_got = solver.factor_gram(X)(R, X.T @ R, np.zeros((N, C)))
+        calls = []
+
+        def Xt_base():
+            calls.append(1)
+            return X.T @ R
+
+        got, Xt_got = solver.factor_gram(X)(R, Xt_base, np.zeros((N, C)))
+        assert len(calls) == (M > N)  # only the instances side reads X^T base
         scale = 1.0 + np.abs(X).max() ** 2
         np.testing.assert_allclose(got, expected, rtol=0, atol=1e-10 * scale * (1 + np.abs(R).max()))
         # X^T P comes back without a product on the instances side
