@@ -11,13 +11,12 @@ import numpy as np
 
 from xrm import DataSet, SolverConfig, train
 from xrm.oracles import (
-    OracleConfig,
     reference_primal_solver,
     scalar_e_minimizer,
     w_row_objective,
     w_row_reference,
 )
-from xrm.solver import SolverState, solve_w_subproblem, update_E
+from xrm.solver import solve_w_subproblem, update_E
 
 rng = np.random.default_rng(3)
 
@@ -27,7 +26,7 @@ data = DataSet(X=rng.normal(size=(4, 24)), y=rng.choice([-1.0, 1.0], 24))
 config = SolverConfig(lam=2.0, components=2, loss_power=2.0,
                       rho=1.02, outer_tol=1e-300, outer_max_iters=1200)
 model, report = train(data, config)
-_, _, oracle_best = reference_primal_solver(data, 2.0, 2, 2.0, OracleConfig(max_iters=30_000))
+_, _, oracle_best = reference_primal_solver(data, 2.0, 2, 2.0, max_iters=30_000)
 print(f"trainer objective  {report.objective_trace[-1]:.6f}")
 print(f"subgradient oracle {oracle_best:.6f}")
 print(f"ratio              {report.objective_trace[-1] / oracle_best:.6f}")
@@ -37,9 +36,7 @@ print(f"ratio              {report.objective_trace[-1] / oracle_best:.6f}")
 C = 4
 P_row = rng.normal(size=(1, C))
 Q_row = rng.normal(size=(1, C))
-state = SolverState(W=np.ones((1, C)), b=np.zeros(C), E=np.zeros((1, C)),
-                    P=P_row, Q=Q_row, Z=np.zeros((1, C)), mu=1.3)
-w = solve_w_subproblem(state)[0]
+w = solve_w_subproblem(P_row, Q_row, 1.3)[0]
 w_ref = w_row_reference(P_row[0], Q_row[0], 1.3)
 print("\nrow solver   :", np.round(w, 6))
 print("row reference:", np.round(w_ref, 6))

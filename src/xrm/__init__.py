@@ -41,7 +41,6 @@ from .model import (
 from .solver import (
     DivergenceError,
     SolverConfig,
-    SolverState,
     TrainReport,
     constraint_residuals,
     primal_objective,
@@ -77,7 +76,6 @@ __all__ = [
     "verify_ensemble_bound",
     "DivergenceError",
     "SolverConfig",
-    "SolverState",
     "TrainReport",
     "constraint_residuals",
     "primal_objective",

@@ -113,11 +113,16 @@ def _load(path: str) -> datasets.DataSet:
     return datasets.load_dataset(path)
 
 
-def _run_trial(data, args, config, trial: int):
+def _trial_sets(data, args, trial: int):
+    """The (train, test) split of one trial, standardized if asked."""
     spec = datasets.SplitSpec(train_size=args.train_size, seed=args.seed, trials=args.trials)
     train_set, test_set = datasets.split(data, spec, trial)
     if args.standardize:
         train_set, test_set = datasets.standardize(train_set, test_set)
+    return train_set, test_set
+
+
+def _run_trial(train_set, test_set, args, config, trial: int):
     trained, report = solver.train(train_set, config)
     return {
         "trial": trial,
@@ -185,7 +190,8 @@ def cmd_eval(args) -> int:
         print(f"test error: {error:.2f}%")
     else:
         config = _make_config(args)
-        results = [_run_trial(data, args, config, trial) for trial in range(args.trials)]
+        results = [_run_trial(*_trial_sets(data, args, trial), args, config, trial)
+                   for trial in range(args.trials)]
         errors = np.array([100.0 * r["test_error"] for r in results])
         mean = float(errors.mean())
         std = float(errors.std(ddof=1)) if errors.size > 1 else 0.0
@@ -209,17 +215,19 @@ def cmd_sweep(args) -> int:
     data = _load(args.data)
     if not args.lam_grid or not args.component_grid:
         raise ValueError("sweep grids must be nonempty")
-    rows = []
-    for lam in args.lam_grid:
-        for components in args.component_grid:
-            config = _make_config(args, lam=lam, components=components)
-            for trial in range(args.trials):
-                result = _run_trial(data, args, config, trial)
-                rows.append([
-                    _fmt(lam), components, trial,
-                    _fmt(result["train_error"]), _fmt(result["test_error"]),
-                    result["iterations"], _fmt(result["wall_time"]),
-                ])
+    grid = [(lam, components, _make_config(args, lam=lam, components=components))
+            for lam in args.lam_grid for components in args.component_grid]
+    # One split per trial, shared by the whole grid; rows are written in
+    # (lambda, components, trial) order.
+    by_trial = []
+    for trial in range(args.trials):
+        train_set, test_set = _trial_sets(data, args, trial)
+        by_trial.append([(lam, components, _run_trial(train_set, test_set, args, config, trial))
+                         for lam, components, config in grid])
+    rows = [[_fmt(lam), components, result["trial"],
+             _fmt(result["train_error"]), _fmt(result["test_error"]),
+             result["iterations"], _fmt(result["wall_time"])]
+            for cell in zip(*by_trial) for lam, components, result in cell]
     with open(args.out, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(["lambda", "components", "trial",

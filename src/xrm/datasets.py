@@ -55,8 +55,19 @@ class DataSet:
     y: np.ndarray
 
     def __post_init__(self):
-        X = np.array(self.X, dtype=float)
-        y = np.array(self.y, dtype=float)
+        # Copies, so that the caller's arrays stay theirs to write.
+        self._take(np.array(self.X, dtype=float), np.array(self.y, dtype=float))
+
+    @classmethod
+    def _adopt(cls, X: np.ndarray, y: np.ndarray) -> DataSet:
+        """A data set over float arrays that this module has just allocated
+        (or read-only arrays of another data set), taken without a copy."""
+        data = object.__new__(cls)
+        data._take(X, y)
+        return data
+
+    def _take(self, X: np.ndarray, y: np.ndarray) -> None:
+        """Validate X and y, store them and make them read-only."""
         if X.ndim != 2 or X.shape[0] < 1 or X.shape[1] < 1:
             raise ValueError(f"feature matrix must be 2-d and non-empty, got shape {X.shape}")
         if y.shape != (X.shape[1],):
@@ -255,7 +266,7 @@ def parse_sparse_text(source) -> DataSet:
         raise SparseFormatError("input contains no feature entries", 0)
     X = np.zeros((index.max(), len(counts)))
     X[index - 1, instance] = values
-    return DataSet(X=X, y=map_labels(labels))
+    return DataSet._adopt(X, map_labels(labels))
 
 
 def format_sparse_text(data: DataSet) -> str:
@@ -309,8 +320,8 @@ def split(data: DataSet, spec: SplitSpec, trial_index: int) -> tuple[DataSet, Da
         train_idx = order[: spec.train_size]
         if np.unique(data.y[train_idx]).size == 2:
             test_idx = order[spec.train_size :]
-            train = DataSet(X=data.X[:, train_idx], y=data.y[train_idx])
-            test = DataSet(X=data.X[:, test_idx], y=data.y[test_idx])
+            train = DataSet._adopt(data.X[:, train_idx], data.y[train_idx])
+            test = DataSet._adopt(data.X[:, test_idx], data.y[test_idx])
             return train, test
     raise ValueError(
         f"could not draw a training set of size {spec.train_size} containing both classes "
@@ -360,8 +371,12 @@ def standardize(train: DataSet, test: DataSet | None = None, *, scaler: Scaler |
         raise ValueError(f"scaler has {scaler.mean.size} features but dataset has "
                          f"{train.feature_count}")
     mean, std = scaler.mean[:, None], scaler.scale[:, None]
-    scaled_train = DataSet(X=(train.X - mean) / std, y=train.y)
+
+    def transform(data: DataSet) -> DataSet:
+        X = data.X - mean
+        X /= std  # in place, so each set allocates one matrix
+        return DataSet._adopt(X, data.y)
+
     if test is None:
-        return scaled_train
-    scaled_test = DataSet(X=(test.X - mean) / std, y=test.y)
-    return scaled_train, scaled_test
+        return transform(train)
+    return transform(train), transform(test)

@@ -9,32 +9,13 @@ search.  These are deliberately slow and simple.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
-
-
-@dataclass(frozen=True)
-class OracleConfig:
-    """Knobs for the reference solvers.
-
-    ``step_size`` is the initial subgradient step; the schedule is
-    step_size / sqrt(t).  The grid fields drive the scalar brute-force search.
-    """
-
-    max_iters: int = 50_000
-    step_size: float = 1.0
-    grid_lo: float = -10.0
-    grid_hi: float = 10.0
-    grid_step: float = 1e-4
-
-    def __post_init__(self):
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be at least 1")
-        if self.grid_step <= 0:
-            raise ValueError("grid_step must be positive")
+_STEP_SIZE = 1.0  # initial subgradient step; the schedule is _STEP_SIZE / sqrt(t)
+_GRID_LO, _GRID_HI, _GRID_STEP = -10.0, 10.0, 1e-4  # the scalar brute-force grid
+_ROW_SWEEPS = 500  # coordinate-descent sweeps of the per-row weight reference
 
 
 def _hinge(W, b, data) -> np.ndarray:
@@ -58,10 +39,10 @@ def joint_objective(W, b, data, lam: float, p: float) -> float:
 
 
 def reference_primal_solver(data, lam: float, components: int, p: float,
-                            config: OracleConfig = OracleConfig()):
-    """Projected subgradient descent on the joint objective.
+                            max_iters: int = 50_000):
+    """Projected subgradient descent on the joint objective, ``max_iters`` steps.
 
-    Deterministic given its inputs: starts from zero, moves step_size/sqrt(t)
+    Deterministic given its inputs: starts from zero, moves 1/sqrt(t) at step t
     along the normalized subgradient, projects back onto a ball that provably
     contains every minimizer, and returns the best (W, b, objective) seen.
     The hinge terms and row l1 sums that score one iterate also give the
@@ -69,6 +50,8 @@ def reference_primal_solver(data, lam: float, components: int, p: float,
     """
     if p not in (1.0, 2.0, 1, 2):
         raise ValueError("reference solver supports p in {1, 2}")
+    if max_iters < 1:
+        raise ValueError("max_iters must be at least 1")
     M, N = data.X.shape
     X, y = data.X, data.y
     # The zero model has objective lam*C*N, so any minimizer satisfies
@@ -84,7 +67,7 @@ def reference_primal_solver(data, lam: float, components: int, p: float,
     best_W, best_b = W.copy(), b.copy()
     # Per-call overhead dominates on small instances, so ufuncs, their reduce
     # and vdot stand in for the ndarray.sum, np.linalg.norm and np.clip wrappers.
-    for t in range(1, config.max_iters + 1):
+    for t in range(1, max_iters + 1):
         if p == 1:
             active = (hinge > 0.0).astype(float)  # zero subgradient at the kink
         else:
@@ -95,7 +78,7 @@ def reference_primal_solver(data, lam: float, components: int, p: float,
         norm = math.sqrt(np.add.reduce(grad_W**2, axis=None) + np.add.reduce(grad_b**2, axis=None))
         if norm == 0.0:
             break
-        step = config.step_size / (math.sqrt(t) * norm)
+        step = _STEP_SIZE / (math.sqrt(t) * norm)
         W = W - step * grad_W
         b = b - step * grad_b
         scale_W = math.sqrt(np.vdot(W, W))
@@ -111,11 +94,11 @@ def reference_primal_solver(data, lam: float, components: int, p: float,
     return best_W, best_b, best_obj
 
 
-def scalar_e_minimizer(y: float, s: float, lambda_over_mu: float, p: float,
-                       config: OracleConfig = OracleConfig()) -> float:
+def scalar_e_minimizer(y: float, s: float, lambda_over_mu: float, p: float) -> float:
     """Brute-force the scalar slack problem
-    min_e lambda_over_mu * max(y*e, 0)**p + 0.5 * (e - s)**2 on a grid."""
-    grid = np.arange(config.grid_lo, config.grid_hi + 0.5 * config.grid_step, config.grid_step)
+    min_e lambda_over_mu * max(y*e, 0)**p + 0.5 * (e - s)**2 on a grid of
+    step 1e-4 over [-10, 10]."""
+    grid = np.arange(_GRID_LO, _GRID_HI + 0.5 * _GRID_STEP, _GRID_STEP)
     values = lambda_over_mu * np.maximum(y * grid, 0.0) ** p + 0.5 * (grid - s) ** 2
     return float(grid[int(np.argmin(values))])
 
@@ -149,9 +132,9 @@ def _golden_section(fn, lo: float, hi: float, tol: float = 1e-13, max_iters: int
     return 0.5 * (a + b)
 
 
-def w_row_reference(P_row, Q_row, mu: float, config: OracleConfig = OracleConfig()) -> np.ndarray:
-    """Minimize the per-row weight objective by cyclic coordinate descent,
-    each coordinate solved with golden-section search.
+def w_row_reference(P_row, Q_row, mu: float) -> np.ndarray:
+    """Minimize the per-row weight objective by cyclic coordinate descent, at
+    most 500 sweeps, each coordinate solved with golden-section search.
 
     The problem is the proximal map of half a squared l1 norm at
     v = P_row + Q_row / mu, so every coordinate of the minimizer lies between
@@ -163,8 +146,7 @@ def w_row_reference(P_row, Q_row, mu: float, config: OracleConfig = OracleConfig
     C = v.size
     row = np.zeros(C)
     previous = w_row_objective(row, P_row, Q_row, mu)
-    sweeps = min(config.max_iters, 500)
-    for _ in range(sweeps):
+    for _ in range(_ROW_SWEEPS):
         for c in range(C):
             rest = float(np.abs(row).sum() - abs(row[c]))
             p_c, q_c = P_row[c], Q_row[c]

@@ -12,7 +12,9 @@ loss becomes a function of (Y * E)_+ alone.  Each outer iteration updates the
 blocks in turn (W by an exact row-wise proximal map, b in closed form, E
 elementwise, P through one cached SPD solve), then performs multiplier ascent
 on Q and Z and grows the penalty mu geometrically.  Termination monitors the
-change of the primal objective evaluated at the current (W, b).
+change of the primal objective evaluated at the current (W, b).  :func:`train`
+holds the iterate as local arrays and passes each block function only the
+arrays that block reads.
 
 The default start is symmetric under column permutations (Q all ones, every
 other block zero) and every block update is column-equivariant, so the C
@@ -54,6 +56,7 @@ plus, once per fit, the Gram product and X^T Q for the starting Q.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import asdict, dataclass, field
 
@@ -98,6 +101,11 @@ class SolverConfig:
     outer_max_iters: int = 300
 
     def __post_init__(self):
+        # NaN fails no ordered comparison, so finiteness is checked first.
+        for name in ("lam", "loss_power", "rho", "outer_tol"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.lam <= 0:
             raise ValueError("lam must be positive")
         if self.components < 1:
@@ -114,20 +122,6 @@ class SolverConfig:
     def to_dict(self) -> dict:
         """The fields in order, with ``lam`` under the key ``lambda``."""
         return {"lambda" if name == "lam" else name: value for name, value in asdict(self).items()}
-
-
-@dataclass
-class SolverState:
-    """One snapshot of the block variables and multipliers."""
-
-    W: np.ndarray  # features x components
-    b: np.ndarray  # components
-    E: np.ndarray  # instances x components, slack block
-    P: np.ndarray  # features x components, split copy of W
-    Q: np.ndarray  # multiplier for P = W
-    Z: np.ndarray  # multiplier for the slack constraint
-    mu: float
-    iteration: int = 0
 
 
 @dataclass
@@ -161,24 +155,6 @@ class TrainReport:
             "block_ms": dict(self.block_ms),
             "diversity": self.diversity.to_dict() if self.diversity is not None else None,
         }
-
-
-def make_initial_state(data, columns: int) -> SolverState:
-    """Starting point with ``columns`` columns: Q all ones, the rest zero, mu = MU_INIT.
-
-    The first W update reads only P, Q and mu, so the starting W is never
-    used; zero keeps it consistent with P = W.
-    """
-    M, N = data.X.shape
-    return SolverState(
-        W=np.zeros((M, columns)),
-        b=np.zeros(columns),
-        E=np.zeros((N, columns)),
-        P=np.zeros((M, columns)),
-        Q=np.ones((M, columns)),
-        Z=np.zeros((N, columns)),
-        mu=MU_INIT,
-    )
 
 
 def gram_side(X: np.ndarray) -> str:
@@ -232,8 +208,9 @@ def factor_gram(X: np.ndarray):
     return solve
 
 
-def solve_w_subproblem(state: SolverState) -> np.ndarray:
-    """Minimize the W block of C separate columns exactly, row by row.
+def solve_w_subproblem(P: np.ndarray, Q: np.ndarray, mu: float) -> np.ndarray:
+    """Minimize the W block of C separate columns exactly, row by row, given
+    the split copy P, its multiplier Q and the penalty mu.
 
     Each row solves min_w 0.5 * (sum_c |w_c|)^2 + mu/2 * sum_c (w_c - v_c)^2
     with v = P + Q/mu, the proximal map of half a squared l1 norm.  The
@@ -248,20 +225,20 @@ def solve_w_subproblem(state: SolverState) -> np.ndarray:
     prox is the shrink v * mu / (mu + C), which equals this prox of the
     column repeated C times.
     """
-    V = state.P + state.Q / state.mu
+    V = P + Q / mu
     magnitude = np.abs(V)
     ranked = np.sort(magnitude, axis=1)[:, ::-1]
     positions = np.arange(1, V.shape[1] + 1)
-    thresholds = np.cumsum(ranked, axis=1) / (state.mu + positions)
+    thresholds = np.cumsum(ranked, axis=1) / (mu + positions)
     support = np.where(ranked > thresholds, positions, 0).max(axis=1)
     tau = np.take_along_axis(thresholds, np.maximum(support - 1, 0)[:, None], axis=1)
     return np.sign(V) * np.maximum(magnitude - tau, 0.0)
 
 
-def update_b(state: SolverState, data, XtP: np.ndarray, Z_over_mu: np.ndarray) -> np.ndarray:
+def update_b(y: np.ndarray, E: np.ndarray, XtP: np.ndarray, Z_over_mu: np.ndarray) -> np.ndarray:
     """Closed-form bias update: per-component mean of Y - E - X^T P - Z / mu,
-    given XtP = X^T state.P and Z_over_mu = state.Z / state.mu."""
-    residual = data.y[:, None] - state.E - XtP - Z_over_mu
+    given the labels y, the slack block E, XtP = X^T P and Z_over_mu = Z / mu."""
+    residual = y[:, None] - E - XtP - Z_over_mu
     return residual.mean(axis=0)
 
 
@@ -335,17 +312,15 @@ def update_E(S: np.ndarray, Y: np.ndarray, lam: float, mu: float,
     return E, steps
 
 
-def update_P(state: SolverState, data, W_new: np.ndarray, E_new: np.ndarray,
-             b_new: np.ndarray, solve_gram, Z_over_mu: np.ndarray, XtW_new: np.ndarray,
-             XtQ: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Closed-form P update: solve (I + X X^T) P = W - Q/mu + X (R - E) with
-    R = Y - 1 b^T - Z/mu, and return P and X^T P.  Takes Z_over_mu =
-    state.Z / state.mu, the ``solve_gram`` that :func:`factor_gram` returned,
-    XtW_new = X^T W_new and XtQ = X^T state.Q, which only the instances side
-    reads.  Costs two products with X on the features side and one on the
-    instances side (see :func:`factor_gram`)."""
-    R = data.y[:, None] - b_new[None, :] - Z_over_mu
-    return solve_gram(W_new - state.Q / state.mu, lambda: XtW_new - XtQ / state.mu, R - E_new)
+def update_P(solve_gram, W: np.ndarray, Q: np.ndarray, XtW: np.ndarray, XtQ: np.ndarray,
+             mu: float, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form P update: solve (I + X X^T) P = W - Q/mu + X u, where the
+    caller passes u = Y - 1 b^T - Z/mu - E, and return P and X^T P.  Takes
+    the ``solve_gram`` that :func:`factor_gram` returned, and XtW = X^T W and
+    XtQ = X^T Q, which only the instances side reads.  Costs two products
+    with X on the features side and one on the instances side (see
+    :func:`factor_gram`)."""
+    return solve_gram(W - Q / mu, lambda: XtW - XtQ / mu, u)
 
 
 def constraint_gaps(W: np.ndarray, b: np.ndarray, E: np.ndarray, P: np.ndarray,
@@ -355,14 +330,12 @@ def constraint_gaps(W: np.ndarray, b: np.ndarray, E: np.ndarray, P: np.ndarray,
     return P - W, E - y[:, None] + XtP + b[None, :]
 
 
-def update_multipliers(state: SolverState, split_gap: np.ndarray, slack_gap: np.ndarray,
-                       rho: float) -> tuple[np.ndarray, np.ndarray, float]:
-    """Ascent on both multipliers along the constraint gaps of the new
-    iterate, then geometric penalty growth capped at MU_CAP."""
-    Z = state.Z + state.mu * slack_gap
-    Q = state.Q + state.mu * split_gap
-    mu = min(rho * state.mu, MU_CAP)
-    return Z, Q, mu
+def update_multipliers(Z: np.ndarray, Q: np.ndarray, mu: float, split_gap: np.ndarray,
+                       slack_gap: np.ndarray, rho: float) -> tuple[np.ndarray, np.ndarray, float]:
+    """Ascent on both multipliers with step mu along the constraint gaps of
+    the new iterate, then geometric penalty growth capped at MU_CAP; returns
+    the new Z, Q and mu."""
+    return Z + mu * slack_gap, Q + mu * split_gap, min(rho * mu, MU_CAP)
 
 
 def primal_objective(W: np.ndarray, b: np.ndarray, XtW: np.ndarray, y: np.ndarray,
@@ -421,38 +394,41 @@ def train(data, config: SolverConfig = SolverConfig()) -> tuple[EnsembleModel, T
     report = TrainReport(stop_reason="max_iters", gram_side=gram_side(data.X))
     solve_gram = factor_gram(data.X)
     _lap(report.block_ms, "factorization", started)
-    state = make_initial_state(data, 1)
+    M, N = data.X.shape
+    # The start: Q all ones, every other block zero, mu = MU_INIT.  W and b
+    # are written before any block reads them.
+    P, Q, mu = np.zeros((M, 1)), np.ones((M, 1)), MU_INIT
+    E, Z = np.zeros((N, 1)), np.zeros((N, 1))
     # X^T P, X^T Q and X^T W follow P, Q and W by the same affine updates.
-    XtP = np.zeros_like(state.E)  # X^T state.P for the starting P = 0
-    XtQ = data.X.T @ state.Q
+    XtP = np.zeros_like(E)  # X^T P for the starting P = 0
+    XtQ = data.X.T @ Q
     previous_objective = None
     for iteration in range(1, config.outer_max_iters + 1):
         tick = time.perf_counter()
         # The row prox of one column of multiplicity C is the shrink
         # (P + Q/mu) * mu / (mu + C).
-        shrink = state.mu / (state.mu + C)
-        W = state.P * shrink + state.Q / (state.mu + C)
-        XtW = XtP * shrink + XtQ / (state.mu + C)
+        shrink = mu / (mu + C)
+        W = P * shrink + Q / (mu + C)
+        XtW = XtP * shrink + XtQ / (mu + C)
         tick = _lap(report.block_ms, "W", tick)
-        Z_over_mu = state.Z / state.mu
-        b = update_b(state, data, XtP, Z_over_mu)
+        Z_over_mu = Z / mu
+        b = update_b(data.y, E, XtP, Z_over_mu)
         tick = _lap(report.block_ms, "b", tick)
-        # The E target Y - X^T P - 1 b^T - Z/mu is a temporary and the gaps are
-        # dropped after use, so only the carried N-vectors outlive their block.
-        E, e_steps = update_E(Y - XtP - b[None, :] - Z_over_mu, Y, config.lam, state.mu,
+        # The E target Y - X^T P - 1 b^T - Z/mu and the P operand
+        # u = Y - 1 b^T - Z/mu - E are temporaries and the gaps are dropped
+        # after use, so only the carried N-vectors outlive their block.
+        E, e_steps = update_E(Y - XtP - b[None, :] - Z_over_mu, Y, config.lam, mu,
                               config.loss_power)
         report.e_inner_steps.append(e_steps)
         tick = _lap(report.block_ms, "E", tick)
-        P, XtP = update_P(state, data, W, E, b, solve_gram, Z_over_mu, XtW, XtQ)
+        P, XtP = update_P(solve_gram, W, Q, XtW, XtQ, mu, Y - b[None, :] - Z_over_mu - E)
         tick = _lap(report.block_ms, "P", tick)
         split_gap, slack_gap = constraint_gaps(W, b, E, P, XtP, data.y)
-        Z, Q, mu = update_multipliers(state, split_gap, slack_gap, config.rho)
-        XtQ = XtQ + state.mu * (XtP - XtW)
+        XtQ = XtQ + mu * (XtP - XtW)
+        Z, Q, mu = update_multipliers(Z, Q, mu, split_gap, slack_gap, config.rho)
         residuals = constraint_residuals(split_gap, slack_gap, C)
         del split_gap, slack_gap
         tick = _lap(report.block_ms, "multipliers", tick)
-        state.W, state.b, state.E, state.P, state.Z, state.Q, state.mu = W, b, E, P, Z, Q, mu
-        state.iteration = iteration
 
         block = _first_non_finite((("W", W, XtW), ("b", b), ("E", E), ("P", P, XtP), ("Z", Z),
                                    ("Q", Q, XtQ)))
@@ -474,9 +450,9 @@ def train(data, config: SolverConfig = SolverConfig()) -> tuple[EnsembleModel, T
             break
         previous_objective = objective
 
-    report.iterations = state.iteration
+    report.iterations = iteration
     report.wall_time = time.perf_counter() - started
-    W = np.repeat(state.W, C, axis=1)
+    W = np.repeat(W, C, axis=1)
     report.diversity = diversity_report(W)
-    model = EnsembleModel(W=W, b=np.repeat(state.b, C), lam=config.lam, p=config.loss_power)
+    model = EnsembleModel(W=W, b=np.repeat(b, C), lam=config.lam, p=config.loss_power)
     return model, report

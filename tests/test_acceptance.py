@@ -44,9 +44,7 @@ def criterion1_runs():
         lam = float(rng.choice([0.5, 2.0]))
         config = SolverConfig(lam=lam, components=C, loss_power=p, **_TIGHT)
         model, report = train(data, config)
-        _, _, oracle_best = oracles.reference_primal_solver(
-            data, lam, C, p, oracles.OracleConfig(max_iters=50_000)
-        )
+        _, _, oracle_best = oracles.reference_primal_solver(data, lam, C, p, max_iters=50_000)
         runs.append({"data": data, "p": p, "model": model, "report": report,
                      "oracle_best": oracle_best})
     return runs
@@ -61,9 +59,7 @@ def criterion2_runs():
         lam = float(rng.choice([0.5, 2.0]))
         config = SolverConfig(lam=lam, components=1, loss_power=2.0, **_TIGHT_SMOOTH)
         model, report = train(data, config)
-        _, _, oracle_best = oracles.reference_primal_solver(
-            data, lam, 1, 2.0, oracles.OracleConfig(max_iters=50_000)
-        )
+        _, _, oracle_best = oracles.reference_primal_solver(data, lam, 1, 2.0, max_iters=50_000)
         runs.append({"data": data, "p": 2.0, "model": model, "report": report,
                      "oracle_best": oracle_best})
     return runs
@@ -96,9 +92,7 @@ def test_criterion_03_row_subproblem_optimality():
         P_row = rng.normal(size=(1, C))
         Q_row = rng.normal(size=(1, C))
         mu = float(rng.uniform(0.2, 5.0))
-        state = solver.SolverState(W=np.ones((1, C)), b=np.zeros(C), E=np.zeros((1, C)),
-                                   P=P_row, Q=Q_row, Z=np.zeros((1, C)), mu=mu)
-        w = solver.solve_w_subproblem(state)[0]
+        w = solver.solve_w_subproblem(P_row, Q_row, mu)[0]
         reference = oracles.w_row_reference(P_row[0], Q_row[0], mu)
         gap = (oracles.w_row_objective(w, P_row[0], Q_row[0], mu)
                - oracles.w_row_objective(reference, P_row[0], Q_row[0], mu))

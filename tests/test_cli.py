@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from conftest import make_blobs, make_ill_scaled, random_instance
-from xrm import DataSet, fit_scaler, load_dataset, load_model, save_dataset, solver, standardize
+from xrm import (DataSet, datasets, fit_scaler, load_dataset, load_model, save_dataset, solver,
+                 standardize)
 from xrm.cli import build_parser, main
 from xrm.model import test_error as error_rate
 
@@ -142,6 +143,13 @@ class TestTrain:
         assert report["wall_time"] == 0.0
         assert report["block_ms"] == dict.fromkeys(
             ["W", "b", "E", "P", "multipliers", "objective", "factorization"], 0.0)
+
+    def test_non_finite_setting_exits_one(self, tmp_path, blob_file, capsys):
+        rc = main(["train", "--data", str(blob_file), "--outer-tol", "nan",
+                   "--model", str(tmp_path / "m.json"), "--out", str(tmp_path / "r.json")])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: outer_tol must be finite, got nan\n"
+        assert not (tmp_path / "m.json").exists()
 
     def test_divergence_names_block_and_exits_one(self, tmp_path, blob_file, capsys,
                                                   monkeypatch):
@@ -296,6 +304,29 @@ class TestSweep:
         main(args + ["--out", str(second)])
         assert first.read_bytes() == second.read_bytes()
 
+    def test_splits_once_per_trial(self, tmp_path, blob_file, monkeypatch):
+        # Every (lambda, components) pair of a trial trains on that trial's
+        # one split and standardization; rows stay in (lambda, components,
+        # trial) order.
+        calls = {"split": 0, "standardize": 0}
+        for name in calls:
+            original = getattr(datasets, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+            monkeypatch.setattr(datasets, name, counted)
+        out = tmp_path / "sweep.csv"
+        rc = main(["sweep", "--data", str(blob_file), "--lambda", "0.5,2",
+                   "--components", "2,4", "--train-size", "40", "--trials", "3",
+                   "--standardize", "--out", str(out), "--no-timing"])
+        assert rc == 0
+        assert calls == {"split": 3, "standardize": 3}
+        with open(out) as handle:
+            keys = [row[:3] for row in list(csv.reader(handle))[1:]]
+        assert keys == [[lam, components, trial] for lam in ("0.5", "2")
+                        for components in ("2", "4") for trial in ("0", "1", "2")]
+
     def test_empty_grid_rejected(self, tmp_path, blob_file):
         rc = main(["sweep", "--data", str(blob_file), "--lambda", ",",
                    "--out", str(tmp_path / "s.csv")])
@@ -371,7 +402,7 @@ class TestBench:
 def test_single_component_matches_reference_optimum(tmp_path):
     # a C=1 training run through the CLI lands on the quadratic-hinge optimum
     from xrm import load_dataset
-    from xrm.oracles import OracleConfig, reference_primal_solver
+    from xrm.oracles import reference_primal_solver
 
     rng = np.random.default_rng(33)
     data = random_instance(rng, n_max=25, m_max=5)
@@ -383,6 +414,5 @@ def test_single_component_matches_reference_optimum(tmp_path):
                "--model", str(tmp_path / "m.json"), "--out", str(report_path)])
     assert rc == 0
     final = json.loads(report_path.read_text())["objective_trace"][-1]
-    _, _, best = reference_primal_solver(load_dataset(path), 2.0, 1, 2.0,
-                                         OracleConfig(max_iters=30_000))
+    _, _, best = reference_primal_solver(load_dataset(path), 2.0, 1, 2.0, max_iters=30_000)
     assert abs(final - best) / best <= 1e-3

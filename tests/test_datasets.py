@@ -1,5 +1,6 @@
 import io
 import math
+import tracemalloc
 
 import hypothesis.extra.numpy as hnp
 import hypothesis.strategies as st
@@ -351,6 +352,55 @@ class TestDataSetValidation:
         data = DataSet(X=np.ones((1, 2)), y=np.array([1.0, -1.0]))
         with pytest.raises(ValueError):
             data.X[0, 0] = 5.0
+
+    def test_caller_arrays_are_copied(self):
+        X, y = np.ones((2, 3)), np.array([1.0, -1.0, 1.0])
+        data = DataSet(X=X, y=y)
+        X[0, 0], y[0] = 5.0, -1.0
+        np.testing.assert_array_equal(data.X, np.ones((2, 3)))
+        np.testing.assert_array_equal(data.y, [1.0, -1.0, 1.0])
+
+
+def _text_like(M=2000, N=400, per_instance=100, seed=0) -> DataSet:
+    """Sparse bag-of-words-like data: ``per_instance`` log counts per instance."""
+    rng = np.random.default_rng(seed)
+    X = np.zeros((M, N))
+    for i in range(N):
+        X[rng.choice(M, size=per_instance, replace=False), i] = np.log1p(
+            rng.geometric(0.5, size=per_instance))
+    return DataSet(X=X, y=np.where(np.arange(N) % 2 == 0, 1.0, -1.0))
+
+
+def _peak_bytes(action):
+    """Peak bytes allocated while ``action()`` runs, and its result."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = action()
+        return tracemalloc.get_traced_memory()[1] - before, result
+    finally:
+        if started:
+            tracemalloc.stop()
+
+
+class TestOneCopyOfX:
+    # The matrices that parse, split and standardize allocate become the new
+    # data set's X as they are; a second copy would double these peaks.
+    def test_parse_peak(self):
+        text = format_sparse_text(_text_like())
+        peak, data = _peak_bytes(lambda: parse_sparse_text(text))
+        assert data.X.shape == (2000, 400)
+        assert peak < 2 * data.X.nbytes
+
+    def test_standardize_and_split_peaks(self):
+        data = _text_like()
+        peak, scaled = _peak_bytes(lambda: standardize(data))
+        assert peak < 2 * scaled.X.nbytes
+        peak, _ = _peak_bytes(lambda: split(data, SplitSpec(train_size=200), 0))
+        assert peak < 1.5 * data.X.nbytes
 
 
 class TestSplit:

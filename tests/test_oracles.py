@@ -4,7 +4,6 @@ import pytest
 from conftest import random_instance
 from xrm import DataSet
 from xrm.oracles import (
-    OracleConfig,
     joint_objective,
     reference_primal_solver,
     scalar_e_minimizer,
@@ -34,15 +33,15 @@ class TestReferencePrimalSolver:
         rng = np.random.default_rng(1)
         data = DataSet(X=rng.normal(size=(3, 8)), y=rng.choice([-1.0, 1.0], 8))
         W, b, best = reference_primal_solver(data, lam=0.0, components=2, p=2.0,
-                                             config=OracleConfig(max_iters=100))
+                                             max_iters=100)
         np.testing.assert_allclose(W, 0.0)
         assert best == 0.0
 
     def test_more_iterations_never_hurt(self):
         rng = np.random.default_rng(2)
         data = random_instance(rng, n_max=15, m_max=4)
-        short = reference_primal_solver(data, 2.0, 2, 1.0, OracleConfig(max_iters=2000))[2]
-        long = reference_primal_solver(data, 2.0, 2, 1.0, OracleConfig(max_iters=4000))[2]
+        short = reference_primal_solver(data, 2.0, 2, 1.0, max_iters=2000)[2]
+        long = reference_primal_solver(data, 2.0, 2, 1.0, max_iters=4000)[2]
         assert long <= short
 
     def test_rejects_other_powers(self):
@@ -51,17 +50,23 @@ class TestReferencePrimalSolver:
         with pytest.raises(ValueError):
             reference_primal_solver(data, 1.0, 1, 1.5)
 
+    @pytest.mark.parametrize("max_iters", [0, -1])
+    def test_rejects_empty_run(self, max_iters):
+        data = random_instance(np.random.default_rng(3))
+        with pytest.raises(ValueError, match="max_iters must be at least 1"):
+            reference_primal_solver(data, 1.0, 1, 2.0, max_iters=max_iters)
+
     def test_best_matches_reported_iterate(self):
         rng = np.random.default_rng(4)
         data = random_instance(rng, n_max=12, m_max=3)
-        W, b, best = reference_primal_solver(data, 0.5, 2, 2.0, OracleConfig(max_iters=3000))
+        W, b, best = reference_primal_solver(data, 0.5, 2, 2.0, max_iters=3000)
         assert joint_objective(W, b, data, 0.5, 2.0) == pytest.approx(best)
 
     def test_deterministic(self):
         rng = np.random.default_rng(5)
         data = random_instance(rng, n_max=10, m_max=3)
-        first = reference_primal_solver(data, 1.0, 2, 1.0, OracleConfig(max_iters=500))
-        second = reference_primal_solver(data, 1.0, 2, 1.0, OracleConfig(max_iters=500))
+        first = reference_primal_solver(data, 1.0, 2, 1.0, max_iters=500)
+        second = reference_primal_solver(data, 1.0, 2, 1.0, max_iters=500)
         np.testing.assert_array_equal(first[0], second[0])
         assert first[2] == second[2]
 

@@ -11,21 +11,6 @@ from xrm.diversity import exclusivity_regularizer
 from xrm.model import EnsembleModel, average_component_loss
 
 
-def _state(W=None, b=None, E=None, P=None, Q=None, Z=None, mu=1.0):
-    shapes = [a.shape for a in (W, P, Q) if a is not None]
-    M, C = shapes[0]
-    N = E.shape[0] if E is not None else (Z.shape[0] if Z is not None else 1)
-    return solver.SolverState(
-        W=W if W is not None else np.ones((M, C)),
-        b=b if b is not None else np.zeros(C),
-        E=E if E is not None else np.zeros((N, C)),
-        P=P if P is not None else np.zeros((M, C)),
-        Q=Q if Q is not None else np.zeros((M, C)),
-        Z=Z if Z is not None else np.zeros((N, C)),
-        mu=mu,
-    )
-
-
 def _objective(W, b, data, lam, p, multiplicity=1):
     """``solver.primal_objective`` with X^T W formed directly."""
     return solver.primal_objective(W, b, data.X.T @ W, data.y, lam, p, multiplicity)
@@ -60,34 +45,36 @@ def _count_products_with_x(data, config):
 
 def _reference_train(data, config):
     """The outer loop of ``solver.train`` carried on all C columns: the public
-    block functions with unit multiplicity from the symmetric start
-    ``make_initial_state(data, C)``.  Returns the final state and the
-    objective and residual traces, the iteration count and the stop reason."""
+    block functions with unit multiplicity from the symmetric start (Q all
+    ones, every other block zero, mu = ``MU_INIT``).  Returns the final W and
+    b, the objective and residual traces, the iteration count and the stop
+    reason."""
     C = config.components
-    Y = np.broadcast_to(data.y[:, None], (data.y.size, C))
+    M, N = data.X.shape
+    Y = np.broadcast_to(data.y[:, None], (N, C))
     solve_gram = solver.factor_gram(data.X)
-    state = solver.make_initial_state(data, C)
-    XtP = np.zeros_like(state.E)
+    P, Q, mu = np.zeros((M, C)), np.ones((M, C)), solver.MU_INIT
+    E, Z = np.zeros((N, C)), np.zeros((N, C))
+    XtP = np.zeros_like(E)
     objectives, residuals = [], []
     stop_reason = "max_iters"
     for iteration in range(1, config.outer_max_iters + 1):
-        Z_over_mu = state.Z / state.mu
-        W = solver.solve_w_subproblem(state)
-        b = solver.update_b(state, data, XtP, Z_over_mu)
-        E, _ = solver.update_E(Y - XtP - b[None, :] - Z_over_mu, Y, config.lam, state.mu,
+        Z_over_mu = Z / mu
+        W = solver.solve_w_subproblem(P, Q, mu)
+        b = solver.update_b(data.y, E, XtP, Z_over_mu)
+        E, _ = solver.update_E(Y - XtP - b[None, :] - Z_over_mu, Y, config.lam, mu,
                                config.loss_power)
-        P, _ = solver.update_P(state, data, W, E, b, solve_gram, Z_over_mu, data.X.T @ W,
-                               data.X.T @ state.Q)
+        P, _ = solver.update_P(solve_gram, W, Q, data.X.T @ W, data.X.T @ Q, mu,
+                               Y - b[None, :] - Z_over_mu - E)
         XtP = data.X.T @ P
         gaps = solver.constraint_gaps(W, b, E, P, XtP, data.y)
-        Z, Q, mu = solver.update_multipliers(state, *gaps, config.rho)
+        Z, Q, mu = solver.update_multipliers(Z, Q, mu, *gaps, config.rho)
         residuals.append(solver.constraint_residuals(*gaps))
-        state = solver.SolverState(W=W, b=b, E=E, P=P, Q=Q, Z=Z, mu=mu, iteration=iteration)
         objectives.append(_objective(W, b, data, config.lam, config.loss_power))
         if len(objectives) > 1 and abs(objectives[-1] - objectives[-2]) < config.outer_tol:
             stop_reason = "objective_change"
             break
-    return state, objectives, residuals, state.iteration, stop_reason
+    return W, b, objectives, residuals, iteration, stop_reason
 
 
 def _bisection_reference(a, k, p, tol):
@@ -120,41 +107,28 @@ class TestConfig:
         {"lam": 0.0}, {"components": 0}, {"loss_power": 0.5}, {"rho": 1.0},
         {"lam": -1.0}, {"loss_power": 0.0}, {"rho": 0.5}, {"outer_tol": 0.0},
         {"outer_max_iters": 0},
+        {"lam": np.nan}, {"loss_power": np.nan}, {"rho": np.nan}, {"outer_tol": np.nan},
+        {"lam": np.inf}, {"loss_power": np.inf}, {"rho": np.inf}, {"outer_tol": np.inf},
     ])
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
             SolverConfig(**kwargs)
 
 
-class TestInitialState:
-    def test_starting_point(self):
-        data = DataSet(X=np.ones((3, 5)), y=np.array([1.0, -1.0, 1.0, -1.0, 1.0]))
-        state = solver.make_initial_state(data, 2)
-        np.testing.assert_array_equal(state.W, np.zeros((3, 2)))
-        np.testing.assert_array_equal(state.b, np.zeros(2))
-        np.testing.assert_array_equal(state.P, np.zeros((3, 2)))
-        np.testing.assert_array_equal(state.Q, np.ones((3, 2)))
-        np.testing.assert_array_equal(state.Z, np.zeros((5, 2)))
-        assert state.mu == 1.0
-
-
 class TestWSubproblem:
     def test_penalty_dominated_limit(self):
         P = np.array([[0.3, -0.2], [1.0, 0.5]])
         Q = np.array([[0.1, 0.4], [-0.3, 0.2]])
-        state = _state(W=np.ones((2, 2)), P=P, Q=Q, mu=1e8)
-        W = solver.solve_w_subproblem(state)
+        W = solver.solve_w_subproblem(P, Q, 1e8)
         np.testing.assert_allclose(W, P, atol=1e-6)
 
     def test_zero_inputs_give_zero_row(self):
-        state = _state(W=np.ones((1, 3)), P=np.zeros((1, 3)), Q=np.zeros((1, 3)), mu=1.0)
-        W = solver.solve_w_subproblem(state)
+        W = solver.solve_w_subproblem(np.zeros((1, 3)), np.zeros((1, 3)), 1.0)
         np.testing.assert_allclose(W, 0.0, atol=1e-12)
 
     def test_known_symmetric_solution(self):
         # with targets (1, 1) and mu = 1 the row optimum is (1/3, 1/3)
-        state = _state(W=np.ones((1, 2)), P=np.array([[1.0, 1.0]]), Q=np.zeros((1, 2)), mu=1.0)
-        W = solver.solve_w_subproblem(state)
+        W = solver.solve_w_subproblem(np.array([[1.0, 1.0]]), np.zeros((1, 2)), 1.0)
         np.testing.assert_allclose(W, [[1 / 3, 1 / 3]], atol=1e-6)
 
     def test_matches_reference_on_random_rows(self):
@@ -164,8 +138,7 @@ class TestWSubproblem:
             P_row = rng.normal(size=(1, C))
             Q_row = rng.normal(size=(1, C))
             mu = float(rng.uniform(0.2, 5.0))
-            state = _state(W=np.ones((1, C)), P=P_row, Q=Q_row, mu=mu)
-            W = solver.solve_w_subproblem(state)
+            W = solver.solve_w_subproblem(P_row, Q_row, mu)
             reference = oracles.w_row_reference(P_row[0], Q_row[0], mu)
             ours = oracles.w_row_objective(W[0], P_row[0], Q_row[0], mu)
             best = oracles.w_row_objective(reference, P_row[0], Q_row[0], mu)
@@ -174,8 +147,9 @@ class TestWSubproblem:
     def test_hand_computed_exact_zeros(self):
         # v = (3, 1, 0.2), mu = 1: only the largest entry survives the
         # threshold 3 / (1 + 1) = 1.5, and the others are exactly zero
-        state = _state(P=np.array([[3.0, 1.0, 0.2]]), Q=np.zeros((1, 3)), mu=1.0)
-        np.testing.assert_array_equal(solver.solve_w_subproblem(state), [[1.5, 0.0, 0.0]])
+        np.testing.assert_array_equal(
+            solver.solve_w_subproblem(np.array([[3.0, 1.0, 0.2]]), np.zeros((1, 3)), 1.0),
+            [[1.5, 0.0, 0.0]])
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -193,8 +167,7 @@ class TestWSubproblem:
         # |v_c| <= ||w||_1 / mu where w_c == 0.  Both are checked multiplied
         # by mu, because dividing the rounding error of ||w||_1 by a small mu
         # would swamp the tolerance, which is relative to the size of v.
-        state = _state(P=V, Q=np.zeros_like(V), mu=mu)
-        W = solver.solve_w_subproblem(state)
+        W = solver.solve_w_subproblem(V, np.zeros_like(V), mu)
         for v, w in zip(V, W):
             l1 = np.abs(w).sum()
             tol = 1e-12 * (1.0 + mu) * max(1.0, float(np.abs(v).max()))
@@ -228,8 +201,7 @@ class TestWSubproblem:
         tol = 1e-12 * max(1.0, float(np.abs(V).max()))
         for c in range(C):
             repeated = np.repeat(V[:, c, None], m, axis=1)
-            expanded = solver.solve_w_subproblem(_state(P=repeated, Q=np.zeros_like(repeated),
-                                                        mu=mu))
+            expanded = solver.solve_w_subproblem(repeated, np.zeros_like(repeated), mu)
             np.testing.assert_array_equal(expanded, np.repeat(expanded[:, :1], m, axis=1))
             np.testing.assert_allclose(expanded[:, 0], V[:, c] * mu / (mu + m), rtol=0.0, atol=tol)
 
@@ -237,8 +209,7 @@ class TestWSubproblem:
         rng = np.random.default_rng(31)
         P, Q = rng.normal(size=(6, 1)), rng.normal(size=(6, 1))
         for C, mu in ((1, 1.0), (7, 0.3), (30, 2.5)):
-            W = solver.solve_w_subproblem(_state(P=np.repeat(P, C, axis=1),
-                                                 Q=np.repeat(Q, C, axis=1), mu=mu))
+            W = solver.solve_w_subproblem(np.repeat(P, C, axis=1), np.repeat(Q, C, axis=1), mu)
             np.testing.assert_allclose(W, np.repeat((P + Q / mu) * mu / (mu + C), C, axis=1),
                                        rtol=1e-14)
 
@@ -248,29 +219,26 @@ class TestUpdateB:
         data = DataSet(X=np.zeros((1, 2)), y=np.array([1.0, -1.0]))
         # choose E so that the residual matrix has one column equal to (1, 3)
         E = data.y[:, None] - np.array([[1.0], [3.0]])
-        state = _state(W=np.ones((1, 1)), E=E, P=np.zeros((1, 1)), Z=np.zeros((2, 1)))
-        assert solver.update_b(state, data, data.X.T @ state.P,
-                               state.Z / state.mu) == pytest.approx(np.array([2.0]))
+        assert solver.update_b(data.y, E, data.X.T @ np.zeros((1, 1)),
+                               np.zeros((2, 1))) == pytest.approx(np.array([2.0]))
 
     def test_zero_residual(self):
         data = DataSet(X=np.zeros((1, 3)), y=np.array([1.0, -1.0, 1.0]))
-        state = _state(W=np.ones((1, 2)), E=data.y[:, None] * np.ones((1, 2)),
-                       P=np.zeros((1, 2)), Z=np.zeros((3, 2)))
-        np.testing.assert_allclose(solver.update_b(state, data, data.X.T @ state.P,
-                                                   state.Z / state.mu), np.zeros(2))
+        E = data.y[:, None] * np.ones((1, 2))
+        np.testing.assert_allclose(solver.update_b(data.y, E, data.X.T @ np.zeros((1, 2)),
+                                                   np.zeros((3, 2))), np.zeros(2))
 
     def test_minimizes_by_finite_differences(self):
         rng = np.random.default_rng(19)
         M, N, C = 3, 7, 2
         data = DataSet(X=rng.normal(size=(M, N)), y=rng.choice([-1.0, 1.0], N))
-        state = _state(W=rng.normal(size=(M, C)), E=rng.normal(size=(N, C)),
-                       P=rng.normal(size=(M, C)), Z=rng.normal(size=(N, C)),
-                       Q=rng.normal(size=(M, C)), mu=1.7)
-        b = solver.update_b(state, data, data.X.T @ state.P, state.Z / state.mu)
+        E, P, Z, mu = (rng.normal(size=(N, C)), rng.normal(size=(M, C)),
+                       rng.normal(size=(N, C)), 1.7)
+        b = solver.update_b(data.y, E, data.X.T @ P, Z / mu)
 
         def penalty(b_vec):
-            resid = state.E - data.y[:, None] + data.X.T @ state.P + b_vec[None, :]
-            return 0.5 * state.mu * (resid**2).sum() + (state.Z * resid).sum()
+            resid = E - data.y[:, None] + data.X.T @ P + b_vec[None, :]
+            return 0.5 * mu * (resid**2).sum() + (Z * resid).sum()
 
         h = 1e-6
         for c in range(C):
@@ -355,10 +323,9 @@ class TestUpdateP:
         data = DataSet(X=np.zeros((2, 3)), y=np.array([1.0, -1.0, 1.0]))
         W = np.array([[1.0, 2.0], [3.0, 4.0]])
         Q = np.array([[0.5, 0.0], [0.0, 0.5]])
-        state = _state(W=W, Q=Q, E=np.zeros((3, 2)), P=np.zeros((2, 2)), Z=np.zeros((3, 2)), mu=2.0)
         K = solver.factor_gram(data.X)
-        P, XtP = solver.update_P(state, data, W, np.zeros((3, 2)), np.zeros(2), K,
-                                 state.Z / state.mu, data.X.T @ W, data.X.T @ Q)
+        u = np.repeat(data.y[:, None], 2, axis=1)  # Y - 1 b^T - Z/mu - E with b, Z, E zero
+        P, XtP = solver.update_P(K, W, Q, data.X.T @ W, data.X.T @ Q, 2.0, u)
         np.testing.assert_allclose(P, W - Q / 2.0)
         np.testing.assert_array_equal(XtP, np.zeros((3, 2)))
 
@@ -370,13 +337,12 @@ class TestUpdateP:
             W = rng.normal(size=(M, C))
             E = rng.normal(size=(N, C))
             b = rng.normal(size=C)
-            state = _state(W=W, E=E, P=rng.normal(size=(M, C)), Q=rng.normal(size=(M, C)),
-                           Z=rng.normal(size=(N, C)), mu=1.3)
+            rng.normal(size=(M, C))  # a P, drawn only to keep the random stream
+            Q, Z, mu = rng.normal(size=(M, C)), rng.normal(size=(N, C)), 1.3
             K = solver.factor_gram(data.X)
-            P, XtP = solver.update_P(state, data, W, E, b, K, state.Z / state.mu,
-                                     data.X.T @ W, data.X.T @ state.Q)
-            R = data.y[:, None] - b[None, :] - state.Z / state.mu
-            rhs = W - state.Q / state.mu + data.X @ (R - E)
+            R = data.y[:, None] - b[None, :] - Z / mu
+            P, XtP = solver.update_P(K, W, Q, data.X.T @ W, data.X.T @ Q, mu, R - E)
+            rhs = W - Q / mu + data.X @ (R - E)
             expected = np.linalg.solve(np.eye(M) + data.X @ data.X.T, rhs)
             np.testing.assert_allclose(P, expected, atol=1e-8)
             np.testing.assert_allclose(XtP, data.X.T @ P, rtol=0.0, atol=1e-12)
@@ -388,17 +354,17 @@ class TestUpdateP:
             W = rng.normal(size=(M, C))
             E = rng.normal(size=(N, C))
             b = rng.normal(size=C)
-            state = _state(W=W, E=E, P=rng.normal(size=(M, C)), Q=rng.normal(size=(M, C)),
-                           Z=rng.normal(size=(N, C)), mu=0.9)
+            rng.normal(size=(M, C))  # a P, drawn only to keep the random stream
+            Q, Z, mu = rng.normal(size=(M, C)), rng.normal(size=(N, C)), 0.9
             K = solver.factor_gram(data.X)
-            P, _ = solver.update_P(state, data, W, E, b, K, state.Z / state.mu,
-                                   data.X.T @ W, data.X.T @ state.Q)
+            P, _ = solver.update_P(K, W, Q, data.X.T @ W, data.X.T @ Q, mu,
+                                   data.y[:, None] - b[None, :] - Z / mu - E)
 
             def objective(P_mat):
                 split = P_mat - W
                 slack = E - data.y[:, None] + data.X.T @ P_mat + b[None, :]
-                return (0.5 * state.mu * (split**2).sum() + (state.Q * split).sum()
-                        + 0.5 * state.mu * (slack**2).sum() + (state.Z * slack).sum())
+                return (0.5 * mu * (split**2).sum() + (Q * split).sum()
+                        + 0.5 * mu * (slack**2).sum() + (Z * slack).sum())
 
             h = 1e-6
             worst = 0.0
@@ -457,11 +423,11 @@ class TestMultipliers:
         W = np.ones((2, 2))
         b = np.zeros(2)
         E = data.y[:, None] * np.ones((1, 2))  # feasible: E = Y - X^T P - 1 b^T with X = 0
-        state = _state(W=W, E=E, P=W.copy(), Q=np.ones((2, 2)), Z=np.ones((3, 2)), mu=1.0)
+        Q0, Z0 = np.ones((2, 2)), np.ones((3, 2))
         gaps = solver.constraint_gaps(W, b, E, W.copy(), data.X.T @ W, data.y)
-        Z, Q, mu = solver.update_multipliers(state, *gaps, rho=1.1)
-        np.testing.assert_array_equal(Z, state.Z)
-        np.testing.assert_array_equal(Q, state.Q)
+        Z, Q, mu = solver.update_multipliers(Z0, Q0, 1.0, *gaps, rho=1.1)
+        np.testing.assert_array_equal(Z, Z0)
+        np.testing.assert_array_equal(Q, Q0)
         assert mu == pytest.approx(1.1)
 
     def test_unit_residual_steps_by_mu(self):
@@ -469,20 +435,19 @@ class TestMultipliers:
         W = np.zeros((2, 2))
         P = W + 1.0
         E = data.y[:, None] * np.ones((1, 2)) + 1.0
-        state = _state(W=W, E=E, P=P, Q=np.zeros((2, 2)), Z=np.zeros((2, 2)), mu=2.0)
         gaps = solver.constraint_gaps(W, np.zeros(2), E, P, data.X.T @ P, data.y)
-        Z, Q, mu = solver.update_multipliers(state, *gaps, rho=1.5)
+        Z, Q, mu = solver.update_multipliers(np.zeros((2, 2)), np.zeros((2, 2)), 2.0, *gaps,
+                                             rho=1.5)
         np.testing.assert_allclose(Q, np.full((2, 2), 2.0))
         np.testing.assert_allclose(Z, np.full((2, 2), 2.0))
         assert mu == 3.0
 
     def test_mu_cap(self):
         data = DataSet(X=np.zeros((1, 1)), y=np.array([1.0]))
-        state = _state(W=np.zeros((1, 1)), E=np.ones((1, 1)), P=np.zeros((1, 1)),
-                       Z=np.zeros((1, 1)), mu=9e9)
         gaps = solver.constraint_gaps(np.zeros((1, 1)), np.zeros(1), np.ones((1, 1)),
                                       np.zeros((1, 1)), data.X.T @ np.zeros((1, 1)), data.y)
-        _, _, mu = solver.update_multipliers(state, *gaps, rho=2.0)
+        _, _, mu = solver.update_multipliers(np.zeros((1, 1)), np.zeros((1, 1)), 9e9, *gaps,
+                                             rho=2.0)
         assert mu == 1e10
 
 
@@ -527,9 +492,8 @@ class TestResiduals:
         W = rng.normal(size=(3, 2))
         b = rng.normal(size=2)
         E = data.y[:, None] - data.X.T @ W - b[None, :]
-        state = _state(W=W, b=b, E=E, P=W.copy(), Z=np.zeros((5, 2)))
-        gaps = solver.constraint_gaps(state.W, state.b, state.E, state.P,
-                                      data.X.T @ state.P, data.y)
+        P = W.copy()
+        gaps = solver.constraint_gaps(W, b, E, P, data.X.T @ P, data.y)
         np.testing.assert_allclose(solver.constraint_residuals(*gaps), (0.0, 0.0),
                                    atol=1e-12)
 
@@ -537,9 +501,8 @@ class TestResiduals:
         data = DataSet(X=np.zeros((3, 4)), y=np.ones(4))
         W = np.zeros((3, 2))
         E = np.ones((4, 1)) * np.array([[1.0, 1.0]])
-        state = _state(W=W, b=np.zeros(2), E=E + 0.0, P=W + 1.0, Z=np.zeros((4, 2)))
-        gaps = solver.constraint_gaps(state.W, state.b, state.E, state.P,
-                                      data.X.T @ state.P, data.y)
+        P = W + 1.0
+        gaps = solver.constraint_gaps(W, np.zeros(2), E, P, data.X.T @ P, data.y)
         first, _ = solver.constraint_residuals(*gaps)
         assert first == pytest.approx(np.sqrt(3 * 2))
 
@@ -560,24 +523,23 @@ class TestColumnSymmetry:
         rng = np.random.default_rng(34)
         M, N, C = 4, 9, 5
         data = DataSet(X=rng.normal(size=(M, N)), y=rng.choice([-1.0, 1.0], N))
-        state = _state(W=rng.normal(size=(M, C)), b=rng.normal(size=C), E=rng.normal(size=(N, C)),
-                       P=rng.normal(size=(M, C)), Q=rng.normal(size=(M, C)),
-                       Z=rng.normal(size=(N, C)), mu=1.7)
+        rng.normal(size=(M, C)), rng.normal(size=C)  # a W and b, drawn only to keep the stream
+        state = dict(E=rng.normal(size=(N, C)), P=rng.normal(size=(M, C)),
+                     Q=rng.normal(size=(M, C)), Z=rng.normal(size=(N, C)))
         perm = rng.permutation(C)
-        swapped = _state(W=state.W[:, perm], b=state.b[perm], E=state.E[:, perm],
-                         P=state.P[:, perm], Q=state.Q[:, perm], Z=state.Z[:, perm], mu=state.mu)
+        swapped = {name: value[:, perm] for name, value in state.items()}
         solve_gram = solver.factor_gram(data.X)
         Y = np.broadcast_to(data.y[:, None], (N, C))
 
-        def blocks(s):
-            XtP, Z_over_mu = data.X.T @ s.P, s.Z / s.mu
-            W = solver.solve_w_subproblem(s)
-            b = solver.update_b(s, data, XtP, Z_over_mu)
-            E, _ = solver.update_E(Y - XtP - b[None, :] - Z_over_mu, Y, 2.0, s.mu, 1.5)
-            P, _ = solver.update_P(s, data, W, E, b, solve_gram, Z_over_mu, data.X.T @ W,
-                                   data.X.T @ s.Q)
+        def blocks(s, mu=1.7):
+            XtP, Z_over_mu = data.X.T @ s["P"], s["Z"] / mu
+            W = solver.solve_w_subproblem(s["P"], s["Q"], mu)
+            b = solver.update_b(data.y, s["E"], XtP, Z_over_mu)
+            E, _ = solver.update_E(Y - XtP - b[None, :] - Z_over_mu, Y, 2.0, mu, 1.5)
+            P, _ = solver.update_P(solve_gram, W, s["Q"], data.X.T @ W, data.X.T @ s["Q"], mu,
+                                   Y - b[None, :] - Z_over_mu - E)
             gaps = solver.constraint_gaps(W, b, E, P, data.X.T @ P, data.y)
-            Z, Q, mu = solver.update_multipliers(s, *gaps, rho=1.1)
+            Z, Q, mu = solver.update_multipliers(s["Z"], s["Q"], mu, *gaps, rho=1.1)
             return W, b, E, P, Z, Q, mu
 
         W, b, E, P, Z, Q, mu = blocks(state)
@@ -592,6 +554,18 @@ class TestColumnSymmetry:
 
 
 class TestTrain:
+    @pytest.mark.parametrize("components", [1, 3, 7])
+    @pytest.mark.parametrize("shape", [(40, 5), (12, 30)], ids=["features", "instances"])
+    def test_first_iteration_from_the_start(self, shape, components):
+        # From Q = 1, P = E = Z = 0 and mu = 1 the first W shrink gives
+        # (0 + 1/1) * 1/(1 + C) and the first bias the mean of y.
+        N, M = shape
+        data = make_blobs(N, M, seed=components)
+        model, report = train(data, SolverConfig(components=components, outer_max_iters=1))
+        assert report.iterations == 1
+        assert np.all(model.W == 1.0 / (1.0 + components))
+        assert np.all(model.b == np.mean(data.y))
+
     def test_two_point_problem(self):
         data = DataSet(X=np.array([[1.0, -1.0]]), y=np.array([1.0, -1.0]))
         config = SolverConfig(lam=2.0, components=2, loss_power=2.0,
@@ -737,16 +711,16 @@ class TestTrain:
         data = make_blobs(N, M, seed=int(10 * power) + components)
         config = SolverConfig(components=components, loss_power=power)
         model, report = train(data, config)
-        state, objectives, residuals, iterations, stop_reason = _reference_train(data, config)
+        W, b, objectives, residuals, iterations, stop_reason = _reference_train(data, config)
         assert report.iterations == iterations
         assert report.stop_reason == stop_reason
         np.testing.assert_allclose(report.objective_trace, objectives, rtol=1e-12)
         np.testing.assert_allclose(report.residual_trace, residuals, rtol=1e-9, atol=1e-12)
-        scale = max(1.0, float(np.abs(state.W).max()))
-        np.testing.assert_allclose(model.W, state.W, rtol=0.0, atol=1e-12 * scale)
-        np.testing.assert_allclose(model.b, state.b, rtol=0.0, atol=1e-12 * max(1.0, np.abs(state.b).max()))
+        scale = max(1.0, float(np.abs(W).max()))
+        np.testing.assert_allclose(model.W, W, rtol=0.0, atol=1e-12 * scale)
+        np.testing.assert_allclose(model.b, b, rtol=0.0, atol=1e-12 * max(1.0, np.abs(b).max()))
         # the reference's columns coincide too: the start and the blocks are symmetric
-        assert np.ptp(state.W, axis=1).max() <= 1e-12 * scale
+        assert np.ptp(W, axis=1).max() <= 1e-12 * scale
 
     def test_products_with_x_have_one_column(self):
         # Every product with X inside the loop is with a single column,
