@@ -113,9 +113,8 @@ def _load(path: str) -> datasets.DataSet:
     return datasets.load_dataset(path)
 
 
-def _trial_sets(data, args, trial: int):
+def _trial_sets(data, spec, args, trial: int):
     """The (train, test) split of one trial, standardized if asked."""
-    spec = datasets.SplitSpec(train_size=args.train_size, seed=args.seed, trials=args.trials)
     train_set, test_set = datasets.split(data, spec, trial)
     if args.standardize:
         train_set, test_set = datasets.standardize(train_set, test_set)
@@ -189,8 +188,9 @@ def cmd_eval(args) -> int:
         payload = {"error_percent": error, "data": str(args.data), "model": str(args.model)}
         print(f"test error: {error:.2f}%")
     else:
+        spec = datasets.SplitSpec(train_size=args.train_size, seed=args.seed, trials=args.trials)
         config = _make_config(args)
-        results = [_run_trial(*_trial_sets(data, args, trial), args, config, trial)
+        results = [_run_trial(*_trial_sets(data, spec, args, trial), args, config, trial)
                    for trial in range(args.trials)]
         errors = np.array([100.0 * r["test_error"] for r in results])
         mean = float(errors.mean())
@@ -215,13 +215,14 @@ def cmd_sweep(args) -> int:
     data = _load(args.data)
     if not args.lam_grid or not args.component_grid:
         raise ValueError("sweep grids must be nonempty")
+    spec = datasets.SplitSpec(train_size=args.train_size, seed=args.seed, trials=args.trials)
     grid = [(lam, components, _make_config(args, lam=lam, components=components))
             for lam in args.lam_grid for components in args.component_grid]
     # One split per trial, shared by the whole grid; rows are written in
     # (lambda, components, trial) order.
     by_trial = []
     for trial in range(args.trials):
-        train_set, test_set = _trial_sets(data, args, trial)
+        train_set, test_set = _trial_sets(data, spec, args, trial)
         by_trial.append([(lam, components, _run_trial(train_set, test_set, args, config, trial))
                          for lam, components, config in grid])
     rows = [[_fmt(lam), components, result["trial"],
@@ -241,6 +242,8 @@ def cmd_bench(args) -> int:
     data = _load(args.data)
     if not args.sizes:
         raise ValueError("--sizes must be nonempty")
+    if args.runs < 1:
+        raise ValueError("--runs must be positive")
     N = data.instance_count
     config = _make_config(args)
     rows = []

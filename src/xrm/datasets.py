@@ -10,11 +10,12 @@ that strictly increase along a line; values are finite floats.  Tokens are
 read exactly as ``int()`` and ``float()`` read them.  Blank lines are skipped,
 and lines are counted at ``\\n`` (a file read in text mode also ends lines at
 ``\\r\\n`` and ``\\r``); :func:`load_dataset` ignores a leading UTF-8
-byte-order mark.  A parse splits each line into tokens and then converts and
-checks all tokens in whole-input passes; it reports the first defect in line
-and token order.  :func:`format_sparse_text` writes nonzero entries as
-shortest round-trip floats and pins the feature count with ``M:0.0`` when the
-last feature is all zero.
+byte-order mark.  A parse splits each line into tokens, then converts and
+checks all tokens in whole-input passes that only accept or reject the input.
+Rejected input is read again token by token, in line order, to report its
+first defect with its line number.  :func:`format_sparse_text` writes nonzero
+entries as shortest round-trip floats and pins the feature count with
+``M:0.0`` when the last feature is all zero.
 
 Internally instances are stored as columns of a dense matrix (benchmark
 datasets here are small) and labels live in {-1, +1}.
@@ -22,8 +23,10 @@ datasets here are small) and labels live in {-1, +1}.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NoReturn
 
 import numpy as np
 
@@ -127,105 +130,40 @@ def map_labels(raw_labels) -> np.ndarray:
     return np.where(raw == values[1], 1.0, -1.0)
 
 
-def _convert_prefix(kind, tokens) -> list:
-    """Apply ``kind`` (``int`` or ``float``) to ``tokens`` in one pass that
-    stops at the first token it rejects, so the length of the result is the
-    position of that token (``len(tokens)`` when all of them convert)."""
-    converted = []
-    try:
-        converted.extend(map(kind, tokens))  # keeps what was converted before the error
-    except ValueError:
-        pass
-    return converted
+def _raise_first_defect(label_tokens, entry_texts, line_numbers) -> NoReturn:
+    """Raise :class:`SparseFormatError` for the first defect of rejected input,
+    read one label and one ``index:value`` token at a time in line order.
 
-
-def _first(mask: np.ndarray) -> int:
-    """Position of the first True in ``mask``, or its length when none is."""
-    hits = np.flatnonzero(mask)
-    return int(hits[0]) if hits.size else mask.size
-
-
-def _token(joined: str, position: int) -> str:
-    """The token at ``position`` of tokens joined by single spaces."""
-    return joined.split(" ", position + 1)[position]
-
-
-def _label_defect(tokens: list, labels: list):
-    """(instance, 0, message) for the first label that is not a finite number, or None."""
-    not_finite = _first(~np.isfinite(np.array(labels, dtype=float)))
-    if not_finite < len(labels):
-        return not_finite, 0, f"label {tokens[not_finite]!r} is not finite"
-    if len(labels) < len(tokens):
-        return len(labels), 0, f"label {tokens[len(labels)]!r} is not numeric"
-    return None
-
-
-def _entry_arrays(joined: str, instance: np.ndarray):
-    """Feature indices and values of the ``index:value`` tokens in ``joined``,
-    separated by single spaces, and (instance, 1, message) for the first
-    defective token or None; ``instance`` names the instance of each token.
-
-    The tokens are checked, split at every colon and converted by kind in
-    whole-input passes.  The checks run on the tokens before the first one
-    that cannot be split or converted, which is itself the defect when they
-    find none earlier.
+    Input whose tokens hold no defect is rejected for holding no entries: the
+    whole-input checks of :func:`parse_sparse_text` reject nothing else that
+    this reading accepts.
     """
-    count = len(instance)
-    if not count:
-        return np.zeros(0, dtype=np.int64), np.zeros(0), None
-    # Tokens hold no spaces, so the colons and spaces of ``joined`` alternate
-    # ": : ... :" exactly when every token holds one colon.  Where they first
-    # do not, an even position is a token without a colon and an odd one a
-    # token with a second colon.
-    code = np.frombuffer(joined.encode("utf-8", "surrogatepass"), dtype=np.uint8)
-    separators = code[(code == ord(":")) | (code == ord(" "))]
-    span = min(separators.size, 2 * count - 1)
-    wrong = np.empty(span, dtype=bool)
-    wrong[0::2] = separators[0:span:2] != ord(":")
-    wrong[1::2] = separators[1:span:2] != ord(" ")
-    mismatch = _first(wrong)
-    if mismatch == span and separators.size == 2 * count - 1:
-        split_count, parts = count, joined.replace(" ", ":").split(":")
-    else:
-        split_count = mismatch // 2
-        parts = ":".join(joined.split(" ", split_count)[:split_count]).split(":")
-    index_texts, value_texts = parts[0::2], parts[1::2]
-    del parts  # the texts are most of a parse's memory: free each kind once read
-    index = _convert_prefix(int, index_texts)
-    del index_texts
-    values = _convert_prefix(float, value_texts)
-    del value_texts
-    clean = min(len(index), len(values), split_count)
-    del index[clean:], values[clean:]
-    try:
-        index = np.array(index, dtype=np.int64)
-    except OverflowError:  # such an index is read; allocating the matrix rejects it
-        index = np.array(index, dtype=object)
-    values = np.array(values, dtype=float)
-
-    not_finite = _first(~np.isfinite(values))
-    below = _first(index < 1)
-    owner = instance[:clean]
-    rises = (owner[1:] != owner[:-1]) | (index[1:] > index[:-1])
-    no_rise = 1 + _first(~rises)
-    position = min(not_finite, below, no_rise)
-    if position < clean:
-        if position == not_finite:
-            message = f"entry {_token(joined, position)!r} is not finite"
-        elif position == below:
-            message = f"index {index[position]} is not 1-based"
-        else:
-            message = (f"index {index[position]} does not increase "
-                       f"(previous index {index[position - 1]})")
-    elif clean < count:
-        position = clean
-        if clean == split_count and mismatch % 2 == 0:
-            message = f"entry {_token(joined, position)!r} lacks an index:value separator"
-        else:
-            message = f"entry {_token(joined, position)!r} is not numeric"
-    else:
-        return index, values, None
-    return index, values, (int(instance[position]), 1, message)
+    for label, entries, line_number in zip(label_tokens, entry_texts, line_numbers):
+        try:
+            number = float(label)
+        except ValueError:
+            raise SparseFormatError(f"label {label!r} is not numeric", line_number) from None
+        if not math.isfinite(number):
+            raise SparseFormatError(f"label {label!r} is not finite", line_number)
+        previous = 0
+        for token in entries.split():
+            index_text, colon, value_text = token.partition(":")
+            if not colon:
+                raise SparseFormatError(f"entry {token!r} lacks an index:value separator",
+                                        line_number)
+            try:
+                index, value = int(index_text), float(value_text)
+            except ValueError:
+                raise SparseFormatError(f"entry {token!r} is not numeric", line_number) from None
+            if not math.isfinite(value):
+                raise SparseFormatError(f"entry {token!r} is not finite", line_number)
+            if index < 1:
+                raise SparseFormatError(f"index {index} is not 1-based", line_number)
+            if index <= previous:
+                raise SparseFormatError(f"index {index} does not increase "
+                                        f"(previous index {previous})", line_number)
+            previous = index
+    raise SparseFormatError("input contains no feature entries", 0)
 
 
 def parse_sparse_text(source) -> DataSet:
@@ -237,12 +175,17 @@ def parse_sparse_text(source) -> DataSet:
     index seen anywhere; absent indices are zero.  Labels go through
     :func:`map_labels`.
 
+    All tokens are converted and checked in whole-input passes that only
+    accept or reject the input; rejected input is then read token by token
+    to name its first defect.
+
     Raises
     ------
     SparseFormatError
         On a non-numeric or non-finite token, a duplicate or non-increasing
-        index, an index below 1, or input with no instances at all.  The first
-        defect in line and token order is reported, with its line number.
+        index, an index below 1, or input with no instances or no entries at
+        all.  The first defect in line and token order is reported, with its
+        line number.
     """
     lines = source.split("\n") if isinstance(source, str) else source
     label_tokens, entry_texts, line_numbers, counts = [], [], [], []
@@ -256,14 +199,37 @@ def parse_sparse_text(source) -> DataSet:
     if not label_tokens:
         raise SparseFormatError("input contains no instances", 0)
     instance = np.repeat(np.arange(len(counts)), counts)
-    labels = _convert_prefix(float, label_tokens)
-    index, values, entry_defect = _entry_arrays(" ".join(filter(None, entry_texts)), instance)
-    defect = min(filter(None, (_label_defect(label_tokens, labels), entry_defect)), default=None)
-    if defect is not None:
-        row, _, message = defect
-        raise SparseFormatError(message, line_numbers[row])
-    if not index.size:
-        raise SparseFormatError("input contains no feature entries", 0)
+    joined = " ".join(filter(None, entry_texts))
+    try:
+        labels = list(map(float, label_tokens))
+        # Tokens hold no spaces, so the colons and spaces of ``joined``
+        # alternate ": : ... :" exactly when every token holds one colon (and
+        # never when there are no tokens, which is itself a defect).
+        code = np.frombuffer(joined.encode("utf-8", "surrogatepass"), dtype=np.uint8)
+        separators = code[(code == ord(":")) | (code == ord(" "))]
+        del code
+        if (separators.size != 2 * instance.size - 1 or np.any(separators[0::2] != ord(":"))
+                or np.any(separators[1::2] != ord(" "))):
+            raise ValueError("a token does not hold exactly one colon")
+        del separators
+        parts = joined.replace(" ", ":").split(":")
+        index_texts, value_texts = parts[0::2], parts[1::2]
+        del parts, joined  # the texts are most of a parse's memory: free each once read
+        index = list(map(int, index_texts))
+        del index_texts
+        values = np.array(list(map(float, value_texts)))
+        del value_texts
+        try:
+            index = np.array(index, dtype=np.int64)
+        except OverflowError:  # such an index is read; allocating the matrix rejects it
+            index = np.array(index, dtype=object)
+        rises = (instance[1:] != instance[:-1]) | (index[1:] > index[:-1])
+        accepted = (np.all(np.isfinite(labels)) and np.all(np.isfinite(values))
+                    and np.all(index >= 1) and np.all(rises))
+    except ValueError:
+        accepted = False
+    if not accepted:
+        _raise_first_defect(label_tokens, entry_texts, line_numbers)
     X = np.zeros((index.max(), len(counts)))
     X[index - 1, instance] = values
     return DataSet._adopt(X, map_labels(labels))

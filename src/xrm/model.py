@@ -47,6 +47,8 @@ class EnsembleModel:
             raise ValueError(f"W must be a matrix, got shape {W.shape}")
         if b.shape != (W.shape[1],):
             raise ValueError(f"bias length {b.shape} does not match {W.shape[1]} components")
+        if not (np.all(np.isfinite(W)) and np.all(np.isfinite(b))):
+            raise ValueError("weights and biases must be finite")
         if self.scaler is not None and self.scaler.mean.size != W.shape[0]:
             raise ValueError(f"scaler has {self.scaler.mean.size} features but W has {W.shape[0]}")
         object.__setattr__(self, "W", W)

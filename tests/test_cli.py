@@ -281,6 +281,27 @@ class TestEval:
         assert payload["standardize"] is True
         assert len(payload["trial_errors_percent"]) == 2
 
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_non_positive_trials_exit_one(self, tmp_path, blob_file, capsys, trials):
+        out = tmp_path / "eval.json"
+        rc = main(["eval", "--data", str(blob_file), "--train-size", "40", "--trials", trials,
+                   "--out", str(out)])
+        assert rc == 1
+        assert "trials must be positive" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_finite_model_exits_one(self, tmp_path, blob_file, capsys):
+        model_path = tmp_path / "model.json"
+        model_path.write_text(json.dumps({"version": "xrm-model/1", "feature_count": 4,
+                                          "components": 1, "W": [float("nan"), 1.0, 0.0, 0.0],
+                                          "b": [0.0], "lambda": 2.0, "p": 2.0}))
+        out = tmp_path / "e.json"
+        rc = main(["eval", "--data", str(blob_file), "--model", str(model_path),
+                   "--out", str(out)])
+        assert rc == 1
+        assert "finite" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestSweep:
     def test_row_count_and_columns(self, tmp_path, blob_file):
@@ -332,6 +353,14 @@ class TestSweep:
                    "--out", str(tmp_path / "s.csv")])
         assert rc == 1
 
+    def test_non_positive_trials_exit_one(self, tmp_path, blob_file, capsys):
+        out = tmp_path / "s.csv"
+        rc = main(["sweep", "--data", str(blob_file), "--train-size", "40", "--trials", "0",
+                   "--out", str(out)])
+        assert rc == 1
+        assert "trials must be positive" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.fixture
     def noisy_file(self, tmp_path):
         path = tmp_path / "noisy.txt"
@@ -381,6 +410,15 @@ class TestBench:
                    "--out", str(tmp_path / "b.csv")])
         assert rc == 1
         assert "500" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("runs", ["0", "-1"])
+    def test_non_positive_runs_exit_one(self, tmp_path, blob_file, capsys, runs):
+        out = tmp_path / "b.csv"
+        rc = main(["bench", "--data", str(blob_file), "--sizes", "30,120", "--runs", runs,
+                   "--out", str(out)])
+        assert rc == 1
+        assert "--runs must be positive" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_full_dataset_size_allowed(self, tmp_path, blob_file):
         out = tmp_path / "bench.csv"

@@ -511,6 +511,13 @@ class TestParseMatchesReference:
     @example(case=("+1 2:1 1:1:1\n", False))  # a second colon, also decreasing
     @example(case=("+1 1:1 99999999999999999999:1 5:1\n", False))
     @example(case=("x 1:1\n", False))
+    @example(case=("+1 1:1\n-1 2:1\nnan 1:1\n", False))  # a label that is not finite
+    @example(case=("+1 -0:1\n", False))  # an index below 1
+    @example(case=("+1 1:1 1:2\n", False))  # a repeated index
+    @example(case=("+1 :1\n", False))  # an empty index
+    @example(case=("+1 1:\n", False))  # an empty value
+    @example(case=("+1 1\uff1a1\n", False))  # a full-width colon is no separator
+    @example(case=("+1 \ud800:1\n", False))  # a lone surrogate index
     def test_defects_match(self, case):
         got, expected = _outcomes(*case)
         assert got == expected

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -200,6 +202,16 @@ class TestSerialization:
         with pytest.raises(ValueError):
             EnsembleModel(W=[[1.0], [2.0]], b=[0.0], lam=2.0, p=2.0,
                           scaler=Scaler(mean=[0.0], scale=[1.0]))
+
+    @pytest.mark.parametrize("field, bad", [("W", [float("nan"), 1.0]), ("W", [1.0, float("inf")]),
+                                            ("b", [float("-inf")])])
+    def test_non_finite_parameters_rejected(self, tmp_path, field, bad):
+        payload = model_to_dict(_model([[1.0], [2.0]], [0.0]))
+        payload[field] = bad
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match="finite"):
+            load_model(path)
 
     def test_unknown_version_rejected(self):
         payload = model_to_dict(_model([[1.0]], [0.0]))
