@@ -43,8 +43,8 @@ print("row reference:", np.round(w_ref, 6))
 print("objective gap:", w_row_objective(w, P_row[0], Q_row[0], 1.3)
       - w_row_objective(w_ref, P_row[0], Q_row[0], 1.3))
 
-# 3) Slack update: closed forms (and safeguarded Newton for in-between
-#    powers) against a plain grid search.
+# 3) Slack update: closed forms (and clamped Newton for in-between powers,
+#    here from a cold start) against a plain grid search.
 for p in (1.0, 1.5, 2.0):
     e = update_E(np.array([[2.0]]), np.array([[1.0]]), lam=1.0, mu=1.0, p=p)[0][0, 0]
     e_ref = scalar_e_minimizer(1.0, 2.0, 1.0, p)

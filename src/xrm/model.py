@@ -139,18 +139,32 @@ def model_to_dict(model: EnsembleModel) -> dict:
 
 
 def model_from_dict(payload: dict) -> EnsembleModel:
+    """The model a :func:`model_to_dict` payload describes; raises ValueError
+    unless the payload is an object of a known format holding every key of
+    that format, each with a value of a usable type."""
+    if not isinstance(payload, dict):
+        raise ValueError(f"model file must hold a JSON object, got {type(payload).__name__}")
     version = payload.get("version")
     if version not in (MODEL_FORMAT_VERSION, SCALED_MODEL_FORMAT_VERSION):
         raise ValueError(f"unsupported model format {version!r}; expected "
                          f"{MODEL_FORMAT_VERSION!r} or {SCALED_MODEL_FORMAT_VERSION!r}")
-    M = int(payload["feature_count"])
-    C = int(payload["components"])
-    W = np.asarray(payload["W"], dtype=float).reshape(M, C)
-    scaler = None
+    required = ["feature_count", "components", "W", "b", "lambda", "p"]
     if version == SCALED_MODEL_FORMAT_VERSION:
-        scaler = Scaler(mean=payload["feature_mean"], scale=payload["feature_scale"])
-    return EnsembleModel(W=W, b=np.asarray(payload["b"], dtype=float),
-                         lam=float(payload["lambda"]), p=float(payload["p"]), scaler=scaler)
+        required += ["feature_mean", "feature_scale"]
+    missing = [key for key in required if key not in payload]
+    if missing:
+        raise ValueError(f"{version} model lacks {', '.join(missing)}")
+    try:
+        M = int(payload["feature_count"])
+        C = int(payload["components"])
+        W = np.asarray(payload["W"], dtype=float).reshape(M, C)
+        scaler = None
+        if version == SCALED_MODEL_FORMAT_VERSION:
+            scaler = Scaler(mean=payload["feature_mean"], scale=payload["feature_scale"])
+        return EnsembleModel(W=W, b=np.asarray(payload["b"], dtype=float),
+                             lam=float(payload["lambda"]), p=float(payload["p"]), scaler=scaler)
+    except TypeError as exc:  # a JSON null, list or object where a number belongs
+        raise ValueError(f"{version} model holds a value of the wrong type: {exc}") from exc
 
 
 def save_model(model: EnsembleModel, path) -> None:

@@ -242,38 +242,53 @@ def update_b(y: np.ndarray, E: np.ndarray, XtP: np.ndarray, Z_over_mu: np.ndarra
     return residual.mean(axis=0)
 
 
-def _positive_branch_minimizer(a: np.ndarray, k: float, p: float,
-                               tol: float) -> tuple[np.ndarray, int]:
+def _positive_branch_minimizer(a: np.ndarray, k: float, p: float, tol: float,
+                               start: np.ndarray | None = None) -> tuple[np.ndarray, int]:
     """Solve min_{t >= 0} k * t^p + 0.5 * (t - a)^2 for positive targets ``a``
-    by safeguarded Newton on the increasing derivative f(t) = k p t^(p-1) + t - a
-    (the Newton-bisection hybrid ``rtsafe`` of Numerical Recipes).
+    by Newton's method on the increasing derivative f(t) = k p t^(p-1) + t - a,
+    from ``start`` clipped into [lo, hi], or from hi when ``start`` is None.
 
-    The root lies in [lo, hi] with lo = min(a/2, (a/(2kp))^(1/(p-1))) and
-    hi = min(a, (a/(kp))^(1/(p-1))), since f(lo) <= 0 <= f(hi).  Starting at
-    hi, every step shrinks the bracket by the sign of f and takes the Newton
-    step when it lands inside the bracket (ends included, where a converged
-    iterate sits), else the midpoint.  Iteration stops once no entry moves by
-    more than ``tol`` plus a few units in the last place of t (for large t the
-    iterates can alternate between two neighbouring floats further apart than
-    ``tol``), or after 200 steps.  Returns the minimizers and the step count.
+    The root lies in (0, hi] with hi = min(a, (a/(kp))^(1/(p-1))), since
+    f(hi) >= 0.  f is concave for 1 < p < 2 and convex for p > 2, so every
+    Newton step ends on one side of the root: at or below it for p < 2, at
+    or above it for p > 2.  The iterates approach the root monotonically
+    from that side, and a start on the other side crosses over in one step.
+    No bracket is needed; one clamp per step catches rounding, at lo for
+    p < 2 and at hi for p > 2.
+
+    For p < 2, lo is the Newton step from hi.  The Newton map falls above the
+    root and rises below it, so no step from [lo, hi] ends below lo, and the
+    iterates from a warm start never trail those from hi.  Clipping the start
+    to lo keeps Newton off t = 0, where f' is infinite and the step is 0/0,
+    and off tiny starts whose steps fall under ``tol`` far from the root.
+    For p > 2, lo = 0, and the 0/0 step at t = 0 clamps to hi.
+
+    Iteration stops once no entry moves by more than ``tol`` plus a few units
+    in the last place of t (for large t the iterates can alternate between two
+    neighbouring floats further apart than ``tol``), or after 200 steps.
+    Returns the minimizers and the step count.
     """
     slope = k * p
     resolution = 4.0 * np.finfo(float).eps
-    # Near p = 1 the bracket powers overflow to inf, which the minimum with a
-    # absorbs.  Where they underflow to [0, 0], the Newton quotient at t = 0 is
-    # 0/0, and the bracket test rejects it in favour of the midpoint 0.
+
+    def newton(t):
+        # t - f / f'(t) with f'(t) = (p - 1) k p t^(p-2) + 1, reusing t^(p-1).
+        power_term = slope * t ** (p - 1.0)
+        return t - (power_term + t - a) * t / ((p - 1.0) * power_term + t)
+
+    # Near p = 1 the power in hi overflows to inf, which the minimum with a
+    # absorbs, or underflows to 0, where the root is below the smallest float.
     with np.errstate(over="ignore", invalid="ignore"):
-        lo = np.minimum(0.5 * a, (0.5 * a / slope) ** (1.0 / (p - 1.0)))
         hi = np.minimum(a, (a / slope) ** (1.0 / (p - 1.0)))
-        t = hi
+        if p < 2.0:
+            lo = np.fmax(newton(hi), 0.0)  # fmax drops the NaN of hi = 0
+            clamp, bound = np.fmax, lo
+        else:
+            lo = 0.0
+            clamp, bound = np.fmin, hi
+        t = hi if start is None else np.clip(start, lo, hi)
         for steps in range(1, 201):
-            power_term = slope * t ** (p - 1.0)
-            f = power_term + t - a
-            lo = np.where(f < 0.0, t, lo)
-            hi = np.where(f > 0.0, t, hi)
-            # f / f'(t) with f'(t) = (p - 1) k p t^(p-2) + 1, reusing t^(p-1).
-            newton = t - f * t / ((p - 1.0) * power_term + t)
-            step = np.where((lo <= newton) & (newton <= hi), newton, 0.5 * (lo + hi))
+            step = clamp(newton(t), bound)
             settled = np.abs(step - t) <= tol + resolution * t
             t = step
             if settled.all():
@@ -281,14 +296,15 @@ def _positive_branch_minimizer(a: np.ndarray, k: float, p: float,
     return t, steps
 
 
-def update_E(S: np.ndarray, Y: np.ndarray, lam: float, mu: float,
-             p: float) -> tuple[np.ndarray, int]:
+def update_E(S: np.ndarray, Y: np.ndarray, lam: float, mu: float, p: float,
+             E_prev: np.ndarray | None = None) -> tuple[np.ndarray, int]:
     """Elementwise minimizer of (lam/mu) * (Y*E)_+^p + 0.5 * (E - S)^2, and the
-    number of safeguarded Newton steps it took (0 at p = 1 and p = 2).
+    number of Newton steps it took (0 at p = 1 and p = 2).
 
     p = 1 soft-thresholds the entries whose target violates the margin,
     p = 2 shrinks them by 1 / (1 + 2 lam/mu), and any other p >= 1 solves the
-    active branch by :func:`_positive_branch_minimizer` to ``GENERAL_P_TOL``.
+    active branch by :func:`_positive_branch_minimizer` to ``GENERAL_P_TOL``,
+    starting from Y * ``E_prev``, the previous E block, when it is given.
     That branch needs no comparison with the boundary t = 0: for p >= 1 the
     scalar problem is convex with slope -a < 0 at t = 0, so its stationary
     point beats 0.5 a^2.
@@ -307,8 +323,10 @@ def update_E(S: np.ndarray, Y: np.ndarray, lam: float, mu: float,
     E = S.copy()
     steps = 0
     if np.any(active):
-        t, steps = _positive_branch_minimizer(target[active], k, p, GENERAL_P_TOL)
-        E[active] = Y[active] * t
+        Y_active = Y[active]
+        start = None if E_prev is None else Y_active * E_prev[active]
+        t, steps = _positive_branch_minimizer(target[active], k, p, GENERAL_P_TOL, start)
+        E[active] = Y_active * t
     return E, steps
 
 
@@ -418,7 +436,7 @@ def train(data, config: SolverConfig = SolverConfig()) -> tuple[EnsembleModel, T
         # u = Y - 1 b^T - Z/mu - E are temporaries and the gaps are dropped
         # after use, so only the carried N-vectors outlive their block.
         E, e_steps = update_E(Y - XtP - b[None, :] - Z_over_mu, Y, config.lam, mu,
-                              config.loss_power)
+                              config.loss_power, E)
         report.e_inner_steps.append(e_steps)
         tick = _lap(report.block_ms, "E", tick)
         P, XtP = update_P(solve_gram, W, Q, XtW, XtQ, mu, Y - b[None, :] - Z_over_mu - E)

@@ -302,6 +302,25 @@ class TestEval:
         assert "finite" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("payload, message", [
+        ([1], "error: model file must hold a JSON object, got list\n"),
+        ({"version": "xrm-model/1", "feature_count": 1, "components": 1, "W": [0.0],
+          "b": [0.0], "p": 2.0}, "error: xrm-model/1 model lacks lambda\n"),
+        ({"version": "xrm-model/1", "feature_count": None, "components": 1, "W": [0.0],
+          "b": [0.0], "lambda": 2.0, "p": 2.0},
+         "error: xrm-model/1 model holds a value of the wrong type: "),
+    ], ids=["not_an_object", "missing_key", "null_value"])
+    def test_malformed_model_exits_one(self, tmp_path, blob_file, capsys, payload, message):
+        model_path = tmp_path / "model.json"
+        model_path.write_text(json.dumps(payload))
+        out = tmp_path / "e.json"
+        rc = main(["eval", "--data", str(blob_file), "--model", str(model_path),
+                   "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(message) and err.endswith("\n") and err.count("\n") == 1
+        assert not out.exists()
+
 
 class TestSweep:
     def test_row_count_and_columns(self, tmp_path, blob_file):

@@ -77,10 +77,11 @@ def _reference_train(data, config):
     return W, b, objectives, residuals, iteration, stop_reason
 
 
-def _bisection_reference(a, k, p, tol):
+def _bisection_reference(a, k, p, tol, start=None):
     """Plain bisection of f(t) = k p t^(p-1) + t - a on [0, a] down to width
     tol (at most 200 halvings); returns the midpoints and the halving count,
-    the same contract as ``solver._positive_branch_minimizer``."""
+    the same contract as ``solver._positive_branch_minimizer``, whose
+    ``start`` it ignores."""
     lo = np.zeros_like(a)
     hi = np.array(a, dtype=float)
     steps = 0
@@ -292,16 +293,35 @@ class TestUpdateE:
     @pytest.mark.filterwarnings("error")
     @settings(max_examples=300, deadline=None)
     @given(st.floats(1.01, 4.0), st.floats(-12.0, 8.0),
-           hnp.arrays(np.float64, st.integers(1, 6), elements=st.floats(-8.0, 8.0)))
-    @example(p=1.01, log_k=-2.0, log_a=np.array([8.0, 0.0, -8.0]))  # bracket powers overflow
-    @example(p=1.01, log_k=8.0, log_a=np.array([-8.0, 8.0]))  # the small root underflows to 0
-    @example(p=3.0, log_k=-12.0, log_a=np.array([8.0, -8.0, 0.0]))
-    @example(p=3.0, log_k=-9.0, log_a=np.array([8.0]))  # neighbouring floats alternate
-    @example(p=1.5, log_k=2.5, log_a=np.array([7.5]))  # likewise
-    @example(p=4.0, log_k=8.0, log_a=np.array([-8.0]))
-    def test_general_power_minimizer(self, p, log_k, log_a):
+           hnp.arrays(np.float64, st.integers(1, 6), elements=st.floats(-8.0, 8.0)),
+           st.sampled_from([None, "zero", "inside", "below", "above"]), st.floats(0.0, 1.0))
+    @example(p=1.01, log_k=-2.0, log_a=np.array([8.0, 0.0, -8.0]),  # bracket powers overflow
+             start=None, fraction=0.0)
+    @example(p=1.01, log_k=8.0, log_a=np.array([-8.0, 8.0]),  # the small root underflows to 0
+             start=None, fraction=0.0)
+    @example(p=3.0, log_k=-12.0, log_a=np.array([8.0, -8.0, 0.0]), start=None, fraction=0.0)
+    @example(p=3.0, log_k=-9.0, log_a=np.array([8.0]),  # neighbouring floats alternate
+             start=None, fraction=0.0)
+    @example(p=1.5, log_k=2.5, log_a=np.array([7.5]), start=None, fraction=0.0)  # likewise
+    @example(p=4.0, log_k=8.0, log_a=np.array([-8.0]), start=None, fraction=0.0)
+    # Near p = 1 the lower bracket power underflows to 0, and a Newton step
+    # from t = 0 is 0/0; the roots run from 4.1e-5 to 2.8e-3.
+    @example(p=1.0005, log_k=0.0, log_a=np.log10(1.0005 * np.array([0.995, 0.999, 0.9999])),
+             start="zero", fraction=0.0)
+    # A tiny start there: its Newton steps are shorter than tol far from the root.
+    @example(p=1.0005, log_k=0.0, log_a=np.log10(1.0005 * np.array([0.995, 0.999, 0.9999])),
+             start="inside", fraction=1e-300)
+    def test_general_power_minimizer(self, p, log_k, log_a, start, fraction):
         k, a, tol = 10.0**log_k, 10.0**log_a, 1e-10
-        t, steps = solver._positive_branch_minimizer(a, k, p, tol)
+        # The closed-form bracket of the root: f(lo) <= 0 <= f(hi).
+        with np.errstate(over="ignore"):
+            lo = np.minimum(0.5 * a, (0.5 * a / (k * p)) ** (1.0 / (p - 1.0)))
+            hi = np.minimum(a, (a / (k * p)) ** (1.0 / (p - 1.0)))
+        start = {None: None, "zero": np.zeros_like(a),
+                 "inside": lo + fraction * (hi - lo),
+                 "below": lo * (1.0 - fraction) - fraction,
+                 "above": a + fraction * (a + 1.0)}[start]
+        t, steps = solver._positive_branch_minimizer(a, k, p, tol, start)
         assert np.all(np.isfinite(t)) and np.all((t >= 0.0) & (t <= a))
         assert 1 <= steps < 200
         # f(t) = k p t^(p-1) + t - a changes sign within a few tol (or float
@@ -682,6 +702,22 @@ class TestTrain:
         assert newton.e_inner_steps != bisection.e_inner_steps
         assert newton.iterations == bisection.iterations
         assert newton.objective_trace[-1] == pytest.approx(bisection.objective_trace[-1], rel=1e-9)
+
+    @pytest.mark.parametrize("power", [1.0005, 1.2, 3.0])
+    def test_warm_start_matches_cold_start(self, monkeypatch, power):
+        # train starts the slack solver from the previous E, the first time
+        # from E = 0; dropping that sixth argument starts it cold at hi.  Both
+        # clamp directions are covered: p < 2 approaches the root from below,
+        # p > 2 from above.  Fewer steps show that train passes E at all.
+        data = make_blobs(200, 6, seed=13)
+        config = SolverConfig(components=3, loss_power=power)
+        _, warm = train(data, config)
+        original = solver.update_E
+        monkeypatch.setattr(solver, "update_E", lambda *args: original(*args[:5]))
+        _, cold = train(data, config)
+        assert warm.iterations == cold.iterations
+        assert warm.objective_trace[-1] == pytest.approx(cold.objective_trace[-1], rel=1e-9)
+        assert sum(warm.e_inner_steps) < sum(cold.e_inner_steps)
 
     def test_e_inner_steps_in_report(self):
         data = make_blobs(40, 3, seed=2)
