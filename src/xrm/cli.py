@@ -128,8 +128,17 @@ def _run_trial(train_set, test_set, args, config, trial: int):
         "train_error": model_mod.test_error(trained, train_set),
         "test_error": model_mod.test_error(trained, test_set),
         "iterations": report.iterations,
+        "stop_reason": report.stop_reason,
         "wall_time": 0.0 if args.no_timing else report.wall_time,
     }
+
+
+def _warn_at_iteration_cap(results, max_iters: int) -> None:
+    """One stderr line when some of the retrained fits stopped at the cap."""
+    capped = sum(result["stop_reason"] == "max_iters" for result in results)
+    if capped:
+        print(f"warning: {capped} of {len(results)} fits stopped at the iteration cap "
+              f"({max_iters}) before the objective settled", file=sys.stderr)
 
 
 def cmd_train(args) -> int:
@@ -207,6 +216,7 @@ def cmd_eval(args) -> int:
             "data": str(args.data),
         }
         print(f"test error: {mean:.2f}% +/- {std:.2f}% over {args.trials} trials")
+        _warn_at_iteration_cap(results, args.max_iters)
     Path(args.out).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
     return _EXIT_OK
 
@@ -235,6 +245,7 @@ def cmd_sweep(args) -> int:
                          "train_error", "test_error", "iterations", "wall_time"])
         writer.writerows(rows)
     print(f"wrote {len(rows)} rows to {args.out}")
+    _warn_at_iteration_cap([result for fits in by_trial for _, _, result in fits], args.max_iters)
     return _EXIT_OK
 
 

@@ -47,6 +47,12 @@ def exclusivity_regularizer(W) -> float:
     W = np.asarray(W, dtype=float)
     if not np.all(np.isfinite(W)):
         raise ValueError("weight matrix contains NaN or Inf entries")
+    return _l12_penalty(W)
+
+
+def _l12_penalty(W: np.ndarray) -> float:
+    """The formula of :func:`exclusivity_regularizer` on a float array that
+    the caller knows to be finite."""
     row_l1 = np.abs(W).sum(axis=-1)
     return float(0.5 * (row_l1**2).sum())
 

@@ -61,9 +61,9 @@ import time
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_factor, get_lapack_funcs
 
-from .diversity import DiversityReport, diversity_report, exclusivity_regularizer
+from .diversity import DiversityReport, _l12_penalty, diversity_report
 from .model import EnsembleModel
 
 MU_INIT = 1.0  # starting penalty mu
@@ -137,7 +137,9 @@ class TrainReport:
     e_inner_steps: list[int] = field(default_factory=list)  # E-block steps per iteration
     wall_time: float = 0.0
     # milliseconds per block summed over the iterations; "multipliers" includes
-    # the gaps and residuals, "objective" the finiteness check
+    # the gaps, the residuals and the multiplier sizes, "objective" the
+    # finiteness check on those scalars and, when one is non-finite, the scan
+    # of the blocks
     block_ms: dict[str, float] = field(default_factory=lambda: dict.fromkeys(TIMED_BLOCKS, 0.0))
     diversity: DiversityReport | None = None
 
@@ -180,6 +182,10 @@ def factor_gram(X: np.ndarray):
     X^T P = X^T rhs - K s, with X^T rhs = Xt_base + K u and
     s = (I + K)^-1 X^T rhs, so a solve costs the one product X (u - s) plus
     about 6 N^2 C flops.
+
+    Both sides solve with the factor through LAPACK ``potrs``, looked up once
+    here and called directly: the routine and arguments of ``cho_solve``
+    without its per-call validation, so the solutions are the same bits.
     """
     features = gram_side(X) == "features"
     gram = X @ X.T if features else X.T @ X
@@ -193,17 +199,26 @@ def factor_gram(X: np.ndarray):
             "too large for the Gram factorization in double precision; rescale them, "
             "for example with --standardize"
         ) from exc
+    c, lower = factor
+    potrs, = get_lapack_funcs(("potrs",), (c,))
+
     # A non-finite right-hand side passes through unchecked, so that train
     # can name the block that produced it.
+    def potrs_solve(rhs):
+        x, info = potrs(c, rhs, lower=lower)
+        if info != 0:
+            raise ValueError(f"illegal value in {-info}th argument of internal potrs")
+        return x
+
     if features:
         def solve(base, Xt_base, u):
-            P = cho_solve(factor, base + X @ u, check_finite=False)
+            P = potrs_solve(base + X @ u)
             return P, X.T @ P
         return solve
 
     def solve(base, Xt_base, u):
         Xt_rhs = Xt_base() + gram @ u
-        s = cho_solve(factor, Xt_rhs, check_finite=False)
+        s = potrs_solve(Xt_rhs)
         return base + X @ (u - s), Xt_rhs - gram @ s
     return solve
 
@@ -239,7 +254,8 @@ def update_b(y: np.ndarray, E: np.ndarray, XtP: np.ndarray, Z_over_mu: np.ndarra
     """Closed-form bias update: per-component mean of Y - E - X^T P - Z / mu,
     given the labels y, the slack block E, XtP = X^T P and Z_over_mu = Z / mu."""
     residual = y[:, None] - E - XtP - Z_over_mu
-    return residual.mean(axis=0)
+    # The arithmetic of mean(axis=0), without its dispatch.
+    return residual.sum(axis=0) / residual.shape[0]
 
 
 def _positive_branch_minimizer(a: np.ndarray, k: float, p: float, tol: float,
@@ -361,18 +377,24 @@ def primal_objective(W: np.ndarray, b: np.ndarray, XtW: np.ndarray, y: np.ndarra
     """The quantity being minimized: diversity penalty plus weighted powered
     hinge loss over all components and instances, given XtW = X^T W and the
     labels y.  Every column of (W, b) counts ``multiplicity`` times (once by
-    default): 0.5 * sum_j (m sum_c |W[j,c]|)^2 + lam * m sum_c loss_c."""
+    default): 0.5 * sum_j (m sum_c |W[j,c]|)^2 + lam * m sum_c loss_c.
+
+    The penalty is that of :func:`xrm.diversity.exclusivity_regularizer`
+    without its finiteness check: :func:`train` calls this only on finite
+    blocks."""
     margins = 1.0 - (XtW + b[None, :]) * y[:, None]
     loss = float((np.maximum(margins, 0.0) ** p * multiplicity).sum())
-    return exclusivity_regularizer(W * multiplicity) + lam * loss
+    return _l12_penalty(W * multiplicity) + lam * loss
 
 
 def constraint_residuals(split_gap: np.ndarray, slack_gap: np.ndarray,
                          multiplicity: int = 1) -> tuple[float, float]:
     """Frobenius norms of the two gaps from :func:`constraint_gaps`, with
-    every column counted ``multiplicity`` times: sqrt(m sum_c ||gap_c||^2)."""
-    root = np.sqrt(multiplicity)
-    return float(np.linalg.norm(split_gap * root)), float(np.linalg.norm(slack_gap * root))
+    every column counted ``multiplicity`` times: sqrt(m sum_c ||gap_c||^2),
+    with the arithmetic of ``np.linalg.norm``."""
+    root = math.sqrt(multiplicity)
+    split, slack = (split_gap * root).ravel(), (slack_gap * root).ravel()
+    return math.sqrt(split.dot(split)), math.sqrt(slack.dot(slack))
 
 
 def _lap(block_ms: dict[str, float], block: str, since: float) -> float:
@@ -383,7 +405,9 @@ def _lap(block_ms: dict[str, float], block: str, since: float) -> float:
 
 
 def _first_non_finite(blocks) -> str | None:
-    """The name of the first ``(name, *arrays)`` entry with a non-finite value."""
+    """The name of the first ``(name, *arrays)`` entry with a non-finite
+    value, or None.  :func:`train` scans its blocks only when a scalar that
+    covers them is non-finite, to name the block that went non-finite."""
     for name, *arrays in blocks:
         if not all(np.isfinite(array).all() for array in arrays):
             return name
@@ -446,10 +470,19 @@ def train(data, config: SolverConfig = SolverConfig()) -> tuple[EnsembleModel, T
         Z, Q, mu = update_multipliers(Z, Q, mu, split_gap, slack_gap, config.rho)
         residuals = constraint_residuals(split_gap, slack_gap, C)
         del split_gap, slack_gap
+        z_sup, q_sup = float(np.abs(Z).max()), float(np.abs(Q).max())
         tick = _lap(report.block_ms, "multipliers", tick)
 
-        block = _first_non_finite((("W", W, XtW), ("b", b), ("E", E), ("P", P, XtP), ("Z", Z),
-                                   ("Q", Q, XtQ)))
+        # Each scalar is non-finite when an array it covers is: the split
+        # residual covers P and W, the slack residual E, b and X^T P, the
+        # sups Z and Q, and the sum of X^T Q covers X^T Q and, through its
+        # update, X^T W.  NaN and infinities of either sign stay non-finite
+        # in the total, so the blocks are scanned only when it is.  Finite
+        # blocks whose total overflows scan clean, and the fit goes on.
+        block = None
+        if not math.isfinite(sum(residuals) + z_sup + q_sup + float(XtQ.sum())):
+            block = _first_non_finite((("W", W, XtW), ("b", b), ("E", E), ("P", P, XtP),
+                                       ("Z", Z), ("Q", Q, XtQ)))
         if block is None:
             objective = primal_objective(W, b, XtW, data.y, config.lam, config.loss_power, C)
             _lap(report.block_ms, "objective", tick)
@@ -461,7 +494,7 @@ def train(data, config: SolverConfig = SolverConfig()) -> tuple[EnsembleModel, T
                 iteration, block)
         report.objective_trace.append(objective)
         report.residual_trace.append(residuals)
-        report.multiplier_sup_trace.append(max(float(np.abs(Z).max()), float(np.abs(Q).max())))
+        report.multiplier_sup_trace.append(max(z_sup, q_sup))
 
         if previous_objective is not None and abs(objective - previous_objective) < config.outer_tol:
             report.stop_reason = "objective_change"

@@ -281,6 +281,18 @@ class TestEval:
         assert payload["standardize"] is True
         assert len(payload["trial_errors_percent"]) == 2
 
+    def test_trials_at_the_iteration_cap_warn(self, tmp_path, blob_file, capsys):
+        out = tmp_path / "eval.json"
+        rc = main(["eval", "--data", str(blob_file), "--train-size", "40", "--trials", "3",
+                   "--max-iters", "2", "--out", str(out), "--no-timing"])
+        assert rc == 0
+        assert capsys.readouterr().err == (
+            "warning: 3 of 3 fits stopped at the iteration cap (2) before the objective "
+            "settled\n")
+        assert list(json.loads(out.read_text())) == [
+            "mean_error_percent", "std_error_percent", "trial_errors_percent", "config",
+            "train_size", "trials", "seed", "standardize", "data"]
+
     @pytest.mark.parametrize("trials", ["0", "-3"])
     def test_non_positive_trials_exit_one(self, tmp_path, blob_file, capsys, trials):
         out = tmp_path / "eval.json"
@@ -334,6 +346,30 @@ class TestSweep:
         assert rows[0] == ["lambda", "components", "trial",
                            "train_error", "test_error", "iterations", "wall_time"]
         assert len(rows) - 1 == 2 * 2 * 3
+
+    def test_iteration_cap_warns_once(self, tmp_path, blob_file, capsys):
+        # The cap warning goes to stderr alone; the CSV keeps its columns.
+        out = tmp_path / "sweep.csv"
+        args = ["sweep", "--data", str(blob_file), "--lambda", "0.5,2", "--components", "2,4",
+                "--train-size", "40", "--trials", "3", "--out", str(out), "--no-timing"]
+        assert main(args) == 0
+        assert capsys.readouterr().err == ""
+        with open(out) as handle:
+            converged = list(csv.reader(handle))
+        # Uncapped, these fits take 9 to 14 iterations; a fit that settles
+        # at the cap itself does not count.
+        for cap, capped in (("2", 12), ("11", 6)):
+            assert main(args + ["--max-iters", cap]) == 0
+            captured = capsys.readouterr()
+            assert captured.err == (
+                f"warning: {capped} of 12 fits stopped at the iteration cap ({cap}) before the "
+                "objective settled\n")
+            assert captured.out == f"wrote 12 rows to {out}\n"
+            with open(out) as handle:
+                rows = list(csv.reader(handle))
+            assert rows[0] == converged[0]
+            assert sum(int(row[5]) == int(cap) < int(full[5])
+                       for row, full in zip(rows[1:], converged[1:])) == capped
 
     def test_byte_identical_reruns(self, tmp_path, blob_file):
         first = tmp_path / "a.csv"

@@ -3,6 +3,7 @@ import hypothesis.strategies as st
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
+from scipy.linalg import cho_factor, cho_solve
 
 from conftest import make_blobs, make_ill_scaled, random_instance
 from xrm import DataSet, SolverConfig, train
@@ -229,6 +230,15 @@ class TestUpdateB:
         np.testing.assert_allclose(solver.update_b(data.y, E, data.X.T @ np.zeros((1, 2)),
                                                    np.zeros((3, 2))), np.zeros(2))
 
+    @pytest.mark.parametrize("N", [1, 7, 150, 1021])
+    def test_equals_the_mean_form(self, N):
+        rng = np.random.default_rng(N)
+        y = rng.choice([-1.0, 1.0], N)
+        E, XtP, Z_over_mu = (rng.normal(size=(N, 2)) * 10.0 ** rng.integers(-3, 4, size=(N, 2))
+                             for _ in range(3))
+        expected = (y[:, None] - E - XtP - Z_over_mu).mean(axis=0)
+        np.testing.assert_array_equal(solver.update_b(y, E, XtP, Z_over_mu), expected)
+
     def test_minimizes_by_finite_differences(self):
         rng = np.random.default_rng(19)
         M, N, C = 3, 7, 2
@@ -422,6 +432,26 @@ class TestFactorGram:
         # X^T P comes back without a product on the instances side
         np.testing.assert_allclose(Xt_got, X.T @ got, rtol=0,
                                    atol=1e-10 * scale * (1 + np.abs(R).max()))
+
+    @pytest.mark.parametrize("shape", [(5, 40), (30, 12)], ids=["features", "instances"])
+    def test_bound_solve_equals_cho_solve(self, shape):
+        # The solve calls LAPACK potrs directly; cho_solve on the same factor
+        # gives the same bits on both sides.
+        M, N = shape
+        rng = np.random.default_rng(M)
+        X, base, u = rng.normal(size=(M, N)), rng.normal(size=(M, 1)), rng.normal(size=(N, 1))
+        Xt_base = X.T @ base
+        got, Xt_got = solver.factor_gram(X)(base, lambda: Xt_base, u)
+        if M <= N:
+            expected = cho_solve(cho_factor(np.eye(M) + X @ X.T), base + X @ u)
+            Xt_expected = X.T @ expected
+        else:
+            K = X.T @ X
+            Xt_rhs = Xt_base + K @ u
+            s = cho_solve(cho_factor(np.eye(N) + K), Xt_rhs)
+            expected, Xt_expected = base + X @ (u - s), Xt_rhs - K @ s
+        np.testing.assert_array_equal(got, expected)
+        np.testing.assert_array_equal(Xt_got, Xt_expected)
 
     def test_ill_scaled_features_fail_with_advice(self):
         # finite X whose squared norm nears 1/eps: rounding costs I + X X^T its
@@ -809,17 +839,26 @@ class TestTrain:
         assert "boom" in str(err)
 
     @pytest.mark.parametrize("shape", [(40, 5), (12, 30)], ids=["features", "instances"])
-    @pytest.mark.parametrize("name, block", [("update_E", "E"), ("update_P", "P")])
+    @pytest.mark.parametrize("name, block", [("update_E", "E"), ("update_P", "P"),
+                                             ("update_b", "b"), ("update_multipliers", "Z"),
+                                             ("update_multipliers", "Q")])
     def test_divergence_names_block(self, monkeypatch, shape, name, block):
         # The block that turns NaN at iteration 3 is the one reported, even
-        # though every later block inherits the NaN.
+        # though every later block inherits the NaN.  update_b returns b
+        # alone; the others return a tuple whose first entry is the block,
+        # except Q, the second entry of update_multipliers.
         original = getattr(solver, name)
         calls = []
 
         def poisoned(*args):
             calls.append(1)
-            result, extra = original(*args)
-            return (result * np.nan if len(calls) == 3 else result), extra
+            result = original(*args)
+            if len(calls) != 3:
+                return result
+            if name == "update_b":
+                return result * np.nan
+            index = 1 if block == "Q" else 0
+            return tuple(part * np.nan if i == index else part for i, part in enumerate(result))
 
         monkeypatch.setattr(solver, name, poisoned)
         N, M = shape
@@ -827,6 +866,48 @@ class TestTrain:
             train(make_blobs(N, M, seed=2), SolverConfig(components=3, outer_tol=1e-300))
         assert err.value.iteration == 3
         assert err.value.block == block
+
+    @pytest.mark.parametrize("shape", [(40, 5), (12, 30)], ids=["features", "instances"])
+    def test_converging_fit_scans_no_block(self, monkeypatch, shape):
+        # Finite residuals, multiplier sizes and sum of X^T Q clear every
+        # block, so the per-block scan never runs.
+        calls = []
+        original = solver._first_non_finite
+        monkeypatch.setattr(solver, "_first_non_finite",
+                            lambda blocks: calls.append(1) or original(blocks))
+        N, M = shape
+        for power in (1.0, 1.5, 2.0):
+            _, report = train(make_blobs(N, M, seed=2), SolverConfig(components=3,
+                                                                      loss_power=power))
+            assert report.stop_reason == "objective_change"
+        assert calls == []
+
+    def test_non_finite_residual_of_finite_blocks_is_recorded(self, monkeypatch):
+        # An overflowing norm of finite blocks makes the scan run, find
+        # nothing, and leave the fit as it was: the inf goes into the trace.
+        data, config = make_blobs(40, 5, seed=2), SolverConfig(components=3)
+        model, report = train(data, config)
+        original = solver.constraint_residuals
+        calls, scans = [], []
+
+        def overflowing(*args):
+            calls.append(1)
+            return (float("inf"), 0.0) if len(calls) == 4 else original(*args)
+
+        scan = solver._first_non_finite
+        monkeypatch.setattr(solver, "constraint_residuals", overflowing)
+        monkeypatch.setattr(solver, "_first_non_finite",
+                            lambda blocks: scans.append(1) or scan(blocks))
+        patched_model, patched = train(data, config)
+        assert scans == [1]
+        expected = list(report.residual_trace)
+        expected[3] = (float("inf"), 0.0)
+        assert patched.residual_trace == expected
+        assert patched.objective_trace == report.objective_trace
+        assert patched.multiplier_sup_trace == report.multiplier_sup_trace
+        assert patched.iterations == report.iterations
+        np.testing.assert_array_equal(patched_model.W, model.W)
+        np.testing.assert_array_equal(patched_model.b, model.b)
 
     def test_non_finite_objective_is_named(self, monkeypatch):
         monkeypatch.setattr(solver, "primal_objective", lambda *args: float("inf"))
