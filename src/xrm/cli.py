@@ -1,5 +1,10 @@
 """Command-line surface: train, eval, sweep, and bench subcommands.
 
+Every command trains through ``_fit``, with the defaults of ``SolverConfig``.
+``eval`` without ``--model``, ``sweep`` and ``bench`` draw each trial's split
+(z-scored on its training side under ``--standardize``) through ``_draws``,
+and say on stderr how many fits stopped at the iteration cap.
+
 All commands are deterministic given their inputs and ``--seed``; pass
 ``--no-timing`` to zero out wall-clock fields so repeated runs produce
 byte-identical JSON/CSV artifacts.
@@ -36,18 +41,28 @@ def _fmt(value: float) -> str:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    defaults = solver.SolverConfig()
     parser = argparse.ArgumentParser(prog="xrm",
                                      description="Train and evaluate diverse linear ensembles.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, with_split=True):
+    def add_common(p, with_split=True, grid=False):
         p.add_argument("--data", required=True, help="sparse-text dataset path")
-        p.add_argument("--p", dest="loss_power", type=float, default=2.0,
-                       help="hinge exponent (default 2)")
-        p.add_argument("--rho", type=float, default=1.1, help="penalty growth factor")
-        p.add_argument("--outer-tol", type=float, default=0.05,
+        if grid:
+            p.add_argument("--lambda", dest="lam_grid", type=_float_list, default=[defaults.lam],
+                           help="comma-separated lambda values")
+            p.add_argument("--components", dest="component_grid", type=_int_list,
+                           default=[defaults.components], help="comma-separated component counts")
+        else:
+            p.add_argument("--lambda", dest="lam", type=float, default=defaults.lam)
+            p.add_argument("--components", type=int, default=defaults.components)
+        p.add_argument("--p", dest="loss_power", type=float, default=defaults.loss_power,
+                       help="hinge exponent (default %(default)g)")
+        p.add_argument("--rho", type=float, default=defaults.rho, help="penalty growth factor")
+        p.add_argument("--outer-tol", type=float, default=defaults.outer_tol,
                        help="objective-change stopping threshold")
-        p.add_argument("--max-iters", type=int, default=300, help="outer iteration cap")
+        p.add_argument("--max-iters", type=int, default=defaults.outer_max_iters,
+                       help="outer iteration cap")
         p.add_argument("--seed", type=int, default=0, help="base seed for splits")
         p.add_argument("--standardize", action="store_true",
                        help="z-score features (fit on train, applied to test); "
@@ -62,31 +77,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_train = sub.add_parser("train", help="train one model on a full dataset file")
     add_common(p_train, with_split=False)
-    p_train.add_argument("--lambda", dest="lam", type=float, default=2.0)
-    p_train.add_argument("--components", type=int, default=10)
     p_train.add_argument("--model", default="model.json", help="model output path")
     p_train.add_argument("--out", default="report.json", help="training report output path")
 
     p_eval = sub.add_parser("eval", help="evaluate a model, or mean error over retrained trials")
     add_common(p_eval)
-    p_eval.add_argument("--lambda", dest="lam", type=float, default=2.0)
-    p_eval.add_argument("--components", type=int, default=10)
     p_eval.add_argument("--model", default=None,
                         help="model path; omit to retrain per trial on random splits")
     p_eval.add_argument("--out", default="eval.json", help="evaluation report output path")
 
     p_sweep = sub.add_parser("sweep", help="grid over lambda and component counts")
-    add_common(p_sweep)
-    p_sweep.add_argument("--lambda", dest="lam_grid", type=_float_list, default=[2.0],
-                         help="comma-separated lambda values")
-    p_sweep.add_argument("--components", dest="component_grid", type=_int_list, default=[10],
-                         help="comma-separated component counts")
+    add_common(p_sweep, grid=True)
     p_sweep.add_argument("--out", default="sweep.csv", help="results CSV path")
 
     p_bench = sub.add_parser("bench", help="training-time scaling against sample count")
     add_common(p_bench, with_split=False)
-    p_bench.add_argument("--lambda", dest="lam", type=float, default=2.0)
-    p_bench.add_argument("--components", type=int, default=10)
     p_bench.add_argument("--sizes", type=_int_list, required=True,
                          help="comma-separated training sizes")
     p_bench.add_argument("--runs", type=int, default=10,
@@ -96,63 +101,67 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _make_config(args, lam: float | None = None, components: int | None = None) -> solver.SolverConfig:
-    return solver.SolverConfig(
-        lam=args.lam if lam is None else lam,
-        components=args.components if components is None else components,
-        loss_power=args.loss_power,
-        rho=args.rho,
-        outer_tol=args.outer_tol,
-        outer_max_iters=args.max_iters,
-    )
+def _make_config(args, lam: float, components: int) -> solver.SolverConfig:
+    return solver.SolverConfig(lam, components, loss_power=args.loss_power, rho=args.rho,
+                               outer_tol=args.outer_tol, outer_max_iters=args.max_iters)
 
 
-def _load(path: str) -> datasets.DataSet:
+def _existing(path: str) -> str:
+    """``path`` itself, once it names a file: a missing input exits 2."""
     if not Path(path).is_file():
         raise FileNotFoundError(path)
-    return datasets.load_dataset(path)
+    return path
 
 
-def _trial_sets(data, spec, args, trial: int):
-    """The (train, test) split of one trial, standardized if asked."""
-    train_set, test_set = datasets.split(data, spec, trial)
-    if args.standardize:
-        train_set, test_set = datasets.standardize(train_set, test_set)
-    return train_set, test_set
-
-
-def _run_trial(train_set, test_set, args, config, trial: int):
+def _fit(train_set, config, args, reports: list):
+    """Train once, zero the report's times under ``--no-timing``, and record
+    the report in ``reports``."""
     trained, report = solver.train(train_set, config)
-    return {
-        "trial": trial,
-        "train_error": model_mod.test_error(trained, train_set),
-        "test_error": model_mod.test_error(trained, test_set),
-        "iterations": report.iterations,
-        "stop_reason": report.stop_reason,
-        "wall_time": 0.0 if args.no_timing else report.wall_time,
-    }
+    if args.no_timing:
+        report.wall_time = 0.0
+        report.block_ms = dict.fromkeys(report.block_ms, 0.0)
+    reports.append(report)
+    return trained, report
 
 
-def _warn_at_iteration_cap(results, max_iters: int) -> None:
+def _draws(data, args, size: int, trials: int):
+    """Yield each trial's (train, test) split of ``size`` training instances,
+    z-scored on its training side under ``--standardize``."""
+    spec = datasets.SplitSpec(train_size=size, seed=args.seed, trials=trials)
+    for trial in range(trials):
+        sets = datasets.split(data, spec, trial)
+        yield datasets.standardize(*sets) if args.standardize else sets
+
+
+def _split_trials(data, args, configs, reports: list):
+    """Per config, one (train error, test error, report) per trial; every
+    config of a trial trains on that trial's one split and standardization."""
+    by_trial = []
+    for train_set, test_set in _draws(data, args, args.train_size, args.trials):
+        fits = [_fit(train_set, config, args, reports) for config in configs]
+        by_trial.append([(model_mod.test_error(trained, train_set),
+                          model_mod.test_error(trained, test_set), report)
+                         for trained, report in fits])
+    return list(zip(*by_trial))
+
+
+def _warn_at_iteration_cap(reports, max_iters: int) -> None:
     """One stderr line when some of the retrained fits stopped at the cap."""
-    capped = sum(result["stop_reason"] == "max_iters" for result in results)
+    capped = sum(report.stop_reason == "max_iters" for report in reports)
     if capped:
-        print(f"warning: {capped} of {len(results)} fits stopped at the iteration cap "
+        print(f"warning: {capped} of {len(reports)} fits stopped at the iteration cap "
               f"({max_iters}) before the objective settled", file=sys.stderr)
 
 
 def cmd_train(args) -> int:
-    data = _load(args.data)
+    data = datasets.load_dataset(_existing(args.data))
     scaler = None
     if args.standardize:
         scaler = datasets.fit_scaler(data)
         data = datasets.standardize(data, scaler=scaler)
-    config = _make_config(args)
-    trained, report = solver.train(data, config)
+    config = _make_config(args, args.lam, args.components)
+    trained, report = _fit(data, config, args, [])
     trained = dataclasses.replace(trained, scaler=scaler)
-    if args.no_timing:
-        report.wall_time = 0.0
-        report.block_ms = dict.fromkeys(report.block_ms, 0.0)
     model_mod.save_model(trained, args.model)
     payload = {"config": config.to_dict(), "data": str(args.data)}
     payload.update(report.to_dict())
@@ -168,11 +177,9 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    data = _load(args.data)
+    data = datasets.load_dataset(_existing(args.data))
     if args.model is not None:
-        if not Path(args.model).is_file():
-            raise FileNotFoundError(args.model)
-        trained = model_mod.load_model(args.model)
+        trained = model_mod.load_model(_existing(args.model))
         missing = trained.feature_count - data.feature_count
         if missing < 0:
             raise ValueError(
@@ -197,11 +204,10 @@ def cmd_eval(args) -> int:
         payload = {"error_percent": error, "data": str(args.data), "model": str(args.model)}
         print(f"test error: {error:.2f}%")
     else:
-        spec = datasets.SplitSpec(train_size=args.train_size, seed=args.seed, trials=args.trials)
-        config = _make_config(args)
-        results = [_run_trial(*_trial_sets(data, spec, args, trial), args, config, trial)
-                   for trial in range(args.trials)]
-        errors = np.array([100.0 * r["test_error"] for r in results])
+        config = _make_config(args, args.lam, args.components)
+        reports = []
+        (fits,) = _split_trials(data, args, [config], reports)
+        errors = np.array([100.0 * test_error for _, test_error, _ in fits])
         mean = float(errors.mean())
         std = float(errors.std(ddof=1)) if errors.size > 1 else 0.0
         payload = {
@@ -216,66 +222,57 @@ def cmd_eval(args) -> int:
             "data": str(args.data),
         }
         print(f"test error: {mean:.2f}% +/- {std:.2f}% over {args.trials} trials")
-        _warn_at_iteration_cap(results, args.max_iters)
+        _warn_at_iteration_cap(reports, args.max_iters)
     Path(args.out).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
     return _EXIT_OK
 
 
+def _write_csv(path, header, rows) -> None:
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(header)
+        writer.writerows(rows)
+    print(f"wrote {len(rows)} rows to {path}")
+
+
 def cmd_sweep(args) -> int:
-    data = _load(args.data)
+    data = datasets.load_dataset(_existing(args.data))
     if not args.lam_grid or not args.component_grid:
         raise ValueError("sweep grids must be nonempty")
-    spec = datasets.SplitSpec(train_size=args.train_size, seed=args.seed, trials=args.trials)
-    grid = [(lam, components, _make_config(args, lam=lam, components=components))
+    grid = [_make_config(args, lam, components)
             for lam in args.lam_grid for components in args.component_grid]
-    # One split per trial, shared by the whole grid; rows are written in
-    # (lambda, components, trial) order.
-    by_trial = []
-    for trial in range(args.trials):
-        train_set, test_set = _trial_sets(data, spec, args, trial)
-        by_trial.append([(lam, components, _run_trial(train_set, test_set, args, config, trial))
-                         for lam, components, config in grid])
-    rows = [[_fmt(lam), components, result["trial"],
-             _fmt(result["train_error"]), _fmt(result["test_error"]),
-             result["iterations"], _fmt(result["wall_time"])]
-            for cell in zip(*by_trial) for lam, components, result in cell]
-    with open(args.out, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["lambda", "components", "trial",
-                         "train_error", "test_error", "iterations", "wall_time"])
-        writer.writerows(rows)
-    print(f"wrote {len(rows)} rows to {args.out}")
-    _warn_at_iteration_cap([result for fits in by_trial for _, _, result in fits], args.max_iters)
+    reports = []
+    rows = [[_fmt(config.lam), config.components, trial, _fmt(train_error), _fmt(test_error),
+             report.iterations, _fmt(report.wall_time)]
+            for config, fits in zip(grid, _split_trials(data, args, grid, reports))
+            for trial, (train_error, test_error, report) in enumerate(fits)]
+    _write_csv(args.out, ["lambda", "components", "trial", "train_error", "test_error",
+                          "iterations", "wall_time"], rows)
+    _warn_at_iteration_cap(reports, args.max_iters)
     return _EXIT_OK
 
 
 def cmd_bench(args) -> int:
-    data = _load(args.data)
+    data = datasets.load_dataset(_existing(args.data))
     if not args.sizes:
         raise ValueError("--sizes must be nonempty")
     if args.runs < 1:
         raise ValueError("--runs must be positive")
     N = data.instance_count
-    config = _make_config(args)
-    rows = []
     for size in args.sizes:
-        if size > N:
-            raise ValueError(f"requested size {size} exceeds the {N} available instances")
-        total = 0.0
-        for run in range(args.runs):
-            if size == N:
-                subsample = data
-            else:
-                spec = datasets.SplitSpec(train_size=size, seed=args.seed, trials=args.runs)
-                subsample, _ = datasets.split(data, spec, run)
-            _, report = solver.train(subsample, config)
-            total += report.wall_time
-        rows.append([size, _fmt(0.0 if args.no_timing else total)])
-    with open(args.out, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["n_train", "total_time"])
-        writer.writerows(rows)
-    print(f"wrote {len(rows)} rows to {args.out}")
+        if not 1 <= size <= N:
+            raise ValueError(f"requested size {size} must lie in 1..{N} (the available instances)")
+    config = _make_config(args, args.lam, args.components)
+    reports, rows = [], []
+    for size in args.sizes:
+        if size == N:  # the whole file, z-scored on itself
+            subsamples = [datasets.standardize(data) if args.standardize else data] * args.runs
+        else:
+            subsamples = (train_set for train_set, _ in _draws(data, args, size, args.runs))
+        total = sum(_fit(sample, config, args, reports)[1].wall_time for sample in subsamples)
+        rows.append([size, _fmt(total)])
+    _write_csv(args.out, ["n_train", "total_time"], rows)
+    _warn_at_iteration_cap(reports, args.max_iters)
     return _EXIT_OK
 
 

@@ -185,7 +185,8 @@ def parse_sparse_text(source) -> DataSet:
         On a non-numeric or non-finite token, a duplicate or non-increasing
         index, an index below 1, or input with no instances or no entries at
         all.  The first defect in line and token order is reported, with its
-        line number.
+        line number.  A largest index whose dense matrix cannot be allocated
+        is reported for the input as a whole (line 0).
     """
     lines = source.split("\n") if isinstance(source, str) else source
     label_tokens, entry_texts, line_numbers, counts = [], [], [], []
@@ -230,7 +231,13 @@ def parse_sparse_text(source) -> DataSet:
         accepted = False
     if not accepted:
         _raise_first_defect(label_tokens, entry_texts, line_numbers)
-    X = np.zeros((index.max(), len(counts)))
+    try:
+        X = np.zeros((index.max(), len(counts)))
+    except (MemoryError, ValueError):  # numpy rejects a shape whose size overflows
+        raise SparseFormatError(
+            f"largest index {index.max()} over {len(counts)} instances needs a feature matrix "
+            "too large to allocate: X is stored dense, one row per index up to the largest",
+            0) from None
     X[index - 1, instance] = values
     return DataSet._adopt(X, map_labels(labels))
 

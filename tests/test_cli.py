@@ -7,8 +7,22 @@ import pytest
 from conftest import make_blobs, make_ill_scaled, random_instance
 from xrm import (DataSet, datasets, fit_scaler, load_dataset, load_model, save_dataset, solver,
                  standardize)
+from xrm import cli
 from xrm.cli import build_parser, main
 from xrm.model import test_error as error_rate
+
+
+def _count_calls(monkeypatch, module, *names):
+    """Wrap each named function of ``module`` to count its calls."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        original = getattr(module, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+    return calls
 
 
 @pytest.fixture
@@ -384,14 +398,7 @@ class TestSweep:
         # Every (lambda, components) pair of a trial trains on that trial's
         # one split and standardization; rows stay in (lambda, components,
         # trial) order.
-        calls = {"split": 0, "standardize": 0}
-        for name in calls:
-            original = getattr(datasets, name)
-
-            def counted(*args, _name=name, _original=original, **kwargs):
-                calls[_name] += 1
-                return _original(*args, **kwargs)
-            monkeypatch.setattr(datasets, name, counted)
+        calls = _count_calls(monkeypatch, datasets, "split", "standardize")
         out = tmp_path / "sweep.csv"
         rc = main(["sweep", "--data", str(blob_file), "--lambda", "0.5,2",
                    "--components", "2,4", "--train-size", "40", "--trials", "3",
@@ -475,6 +482,51 @@ class TestBench:
         assert "--runs must be positive" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_oversized_size_fails_before_any_fit(self, tmp_path, blob_file, capsys,
+                                                 monkeypatch):
+        calls = _count_calls(monkeypatch, solver, "train")
+        out = tmp_path / "b.csv"
+        rc = main(["bench", "--data", str(blob_file), "--sizes", "30,500", "--out", str(out)])
+        assert rc == 1
+        assert calls == {"train": 0}
+        assert "500" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_standardize_z_scores_each_subsample(self, tmp_path, blob_file, monkeypatch):
+        # Each subsample is z-scored on itself, and at size N the whole file is.
+        calls = _count_calls(monkeypatch, datasets, "split", "standardize")
+        trained_on = []
+        original_train = solver.train
+
+        def recorded(data, config):
+            trained_on.append(data)
+            return original_train(data, config)
+        monkeypatch.setattr(solver, "train", recorded)
+        rc = main(["bench", "--data", str(blob_file), "--sizes", "30,120", "--runs", "2",
+                   "--standardize", "--out", str(tmp_path / "b.csv"), "--no-timing"])
+        assert rc == 0
+        assert calls == {"split": 2, "standardize": 3}
+        assert [data.instance_count for data in trained_on] == [30, 30, 120, 120]
+        for data in trained_on:
+            np.testing.assert_allclose(data.X.mean(axis=1), 0.0, atol=1e-12)
+            np.testing.assert_allclose(data.X.std(axis=1), 1.0)
+
+    def test_iteration_cap_warns_once(self, tmp_path, blob_file, capsys):
+        # The cap warning goes to stderr alone; the CSV and exit code stay.
+        out = tmp_path / "b.csv"
+        args = ["bench", "--data", str(blob_file), "--sizes", "30,60", "--runs", "2",
+                "--out", str(out), "--no-timing"]
+        assert main(args) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        converged = out.read_text()
+        assert main(args + ["--max-iters", "2"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == f"wrote 2 rows to {out}\n"
+        assert captured.err == ("warning: 4 of 4 fits stopped at the iteration cap (2) before "
+                                "the objective settled\n")
+        assert out.read_text() == converged == "n_train,total_time\n30,0\n60,0\n"
+
     def test_full_dataset_size_allowed(self, tmp_path, blob_file):
         out = tmp_path / "bench.csv"
         rc = main(["bench", "--data", str(blob_file), "--sizes", "120", "--runs", "1",
@@ -490,6 +542,26 @@ class TestBench:
         assert args.lam == 2.0
         assert args.components == 10
         assert args.loss_power == 2.0
+        # Every solver flag defaults to its SolverConfig field.
+        for argv in (["train"], ["eval"], ["bench", "--sizes", "10"]):
+            args = build_parser().parse_args([argv[0], "--data", "x", *argv[1:]])
+            assert cli._make_config(args, args.lam, args.components) == solver.SolverConfig()
+        args = build_parser().parse_args(["sweep", "--data", "x"])
+        assert [cli._make_config(args, lam, components) for lam in args.lam_grid
+                for components in args.component_grid] == [solver.SolverConfig()]
+
+
+def test_huge_feature_index_exits_one(tmp_path, capsys):
+    # numpy rejects the dense 2**62-row matrix before allocating anything.
+    path = tmp_path / "huge.txt"
+    path.write_text(f"+1 1:0.5 {2 ** 62}:1.0\n-1 1:0.2\n")
+    rc = main(["train", "--data", str(path), "--model", str(tmp_path / "m.json"),
+               "--out", str(tmp_path / "r.json")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: largest index {2 ** 62} over 2 instances")
+    assert "stored dense" in err and err.count("\n") == 1
+    assert not (tmp_path / "m.json").exists()
 
 
 def test_single_component_matches_reference_optimum(tmp_path):

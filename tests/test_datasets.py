@@ -70,7 +70,13 @@ def _reference_parse(source) -> DataSet:
         raise SparseFormatError("input contains no instances", 0)
     if max_index == 0:
         raise SparseFormatError("input contains no feature entries", 0)
-    X = np.zeros((max_index, len(labels)))
+    try:
+        X = np.zeros((max_index, len(labels)))
+    except (MemoryError, ValueError):
+        raise SparseFormatError(
+            f"largest index {max_index} over {len(labels)} instances needs a feature matrix "
+            "too large to allocate: X is stored dense, one row per index up to the largest",
+            0) from None
     for column, entries in enumerate(rows):
         for index, value in entries:
             X[index - 1, column] = value
@@ -283,6 +289,29 @@ class TestParse:
     def test_blank_lines_skipped(self):
         data = parse_sparse_text("\n+1 1:1\n\n-1 1:-1\n\n")
         assert data.instance_count == 2
+
+    def test_index_beyond_any_matrix_names_index_and_count(self):
+        # numpy rejects a 2**62-row shape before it allocates anything.
+        with pytest.raises(SparseFormatError) as err:
+            parse_sparse_text(f"+1 1:0.5 {2 ** 62}:1.0\n-1 2:1.0\n")
+        assert err.value.line_number == 0
+        message = str(err.value)
+        assert f"largest index {2 ** 62} over 2 instances" in message
+        assert "stored dense" in message
+
+    def test_failed_dense_allocation_is_a_format_error(self, monkeypatch):
+        original = np.zeros
+
+        def zeros(shape, *args, **kwargs):
+            if shape[0] > 10**9:  # stands in for an allocation the host cannot give
+                raise MemoryError(f"cannot allocate {shape}")
+            return original(shape, *args, **kwargs)
+
+        monkeypatch.setattr(np, "zeros", zeros)
+        with pytest.raises(SparseFormatError) as err:
+            parse_sparse_text("+1 1:0.5 100000000000:1.0\n")
+        assert err.value.line_number == 0
+        assert str(err.value).startswith("largest index 100000000000 over 1 instances")
 
     @pytest.mark.parametrize("label", ["nan", "inf", "-inf", "NaN"])
     def test_non_finite_label_reports_line(self, label):
