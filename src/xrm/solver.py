@@ -10,7 +10,8 @@ Two auxiliary blocks make the objective separable: P, a split copy of W, and
 E, the per-instance slack matrix with e[i,c] = y_i - (x_i . w_c + b_c), so the
 loss becomes a function of (Y * E)_+ alone.  Each outer iteration updates the
 blocks in turn (W by an exact row-wise proximal map, b in closed form, E
-elementwise, P through one cached SPD solve), then performs multiplier ascent
+elementwise, in closed form at p = 1, 1.5 and 2 and by Newton's method at
+any other p, P through one cached SPD solve), then performs multiplier ascent
 on Q and Z and grows the penalty mu geometrically.  Termination monitors the
 change of the primal objective evaluated at the current (W, b).  :func:`train`
 holds the iterate as local arrays and passes each block function only the
@@ -68,7 +69,7 @@ from .model import EnsembleModel
 
 MU_INIT = 1.0  # starting penalty mu
 MU_CAP = 1e10  # mu stops growing here, so late-iteration arithmetic stays well conditioned
-GENERAL_P_TOL = 1e-10  # step tolerance of the slack solver at p not in {1, 2}
+GENERAL_P_TOL = 1e-10  # step tolerance of the slack solver at p not in {1, 1.5, 2}
 TIMED_BLOCKS = ("W", "b", "E", "P", "multipliers", "objective", "factorization")
 
 
@@ -134,7 +135,8 @@ class TrainReport:
     iterations: int = 0
     stop_reason: str = ""  # "objective_change" or "max_iters"
     gram_side: str = ""  # "features" (M x M factor) or "instances" (N x N)
-    e_inner_steps: list[int] = field(default_factory=list)  # E-block steps per iteration
+    # E-block Newton steps per iteration, all 0 at p = 1, 1.5 and 2
+    e_inner_steps: list[int] = field(default_factory=list)
     wall_time: float = 0.0
     # milliseconds per block summed over the iterations; "multipliers" includes
     # the gaps, the residuals and the multiplier sizes, "objective" the
@@ -312,19 +314,42 @@ def _positive_branch_minimizer(a: np.ndarray, k: float, p: float, tol: float,
     return t, steps
 
 
+def _three_halves_minimizer(a: np.ndarray, k: float) -> np.ndarray:
+    """Solve min_{t >= 0} k * t^1.5 + 0.5 * (t - a)^2 for positive targets
+    ``a`` in closed form.
+
+    The stationary condition 1.5 k sqrt(t) + t - a = 0 is the quadratic
+    s^2 + 2h s - a = 0 in s = sqrt(t), with h = 0.75 k.  Its positive root
+    s = a / (h + sqrt(h^2 + a)) has no cancellation, and t = s^2.  For h > 1
+    the same root is written with r = a / h as s = r / (1 + sqrt(1 + r/h)),
+    so that h^2 cannot overflow.
+    """
+    h = 0.75 * k
+    if h <= 1.0:
+        s = a / (h + np.sqrt(h * h + a))
+    else:
+        r = a / h
+        s = r / (1.0 + np.sqrt(1.0 + r / h))
+    return s * s
+
+
 def update_E(S: np.ndarray, Y: np.ndarray, lam: float, mu: float, p: float,
              E_prev: np.ndarray | None = None) -> tuple[np.ndarray, int]:
     """Elementwise minimizer of (lam/mu) * (Y*E)_+^p + 0.5 * (E - S)^2, and the
-    number of Newton steps it took (0 at p = 1 and p = 2).
+    number of Newton steps it took (0 at p = 1, 1.5 and 2).
 
     p = 1 soft-thresholds the entries whose target violates the margin,
-    p = 2 shrinks them by 1 / (1 + 2 lam/mu), and any other p >= 1 solves the
-    active branch by :func:`_positive_branch_minimizer` to ``GENERAL_P_TOL``,
-    starting from Y * ``E_prev``, the previous E block, when it is given.
-    That branch needs no comparison with the boundary t = 0: for p >= 1 the
-    scalar problem is convex with slope -a < 0 at t = 0, so its stationary
-    point beats 0.5 a^2.
-    Entries with Y*S <= 0 keep their target S.
+    p = 2 shrinks them by 1 / (1 + 2 lam/mu), p = 1.5 solves the active
+    branch by :func:`_three_halves_minimizer` in closed form, and any other
+    p >= 1 solves it by :func:`_positive_branch_minimizer` to
+    ``GENERAL_P_TOL``, starting from Y * ``E_prev``, the previous E block,
+    when it is given.
+    The active branch needs no comparison with the boundary t = 0: for p >= 1
+    the scalar problem is convex with slope -a < 0 at t = 0, so its
+    stationary point beats 0.5 a^2.
+    Entries with Y*S <= 0 keep their target S.  At p not in {1, 2} only the
+    active entries are computed, so an inactive target of 0 never meets an
+    underflowed k = lam/mu = 0 in a 0/0.
     """
     if p < 1:
         raise ValueError("loss power p must be at least 1")
@@ -340,8 +365,11 @@ def update_E(S: np.ndarray, Y: np.ndarray, lam: float, mu: float, p: float,
     steps = 0
     if np.any(active):
         Y_active = Y[active]
-        start = None if E_prev is None else Y_active * E_prev[active]
-        t, steps = _positive_branch_minimizer(target[active], k, p, GENERAL_P_TOL, start)
+        if p == 1.5:
+            t = _three_halves_minimizer(target[active], k)
+        else:
+            start = None if E_prev is None else Y_active * E_prev[active]
+            t, steps = _positive_branch_minimizer(target[active], k, p, GENERAL_P_TOL, start)
         E[active] = Y_active * t
     return E, steps
 

@@ -300,6 +300,82 @@ class TestUpdateE:
             reference = oracles.scalar_e_minimizer(y, s, k, p)
             assert abs(e - reference) <= 1e-4
 
+    def test_newton_powers_match_scalar_oracle(self):
+        # Criterion 04's draws and bound at powers that only Newton solves,
+        # each from a cold start and from a previous E block.
+        rng = np.random.default_rng(23)
+        worst = 0.0
+        for _ in range(1000):
+            y = float(rng.choice([-1.0, 1.0]))
+            s = float(rng.uniform(-5.0, 5.0))
+            k = float(rng.uniform(0.01, 3.0))
+            p = float(rng.choice([1.25, 2.5, 3.0]))
+            S, Y = np.array([[s]]), np.array([[y]])
+            previous = np.array([[rng.uniform(-5.0, 5.0)]])
+            reference = oracles.scalar_e_minimizer(y, s, k, p)
+            for E_prev in (None, previous):
+                E, steps = solver.update_E(S, Y, lam=k, mu=1.0, p=p, E_prev=E_prev)
+                assert steps > 0 or y * s <= 0.0
+                worst = max(worst, abs(E[0, 0] - reference))
+        assert worst <= 1e-4
+
+    @pytest.mark.filterwarnings("error")
+    @settings(max_examples=200, deadline=None)
+    @given(k=st.floats(-13.0, 300.0).map(lambda power: 10.0**power),
+           entries=st.lists(st.tuples(st.floats(-12.0, 300.0),
+                                      st.sampled_from(["active", "inactive", "zero"]),
+                                      st.sampled_from([-1.0, 1.0])),
+                            min_size=1, max_size=8))
+    @example(k=1e200, entries=[(300.0, "active", 1.0), (300.0, "inactive", -1.0)])  # h^2 overflows
+    @example(k=5e-324, entries=[(-12.0, "active", -1.0), (0.0, "zero", 1.0),
+                                (300.0, "active", 1.0)])
+    def test_three_halves_closed_form(self, k, entries):
+        # Targets a = Y*S: 10^power when active, -10^power or 0 when not.
+        log_a, kinds, labels = (np.array(column) for column in zip(*entries))
+        magnitude = 10.0**log_a
+        target = np.where(kinds == "active", magnitude,
+                          np.where(kinds == "inactive", -magnitude, 0.0))
+        Y = labels[:, None]
+        S = Y * target[:, None]
+        E, steps = solver.update_E(S, Y, lam=k, mu=1.0, p=1.5)
+        assert steps == 0
+        active = kinds == "active"
+        np.testing.assert_array_equal(E[~active], S[~active])
+        a, t = magnitude[active], (Y * E)[active, 0]
+        eps = np.finfo(float).eps
+        # The root is below a; rounding in s^2 can end a few ulps above it.
+        assert np.all(np.isfinite(t)) and np.all((t >= 0.0) & (t <= a * (1.0 + 4 * eps)))
+        # f(t) = 1.5 k sqrt(t) + t - a is a few roundings from 0 where t is
+        # a normal float.  Below that range |f(t)| can be as large as a, and
+        # the root must lie below the smallest normal floats instead.
+        def f(u):
+            return 1.5 * k * np.sqrt(u) + u - a
+
+        tiny = np.finfo(float).tiny
+        normal = t >= tiny
+        assert np.all(np.abs(f(t)[normal]) <= 4 * eps * np.maximum(a[normal], 1.0))
+        assert np.all(f(np.full_like(a, 2 * tiny))[~normal] >= 0.0)
+        # Newton's step forms (f t) / f', which overflows once a t nears the
+        # largest float, so it is a reference only for a <= 1e150.  A root
+        # below the normal range has a = 1.5 k sqrt(t) + t < 2.3e-154 k
+        # <= 2.3e146, so that comparison covers every such entry.
+        in_range = a <= 1e150
+        tol = 1e-10
+        newton, _ = solver._positive_branch_minimizer(a[in_range], k, 1.5, tol)
+        slack = 4 * tol + 16 * np.spacing(a[in_range])
+        assert np.all(np.abs(t[in_range] - newton) <= slack)
+
+    @pytest.mark.filterwarnings("error")
+    def test_three_halves_with_underflowed_penalty_ratio(self):
+        # lam/mu underflows to 0: targets of 0 are inactive and stay 0, and
+        # active targets are kept, as with no loss at all.
+        S = np.array([[0.0], [2.0], [-3.0], [0.0]])
+        Y = np.array([[1.0], [1.0], [1.0], [-1.0]])
+        E, steps = solver.update_E(S, Y, lam=1e-300, mu=1e30, p=1.5)
+        assert steps == 0
+        np.testing.assert_array_equal(E[[0, 2, 3]], S[[0, 2, 3]])
+        assert E[1, 0] == pytest.approx(2.0, rel=4 * np.finfo(float).eps)
+
     @pytest.mark.filterwarnings("error")
     @settings(max_examples=300, deadline=None)
     @given(st.floats(1.01, 4.0), st.floats(-12.0, 8.0),
@@ -724,14 +800,25 @@ class TestTrain:
         assert fast.objective_trace[-1] == pytest.approx(dense.objective_trace[-1], rel=1e-9)
 
     def test_general_power_matches_bisection_reference(self, monkeypatch):
+        # p = 1.25 reaches Newton; p = 1.5 has a closed form of its own.
         data = make_blobs(60, 5, seed=12)
-        config = SolverConfig(components=3, loss_power=1.5)
+        config = SolverConfig(components=3, loss_power=1.25)
         _, newton = train(data, config)
         monkeypatch.setattr(solver, "_positive_branch_minimizer", _bisection_reference)
         _, bisection = train(data, config)
         assert newton.e_inner_steps != bisection.e_inner_steps
         assert newton.iterations == bisection.iterations
         assert newton.objective_trace[-1] == pytest.approx(bisection.objective_trace[-1], rel=1e-9)
+
+    def test_three_halves_matches_bisection_reference(self, monkeypatch):
+        data = make_blobs(60, 5, seed=12)
+        config = SolverConfig(components=3, loss_power=1.5)
+        _, closed = train(data, config)
+        monkeypatch.setattr(solver, "_three_halves_minimizer",
+                            lambda a, k: _bisection_reference(a, k, 1.5, 1e-10)[0])
+        _, bisection = train(data, config)
+        assert closed.iterations == bisection.iterations
+        assert closed.objective_trace[-1] == pytest.approx(bisection.objective_trace[-1], rel=1e-9)
 
     @pytest.mark.parametrize("power", [1.0005, 1.2, 3.0])
     def test_warm_start_matches_cold_start(self, monkeypatch, power):
@@ -749,15 +836,23 @@ class TestTrain:
         assert warm.objective_trace[-1] == pytest.approx(cold.objective_trace[-1], rel=1e-9)
         assert sum(warm.e_inner_steps) < sum(cold.e_inner_steps)
 
-    def test_e_inner_steps_in_report(self):
+    def test_e_inner_steps_in_report(self, monkeypatch):
         data = make_blobs(40, 3, seed=2)
         _, quadratic = train(data, SolverConfig(components=2))
-        _, general = train(data, SolverConfig(components=2, loss_power=1.5))
+        _, general = train(data, SolverConfig(components=2, loss_power=1.25))
         assert quadratic.e_inner_steps == [0] * quadratic.iterations
         assert len(general.e_inner_steps) == general.iterations
         # Newton takes a handful of steps; bisection to 1e-10 would take ~40.
         assert all(0 < steps < 20 for steps in general.e_inner_steps)
         assert general.to_dict()["e_inner_steps"] == general.e_inner_steps
+
+        # p = 1.5 is solved in closed form and never reaches Newton.
+        def unreachable(*args):
+            raise AssertionError("Newton called at p = 1.5")
+
+        monkeypatch.setattr(solver, "_positive_branch_minimizer", unreachable)
+        _, three_halves = train(data, SolverConfig(components=2, loss_power=1.5))
+        assert three_halves.e_inner_steps == [0] * three_halves.iterations
 
     def test_gram_side_in_report(self):
         _, tall = train(make_blobs(40, 3, seed=2), SolverConfig(components=2))
@@ -914,3 +1009,69 @@ class TestTrain:
         with pytest.raises(solver.DivergenceError) as err:
             train(make_blobs(40, 3, seed=2), SolverConfig(components=2))
         assert (err.value.iteration, err.value.block) == (1, "objective")
+
+
+def _invariance_fits(problems, components, power):
+    """W of a fit of each ``(X, y)`` in ``problems``, all after the same number
+    of iterations, so that they share one mu schedule.  ``outer_tol=1e-300``
+    stops a fit only once two consecutive objectives are equal, which a small
+    fit can reach before the cap of 25; then every fit is run again, capped
+    at the fewest iterations any of them took."""
+    def fit(X, y, cap):
+        config = SolverConfig(components=components, loss_power=power,
+                              outer_tol=1e-300, outer_max_iters=cap)
+        model, report = train(DataSet(X=X, y=y), config)
+        return model.W, report.iterations
+
+    fits = [fit(X, y, 25) for X, y in problems]
+    fewest = min(iterations for _, iterations in fits)
+    if any(iterations != fewest for _, iterations in fits):
+        fits = [fit(X, y, fewest) for X, y in problems]
+    assert all(iterations == fewest for _, iterations in fits)
+    return [W for W, _ in fits]
+
+
+_invariance_cases = dict(
+    shape=st.sampled_from([(30, 4), (40, 7), (8, 20), (12, 30)]),  # both Gram sides
+    components=st.integers(1, 5),
+    power=st.sampled_from([1.0, 1.5, 2.0]),
+    seed=st.integers(0, 2**16),
+)
+
+
+class TestExactInvariances:
+    """Symmetries of the training problem that hold to rounding after any
+    fixed number of iterations, because the start and every block update
+    share them."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), **_invariance_cases)
+    def test_permutations(self, data, shape, components, power, seed):
+        # Permuting features permutes the rows of W; permuting instances
+        # leaves W unchanged.
+        N, M = shape
+        blobs = make_blobs(N, M, seed=seed)
+        features = np.array(data.draw(st.permutations(range(M))))
+        instances = np.array(data.draw(st.permutations(range(N))))
+        W, W_f, W_i = _invariance_fits(
+            [(blobs.X, blobs.y), (blobs.X[features], blobs.y),
+             (blobs.X[:, instances], blobs.y[instances])], components, power)
+        bound = 1e-12 * max(1.0, float(np.abs(W).max()))
+        np.testing.assert_allclose(W_f, W[features], rtol=0.0, atol=bound)
+        np.testing.assert_allclose(W_i, W, rtol=0.0, atol=bound)
+
+    @settings(max_examples=60, deadline=None)
+    @given(**_invariance_cases)
+    def test_zero_features(self, shape, components, power, seed):
+        # Appending zero features leaves the old rows of W as they were, and
+        # the new rows depend only on C and the mu schedule: they are the
+        # same bits for another data set of another shape.
+        N, M = shape
+        blobs = make_blobs(N, M, seed=seed)
+        other = make_blobs(M + 3, N + 2, seed=seed + 1)
+        W, padded, other_padded = _invariance_fits(
+            [(blobs.X, blobs.y), (np.vstack([blobs.X, np.zeros((3, N))]), blobs.y),
+             (np.vstack([other.X, np.zeros((3, M + 3))]), other.y)], components, power)
+        bound = 1e-12 * max(1.0, float(np.abs(W).max()))
+        np.testing.assert_allclose(padded[:M], W, rtol=0.0, atol=bound)
+        np.testing.assert_array_equal(padded[M:], other_padded[-3:])
