@@ -49,8 +49,8 @@ residual trace.  The products with X, N x M flops each whatever C is, are:
 * instances side: one per iteration.  The P update forms
   X^T rhs = X^T w - X^T q/mu + K u with u = r - e from the carried vectors,
   solves s = (I + K)^-1 X^T rhs, and returns p = w - q/mu + X (u - s) and
-  X^T p = X^T rhs - K s, which costs the one product X (u - s) plus about
-  6 N^2 flops;
+  X^T p = X^T rhs - K s = s, which costs the one product X (u - s) plus
+  about 4 N^2 flops;
 
 plus, once per fit, the Gram product and X^T Q for the starting Q.
 """
@@ -170,20 +170,20 @@ def gram_side(X: np.ndarray) -> str:
 
 
 def factor_gram(X: np.ndarray):
-    """Factor I + X X^T once per fit and return ``solve(base, Xt_base, u)``,
-    which gives P = (I + X X^T)^-1 (base + X u) and X^T P for an M x C
-    ``base`` and an N x C ``u``.  ``Xt_base`` is a function of no arguments
-    returning X^T base; only the instances side calls it.
+    """Factor I + X X^T once per fit and return ``solve(W, Q, XtW, XtQ, mu, u)``,
+    which gives P = (I + X X^T)^-1 (W - Q/mu + X u) and X^T P for M x C
+    blocks W and Q, XtW = X^T W and XtQ = X^T Q (read only on the instances
+    side), the penalty mu and an N x C ``u``.
 
     On the features side (M <= N) this is the Cholesky of the M x M matrix
     I + X X^T: M^2 N flops to form, M^3/3 to factor; a solve costs the two
     products X u and X^T P plus about 2 M^2 C flops.
     On the instances side (M > N) it is the Cholesky of the N x N matrix
     I + K with K = X^T X, which is kept: N^2 M flops to form, N^3/3 to
-    factor.  By the matrix inversion lemma P = base + X (u - s) and
-    X^T P = X^T rhs - K s, with X^T rhs = Xt_base + K u and
-    s = (I + K)^-1 X^T rhs, so a solve costs the one product X (u - s) plus
-    about 6 N^2 C flops.
+    factor.  By the matrix inversion lemma P = W - Q/mu + X (u - s) with
+    s = (I + K)^-1 X^T rhs and X^T rhs = XtW - XtQ/mu + K u, so
+    X^T P = X^T rhs - K s = s, and a solve costs the one product X (u - s)
+    plus about 4 N^2 C flops.
 
     Both sides solve with the factor through LAPACK ``potrs``, looked up once
     here and called directly: the routine and arguments of ``cho_solve``
@@ -213,15 +213,14 @@ def factor_gram(X: np.ndarray):
         return x
 
     if features:
-        def solve(base, Xt_base, u):
-            P = potrs_solve(base + X @ u)
+        def solve(W, Q, XtW, XtQ, mu, u):
+            P = potrs_solve(W - Q / mu + X @ u)
             return P, X.T @ P
         return solve
 
-    def solve(base, Xt_base, u):
-        Xt_rhs = Xt_base() + gram @ u
-        s = potrs_solve(Xt_rhs)
-        return base + X @ (u - s), Xt_rhs - gram @ s
+    def solve(W, Q, XtW, XtQ, mu, u):
+        s = potrs_solve(XtW - XtQ / mu + gram @ u)
+        return W - Q / mu + X @ (u - s), s
     return solve
 
 
@@ -260,11 +259,11 @@ def update_b(y: np.ndarray, E: np.ndarray, XtP: np.ndarray, Z_over_mu: np.ndarra
     return residual.sum(axis=0) / residual.shape[0]
 
 
-def _positive_branch_minimizer(a: np.ndarray, k: float, p: float, tol: float,
-                               start: np.ndarray | None = None) -> tuple[np.ndarray, int]:
+def _positive_branch_minimizer(a: np.ndarray, k: float, p: float,
+                               start: np.ndarray) -> tuple[np.ndarray, int]:
     """Solve min_{t >= 0} k * t^p + 0.5 * (t - a)^2 for positive targets ``a``
     by Newton's method on the increasing derivative f(t) = k p t^(p-1) + t - a,
-    from ``start`` clipped into [lo, hi], or from hi when ``start`` is None.
+    from ``start`` clipped into [lo, hi]; a start of ``a`` clips to hi.
 
     The root lies in (0, hi] with hi = min(a, (a/(kp))^(1/(p-1))), since
     f(hi) >= 0.  f is concave for 1 < p < 2 and convex for p > 2, so every
@@ -278,21 +277,22 @@ def _positive_branch_minimizer(a: np.ndarray, k: float, p: float, tol: float,
     root and rises below it, so no step from [lo, hi] ends below lo, and the
     iterates from a warm start never trail those from hi.  Clipping the start
     to lo keeps Newton off t = 0, where f' is infinite and the step is 0/0,
-    and off tiny starts whose steps fall under ``tol`` far from the root.
+    and off tiny starts whose steps fall below the tolerance far from the root.
     For p > 2, lo = 0, and the 0/0 step at t = 0 clamps to hi.
 
-    Iteration stops once no entry moves by more than ``tol`` plus a few units
-    in the last place of t (for large t the iterates can alternate between two
-    neighbouring floats further apart than ``tol``), or after 200 steps.
-    Returns the minimizers and the step count.
+    Iteration stops once no entry moves by more than ``GENERAL_P_TOL`` plus a
+    few units in the last place of t (for large t the iterates can alternate
+    between two neighbouring floats further apart than the tolerance), or
+    after 200 steps.  Returns the minimizers and the step count.
     """
     slope = k * p
     resolution = 4.0 * np.finfo(float).eps
 
     def newton(t):
-        # t - f / f'(t) with f'(t) = (p - 1) k p t^(p-2) + 1, reusing t^(p-1).
+        # t - f / f'(t) with f'(t) = (p - 1) k p t^(p-2) + 1, reusing t^(p-1);
+        # t / (t f'(t)) lies in (0, 1], so no a * t forms to overflow.
         power_term = slope * t ** (p - 1.0)
-        return t - (power_term + t - a) * t / ((p - 1.0) * power_term + t)
+        return t - (power_term + t - a) * (t / ((p - 1.0) * power_term + t))
 
     # Near p = 1 the power in hi overflows to inf, which the minimum with a
     # absorbs, or underflows to 0, where the root is below the smallest float.
@@ -304,10 +304,10 @@ def _positive_branch_minimizer(a: np.ndarray, k: float, p: float, tol: float,
         else:
             lo = 0.0
             clamp, bound = np.fmin, hi
-        t = hi if start is None else np.clip(start, lo, hi)
+        t = np.clip(start, lo, hi)
         for steps in range(1, 201):
             step = clamp(newton(t), bound)
-            settled = np.abs(step - t) <= tol + resolution * t
+            settled = np.abs(step - t) <= GENERAL_P_TOL + resolution * t
             t = step
             if settled.all():
                 break
@@ -343,7 +343,7 @@ def update_E(S: np.ndarray, Y: np.ndarray, lam: float, mu: float, p: float,
     branch by :func:`_three_halves_minimizer` in closed form, and any other
     p >= 1 solves it by :func:`_positive_branch_minimizer` to
     ``GENERAL_P_TOL``, starting from Y * ``E_prev``, the previous E block,
-    when it is given.
+    when it is given, and from the target otherwise.
     The active branch needs no comparison with the boundary t = 0: for p >= 1
     the scalar problem is convex with slope -a < 0 at t = 0, so its
     stationary point beats 0.5 a^2.
@@ -368,8 +368,8 @@ def update_E(S: np.ndarray, Y: np.ndarray, lam: float, mu: float, p: float,
         if p == 1.5:
             t = _three_halves_minimizer(target[active], k)
         else:
-            start = None if E_prev is None else Y_active * E_prev[active]
-            t, steps = _positive_branch_minimizer(target[active], k, p, GENERAL_P_TOL, start)
+            start = target if E_prev is None else Y * E_prev
+            t, steps = _positive_branch_minimizer(target[active], k, p, start[active])
         E[active] = Y_active * t
     return E, steps
 
@@ -380,9 +380,9 @@ def update_P(solve_gram, W: np.ndarray, Q: np.ndarray, XtW: np.ndarray, XtQ: np.
     caller passes u = Y - 1 b^T - Z/mu - E, and return P and X^T P.  Takes
     the ``solve_gram`` that :func:`factor_gram` returned, and XtW = X^T W and
     XtQ = X^T Q, which only the instances side reads.  Costs two products
-    with X on the features side and one on the instances side (see
-    :func:`factor_gram`)."""
-    return solve_gram(W - Q / mu, lambda: XtW - XtQ / mu, u)
+    with X on the features side and one on the instances side, where X^T P
+    is the solution of the N x N system (see :func:`factor_gram`)."""
+    return solve_gram(W, Q, XtW, XtQ, mu, u)
 
 
 def constraint_gaps(W: np.ndarray, b: np.ndarray, E: np.ndarray, P: np.ndarray,

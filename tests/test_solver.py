@@ -78,17 +78,18 @@ def _reference_train(data, config):
     return W, b, objectives, residuals, iteration, stop_reason
 
 
-def _bisection_reference(a, k, p, tol, start=None):
+def _bisection_reference(a, k, p, start):
     """Plain bisection of f(t) = k p t^(p-1) + t - a on [0, a] down to width
-    tol (at most 200 halvings); returns the midpoints and the halving count,
-    the same contract as ``solver._positive_branch_minimizer``, whose
-    ``start`` it ignores."""
+    ``solver.GENERAL_P_TOL`` (at most 200 halvings); returns the midpoints and
+    the halving count, the same contract as
+    ``solver._positive_branch_minimizer``, whose ``start`` it ignores."""
     lo = np.zeros_like(a)
     hi = np.array(a, dtype=float)
     steps = 0
-    while steps < 200 and float((hi - lo).max()) > tol:
+    while steps < 200 and float((hi - lo).max()) > solver.GENERAL_P_TOL:
         mid = 0.5 * (lo + hi)
-        positive = k * p * mid ** (p - 1.0) + mid - a > 0.0
+        with np.errstate(over="ignore"):  # an overflowed f(mid) = inf is positive
+            positive = k * p * mid ** (p - 1.0) + mid - a > 0.0
         hi = np.where(positive, mid, hi)
         lo = np.where(positive, lo, mid)
         steps += 1
@@ -319,7 +320,7 @@ class TestUpdateE:
                 worst = max(worst, abs(E[0, 0] - reference))
         assert worst <= 1e-4
 
-    @pytest.mark.filterwarnings("error")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @settings(max_examples=200, deadline=None)
     @given(k=st.floats(-13.0, 300.0).map(lambda power: 10.0**power),
            entries=st.lists(st.tuples(st.floats(-12.0, 300.0),
@@ -329,6 +330,8 @@ class TestUpdateE:
     @example(k=1e200, entries=[(300.0, "active", 1.0), (300.0, "inactive", -1.0)])  # h^2 overflows
     @example(k=5e-324, entries=[(-12.0, "active", -1.0), (0.0, "zero", 1.0),
                                 (300.0, "active", 1.0)])
+    # a * t is above the largest float, so the Newton step must not form it.
+    @example(k=2.34e186, entries=[(np.log10(3.24e255), "active", 1.0)])
     def test_three_halves_closed_form(self, k, entries):
         # Targets a = Y*S: 10^power when active, -10^power or 0 when not.
         log_a, kinds, labels = (np.array(column) for column in zip(*entries))
@@ -355,15 +358,10 @@ class TestUpdateE:
         normal = t >= tiny
         assert np.all(np.abs(f(t)[normal]) <= 4 * eps * np.maximum(a[normal], 1.0))
         assert np.all(f(np.full_like(a, 2 * tiny))[~normal] >= 0.0)
-        # Newton's step forms (f t) / f', which overflows once a t nears the
-        # largest float, so it is a reference only for a <= 1e150.  A root
-        # below the normal range has a = 1.5 k sqrt(t) + t < 2.3e-154 k
-        # <= 2.3e146, so that comparison covers every such entry.
-        in_range = a <= 1e150
-        tol = 1e-10
-        newton, _ = solver._positive_branch_minimizer(a[in_range], k, 1.5, tol)
-        slack = 4 * tol + 16 * np.spacing(a[in_range])
-        assert np.all(np.abs(t[in_range] - newton) <= slack)
+        # Newton's method from a cold start agrees over the whole range.
+        newton, _ = solver._positive_branch_minimizer(a, k, 1.5, a)
+        slack = 4 * solver.GENERAL_P_TOL + 16 * np.spacing(a)
+        assert np.all(np.abs(t - newton) <= slack)
 
     @pytest.mark.filterwarnings("error")
     def test_three_halves_with_underflowed_penalty_ratio(self):
@@ -376,20 +374,25 @@ class TestUpdateE:
         np.testing.assert_array_equal(E[[0, 2, 3]], S[[0, 2, 3]])
         assert E[1, 0] == pytest.approx(2.0, rel=4 * np.finfo(float).eps)
 
-    @pytest.mark.filterwarnings("error")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @settings(max_examples=300, deadline=None)
     @given(st.floats(1.01, 4.0), st.floats(-12.0, 8.0),
            hnp.arrays(np.float64, st.integers(1, 6), elements=st.floats(-8.0, 8.0)),
-           st.sampled_from([None, "zero", "inside", "below", "above"]), st.floats(0.0, 1.0))
+           st.sampled_from(["cold", "zero", "inside", "below", "above"]), st.floats(0.0, 1.0))
     @example(p=1.01, log_k=-2.0, log_a=np.array([8.0, 0.0, -8.0]),  # bracket powers overflow
-             start=None, fraction=0.0)
+             start="cold", fraction=0.0)
     @example(p=1.01, log_k=8.0, log_a=np.array([-8.0, 8.0]),  # the small root underflows to 0
-             start=None, fraction=0.0)
-    @example(p=3.0, log_k=-12.0, log_a=np.array([8.0, -8.0, 0.0]), start=None, fraction=0.0)
+             start="cold", fraction=0.0)
+    @example(p=3.0, log_k=-12.0, log_a=np.array([8.0, -8.0, 0.0]), start="cold", fraction=0.0)
     @example(p=3.0, log_k=-9.0, log_a=np.array([8.0]),  # neighbouring floats alternate
-             start=None, fraction=0.0)
-    @example(p=1.5, log_k=2.5, log_a=np.array([7.5]), start=None, fraction=0.0)  # likewise
-    @example(p=4.0, log_k=8.0, log_a=np.array([-8.0]), start=None, fraction=0.0)
+             start="cold", fraction=0.0)
+    @example(p=1.5, log_k=2.5, log_a=np.array([7.5]), start="cold", fraction=0.0)  # likewise
+    @example(p=4.0, log_k=8.0, log_a=np.array([-8.0]), start="cold", fraction=0.0)
+    # a * t is above the largest float, so the Newton step must not form it.
+    @example(p=1.25, log_k=np.log10(2.34e186), log_a=np.array([np.log10(3.24e255)]),
+             start="cold", fraction=0.0)
+    @example(p=1.5, log_k=np.log10(2.34e186), log_a=np.array([np.log10(3.24e255)]),
+             start="cold", fraction=0.0)
     # Near p = 1 the lower bracket power underflows to 0, and a Newton step
     # from t = 0 is 0/0; the roots run from 4.1e-5 to 2.8e-3.
     @example(p=1.0005, log_k=0.0, log_a=np.log10(1.0005 * np.array([0.995, 0.999, 0.9999])),
@@ -398,16 +401,16 @@ class TestUpdateE:
     @example(p=1.0005, log_k=0.0, log_a=np.log10(1.0005 * np.array([0.995, 0.999, 0.9999])),
              start="inside", fraction=1e-300)
     def test_general_power_minimizer(self, p, log_k, log_a, start, fraction):
-        k, a, tol = 10.0**log_k, 10.0**log_a, 1e-10
+        k, a, tol = 10.0**log_k, 10.0**log_a, solver.GENERAL_P_TOL
         # The closed-form bracket of the root: f(lo) <= 0 <= f(hi).
         with np.errstate(over="ignore"):
             lo = np.minimum(0.5 * a, (0.5 * a / (k * p)) ** (1.0 / (p - 1.0)))
             hi = np.minimum(a, (a / (k * p)) ** (1.0 / (p - 1.0)))
-        start = {None: None, "zero": np.zeros_like(a),
+        start = {"cold": a, "zero": np.zeros_like(a),
                  "inside": lo + fraction * (hi - lo),
                  "below": lo * (1.0 - fraction) - fraction,
                  "above": a + fraction * (a + 1.0)}[start]
-        t, steps = solver._positive_branch_minimizer(a, k, p, tol, start)
+        t, steps = solver._positive_branch_minimizer(a, k, p, start)
         assert np.all(np.isfinite(t)) and np.all((t >= 0.0) & (t <= a))
         assert 1 <= steps < 200
         # f(t) = k p t^(p-1) + t - a changes sign within a few tol (or float
@@ -420,7 +423,7 @@ class TestUpdateE:
 
         assert np.all(f(np.maximum(t - slack, 0.0)) <= 0.0)
         assert np.all(f(t + slack) >= 0.0)
-        reference, _ = _bisection_reference(a, k, p, tol)
+        reference, _ = _bisection_reference(a, k, p, a)
         assert np.all(np.abs(t - reference) <= slack)
 
 
@@ -495,14 +498,11 @@ class TestFactorGram:
         X = rng.normal(size=(M, N)) * rng.choice([0.1, 1.0, 10.0])
         R = rng.normal(size=(M, C))
         expected = np.linalg.solve(np.eye(M) + X @ X.T, R)
-        calls = []
-
-        def Xt_base():
-            calls.append(1)
-            return X.T @ R
-
-        got, Xt_got = solver.factor_gram(X)(R, Xt_base, np.zeros((N, C)))
-        assert len(calls) == (M > N)  # only the instances side reads X^T base
+        # W = R and Q = 0 make the right-hand side R.  Only the instances
+        # side reads X^T W and X^T Q; the features side gets None for both.
+        Q = np.zeros((M, C))
+        XtW, XtQ = (X.T @ R, X.T @ Q) if M > N else (None, None)
+        got, Xt_got = solver.factor_gram(X)(R, Q, XtW, XtQ, 1.0, np.zeros((N, C)))
         scale = 1.0 + np.abs(X).max() ** 2
         np.testing.assert_allclose(got, expected, rtol=0, atol=1e-10 * scale * (1 + np.abs(R).max()))
         # X^T P comes back without a product on the instances side
@@ -512,20 +512,21 @@ class TestFactorGram:
     @pytest.mark.parametrize("shape", [(5, 40), (30, 12)], ids=["features", "instances"])
     def test_bound_solve_equals_cho_solve(self, shape):
         # The solve calls LAPACK potrs directly; cho_solve on the same factor
-        # gives the same bits on both sides.
+        # gives the same bits on both sides.  On the instances side X^T P is
+        # the solution s of the N x N system itself.
         M, N = shape
         rng = np.random.default_rng(M)
-        X, base, u = rng.normal(size=(M, N)), rng.normal(size=(M, 1)), rng.normal(size=(N, 1))
-        Xt_base = X.T @ base
-        got, Xt_got = solver.factor_gram(X)(base, lambda: Xt_base, u)
+        X, W, u = rng.normal(size=(M, N)), rng.normal(size=(M, 1)), rng.normal(size=(N, 1))
+        Q, mu = rng.normal(size=(M, 1)), 1.7
+        XtW, XtQ = X.T @ W, X.T @ Q
+        got, Xt_got = solver.factor_gram(X)(W, Q, XtW, XtQ, mu, u)
         if M <= N:
-            expected = cho_solve(cho_factor(np.eye(M) + X @ X.T), base + X @ u)
+            expected = cho_solve(cho_factor(np.eye(M) + X @ X.T), W - Q / mu + X @ u)
             Xt_expected = X.T @ expected
         else:
             K = X.T @ X
-            Xt_rhs = Xt_base + K @ u
-            s = cho_solve(cho_factor(np.eye(N) + K), Xt_rhs)
-            expected, Xt_expected = base + X @ (u - s), Xt_rhs - K @ s
+            s = cho_solve(cho_factor(np.eye(N) + K), XtW - XtQ / mu + K @ u)
+            expected, Xt_expected = W - Q / mu + X @ (u - s), s
         np.testing.assert_array_equal(got, expected)
         np.testing.assert_array_equal(Xt_got, Xt_expected)
 
@@ -788,8 +789,8 @@ class TestTrain:
         def dense_reference(X):
             K = np.eye(X.shape[0]) + X @ X.T
 
-            def solve(base, Xt_base, u):
-                P = np.linalg.solve(K, base + X @ u)
+            def solve(W, Q, XtW, XtQ, mu, u):
+                P = np.linalg.solve(K, W - Q / mu + X @ u)
                 return P, X.T @ P
             return solve
 
@@ -798,6 +799,37 @@ class TestTrain:
         assert fast.gram_side == "instances"
         assert fast.iterations == dense.iterations
         assert fast.objective_trace[-1] == pytest.approx(dense.objective_trace[-1], rel=1e-9)
+
+    @pytest.mark.parametrize("outer_tol", [SolverConfig().outer_tol, 1e-300],
+                             ids=["default_stop", "tight"])
+    @pytest.mark.parametrize("power", [1.0, 1.25, 1.5, 2.0])
+    @pytest.mark.parametrize("shape", [(40, 5), (200, 6), (12, 30), (15, 40), (24, 25)],
+                             ids=["features-40x5", "features-200x6", "instances-12x30",
+                                  "instances-15x40", "instances-24x25"])
+    def test_split_step_is_stationary(self, monkeypatch, shape, power, outer_tol):
+        # P minimizes the augmented Lagrangian in P, whose gradient there,
+        # Q + mu (P - W) + X (Z + mu (E - Y + X^T P + 1 b^T)), is Q + X Z
+        # for the multipliers after the ascent.  So Q + X Z = 0 to rounding
+        # at every iteration, on both Gram sides, when train's X^T P is X^T
+        # of its P.  The bound is in units of eps * mu times the scale of Q
+        # and of X Z, with mu the penalty of that iteration's P step.
+        data = make_blobs(*shape, seed=3)
+        X = data.X
+        row_sum = np.abs(X).sum(axis=1).max()
+        eps = np.finfo(float).eps
+        units = []
+        original = solver.update_multipliers
+
+        def recorded(Z, Q, mu, *args):
+            Z_new, Q_new, mu_new = original(Z, Q, mu, *args)
+            scale = 1.0 + np.abs(Q_new).max() + row_sum * np.abs(Z_new).max()
+            units.append(float(np.abs(Q_new + X @ Z_new).max() / (eps * mu * scale)))
+            return Z_new, Q_new, mu_new
+
+        monkeypatch.setattr(solver, "update_multipliers", recorded)
+        _, report = train(data, SolverConfig(components=3, loss_power=power, outer_tol=outer_tol))
+        assert len(units) == report.iterations
+        assert max(units) <= 16.0
 
     def test_general_power_matches_bisection_reference(self, monkeypatch):
         # p = 1.25 reaches Newton; p = 1.5 has a closed form of its own.
@@ -815,7 +847,7 @@ class TestTrain:
         config = SolverConfig(components=3, loss_power=1.5)
         _, closed = train(data, config)
         monkeypatch.setattr(solver, "_three_halves_minimizer",
-                            lambda a, k: _bisection_reference(a, k, 1.5, 1e-10)[0])
+                            lambda a, k: _bisection_reference(a, k, 1.5, a)[0])
         _, bisection = train(data, config)
         assert closed.iterations == bisection.iterations
         assert closed.objective_trace[-1] == pytest.approx(bisection.objective_trace[-1], rel=1e-9)
