@@ -193,9 +193,8 @@ def cmd_eval(args) -> int:
             data = datasets.DataSet(X=np.vstack([data.X, padding]), y=data.y)
         if args.standardize and trained.scaler is None:
             raise ValueError(
-                f"model {args.model} carries no feature scaler (format "
-                f"{model_mod.MODEL_FORMAT_VERSION}); train it with --standardize to save "
-                "the training transform"
+                f"model {args.model} carries no feature scaler; train it with --standardize "
+                "to save the training transform"
             )
         if trained.scaler is not None:
             # The model's own training transform, never one fitted on the eval file.

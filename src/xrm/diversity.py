@@ -60,6 +60,25 @@ def _l12_penalty(W: np.ndarray) -> float:
 DISTINCT_RTOL = 1e-9  # columns closer than this, relative to max |W|, count as one
 
 
+def _distinct_columns(W: np.ndarray, b: np.ndarray | None = None):
+    """The exactly distinct columns of W, or of (W, b) when biases are given.
+
+    Returns ``(first, inverse)``: ``first`` holds the index of each distinct
+    column's first occurrence, in order, and ``W[:, first][:, inverse]``
+    equals W.  Columns compare by their bytes, so -0.0 and 0.0 stay apart.
+    """
+    first: list[int] = []
+    index_of: dict[bytes, int] = {}
+    inverse = np.empty(W.shape[1], dtype=np.intp)
+    for c in range(W.shape[1]):
+        key = W[:, c].tobytes() if b is None else W[:, c].tobytes() + b[c].tobytes()
+        if key not in index_of:
+            index_of[key] = len(first)
+            first.append(c)
+        inverse[c] = index_of[key]
+    return np.array(first, dtype=np.intp), inverse
+
+
 @dataclass(frozen=True)
 class DiversityReport:
     """Pairwise exclusivity structure of a trained component matrix, and the
@@ -87,25 +106,31 @@ def diversity_report(W) -> DiversityReport:
 
     Pairwise exclusivity follows :func:`exclusivity`: a coordinate counts when
     the computed product is nonzero, so products that underflow to 0 do not.
-    Each column is compared with all columns at once, which keeps the extra
-    memory at one features-by-components array.
+    Both pairwise matrices are built on the exactly distinct columns and then
+    expanded to every component pair, so the C equal columns that ``train``
+    returns cost as much as one.  A column equal to an earlier one never
+    counts as distinct, so the count over the distinct columns, in order of
+    first occurrence, is the count over all of W.
     """
     W = np.asarray(W, dtype=float)
     if W.ndim != 2 or W.shape[1] < 1:
         raise ValueError(f"expected a features-by-components matrix, got shape {W.shape}")
-    C = W.shape[1]
-    relaxed = np.abs(W).T @ np.abs(W)
-    counts = np.empty((C, C))
-    tolerance = DISTINCT_RTOL * np.max(np.abs(W), initial=0.0)
+    first, inverse = _distinct_columns(W)
+    D = W[:, first]
+    U = D.shape[1]
+    relaxed = np.abs(D).T @ np.abs(D)
+    counts = np.empty((U, U))
+    tolerance = DISTINCT_RTOL * np.max(np.abs(D), initial=0.0)
     distinct = 0
-    for c in range(C):
-        column = W[:, c, None]
-        counts[c] = np.count_nonzero(column * W, axis=0)
-        nearest = np.min(np.max(np.abs(W[:, :c] - column), axis=0, initial=0.0), initial=np.inf)
+    for c in range(U):
+        column = D[:, c, None]
+        counts[c] = np.count_nonzero(column * D, axis=0)
+        nearest = np.min(np.max(np.abs(D[:, :c] - column), axis=0, initial=0.0), initial=np.inf)
         distinct += int(nearest > tolerance)
+    pairs = np.ix_(inverse, inverse)
     return DiversityReport(
-        pairwise_relaxed_exclusivity=relaxed,
-        pairwise_exclusivity=counts,
+        pairwise_relaxed_exclusivity=relaxed[pairs],
+        pairwise_exclusivity=counts[pairs],
         regularizer_value=exclusivity_regularizer(W),
         distinct_components=distinct,
     )

@@ -3,13 +3,22 @@
 An ensemble holds C linear components (columns of W with biases b) and
 predicts with their uniform average (w_e, b_e).  By convexity of the powered
 hinge, the averaged predictor's loss never exceeds the mean component loss;
-``verify_ensemble_bound`` checks that numerically.
+``verify_ensemble_bound`` checks that numerically.  The mean component loss
+is computed once per distinct component and weighted by its count, so the C
+equal columns that ``train`` returns cost as much as one.
 
 A model trained on standardized features carries the training
 :class:`~xrm.datasets.Scaler`; prediction here works on features that are
-already transformed, and callers apply ``model.scaler`` first.  Such a model
-is saved as ``xrm-model/2``; a model without a scaler is saved as
-``xrm-model/1``, and both load.
+already transformed, and callers apply ``model.scaler`` first.
+
+Models are saved as ``xrm-model/3``: the distinct columns of W, each once, as
+a row-major M x U list ``W``, and a list ``column`` of C indices that names
+each component's stored column.  ``b`` keeps all C biases, and a model with
+a scaler adds ``feature_mean`` and ``feature_scale``.  A ``wide`` benchmark
+model (M = 2000, C = 10 equal columns) takes 44 kB instead of the 442 kB of
+one column per component.  Files of the earlier formats still load:
+``xrm-model/1`` (row-major M x C ``W``, no scaler) and ``xrm-model/2``
+(``/1`` plus the scaler keys).
 """
 
 from __future__ import annotations
@@ -21,9 +30,11 @@ from pathlib import Path
 import numpy as np
 
 from .datasets import Scaler
+from .diversity import _distinct_columns
 
-MODEL_FORMAT_VERSION = "xrm-model/1"
-SCALED_MODEL_FORMAT_VERSION = "xrm-model/2"  # adds feature_mean and feature_scale
+MODEL_FORMAT_VERSION = "xrm-model/3"
+_EARLIER_VERSIONS = ("xrm-model/1", "xrm-model/2")  # every column stored; /2 adds the scaler
+_SCALER_KEYS = ("feature_mean", "feature_scale")
 
 _BOUND_TOL = 1e-9
 
@@ -102,9 +113,11 @@ def ensemble_loss(model: EnsembleModel, data, p: float | None = None) -> float:
 def average_component_loss(model: EnsembleModel, data, p: float | None = None) -> float:
     """Mean over components of each component's summed powered hinge loss."""
     p = model.p if p is None else p
-    scores = data.X.T @ model.W + model.b  # instances x components
-    margins = 1.0 - scores * data.y[:, None]
-    return float(_powered_hinge(margins, p).sum() / model.components)
+    first, inverse = _distinct_columns(model.W, model.b)
+    scores = model.W[:, first].T @ data.X + model.b[first, None]  # distinct components x instances
+    margins = 1.0 - scores * data.y
+    losses = _powered_hinge(margins, p).sum(axis=1)
+    return float(losses @ np.bincount(inverse) / model.components)
 
 
 def verify_ensemble_bound(model: EnsembleModel, data, p: float | None = None):
@@ -123,11 +136,13 @@ def test_error(model: EnsembleModel, data) -> float:
 
 
 def model_to_dict(model: EnsembleModel) -> dict:
+    first, inverse = _distinct_columns(model.W)
     payload = {
-        "version": MODEL_FORMAT_VERSION if model.scaler is None else SCALED_MODEL_FORMAT_VERSION,
+        "version": MODEL_FORMAT_VERSION,
         "feature_count": model.feature_count,
         "components": model.components,
-        "W": model.W.ravel(order="C").tolist(),
+        "W": model.W[:, first].ravel(order="C").tolist(),
+        "column": inverse.tolist(),
         "b": model.b.tolist(),
         "lambda": model.lam,
         "p": model.p,
@@ -138,28 +153,57 @@ def model_to_dict(model: EnsembleModel) -> dict:
     return payload
 
 
+def _expand_stored_columns(stored: np.ndarray, M: int, C: int, column) -> np.ndarray:
+    """The M x C weights of an ``xrm-model/3`` payload: its stored columns,
+    repeated as its ``column`` list says; raises ValueError naming the key
+    that does not fit."""
+    version = MODEL_FORMAT_VERSION
+    if M < 1 or stored.size == 0 or stored.size % M:
+        raise ValueError(f"{version} model's W holds {stored.size} values, "
+                         f"not a positive multiple of feature_count {M}")
+    U = stored.size // M
+    if not isinstance(column, list) or len(column) != C:
+        raise ValueError(f"{version} model's column must list {C} indices, one per component")
+    if not all(type(index) is int and 0 <= index < U for index in column):
+        raise ValueError(f"{version} model's column holds an entry that is not an index "
+                         f"in 0..{U - 1} of its {U} stored columns")
+    if len(set(column)) != U:
+        raise ValueError(f"{version} model's column leaves some of its {U} stored columns unused")
+    return stored.reshape(M, U)[:, column]
+
+
 def model_from_dict(payload: dict) -> EnsembleModel:
-    """The model a :func:`model_to_dict` payload describes; raises ValueError
-    unless the payload is an object of a known format holding every key of
-    that format, each with a value of a usable type."""
+    """The model a :func:`model_to_dict` payload describes, or one of an
+    earlier format; raises ValueError unless the payload is an object of a
+    known format holding every key of that format, each with a value of a
+    usable type."""
     if not isinstance(payload, dict):
         raise ValueError(f"model file must hold a JSON object, got {type(payload).__name__}")
     version = payload.get("version")
-    if version not in (MODEL_FORMAT_VERSION, SCALED_MODEL_FORMAT_VERSION):
-        raise ValueError(f"unsupported model format {version!r}; expected "
-                         f"{MODEL_FORMAT_VERSION!r} or {SCALED_MODEL_FORMAT_VERSION!r}")
+    known = (MODEL_FORMAT_VERSION, *_EARLIER_VERSIONS)
+    if version not in known:
+        raise ValueError(f"unsupported model format {version!r}; expected one of "
+                         f"{', '.join(map(repr, known))}")
     required = ["feature_count", "components", "W", "b", "lambda", "p"]
-    if version == SCALED_MODEL_FORMAT_VERSION:
-        required += ["feature_mean", "feature_scale"]
+    if version == MODEL_FORMAT_VERSION:
+        required.append("column")
+    scaled = (version == "xrm-model/2"
+              or (version == MODEL_FORMAT_VERSION and any(key in payload for key in _SCALER_KEYS)))
+    if scaled:
+        required += _SCALER_KEYS
     missing = [key for key in required if key not in payload]
     if missing:
         raise ValueError(f"{version} model lacks {', '.join(missing)}")
     try:
         M = int(payload["feature_count"])
         C = int(payload["components"])
-        W = np.asarray(payload["W"], dtype=float).reshape(M, C)
+        if version == MODEL_FORMAT_VERSION:
+            W = _expand_stored_columns(np.asarray(payload["W"], dtype=float), M, C,
+                                       payload["column"])
+        else:
+            W = np.asarray(payload["W"], dtype=float).reshape(M, C)
         scaler = None
-        if version == SCALED_MODEL_FORMAT_VERSION:
+        if scaled:
             scaler = Scaler(mean=payload["feature_mean"], scale=payload["feature_scale"])
         return EnsembleModel(W=W, b=np.asarray(payload["b"], dtype=float),
                              lam=float(payload["lambda"]), p=float(payload["p"]), scaler=scaler)

@@ -142,7 +142,7 @@ class TestTrain:
         rc = main(["train", "--data", str(blob_file), "--standardize", "--model", str(model_path),
                    "--out", str(tmp_path / "r.json")])
         assert rc == 0
-        assert json.loads(model_path.read_text())["version"] == "xrm-model/2"
+        assert json.loads(model_path.read_text())["version"] == "xrm-model/3"
         scaler = load_model(model_path).scaler
         expected = fit_scaler(load_dataset(blob_file))
         np.testing.assert_array_equal(scaler.mean, expected.mean)
@@ -267,11 +267,13 @@ class TestEval:
         model_path = tmp_path / "model.json"
         main(["train", "--data", str(blob_file), "--model", str(model_path),
               "--out", str(tmp_path / "r.json")])
-        assert json.loads(model_path.read_text())["version"] == "xrm-model/1"
+        payload = json.loads(model_path.read_text())
+        assert payload["version"] == "xrm-model/3" and "feature_mean" not in payload
         rc = main(["eval", "--data", str(blob_file), "--model", str(model_path), "--standardize",
                    "--out", str(tmp_path / "e.json")])
         assert rc == 1
-        assert "no feature scaler" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "no feature scaler" in err and "xrm-model/" not in err
         assert not (tmp_path / "e.json").exists()
 
     def test_trials_mode(self, tmp_path, blob_file):
@@ -346,6 +348,52 @@ class TestEval:
         err = capsys.readouterr().err
         assert err.startswith(message) and err.endswith("\n") and err.count("\n") == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize("change, message", [
+        ({"column": [0]}, "error: xrm-model/3 model's column must list 2 indices"),
+        ({"column": "01"}, "error: xrm-model/3 model's column must list 2 indices"),
+        ({"column": [0, 1.0]}, "error: xrm-model/3 model's column holds an entry that is not"),
+        ({"column": [0, "1"]}, "error: xrm-model/3 model's column holds an entry that is not"),
+        ({"column": [0, True]}, "error: xrm-model/3 model's column holds an entry that is not"),
+        ({"column": [0, 2]}, "error: xrm-model/3 model's column holds an entry that is not"),
+        ({"column": [-1, 1]}, "error: xrm-model/3 model's column holds an entry that is not"),
+        ({"column": [1, 1]}, "error: xrm-model/3 model's column leaves some of its 2 stored"),
+        ({"W": [0.5, -1.0, 2.0]}, "error: xrm-model/3 model's W holds 3 values, not a positive "
+                                  "multiple of feature_count 4"),
+        ({"feature_count": 0}, "error: xrm-model/3 model's W holds 8 values, not a positive "
+                               "multiple of feature_count 0"),
+        ({"W": []}, "error: xrm-model/3 model's W holds 0 values, not a positive multiple"),
+    ], ids=["short_column", "column_not_a_list", "float_index", "string_index", "bool_index",
+            "index_out_of_range", "negative_index", "stored_column_unused", "ragged_W",
+            "no_features", "empty_W"])
+    def test_malformed_stored_columns_exit_one(self, tmp_path, blob_file, capsys, change,
+                                               message):
+        payload = {"version": "xrm-model/3", "feature_count": 4, "components": 2,
+                   "W": [0.5, -1.0, 0.0, 2.0, 1.5, 0.25, -0.5, 0.0], "column": [0, 1],
+                   "b": [0.0, 0.1], "lambda": 2.0, "p": 2.0}
+        model_path = tmp_path / "model.json"
+        model_path.write_text(json.dumps({**payload, **change}))
+        out = tmp_path / "e.json"
+        rc = main(["eval", "--data", str(blob_file), "--model", str(model_path),
+                   "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(message) and err.endswith("\n") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_well_formed_stored_columns_load(self, tmp_path, blob_file):
+        # The payload the malformed cases above start from is itself valid.
+        model_path = tmp_path / "model.json"
+        model_path.write_text(json.dumps({
+            "version": "xrm-model/3", "feature_count": 4, "components": 3,
+            "W": [0.5, -1.0, 0.0, 2.0, 1.5, 0.25, -0.5, 0.0], "column": [1, 0, 1],
+            "b": [0.0, 0.1, 0.2], "lambda": 2.0, "p": 2.0}))
+        rc = main(["eval", "--data", str(blob_file), "--model", str(model_path),
+                   "--out", str(tmp_path / "e.json")])
+        assert rc == 0
+        np.testing.assert_array_equal(load_model(model_path).W,
+                                      [[-1.0, 0.5, -1.0], [2.0, 0.0, 2.0],
+                                       [0.25, 1.5, 0.25], [0.0, -0.5, 0.0]])
 
 
 class TestSweep:

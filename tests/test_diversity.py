@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 
+from conftest import make_blobs
+from xrm import SolverConfig, train
 from xrm.diversity import (
+    DISTINCT_RTOL,
     diversity_report,
     exclusivity,
     exclusivity_regularizer,
@@ -154,3 +157,75 @@ class TestDiversityReport:
         assert diversity_report(np.repeat(W[:, :1], 5, axis=1)).distinct_components == 1
         assert diversity_report(np.zeros((3, 4))).distinct_components == 1
         assert diversity_report(np.eye(3)).distinct_components == 3
+
+
+def _interleaved_repeats(rng, M, C):
+    """An M x C matrix whose columns repeat earlier ones exactly, or differ
+    from one by 1 ulp, by far less than the distinct-components tolerance,
+    by far more, or only in the sign of a zero; some entries underflow when
+    multiplied."""
+    W = rng.normal(size=(M, C)) * np.where(rng.random((M, C)) < 0.3, 0.0, 1.0)
+    W[rng.random((M, C)) < 0.1] = 1e-200
+    for c in range(1, C):
+        source = int(rng.integers(0, c))
+        kind = rng.integers(0, 6)
+        if kind == 0:
+            continue
+        W[:, c] = W[:, source]
+        row = int(rng.integers(0, M))
+        if kind == 2:
+            W[row, c] = np.nextafter(W[row, c], np.inf)
+        elif kind == 3:
+            W[row, c] += 1e-12
+        elif kind == 4:
+            W[row, c] += 1e-3
+        elif kind == 5:
+            W[row, source] = 0.0
+            W[row, c] = -0.0
+    return W
+
+
+class TestDistinctColumnReport:
+    """``diversity_report`` works on the exactly distinct columns; the
+    references below evaluate every column and every pair."""
+
+    @staticmethod
+    def _distinct_reference(W):
+        tolerance = DISTINCT_RTOL * np.max(np.abs(W))
+        return sum(all(np.max(np.abs(W[:, c] - W[:, earlier])) > tolerance
+                       for earlier in range(c))
+                   for c in range(W.shape[1]))
+
+    def test_matches_pairwise_references(self):
+        rng = np.random.default_rng(11)
+        for _ in range(150):
+            M, C = int(rng.integers(1, 9)), int(rng.integers(1, 13))
+            W = _interleaved_repeats(rng, M, C)
+            report = diversity_report(W)
+            for c in range(C):
+                for other in range(C):
+                    assert report.pairwise_exclusivity[c, other] == exclusivity(W[:, c], W[:, other])
+                    assert report.pairwise_relaxed_exclusivity[c, other] == pytest.approx(
+                        relaxed_exclusivity(W[:, c], W[:, other]), rel=1e-14, abs=0.0)
+            assert report.distinct_components == self._distinct_reference(W)
+            assert report.regularizer_value == exclusivity_regularizer(W)
+
+    def test_signed_zero_columns_are_one_component(self):
+        W = np.array([[0.0, -0.0, 1.0], [2.0, 2.0, 2.0]])
+        report = diversity_report(W)
+        assert report.distinct_components == 2
+        np.testing.assert_array_equal(report.pairwise_exclusivity,
+                                      [[1, 1, 1], [1, 1, 1], [1, 1, 2]])
+
+    @pytest.mark.parametrize("shape, components", [((60, 4), 7), ((8, 20), 5)])
+    def test_trained_model_report(self, shape, components):
+        data = make_blobs(*shape, seed=13)
+        model, report = train(data, SolverConfig(components=components, outer_max_iters=60))
+        W = model.W
+        assert report.diversity.distinct_components == 1
+        assert report.diversity.regularizer_value == exclusivity_regularizer(W)
+        expected = np.array([[exclusivity(W[:, c], W[:, other]) for other in range(components)]
+                             for c in range(components)])
+        np.testing.assert_array_equal(report.diversity.pairwise_exclusivity, expected)
+        np.testing.assert_allclose(report.diversity.pairwise_relaxed_exclusivity,
+                                   np.abs(W).T @ np.abs(W), rtol=1e-14, atol=0.0)

@@ -1,7 +1,12 @@
 import json
+import tempfile
+from pathlib import Path
 
+import hypothesis.extra.numpy as hnp
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from conftest import make_blobs
 from xrm import DataSet, Scaler
@@ -130,6 +135,58 @@ class TestLosses:
                 ) + 1e-9
 
 
+def _columns_with_repeats(rng, M, C):
+    """An M x C matrix and C biases in which some components repeat an
+    earlier one exactly, some share its weights but not its bias, some
+    differ from one by 1 ulp in W or in b, and some differ only in the sign
+    of a zero; the rest are drawn afresh."""
+    W = rng.normal(size=(M, C))
+    b = rng.normal(size=C)
+    for c in range(1, C):
+        source = int(rng.integers(0, c))
+        kind = rng.integers(0, 7)
+        if kind == 6:
+            continue
+        W[:, c], b[c] = W[:, source], b[source]
+        if kind == 2:
+            b[c] += rng.normal()
+        elif kind == 3:
+            b[c] = np.nextafter(b[c], np.inf)
+        elif kind == 4:
+            W[0, c] = np.nextafter(W[0, c], -np.inf)
+        elif kind == 5:
+            W[0, source] = 0.0
+            W[0, c] = -0.0
+    return W, b
+
+
+class TestDistinctComponentLoss:
+    """``average_component_loss`` evaluates each distinct component once;
+    the reference loops over every column."""
+
+    @staticmethod
+    def _reference(W, b, data, p):
+        total = 0.0
+        for c in range(W.shape[1]):
+            margins = 1.0 - (data.X.T @ W[:, c] + b[c]) * data.y
+            total += float(np.sum(np.maximum(margins, 0.0) ** p))
+        return total / W.shape[1]
+
+    def test_matches_per_column_loop(self):
+        rng = np.random.default_rng(9)
+        for _ in range(200):
+            M, C, N = (int(rng.integers(1, 9)), int(rng.integers(1, 13)),
+                       int(rng.integers(1, 60)))
+            W, b = _columns_with_repeats(rng, M, C)
+            W *= rng.uniform(0.1, 5.0)
+            data = DataSet(X=rng.normal(size=(M, N)), y=rng.choice([-1.0, 1.0], N))
+            model = _model(W, b)
+            for p in (1.0, 1.5, 2.0):
+                expected = self._reference(W, b, data, p)
+                assert average_component_loss(model, data, p=p) == pytest.approx(
+                    expected, rel=1e-12, abs=0.0)
+
+
 class TestEnsembleBound:
     def test_random_draws(self):
         rng = np.random.default_rng(6)
@@ -183,13 +240,22 @@ class TestSerialization:
 
     def test_version_field(self):
         payload = model_to_dict(_model([[1.0]], [0.0]))
-        assert payload["version"] == "xrm-model/1"
+        assert payload["version"] == "xrm-model/3"
+        assert payload["column"] == [0]
+        assert "feature_mean" not in payload and "feature_scale" not in payload
+
+    def test_each_distinct_column_stored_once(self):
+        W = [[1.0, 2.0, 1.0, 1.0], [3.0, 4.0, 3.0, 3.0]]
+        payload = model_to_dict(_model(W, [0.0, 0.1, 0.2, 0.0]))
+        assert payload["W"] == [1.0, 2.0, 3.0, 4.0]
+        assert payload["column"] == [0, 1, 0, 0]
+        assert payload["b"] == [0.0, 0.1, 0.2, 0.0]
 
     def test_scaler_round_trip(self, tmp_path):
         scaler = Scaler(mean=[0.5, -1.0], scale=[2.0, 1.0])
         model = EnsembleModel(W=[[1.0], [2.0]], b=[0.0], lam=2.0, p=2.0, scaler=scaler)
         payload = model_to_dict(model)
-        assert payload["version"] == "xrm-model/2"
+        assert payload["version"] == "xrm-model/3"
         assert payload["feature_mean"] == [0.5, -1.0]
         assert payload["feature_scale"] == [2.0, 1.0]
         save_model(model, tmp_path / "model.json")
@@ -222,6 +288,77 @@ class TestSerialization:
     def test_row_major_layout(self):
         model = _model([[1.0, 2.0], [3.0, 4.0]], [0.0, 0.0])
         assert model_to_dict(model)["W"] == [1.0, 2.0, 3.0, 4.0]
+
+    def test_scaler_keys_come_in_pairs(self):
+        payload = model_to_dict(EnsembleModel(W=[[1.0], [2.0]], b=[0.0], lam=2.0, p=2.0,
+                                              scaler=Scaler(mean=[0.0, 1.0], scale=[1.0, 2.0])))
+        del payload["feature_scale"]
+        with pytest.raises(ValueError, match="lacks feature_scale"):
+            model_from_dict(payload)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_round_trip_is_bit_identical(self, data):
+        # Columns drawn from a small pool repeat exactly; the pool always holds
+        # two columns that differ only in the sign of a zero, which must stay
+        # two stored columns.
+        values = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -2.5]), st.floats(-1e3, 1e3))
+        M = data.draw(st.integers(1, 4), label="M")
+        pool = data.draw(hnp.arrays(float, (M, data.draw(st.integers(1, 3))), elements=values))
+        zero_pair = np.repeat(pool[:, :1], 2, axis=1)
+        zero_pair[0] = (0.0, -0.0)
+        pool = np.hstack([pool, zero_pair])
+        drawn = data.draw(st.lists(st.integers(0, pool.shape[1] - 1), max_size=6))
+        pattern = data.draw(st.permutations(drawn + [pool.shape[1] - 2, pool.shape[1] - 1]))
+        W = pool[:, pattern]
+        b = data.draw(hnp.arrays(float, len(pattern), elements=values))
+        scaler = None
+        if data.draw(st.booleans(), label="scaled"):
+            scaler = Scaler(mean=data.draw(hnp.arrays(float, M, elements=values)),
+                            scale=data.draw(hnp.arrays(float, M, elements=st.floats(1e-3, 1e3))))
+        model = EnsembleModel(W=W, b=b, lam=0.5, p=1.5, scaler=scaler)
+        with tempfile.TemporaryDirectory() as folder:
+            path = Path(folder) / "model.json"
+            save_model(model, path)
+            payload = json.loads(path.read_text())
+            again = load_model(path)
+        distinct = {W[:, c].tobytes() for c in range(W.shape[1])}
+        assert len(payload["W"]) == M * len(distinct)
+        assert again.W.shape == W.shape and again.W.tobytes() == W.tobytes()
+        assert again.b.tobytes() == b.tobytes()
+        assert (again.lam, again.p) == (0.5, 1.5)
+        if scaler is None:
+            assert again.scaler is None
+        else:
+            assert again.scaler.mean.tobytes() == scaler.mean.tobytes()
+            assert again.scaler.scale.tobytes() == scaler.scale.tobytes()
+
+    @pytest.mark.parametrize("text, scaled", [
+        ('{"version": "xrm-model/1", "feature_count": 2, "components": 3, '
+         '"W": [0.1, -0.0, 0.1, 2.5e-300, 0.0, 2.5e-300], "b": [0.3, -1.0, 0.3], '
+         '"lambda": 2.0, "p": 1.5}', False),
+        ('{"version": "xrm-model/2", "feature_count": 2, "components": 3, '
+         '"W": [0.1, -0.0, 0.1, 2.5e-300, 0.0, 2.5e-300], "b": [0.3, -1.0, 0.3], '
+         '"lambda": 2.0, "p": 1.5, "feature_mean": [0.7, -3.0], "feature_scale": [1e-3, 4.0]}',
+         True),
+    ], ids=["xrm-model/1", "xrm-model/2"])
+    def test_earlier_formats_load_bit_identically(self, tmp_path, text, scaled):
+        path = tmp_path / "model.json"
+        path.write_text(text)
+        model = load_model(path)
+        expected_W = np.array([[0.1, -0.0, 0.1], [2.5e-300, 0.0, 2.5e-300]])
+        assert model.W.tobytes() == expected_W.tobytes()
+        assert model.b.tobytes() == np.array([0.3, -1.0, 0.3]).tobytes()
+        assert (model.lam, model.p) == (2.0, 1.5)
+        if scaled:
+            assert model.scaler.mean.tobytes() == np.array([0.7, -3.0]).tobytes()
+            assert model.scaler.scale.tobytes() == np.array([1e-3, 4.0]).tobytes()
+        else:
+            assert model.scaler is None
+        # Saved again, the same model takes the current format and comes back equal.
+        save_model(model, path)
+        assert json.loads(path.read_text())["column"] == [0, 1, 0]
+        assert load_model(path).W.tobytes() == expected_W.tobytes()
 
 
 def test_trained_model_satisfies_bound():
