@@ -42,8 +42,6 @@ from .solver import (
     DivergenceError,
     SolverConfig,
     TrainReport,
-    constraint_residuals,
-    primal_objective,
     train,
 )
 
@@ -77,8 +75,6 @@ __all__ = [
     "DivergenceError",
     "SolverConfig",
     "TrainReport",
-    "constraint_residuals",
-    "primal_objective",
     "train",
 ]
 

@@ -153,15 +153,12 @@ def model_to_dict(model: EnsembleModel) -> dict:
     return payload
 
 
-def _expand_stored_columns(stored: np.ndarray, M: int, C: int, column) -> np.ndarray:
-    """The M x C weights of an ``xrm-model/3`` payload: its stored columns,
-    repeated as its ``column`` list says; raises ValueError naming the key
-    that does not fit."""
+def _expand_stored_columns(stored: np.ndarray, C: int, column) -> np.ndarray:
+    """The M x C weights of an ``xrm-model/3`` payload: its M x U stored
+    columns, repeated as its ``column`` list says; raises ValueError naming
+    the key that does not fit."""
     version = MODEL_FORMAT_VERSION
-    if M < 1 or stored.size == 0 or stored.size % M:
-        raise ValueError(f"{version} model's W holds {stored.size} values, "
-                         f"not a positive multiple of feature_count {M}")
-    U = stored.size // M
+    U = stored.shape[1]
     if not isinstance(column, list) or len(column) != C:
         raise ValueError(f"{version} model's column must list {C} indices, one per component")
     if not all(type(index) is int and 0 <= index < U for index in column):
@@ -169,14 +166,14 @@ def _expand_stored_columns(stored: np.ndarray, M: int, C: int, column) -> np.nda
                          f"in 0..{U - 1} of its {U} stored columns")
     if len(set(column)) != U:
         raise ValueError(f"{version} model's column leaves some of its {U} stored columns unused")
-    return stored.reshape(M, U)[:, column]
+    return stored[:, column]
 
 
 def model_from_dict(payload: dict) -> EnsembleModel:
     """The model a :func:`model_to_dict` payload describes, or one of an
     earlier format; raises ValueError unless the payload is an object of a
-    known format holding every key of that format, each with a value of a
-    usable type."""
+    known format holding every key of that format with a usable value, and
+    ``feature_count`` and ``components`` are JSON integers of at least 1."""
     if not isinstance(payload, dict):
         raise ValueError(f"model file must hold a JSON object, got {type(payload).__name__}")
     version = payload.get("version")
@@ -195,19 +192,26 @@ def model_from_dict(payload: dict) -> EnsembleModel:
     if missing:
         raise ValueError(f"{version} model lacks {', '.join(missing)}")
     try:
-        M = int(payload["feature_count"])
-        C = int(payload["components"])
+        M, C = payload["feature_count"], payload["components"]
+        for key, count in (("feature_count", M), ("components", C)):
+            if type(count) is not int:  # bool is a subclass of int
+                raise TypeError(f"{key} must be an integer, got {count!r}")
+        if C < 1:
+            raise ValueError(f"{version} model's components is {C}, not a positive integer")
+        stored = np.asarray(payload["W"], dtype=float)
+        if M < 1 or stored.size == 0 or stored.size % M:
+            raise ValueError(f"{version} model's W holds {stored.size} values, "
+                             f"not a positive multiple of feature_count {M}")
         if version == MODEL_FORMAT_VERSION:
-            W = _expand_stored_columns(np.asarray(payload["W"], dtype=float), M, C,
-                                       payload["column"])
+            W = _expand_stored_columns(stored.reshape(M, -1), C, payload["column"])
         else:
-            W = np.asarray(payload["W"], dtype=float).reshape(M, C)
+            W = stored.reshape(M, C)
         scaler = None
         if scaled:
             scaler = Scaler(mean=payload["feature_mean"], scale=payload["feature_scale"])
         return EnsembleModel(W=W, b=np.asarray(payload["b"], dtype=float),
                              lam=float(payload["lambda"]), p=float(payload["p"]), scaler=scaler)
-    except TypeError as exc:  # a JSON null, list or object where a number belongs
+    except TypeError as exc:  # a null, list or object for a number, or a non-integer count
         raise ValueError(f"{version} model holds a value of the wrong type: {exc}") from exc
 
 

@@ -347,31 +347,30 @@ def update_E(S: np.ndarray, Y: np.ndarray, lam: float, mu: float, p: float,
     The active branch needs no comparison with the boundary t = 0: for p >= 1
     the scalar problem is convex with slope -a < 0 at t = 0, so its
     stationary point beats 0.5 a^2.
-    Entries with Y*S <= 0 keep their target S.  At p not in {1, 2} only the
-    active entries are computed, so an inactive target of 0 never meets an
-    underflowed k = lam/mu = 0 in a 0/0.
+    Entries with Y*S <= 0 keep their target S.  Closed forms run on the whole
+    block, at p = 1.5 with inactive targets set to 1 (no root of a negative, no
+    0/0 when lam/mu underflows).  Only Newton gathers the active entries: its
+    step from t = 0 is 0/0, and inactive targets would enter its stop test.
     """
     if p < 1:
         raise ValueError("loss power p must be at least 1")
     k = lam / mu
     target = Y * S
     active = target > 0.0
-    if p == 1:
-        shrunk = np.sign(S) * np.maximum(np.abs(S) - k, 0.0)
-        return np.where(active, shrunk, S), 0
-    if p == 2:
-        return np.where(active, S / (1.0 + 2.0 * k), S), 0
-    E = S.copy()
     steps = 0
-    if np.any(active):
-        Y_active = Y[active]
-        if p == 1.5:
-            t = _three_halves_minimizer(target[active], k)
-        else:
+    if p == 1:
+        value = Y * np.maximum(target - k, 0.0)
+    elif p == 2:
+        value = S / (1.0 + 2.0 * k)
+    elif p == 1.5:
+        value = Y * _three_halves_minimizer(np.where(active, target, 1.0), k)
+    else:
+        value = np.zeros_like(S)
+        if active.any():
             start = target if E_prev is None else Y * E_prev
             t, steps = _positive_branch_minimizer(target[active], k, p, start[active])
-        E[active] = Y_active * t
-    return E, steps
+            value[active] = Y[active] * t
+    return np.where(active, value, S), steps
 
 
 def update_P(solve_gram, W: np.ndarray, Q: np.ndarray, XtW: np.ndarray, XtQ: np.ndarray,

@@ -25,6 +25,39 @@ def _count_calls(monkeypatch, module, *names):
     return calls
 
 
+# A valid model of 3 features and 1 component in each format, and header
+# changes that every format rejects with an error naming the key.
+_HEADER_BASE = {"feature_count": 3, "components": 1, "W": [0.5, -1.0, 2.0], "b": [0.0],
+                "lambda": 2.0, "p": 2.0}
+_HEADER_BASES = {
+    "xrm-model/1": _HEADER_BASE,
+    "xrm-model/2": {**_HEADER_BASE, "feature_mean": [0.0, 0.0, 0.0],
+                    "feature_scale": [1.0, 1.0, 1.0]},
+    "xrm-model/3": {**_HEADER_BASE, "column": [0]},
+}
+_WRONG_TYPE = "model holds a value of the wrong type: "
+_BAD_HEADERS = [
+    ("negative_feature_count", {"feature_count": -1},
+     "model's W holds 3 values, not a positive multiple of feature_count -1"),
+    ("zero_feature_count", {"feature_count": 0},
+     "model's W holds 3 values, not a positive multiple of feature_count 0"),
+    ("float_feature_count", {"feature_count": 2.9},
+     _WRONG_TYPE + "feature_count must be an integer, got 2.9"),
+    ("bool_feature_count", {"feature_count": True},
+     _WRONG_TYPE + "feature_count must be an integer, got True"),
+    ("string_feature_count", {"feature_count": "2"},
+     _WRONG_TYPE + "feature_count must be an integer, got '2'"),
+    ("no_components", {"components": 0, "W": [], "b": []},
+     "model's components is 0, not a positive integer"),
+    ("float_components", {"components": 1.0},
+     _WRONG_TYPE + "components must be an integer, got 1.0"),
+    ("bool_components", {"components": True},
+     _WRONG_TYPE + "components must be an integer, got True"),
+    ("string_components", {"components": "1"},
+     _WRONG_TYPE + "components must be an integer, got '1'"),
+]
+
+
 @pytest.fixture
 def blob_file(tmp_path):
     path = tmp_path / "blobs.txt"
@@ -337,7 +370,10 @@ class TestEval:
         ({"version": "xrm-model/1", "feature_count": None, "components": 1, "W": [0.0],
           "b": [0.0], "lambda": 2.0, "p": 2.0},
          "error: xrm-model/1 model holds a value of the wrong type: "),
-    ], ids=["not_an_object", "missing_key", "null_value"])
+    ] + [({"version": version, **base, **change}, f"error: {version} {message}\n")
+         for version, base in _HEADER_BASES.items() for _, change, message in _BAD_HEADERS],
+        ids=["not_an_object", "missing_key", "null_value"]
+        + [f"{version}-{name}" for version in _HEADER_BASES for name, _, _ in _BAD_HEADERS])
     def test_malformed_model_exits_one(self, tmp_path, blob_file, capsys, payload, message):
         model_path = tmp_path / "model.json"
         model_path.write_text(json.dumps(payload))
@@ -380,6 +416,13 @@ class TestEval:
         err = capsys.readouterr().err
         assert err.startswith(message) and err.endswith("\n") and err.count("\n") == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize("version", list(_HEADER_BASES))
+    def test_header_cases_start_from_a_valid_model(self, tmp_path, version):
+        model_path = tmp_path / "model.json"
+        model_path.write_text(json.dumps({"version": version, **_HEADER_BASES[version]}))
+        model = load_model(model_path)
+        np.testing.assert_array_equal(model.W, [[0.5], [-1.0], [2.0]])
 
     def test_well_formed_stored_columns_load(self, tmp_path, blob_file):
         # The payload the malformed cases above start from is itself valid.

@@ -375,6 +375,37 @@ class TestUpdateE:
         assert E[1, 0] == pytest.approx(2.0, rel=4 * np.finfo(float).eps)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @settings(max_examples=60, deadline=None)
+    @given(p=st.sampled_from([1.0, 1.25, 1.5, 2.0, 3.0]),
+           k=st.floats(-323.3, 300.0).map(lambda power: 10.0**power),
+           entries=st.lists(st.tuples(st.floats(-12.0, 300.0),
+                                      st.sampled_from(["active", "inactive", "zero", "-zero"]),
+                                      st.sampled_from([-1.0, 1.0])),
+                            min_size=1, max_size=8))
+    @example(p=1.25, k=5e-324, entries=[(300.0, "active", 1.0), (0.0, "zero", -1.0)])
+    @example(p=3.0, k=1e300, entries=[(-12.0, "active", -1.0), (0.0, "-zero", 1.0)])
+    def test_every_power_keeps_inactive_entries(self, p, k, entries):
+        # Targets a = Y*S: 10^power when active, -10^power or a signed 0 when not.
+        log_a, kinds, labels = (np.array(column) for column in zip(*entries))
+        magnitude = 10.0**log_a
+        target = np.select([kinds == "active", kinds == "inactive", kinds == "zero"],
+                           [magnitude, -magnitude, 0.0], -0.0)
+        Y = labels[:, None]
+        S = Y * target[:, None]
+        active = (Y * S > 0.0)[:, 0]
+        E, steps = solver.update_E(S, Y, lam=k, mu=1.0, p=p)
+        assert E[~active].tobytes() == S[~active].tobytes()
+        t, a = (Y * E)[active, 0], magnitude[active]
+        assert np.all((t >= 0.0) & (t <= a * (1.0 + 4 * np.finfo(float).eps)))
+        if p in (1.0, 1.5, 2.0):
+            assert steps == 0
+        # The same block with every entry inactive is returned as it is,
+        # without a Newton step.
+        S_inactive = np.where(active[:, None], -S, S)
+        E, steps = solver.update_E(S_inactive, Y, lam=k, mu=1.0, p=p)
+        assert steps == 0 and E.tobytes() == S_inactive.tobytes()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @settings(max_examples=300, deadline=None)
     @given(st.floats(1.01, 4.0), st.floats(-12.0, 8.0),
            hnp.arrays(np.float64, st.integers(1, 6), elements=st.floats(-8.0, 8.0)),
