@@ -43,7 +43,8 @@ _BOUND_TOL = 1e-9
 class EnsembleModel:
     """Component weights W (features x components), biases b, the training
     hyperparameters recorded for provenance, and the feature scaler the model
-    was trained under (None when trained on raw features)."""
+    was trained under (None when trained on raw features).  ``lam`` and ``p``
+    obey the rules of :class:`~xrm.solver.SolverConfig`."""
 
     W: np.ndarray
     b: np.ndarray
@@ -54,12 +55,17 @@ class EnsembleModel:
     def __post_init__(self):
         W = np.array(self.W, dtype=float)
         b = np.array(self.b, dtype=float)
-        if W.ndim != 2:
-            raise ValueError(f"W must be a matrix, got shape {W.shape}")
+        if W.ndim != 2 or 0 in W.shape:
+            raise ValueError(f"W must be a matrix with at least one feature and one component, "
+                             f"got shape {W.shape}")
         if b.shape != (W.shape[1],):
             raise ValueError(f"bias length {b.shape} does not match {W.shape[1]} components")
         if not (np.all(np.isfinite(W)) and np.all(np.isfinite(b))):
             raise ValueError("weights and biases must be finite")
+        if not 0 < self.lam < np.inf:  # NaN fails every comparison
+            raise ValueError(f"lam must be finite and positive, got {self.lam}")
+        if not 1 <= self.p < np.inf:
+            raise ValueError(f"p must be finite and at least 1, got {self.p}")
         if self.scaler is not None and self.scaler.mean.size != W.shape[0]:
             raise ValueError(f"scaler has {self.scaler.mean.size} features but W has {W.shape[0]}")
         object.__setattr__(self, "W", W)
@@ -172,8 +178,9 @@ def _expand_stored_columns(stored: np.ndarray, C: int, column) -> np.ndarray:
 def model_from_dict(payload: dict) -> EnsembleModel:
     """The model a :func:`model_to_dict` payload describes, or one of an
     earlier format; raises ValueError unless the payload is an object of a
-    known format holding every key of that format with a usable value, and
-    ``feature_count`` and ``components`` are JSON integers of at least 1."""
+    known format holding every key of that format with a usable value,
+    ``feature_count`` and ``components`` are JSON integers of at least 1, and
+    ``W`` is a flat list of M x C values (/3: a multiple of M)."""
     if not isinstance(payload, dict):
         raise ValueError(f"model file must hold a JSON object, got {type(payload).__name__}")
     version = payload.get("version")
@@ -199,11 +206,16 @@ def model_from_dict(payload: dict) -> EnsembleModel:
         if C < 1:
             raise ValueError(f"{version} model's components is {C}, not a positive integer")
         stored = np.asarray(payload["W"], dtype=float)
+        if stored.ndim != 1:
+            raise ValueError(f"{version} model's W must be a flat list of numbers")
         if M < 1 or stored.size == 0 or stored.size % M:
             raise ValueError(f"{version} model's W holds {stored.size} values, "
                              f"not a positive multiple of feature_count {M}")
         if version == MODEL_FORMAT_VERSION:
             W = _expand_stored_columns(stored.reshape(M, -1), C, payload["column"])
+        elif stored.size != M * C:
+            raise ValueError(f"{version} model's W holds {stored.size} values, not "
+                             f"feature_count {M} times components {C}")
         else:
             W = stored.reshape(M, C)
         scaler = None

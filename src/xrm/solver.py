@@ -259,26 +259,17 @@ def update_b(y: np.ndarray, E: np.ndarray, XtP: np.ndarray, Z_over_mu: np.ndarra
     return residual.sum(axis=0) / residual.shape[0]
 
 
-def _positive_branch_minimizer(a: np.ndarray, k: float, p: float,
-                               start: np.ndarray) -> tuple[np.ndarray, int]:
+def _positive_branch_minimizer(a: np.ndarray, k: float, p: float) -> tuple[np.ndarray, int]:
     """Solve min_{t >= 0} k * t^p + 0.5 * (t - a)^2 for positive targets ``a``
-    by Newton's method on the increasing derivative f(t) = k p t^(p-1) + t - a,
-    from ``start`` clipped into [lo, hi]; a start of ``a`` clips to hi.
+    by Newton's method on the increasing derivative f(t) = k p t^(p-1) + t - a.
 
     The root lies in (0, hi] with hi = min(a, (a/(kp))^(1/(p-1))), since
     f(hi) >= 0.  f is concave for 1 < p < 2 and convex for p > 2, so every
-    Newton step ends on one side of the root: at or below it for p < 2, at
-    or above it for p > 2.  The iterates approach the root monotonically
-    from that side, and a start on the other side crosses over in one step.
-    No bracket is needed; one clamp per step catches rounding, at lo for
-    p < 2 and at hi for p > 2.
-
-    For p < 2, lo is the Newton step from hi.  The Newton map falls above the
-    root and rises below it, so no step from [lo, hi] ends below lo, and the
-    iterates from a warm start never trail those from hi.  Clipping the start
-    to lo keeps Newton off t = 0, where f' is infinite and the step is 0/0,
-    and off tiny starts whose steps fall below the tolerance far from the root.
-    For p > 2, lo = 0, and the 0/0 step at t = 0 clamps to hi.
+    Newton step ends at or below the root for p < 2 and at or above it for
+    p > 2, and the iterates approach it monotonically from that side.  So
+    no bracket is needed: Newton starts at a bound on that side and clamps
+    each step to it against rounding, hi for p > 2 and lo = max(newton(hi), 0)
+    for p < 2, which also keeps it off the 0/0 step at t = 0.
 
     Iteration stops once no entry moves by more than ``GENERAL_P_TOL`` plus a
     few units in the last place of t (for large t the iterates can alternate
@@ -299,12 +290,10 @@ def _positive_branch_minimizer(a: np.ndarray, k: float, p: float,
     with np.errstate(over="ignore", invalid="ignore"):
         hi = np.minimum(a, (a / slope) ** (1.0 / (p - 1.0)))
         if p < 2.0:
-            lo = np.fmax(newton(hi), 0.0)  # fmax drops the NaN of hi = 0
-            clamp, bound = np.fmax, lo
+            clamp, bound = np.fmax, np.fmax(newton(hi), 0.0)  # fmax drops the NaN of hi = 0
         else:
-            lo = 0.0
             clamp, bound = np.fmin, hi
-        t = np.clip(start, lo, hi)
+        t = bound
         for steps in range(1, 201):
             step = clamp(newton(t), bound)
             settled = np.abs(step - t) <= GENERAL_P_TOL + resolution * t
@@ -333,17 +322,16 @@ def _three_halves_minimizer(a: np.ndarray, k: float) -> np.ndarray:
     return s * s
 
 
-def update_E(S: np.ndarray, Y: np.ndarray, lam: float, mu: float, p: float,
-             E_prev: np.ndarray | None = None) -> tuple[np.ndarray, int]:
+def update_E(S: np.ndarray, Y: np.ndarray, lam: float, mu: float,
+             p: float) -> tuple[np.ndarray, int]:
     """Elementwise minimizer of (lam/mu) * (Y*E)_+^p + 0.5 * (E - S)^2, and the
     number of Newton steps it took (0 at p = 1, 1.5 and 2).
 
     p = 1 soft-thresholds the entries whose target violates the margin,
     p = 2 shrinks them by 1 / (1 + 2 lam/mu), p = 1.5 solves the active
     branch by :func:`_three_halves_minimizer` in closed form, and any other
-    p >= 1 solves it by :func:`_positive_branch_minimizer` to
-    ``GENERAL_P_TOL``, starting from Y * ``E_prev``, the previous E block,
-    when it is given, and from the target otherwise.
+    p >= 1 by :func:`_positive_branch_minimizer` to ``GENERAL_P_TOL``.  The
+    result depends on the target Y*S alone, not on any earlier E block.
     The active branch needs no comparison with the boundary t = 0: for p >= 1
     the scalar problem is convex with slope -a < 0 at t = 0, so its
     stationary point beats 0.5 a^2.
@@ -367,8 +355,7 @@ def update_E(S: np.ndarray, Y: np.ndarray, lam: float, mu: float, p: float,
     else:
         value = np.zeros_like(S)
         if active.any():
-            start = target if E_prev is None else Y * E_prev
-            t, steps = _positive_branch_minimizer(target[active], k, p, start[active])
+            t, steps = _positive_branch_minimizer(target[active], k, p)
             value[active] = Y[active] * t
     return np.where(active, value, S), steps
 
@@ -487,7 +474,7 @@ def train(data, config: SolverConfig = SolverConfig()) -> tuple[EnsembleModel, T
         # u = Y - 1 b^T - Z/mu - E are temporaries and the gaps are dropped
         # after use, so only the carried N-vectors outlive their block.
         E, e_steps = update_E(Y - XtP - b[None, :] - Z_over_mu, Y, config.lam, mu,
-                              config.loss_power, E)
+                              config.loss_power)
         report.e_inner_steps.append(e_steps)
         tick = _lap(report.block_ms, "E", tick)
         P, XtP = update_P(solve_gram, W, Q, XtW, XtQ, mu, Y - b[None, :] - Z_over_mu - E)

@@ -1,8 +1,16 @@
-"""Shared synthetic-data helpers for the test suite."""
+"""Shared synthetic-data helpers for the test suite, and the hypothesis
+profiles: ``HYPOTHESIS_PROFILE=ci`` draws the same examples on every run
+and prints the blob that reproduces a failure."""
+
+import os
 
 import numpy as np
+from hypothesis import settings
 
 from xrm import DataSet
+
+settings.register_profile("ci", derandomize=True, print_blob=True)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 def make_blobs(n, m, seed, separation=2.0, noise=1.0):

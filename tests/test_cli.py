@@ -55,6 +55,7 @@ _BAD_HEADERS = [
      _WRONG_TYPE + "components must be an integer, got True"),
     ("string_components", {"components": "1"},
      _WRONG_TYPE + "components must be an integer, got '1'"),
+    ("nested_W", {"W": [[0.5], [-1.0], [2.0]]}, "model's W must be a flat list of numbers"),
 ]
 
 
@@ -370,9 +371,23 @@ class TestEval:
         ({"version": "xrm-model/1", "feature_count": None, "components": 1, "W": [0.0],
           "b": [0.0], "lambda": 2.0, "p": 2.0},
          "error: xrm-model/1 model holds a value of the wrong type: "),
+        # Six values are a multiple of feature_count 2, but not 2 x 2.
+        ({"version": "xrm-model/1", "feature_count": 2, "components": 2, "W": [1.0] * 6,
+          "b": [0.0, 0.0], "lambda": 2.0, "p": 2.0},
+         "error: xrm-model/1 model's W holds 6 values, not feature_count 2 times components 2\n"),
+        ({"version": "xrm-model/2", "feature_count": 2, "components": 2, "W": [1.0] * 6,
+          "b": [0.0, 0.0], "lambda": 2.0, "p": 2.0, "feature_mean": [0.0, 0.0],
+          "feature_scale": [1.0, 1.0]},
+         "error: xrm-model/2 model's W holds 6 values, not feature_count 2 times components 2\n"),
+        # json reads NaN, so a file can carry hyperparameters no fit accepts.
+        ({"version": "xrm-model/3", **_HEADER_BASE, "column": [0], "lambda": float("nan")},
+         "error: lam must be finite and positive, got nan\n"),
+        ({"version": "xrm-model/3", **_HEADER_BASE, "column": [0], "p": 0.5},
+         "error: p must be finite and at least 1, got 0.5\n"),
     ] + [({"version": version, **base, **change}, f"error: {version} {message}\n")
          for version, base in _HEADER_BASES.items() for _, change, message in _BAD_HEADERS],
-        ids=["not_an_object", "missing_key", "null_value"]
+        ids=["not_an_object", "missing_key", "null_value", "v1_W_not_M_by_C", "v2_W_not_M_by_C",
+             "nan_lambda", "power_below_one"]
         + [f"{version}-{name}" for version in _HEADER_BASES for name, _, _ in _BAD_HEADERS])
     def test_malformed_model_exits_one(self, tmp_path, blob_file, capsys, payload, message):
         model_path = tmp_path / "model.json"

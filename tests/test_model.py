@@ -269,6 +269,22 @@ class TestSerialization:
             EnsembleModel(W=[[1.0], [2.0]], b=[0.0], lam=2.0, p=2.0,
                           scaler=Scaler(mean=[0.0], scale=[1.0]))
 
+    @pytest.mark.parametrize("W, b, lam, p, message", [
+        (np.zeros((3, 0)), np.zeros(0), 2.0, 2.0, "at least one feature and one component"),
+        (np.zeros((0, 2)), np.zeros(2), 2.0, 2.0, "at least one feature and one component"),
+        (np.ones((2, 1)), [0.0], float("nan"), 2.0, "lam must be finite and positive"),
+        (np.ones((2, 1)), [0.0], float("inf"), 2.0, "lam must be finite and positive"),
+        (np.ones((2, 1)), [0.0], 0.0, 2.0, "lam must be finite and positive"),
+        (np.ones((2, 1)), [0.0], 2.0, 0.5, "p must be finite and at least 1"),
+        (np.ones((2, 1)), [0.0], 2.0, float("nan"), "p must be finite and at least 1"),
+        (np.ones((2, 1)), [0.0], 2.0, float("inf"), "p must be finite and at least 1"),
+    ], ids=["no_components", "no_features", "nan_lam", "inf_lam", "zero_lam", "power_below_one",
+            "nan_power", "inf_power"])
+    def test_degenerate_models_rejected(self, W, b, lam, p, message):
+        # The rules of SolverConfig: lam finite and positive, p finite and >= 1.
+        with pytest.raises(ValueError, match=message):
+            EnsembleModel(W=W, b=b, lam=lam, p=p)
+
     @pytest.mark.parametrize("field, bad", [("W", [float("nan"), 1.0]), ("W", [1.0, float("inf")]),
                                             ("b", [float("-inf")])])
     def test_non_finite_parameters_rejected(self, tmp_path, field, bad):

@@ -78,11 +78,11 @@ def _reference_train(data, config):
     return W, b, objectives, residuals, iteration, stop_reason
 
 
-def _bisection_reference(a, k, p, start):
+def _bisection_reference(a, k, p):
     """Plain bisection of f(t) = k p t^(p-1) + t - a on [0, a] down to width
     ``solver.GENERAL_P_TOL`` (at most 200 halvings); returns the midpoints and
     the halving count, the same contract as
-    ``solver._positive_branch_minimizer``, whose ``start`` it ignores."""
+    ``solver._positive_branch_minimizer``."""
     lo = np.zeros_like(a)
     hi = np.array(a, dtype=float)
     steps = 0
@@ -302,8 +302,7 @@ class TestUpdateE:
             assert abs(e - reference) <= 1e-4
 
     def test_newton_powers_match_scalar_oracle(self):
-        # Criterion 04's draws and bound at powers that only Newton solves,
-        # each from a cold start and from a previous E block.
+        # Criterion 04's draws and bound at powers that only Newton solves.
         rng = np.random.default_rng(23)
         worst = 0.0
         for _ in range(1000):
@@ -311,13 +310,9 @@ class TestUpdateE:
             s = float(rng.uniform(-5.0, 5.0))
             k = float(rng.uniform(0.01, 3.0))
             p = float(rng.choice([1.25, 2.5, 3.0]))
-            S, Y = np.array([[s]]), np.array([[y]])
-            previous = np.array([[rng.uniform(-5.0, 5.0)]])
-            reference = oracles.scalar_e_minimizer(y, s, k, p)
-            for E_prev in (None, previous):
-                E, steps = solver.update_E(S, Y, lam=k, mu=1.0, p=p, E_prev=E_prev)
-                assert steps > 0 or y * s <= 0.0
-                worst = max(worst, abs(E[0, 0] - reference))
+            E, steps = solver.update_E(np.array([[s]]), np.array([[y]]), lam=k, mu=1.0, p=p)
+            assert steps > 0 or y * s <= 0.0
+            worst = max(worst, abs(E[0, 0] - oracles.scalar_e_minimizer(y, s, k, p)))
         assert worst <= 1e-4
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -358,8 +353,8 @@ class TestUpdateE:
         normal = t >= tiny
         assert np.all(np.abs(f(t)[normal]) <= 4 * eps * np.maximum(a[normal], 1.0))
         assert np.all(f(np.full_like(a, 2 * tiny))[~normal] >= 0.0)
-        # Newton's method from a cold start agrees over the whole range.
-        newton, _ = solver._positive_branch_minimizer(a, k, 1.5, a)
+        # Newton's method agrees over the whole range.
+        newton, _ = solver._positive_branch_minimizer(a, k, 1.5)
         slack = 4 * solver.GENERAL_P_TOL + 16 * np.spacing(a)
         assert np.all(np.abs(t - newton) <= slack)
 
@@ -408,40 +403,22 @@ class TestUpdateE:
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @settings(max_examples=300, deadline=None)
     @given(st.floats(1.01, 4.0), st.floats(-12.0, 8.0),
-           hnp.arrays(np.float64, st.integers(1, 6), elements=st.floats(-8.0, 8.0)),
-           st.sampled_from(["cold", "zero", "inside", "below", "above"]), st.floats(0.0, 1.0))
-    @example(p=1.01, log_k=-2.0, log_a=np.array([8.0, 0.0, -8.0]),  # bracket powers overflow
-             start="cold", fraction=0.0)
-    @example(p=1.01, log_k=8.0, log_a=np.array([-8.0, 8.0]),  # the small root underflows to 0
-             start="cold", fraction=0.0)
-    @example(p=3.0, log_k=-12.0, log_a=np.array([8.0, -8.0, 0.0]), start="cold", fraction=0.0)
-    @example(p=3.0, log_k=-9.0, log_a=np.array([8.0]),  # neighbouring floats alternate
-             start="cold", fraction=0.0)
-    @example(p=1.5, log_k=2.5, log_a=np.array([7.5]), start="cold", fraction=0.0)  # likewise
-    @example(p=4.0, log_k=8.0, log_a=np.array([-8.0]), start="cold", fraction=0.0)
+           hnp.arrays(np.float64, st.integers(1, 6), elements=st.floats(-8.0, 8.0)))
+    @example(p=1.01, log_k=-2.0, log_a=np.array([8.0, 0.0, -8.0]))  # bracket powers overflow
+    @example(p=1.01, log_k=8.0, log_a=np.array([-8.0, 8.0]))  # the small root underflows to 0
+    @example(p=3.0, log_k=-12.0, log_a=np.array([8.0, -8.0, 0.0]))
+    @example(p=3.0, log_k=-9.0, log_a=np.array([8.0]))  # neighbouring floats alternate
+    @example(p=1.5, log_k=2.5, log_a=np.array([7.5]))  # likewise
+    @example(p=4.0, log_k=8.0, log_a=np.array([-8.0]))
     # a * t is above the largest float, so the Newton step must not form it.
-    @example(p=1.25, log_k=np.log10(2.34e186), log_a=np.array([np.log10(3.24e255)]),
-             start="cold", fraction=0.0)
-    @example(p=1.5, log_k=np.log10(2.34e186), log_a=np.array([np.log10(3.24e255)]),
-             start="cold", fraction=0.0)
-    # Near p = 1 the lower bracket power underflows to 0, and a Newton step
-    # from t = 0 is 0/0; the roots run from 4.1e-5 to 2.8e-3.
-    @example(p=1.0005, log_k=0.0, log_a=np.log10(1.0005 * np.array([0.995, 0.999, 0.9999])),
-             start="zero", fraction=0.0)
-    # A tiny start there: its Newton steps are shorter than tol far from the root.
-    @example(p=1.0005, log_k=0.0, log_a=np.log10(1.0005 * np.array([0.995, 0.999, 0.9999])),
-             start="inside", fraction=1e-300)
-    def test_general_power_minimizer(self, p, log_k, log_a, start, fraction):
+    @example(p=1.25, log_k=np.log10(2.34e186), log_a=np.array([np.log10(3.24e255)]))
+    @example(p=1.5, log_k=np.log10(2.34e186), log_a=np.array([np.log10(3.24e255)]))
+    # Near p = 1 the power in hi underflows to 0 and the roots run from
+    # 4.1e-5 to 2.8e-3, where a Newton step from t = 0 would be 0/0.
+    @example(p=1.0005, log_k=0.0, log_a=np.log10(1.0005 * np.array([0.995, 0.999, 0.9999])))
+    def test_general_power_minimizer(self, p, log_k, log_a):
         k, a, tol = 10.0**log_k, 10.0**log_a, solver.GENERAL_P_TOL
-        # The closed-form bracket of the root: f(lo) <= 0 <= f(hi).
-        with np.errstate(over="ignore"):
-            lo = np.minimum(0.5 * a, (0.5 * a / (k * p)) ** (1.0 / (p - 1.0)))
-            hi = np.minimum(a, (a / (k * p)) ** (1.0 / (p - 1.0)))
-        start = {"cold": a, "zero": np.zeros_like(a),
-                 "inside": lo + fraction * (hi - lo),
-                 "below": lo * (1.0 - fraction) - fraction,
-                 "above": a + fraction * (a + 1.0)}[start]
-        t, steps = solver._positive_branch_minimizer(a, k, p, start)
+        t, steps = solver._positive_branch_minimizer(a, k, p)
         assert np.all(np.isfinite(t)) and np.all((t >= 0.0) & (t <= a))
         assert 1 <= steps < 200
         # f(t) = k p t^(p-1) + t - a changes sign within a few tol (or float
@@ -454,7 +431,7 @@ class TestUpdateE:
 
         assert np.all(f(np.maximum(t - slack, 0.0)) <= 0.0)
         assert np.all(f(t + slack) >= 0.0)
-        reference, _ = _bisection_reference(a, k, p, a)
+        reference, _ = _bisection_reference(a, k, p)
         assert np.all(np.abs(t - reference) <= slack)
 
 
@@ -863,41 +840,29 @@ class TestTrain:
         assert max(units) <= 16.0
 
     def test_general_power_matches_bisection_reference(self, monkeypatch):
-        # p = 1.25 reaches Newton; p = 1.5 has a closed form of its own.
+        # These powers reach Newton (p = 1.5 has a closed form of its own) in
+        # both clamp directions: from below at p < 2, from above at p > 2.
+        # At p = 1.0005 the power in hi can under- or overflow.
         data = make_blobs(60, 5, seed=12)
-        config = SolverConfig(components=3, loss_power=1.25)
-        _, newton = train(data, config)
+        configs = [SolverConfig(components=3, loss_power=power) for power in (1.0005, 1.25, 3.0)]
+        newton = [train(data, config)[1] for config in configs]
         monkeypatch.setattr(solver, "_positive_branch_minimizer", _bisection_reference)
-        _, bisection = train(data, config)
-        assert newton.e_inner_steps != bisection.e_inner_steps
-        assert newton.iterations == bisection.iterations
-        assert newton.objective_trace[-1] == pytest.approx(bisection.objective_trace[-1], rel=1e-9)
+        for config, report in zip(configs, newton):
+            _, bisection = train(data, config)
+            assert report.e_inner_steps != bisection.e_inner_steps
+            assert report.iterations == bisection.iterations
+            assert report.objective_trace[-1] == pytest.approx(bisection.objective_trace[-1],
+                                                               rel=1e-9)
 
     def test_three_halves_matches_bisection_reference(self, monkeypatch):
         data = make_blobs(60, 5, seed=12)
         config = SolverConfig(components=3, loss_power=1.5)
         _, closed = train(data, config)
         monkeypatch.setattr(solver, "_three_halves_minimizer",
-                            lambda a, k: _bisection_reference(a, k, 1.5, a)[0])
+                            lambda a, k: _bisection_reference(a, k, 1.5)[0])
         _, bisection = train(data, config)
         assert closed.iterations == bisection.iterations
         assert closed.objective_trace[-1] == pytest.approx(bisection.objective_trace[-1], rel=1e-9)
-
-    @pytest.mark.parametrize("power", [1.0005, 1.2, 3.0])
-    def test_warm_start_matches_cold_start(self, monkeypatch, power):
-        # train starts the slack solver from the previous E, the first time
-        # from E = 0; dropping that sixth argument starts it cold at hi.  Both
-        # clamp directions are covered: p < 2 approaches the root from below,
-        # p > 2 from above.  Fewer steps show that train passes E at all.
-        data = make_blobs(200, 6, seed=13)
-        config = SolverConfig(components=3, loss_power=power)
-        _, warm = train(data, config)
-        original = solver.update_E
-        monkeypatch.setattr(solver, "update_E", lambda *args: original(*args[:5]))
-        _, cold = train(data, config)
-        assert warm.iterations == cold.iterations
-        assert warm.objective_trace[-1] == pytest.approx(cold.objective_trace[-1], rel=1e-9)
-        assert sum(warm.e_inner_steps) < sum(cold.e_inner_steps)
 
     def test_e_inner_steps_in_report(self, monkeypatch):
         data = make_blobs(40, 3, seed=2)
