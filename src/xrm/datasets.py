@@ -42,6 +42,14 @@ class SparseFormatError(ValueError):
         self.line_number = line_number
 
 
+def _store_frozen(instance, **arrays: np.ndarray) -> None:
+    """Store each array as the named field of a frozen dataclass ``instance``
+    and make it read-only, so that the instance is safe to share."""
+    for name, array in arrays.items():
+        array.setflags(write=False)
+        object.__setattr__(instance, name, array)
+
+
 @dataclass(frozen=True)
 class DataSet:
     """A binary classification dataset.
@@ -79,11 +87,7 @@ class DataSet:
             raise ValueError("feature matrix contains NaN or Inf entries")
         if not np.all(np.isin(y, (-1.0, 1.0))):
             raise ValueError("labels must be -1 or +1")
-        object.__setattr__(self, "X", X)
-        object.__setattr__(self, "y", y)
-        # Immutable after construction; safe to share across trial workers.
-        self.X.setflags(write=False)
-        self.y.setflags(write=False)
+        _store_frozen(self, X=X, y=y)
 
     @property
     def feature_count(self) -> int:
@@ -318,10 +322,7 @@ class Scaler:
                              "vectors of one length")
         if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(scale)) and np.all(scale > 0)):
             raise ValueError("scaler mean must be finite and scale finite and positive")
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "scale", scale)
-        self.mean.setflags(write=False)
-        self.scale.setflags(write=False)
+        _store_frozen(self, mean=mean, scale=scale)
 
 
 def fit_scaler(train: DataSet) -> Scaler:

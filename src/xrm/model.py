@@ -5,7 +5,9 @@ predicts with their uniform average (w_e, b_e).  By convexity of the powered
 hinge, the averaged predictor's loss never exceeds the mean component loss;
 ``verify_ensemble_bound`` checks that numerically.  The mean component loss
 is computed once per distinct component and weighted by its count, so the C
-equal columns that ``train`` returns cost as much as one.
+equal columns that ``train`` returns cost as much as one.  Every loss here is
+taken at the model's own power ``p``; to evaluate another power q, pass
+``dataclasses.replace(model, p=q)``.
 
 A model trained on standardized features carries the training
 :class:`~xrm.datasets.Scaler`; prediction here works on features that are
@@ -29,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .datasets import Scaler
+from .datasets import Scaler, _store_frozen
 from .diversity import _distinct_columns
 
 MODEL_FORMAT_VERSION = "xrm-model/3"
@@ -68,10 +70,7 @@ class EnsembleModel:
             raise ValueError(f"p must be finite and at least 1, got {self.p}")
         if self.scaler is not None and self.scaler.mean.size != W.shape[0]:
             raise ValueError(f"scaler has {self.scaler.mean.size} features but W has {W.shape[0]}")
-        object.__setattr__(self, "W", W)
-        object.__setattr__(self, "b", b)
-        self.W.setflags(write=False)
-        self.b.setflags(write=False)
+        _store_frozen(self, W=W, b=b)
 
     @property
     def feature_count(self) -> int:
@@ -109,28 +108,26 @@ def _powered_hinge(margins: np.ndarray, p: float) -> np.ndarray:
     return np.maximum(margins, 0.0) ** p
 
 
-def ensemble_loss(model: EnsembleModel, data, p: float | None = None) -> float:
+def ensemble_loss(model: EnsembleModel, data) -> float:
     """Powered hinge loss of the averaged predictor, summed over instances."""
-    p = model.p if p is None else p
     margins = 1.0 - decision_values(model, data.X) * data.y
-    return float(_powered_hinge(margins, p).sum())
+    return float(_powered_hinge(margins, model.p).sum())
 
 
-def average_component_loss(model: EnsembleModel, data, p: float | None = None) -> float:
+def average_component_loss(model: EnsembleModel, data) -> float:
     """Mean over components of each component's summed powered hinge loss."""
-    p = model.p if p is None else p
     first, inverse = _distinct_columns(model.W, model.b)
     scores = model.W[:, first].T @ data.X + model.b[first, None]  # distinct components x instances
     margins = 1.0 - scores * data.y
-    losses = _powered_hinge(margins, p).sum(axis=1)
+    losses = _powered_hinge(margins, model.p).sum(axis=1)
     return float(losses @ np.bincount(inverse) / model.components)
 
 
-def verify_ensemble_bound(model: EnsembleModel, data, p: float | None = None):
+def verify_ensemble_bound(model: EnsembleModel, data):
     """Check that the averaged predictor's loss is bounded by the mean
     component loss.  Returns (holds, ensemble value, average value)."""
-    ens = ensemble_loss(model, data, p)
-    avg = average_component_loss(model, data, p)
+    ens = ensemble_loss(model, data)
+    avg = average_component_loss(model, data)
     return ens <= avg + _BOUND_TOL, ens, avg
 
 
@@ -179,8 +176,10 @@ def model_from_dict(payload: dict) -> EnsembleModel:
     """The model a :func:`model_to_dict` payload describes, or one of an
     earlier format; raises ValueError unless the payload is an object of a
     known format holding every key of that format with a usable value,
-    ``feature_count`` and ``components`` are JSON integers of at least 1, and
-    ``W`` is a flat list of M x C values (/3: a multiple of M)."""
+    ``feature_count`` and ``components`` are JSON integers of at least 1,
+    ``lambda`` and ``p`` are JSON numbers, ``W``, ``b`` and the scaler keys
+    are flat lists of JSON numbers, and ``W`` holds M x C values (/3: a
+    multiple of M)."""
     if not isinstance(payload, dict):
         raise ValueError(f"model file must hold a JSON object, got {type(payload).__name__}")
     version = payload.get("version")
@@ -205,9 +204,15 @@ def model_from_dict(payload: dict) -> EnsembleModel:
                 raise TypeError(f"{key} must be an integer, got {count!r}")
         if C < 1:
             raise ValueError(f"{version} model's components is {C}, not a positive integer")
+        # json.load reads a JSON number as int or float, never as bool or str.
+        for key in ("lambda", "p"):
+            if type(payload[key]) not in (int, float):
+                raise TypeError(f"{key} must be a number, got {payload[key]!r}")
+        for key in ("W", "b", *(_SCALER_KEYS if scaled else ())):
+            values = payload[key]
+            if not isinstance(values, list) or not set(map(type, values)) <= {int, float}:
+                raise ValueError(f"{version} model's {key} must be a flat list of numbers")
         stored = np.asarray(payload["W"], dtype=float)
-        if stored.ndim != 1:
-            raise ValueError(f"{version} model's W must be a flat list of numbers")
         if M < 1 or stored.size == 0 or stored.size % M:
             raise ValueError(f"{version} model's W holds {stored.size} values, "
                              f"not a positive multiple of feature_count {M}")
@@ -223,7 +228,7 @@ def model_from_dict(payload: dict) -> EnsembleModel:
             scaler = Scaler(mean=payload["feature_mean"], scale=payload["feature_scale"])
         return EnsembleModel(W=W, b=np.asarray(payload["b"], dtype=float),
                              lam=float(payload["lambda"]), p=float(payload["p"]), scaler=scaler)
-    except TypeError as exc:  # a null, list or object for a number, or a non-integer count
+    except TypeError as exc:  # a count that is not an integer, or a hyperparameter not a number
         raise ValueError(f"{version} model holds a value of the wrong type: {exc}") from exc
 
 

@@ -127,7 +127,8 @@ class SolverConfig:
 
 @dataclass
 class TrainReport:
-    """Per-iteration traces and summary facts from one training run."""
+    """Per-iteration traces and summary facts from one training run.  The keys
+    of its JSON form (:meth:`to_dict`) are ``schema_version`` and its fields."""
 
     objective_trace: list[float] = field(default_factory=list)
     residual_trace: list[tuple[float, float]] = field(default_factory=list)
@@ -148,15 +149,8 @@ class TrainReport:
     def to_dict(self) -> dict:
         return {
             "schema_version": 1,  # raise when a key is renamed, removed or changes meaning
-            "objective_trace": self.objective_trace,
+            **asdict(self),
             "residual_trace": [list(pair) for pair in self.residual_trace],
-            "multiplier_sup_trace": self.multiplier_sup_trace,
-            "iterations": self.iterations,
-            "stop_reason": self.stop_reason,
-            "gram_side": self.gram_side,
-            "e_inner_steps": self.e_inner_steps,
-            "wall_time": self.wall_time,
-            "block_ms": dict(self.block_ms),
             "diversity": self.diversity.to_dict() if self.diversity is not None else None,
         }
 

@@ -7,6 +7,7 @@ absent.
 
 import os
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -127,10 +128,11 @@ def test_criterion_05_ensemble_loss_bound(criterion1_runs, criterion2_runs):
                                         b=rng.normal(size=C), lam=1.0, p=2.0)
         data = DataSet(X=rng.normal(size=(M, N)), y=rng.choice([-1.0, 1.0], N))
         p = float(rng.choice([1.0, 1.5, 2.0]))
-        holds, ens, avg = model_mod.verify_ensemble_bound(model, data, p)
+        holds, ens, avg = model_mod.verify_ensemble_bound(replace(model, p=p), data)
         assert holds, (ens, avg)
     for run in criterion1_runs + criterion2_runs:
-        holds, ens, avg = model_mod.verify_ensemble_bound(run["model"], run["data"], run["p"])
+        assert run["model"].p == run["p"]
+        holds, ens, avg = model_mod.verify_ensemble_bound(run["model"], run["data"])
         assert holds, (ens, avg)
     _report(5, "averaged-ensemble loss bound", "1000 random draws + 30 trained models")
 

@@ -56,6 +56,24 @@ _BAD_HEADERS = [
     ("string_components", {"components": "1"},
      _WRONG_TYPE + "components must be an integer, got '1'"),
     ("nested_W", {"W": [[0.5], [-1.0], [2.0]]}, "model's W must be a flat list of numbers"),
+    ("ragged_W", {"W": [[0.5, -1.0], [2.0]]}, "model's W must be a flat list of numbers"),
+    ("string_W", {"W": ["0.5", "-1", "2"]}, "model's W must be a flat list of numbers"),
+    ("bool_W", {"W": [0.5, True, 2.0]}, "model's W must be a flat list of numbers"),
+    ("string_b", {"b": ["0"]}, "model's b must be a flat list of numbers"),
+    ("bool_b", {"b": [True]}, "model's b must be a flat list of numbers"),
+    ("scalar_b", {"b": 0.0}, "model's b must be a flat list of numbers"),
+    ("string_lambda", {"lambda": "2"}, _WRONG_TYPE + "lambda must be a number, got '2'"),
+    ("bool_lambda", {"lambda": True}, _WRONG_TYPE + "lambda must be a number, got True"),
+    ("null_p", {"p": None}, _WRONG_TYPE + "p must be a number, got None"),
+    ("bool_p", {"p": True}, _WRONG_TYPE + "p must be a number, got True"),
+]
+# Scaler changes that the two formats with a scaler reject; xrm-model/1 reads no scaler.
+_SCALED_VERSIONS = ("xrm-model/2", "xrm-model/3")
+_BAD_SCALERS = [
+    ("string_feature_mean", {"feature_mean": ["0", "0", "0"], "feature_scale": [1.0, 1.0, 1.0]},
+     "model's feature_mean must be a flat list of numbers"),
+    ("bool_feature_scale", {"feature_mean": [0.0, 0.0, 0.0], "feature_scale": [1.0, True, 1.0]},
+     "model's feature_scale must be a flat list of numbers"),
 ]
 
 
@@ -385,10 +403,13 @@ class TestEval:
         ({"version": "xrm-model/3", **_HEADER_BASE, "column": [0], "p": 0.5},
          "error: p must be finite and at least 1, got 0.5\n"),
     ] + [({"version": version, **base, **change}, f"error: {version} {message}\n")
-         for version, base in _HEADER_BASES.items() for _, change, message in _BAD_HEADERS],
+         for version, base in _HEADER_BASES.items() for _, change, message in _BAD_HEADERS]
+      + [({"version": version, **_HEADER_BASES[version], **change}, f"error: {version} {message}\n")
+         for version in _SCALED_VERSIONS for _, change, message in _BAD_SCALERS],
         ids=["not_an_object", "missing_key", "null_value", "v1_W_not_M_by_C", "v2_W_not_M_by_C",
              "nan_lambda", "power_below_one"]
-        + [f"{version}-{name}" for version in _HEADER_BASES for name, _, _ in _BAD_HEADERS])
+        + [f"{version}-{name}" for version in _HEADER_BASES for name, _, _ in _BAD_HEADERS]
+        + [f"{version}-{name}" for version in _SCALED_VERSIONS for name, _, _ in _BAD_SCALERS])
     def test_malformed_model_exits_one(self, tmp_path, blob_file, capsys, payload, message):
         model_path = tmp_path / "model.json"
         model_path.write_text(json.dumps(payload))

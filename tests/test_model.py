@@ -1,5 +1,6 @@
 import json
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import hypothesis.extra.numpy as hnp
@@ -82,12 +83,12 @@ class TestLosses:
     def test_zero_on_separated_data(self):
         data = DataSet(X=np.array([[2.0, -2.0]]), y=np.array([1.0, -1.0]))
         model = _model([[1.0]], [0.0])
-        assert ensemble_loss(model, data, p=2) == 0.0
+        assert ensemble_loss(model, data) == 0.0
 
     def test_zero_model_loss_counts_instances(self):
         data = DataSet(X=np.zeros((2, 3)), y=np.array([1.0, -1.0, 1.0]))
         model = _model(np.zeros((2, 1)), [0.0])
-        assert ensemble_loss(model, data, p=2) == 3.0
+        assert ensemble_loss(model, data) == 3.0
 
     def test_matches_direct_formula(self):
         rng = np.random.default_rng(2)
@@ -101,24 +102,20 @@ class TestLosses:
                 max(0.0, 1.0 - (data.X[:, i] @ w_e + b_e) * data.y[i]) ** p
                 for i in range(15)
             )
-            assert ensemble_loss(model, data, p=p) == pytest.approx(expected, abs=1e-12)
+            assert ensemble_loss(replace(model, p=p), data) == pytest.approx(expected, abs=1e-12)
 
     def test_identical_components_collapse(self):
         rng = np.random.default_rng(3)
         w = rng.normal(size=4)
         data = DataSet(X=rng.normal(size=(4, 10)), y=rng.choice([-1.0, 1.0], 10))
         model = _model(np.tile(w[:, None], (1, 3)), [0.2, 0.2, 0.2])
-        assert average_component_loss(model, data, p=2) == pytest.approx(
-            ensemble_loss(model, data, p=2)
-        )
+        assert average_component_loss(model, data) == pytest.approx(ensemble_loss(model, data))
 
     def test_single_component_collapse(self):
         rng = np.random.default_rng(4)
         data = DataSet(X=rng.normal(size=(3, 8)), y=rng.choice([-1.0, 1.0], 8))
-        model = _model(rng.normal(size=(3, 1)), [0.1])
-        assert average_component_loss(model, data, p=1) == pytest.approx(
-            ensemble_loss(model, data, p=1)
-        )
+        model = _model(rng.normal(size=(3, 1)), [0.1], p=1.0)
+        assert average_component_loss(model, data) == pytest.approx(ensemble_loss(model, data))
 
     def test_midpoint_convexity_in_averaged_parameters(self):
         rng = np.random.default_rng(5)
@@ -127,11 +124,11 @@ class TestLosses:
             for _ in range(50):
                 w1, w2 = rng.normal(size=(2, 3))
                 b1, b2 = rng.normal(size=2)
-                mid = _model(((w1 + w2) / 2)[:, None], [(b1 + b2) / 2])
-                left = _model(w1[:, None], [b1])
-                right = _model(w2[:, None], [b2])
-                assert ensemble_loss(mid, data, p=p) <= 0.5 * (
-                    ensemble_loss(left, data, p=p) + ensemble_loss(right, data, p=p)
+                mid = _model(((w1 + w2) / 2)[:, None], [(b1 + b2) / 2], p=p)
+                left = _model(w1[:, None], [b1], p=p)
+                right = _model(w2[:, None], [b2], p=p)
+                assert ensemble_loss(mid, data) <= 0.5 * (
+                    ensemble_loss(left, data) + ensemble_loss(right, data)
                 ) + 1e-9
 
 
@@ -183,7 +180,7 @@ class TestDistinctComponentLoss:
             model = _model(W, b)
             for p in (1.0, 1.5, 2.0):
                 expected = self._reference(W, b, data, p)
-                assert average_component_loss(model, data, p=p) == pytest.approx(
+                assert average_component_loss(replace(model, p=p), data) == pytest.approx(
                     expected, rel=1e-12, abs=0.0)
 
 
@@ -197,7 +194,7 @@ class TestEnsembleBound:
             model = _model(rng.normal(size=(M, C)) * 3, rng.normal(size=C))
             data = DataSet(X=rng.normal(size=(M, N)), y=rng.choice([-1.0, 1.0], N))
             for p in (1.0, 2.0):
-                holds, ens, avg = verify_ensemble_bound(model, data, p=p)
+                holds, ens, avg = verify_ensemble_bound(replace(model, p=p), data)
                 assert holds
                 assert ens <= avg + 1e-9
 
@@ -206,7 +203,7 @@ class TestEnsembleBound:
         w = rng.normal(size=3)
         model = _model(np.tile(w[:, None], (1, 4)), np.full(4, 0.3))
         data = DataSet(X=rng.normal(size=(3, 12)), y=rng.choice([-1.0, 1.0], 12))
-        holds, ens, avg = verify_ensemble_bound(model, data, p=2)
+        holds, ens, avg = verify_ensemble_bound(model, data)
         assert holds
         assert ens == pytest.approx(avg, rel=1e-12)
 

@@ -1,3 +1,6 @@
+import json
+from dataclasses import fields
+
 import hypothesis.extra.numpy as hnp
 import hypothesis.strategies as st
 import numpy as np
@@ -6,7 +9,7 @@ from hypothesis import example, given, settings
 from scipy.linalg import cho_factor, cho_solve
 
 from conftest import make_blobs, make_ill_scaled, random_instance
-from xrm import DataSet, SolverConfig, train
+from xrm import DataSet, SolverConfig, TrainReport, train
 from xrm import oracles, solver
 from xrm.diversity import exclusivity_regularizer
 from xrm.model import EnsembleModel, average_component_loss
@@ -605,7 +608,7 @@ class TestPrimalObjective:
         b = rng.normal(size=3)
         for lam, p in ((0.5, 1.0), (2.0, 2.0)):
             model = EnsembleModel(W=W, b=b, lam=lam, p=p)
-            expected = exclusivity_regularizer(W) + lam * 3 * average_component_loss(model, data, p)
+            expected = exclusivity_regularizer(W) + lam * 3 * average_component_loss(model, data)
             assert _objective(W, b, data, lam, p) == pytest.approx(expected, abs=1e-12)
 
     def test_multiplicity_counts_repeated_columns(self):
@@ -954,6 +957,13 @@ class TestTrain:
         assert all(value >= 0.0 for value in report.block_ms.values())
         assert sum(report.block_ms.values()) <= report.wall_time * 1e3
         assert report.to_dict()["block_ms"] == report.block_ms
+
+    def test_report_dict_keys_are_the_fields(self):
+        # A field added to TrainReport reaches the JSON with no second edit.
+        _, report = train(make_blobs(40, 3, seed=2), SolverConfig(components=2))
+        payload = report.to_dict()
+        assert list(payload) == ["schema_version", *(f.name for f in fields(TrainReport))]
+        assert json.loads(json.dumps(payload)) == payload
 
     def test_divergence_error_attributes(self):
         err = solver.DivergenceError("boom", iteration=12)
