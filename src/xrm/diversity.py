@@ -53,8 +53,8 @@ def exclusivity_regularizer(W) -> float:
 def _l12_penalty(W: np.ndarray) -> float:
     """The formula of :func:`exclusivity_regularizer` on a float array that
     the caller knows to be finite."""
-    row_l1 = np.abs(W).sum(axis=-1)
-    return float(0.5 * (row_l1**2).sum())
+    row_l1 = np.add.reduce(np.abs(W), axis=-1)
+    return float(0.5 * np.add.reduce(row_l1**2, axis=None))
 
 
 DISTINCT_RTOL = 1e-9  # columns closer than this, relative to max |W|, count as one

@@ -178,8 +178,8 @@ def model_from_dict(payload: dict) -> EnsembleModel:
     known format holding every key of that format with a usable value,
     ``feature_count`` and ``components`` are JSON integers of at least 1,
     ``lambda`` and ``p`` are JSON numbers, ``W``, ``b`` and the scaler keys
-    are flat lists of JSON numbers, and ``W`` holds M x C values (/3: a
-    multiple of M)."""
+    are flat lists of JSON numbers, every number is within the float range,
+    and ``W`` holds M x C values (/3: a multiple of M)."""
     if not isinstance(payload, dict):
         raise ValueError(f"model file must hold a JSON object, got {type(payload).__name__}")
     version = payload.get("version")
@@ -205,14 +205,17 @@ def model_from_dict(payload: dict) -> EnsembleModel:
         if C < 1:
             raise ValueError(f"{version} model's components is {C}, not a positive integer")
         # json.load reads a JSON number as int or float, never as bool or str.
+        numbers = {}
         for key in ("lambda", "p"):
             if type(payload[key]) not in (int, float):
                 raise TypeError(f"{key} must be a number, got {payload[key]!r}")
+            numbers[key] = float(payload[key])
         for key in ("W", "b", *(_SCALER_KEYS if scaled else ())):
             values = payload[key]
             if not isinstance(values, list) or not set(map(type, values)) <= {int, float}:
                 raise ValueError(f"{version} model's {key} must be a flat list of numbers")
-        stored = np.asarray(payload["W"], dtype=float)
+            numbers[key] = np.asarray(values, dtype=float)
+        stored = numbers["W"]
         if M < 1 or stored.size == 0 or stored.size % M:
             raise ValueError(f"{version} model's W holds {stored.size} values, "
                              f"not a positive multiple of feature_count {M}")
@@ -225,11 +228,13 @@ def model_from_dict(payload: dict) -> EnsembleModel:
             W = stored.reshape(M, C)
         scaler = None
         if scaled:
-            scaler = Scaler(mean=payload["feature_mean"], scale=payload["feature_scale"])
-        return EnsembleModel(W=W, b=np.asarray(payload["b"], dtype=float),
-                             lam=float(payload["lambda"]), p=float(payload["p"]), scaler=scaler)
+            scaler = Scaler(mean=numbers["feature_mean"], scale=numbers["feature_scale"])
+        return EnsembleModel(W=W, b=numbers["b"], lam=numbers["lambda"], p=numbers["p"],
+                             scaler=scaler)
     except TypeError as exc:  # a count that is not an integer, or a hyperparameter not a number
         raise ValueError(f"{version} model holds a value of the wrong type: {exc}") from exc
+    except OverflowError as exc:  # only the conversions above overflow, so key names the value
+        raise ValueError(f"{version} model's {key} holds an integer too large for a float") from exc
 
 
 def save_model(model: EnsembleModel, path) -> None:

@@ -20,10 +20,13 @@ arrays that block reads.
 The default start is symmetric under column permutations (Q all ones, every
 other block zero) and every block update is column-equivariant, so the C
 columns of the iterates stay identical.  :func:`train` therefore carries one
-column with the integer ``multiplicity`` C wherever the C columns are summed
-(the objective and the residuals), and repeats it C times at the end.  For
-one column of multiplicity C the row prox of the W block is the shrink
-W = (P + Q/mu) * mu / (mu + C).
+column, as 1-D vectors with a scalar bias, with the integer ``multiplicity``
+C wherever the C columns are summed (the objective and the residuals), and
+repeats it C times at the end.  For one column of multiplicity C the row prox
+of the W block is the shrink W = (P + Q/mu) * mu / (mu + C).  The block
+functions broadcast over the layout their caller passes, and the caller
+shapes the labels and the bias: :func:`train` passes y and a scalar b, a
+C-column run N x C blocks with y[:, None] and b[None, :].
 
 The P update solves with I + X X^T, factored once per fit on the smaller side
 of X (M features x N instances):
@@ -165,19 +168,19 @@ def gram_side(X: np.ndarray) -> str:
 
 def factor_gram(X: np.ndarray):
     """Factor I + X X^T once per fit and return ``solve(W, Q, XtW, XtQ, mu, u)``,
-    which gives P = (I + X X^T)^-1 (W - Q/mu + X u) and X^T P for M x C
-    blocks W and Q, XtW = X^T W and XtQ = X^T Q (read only on the instances
-    side), the penalty mu and an N x C ``u``.
+    which gives P = (I + X X^T)^-1 (W - Q/mu + X u) and X^T P for W and Q
+    with M rows, XtW = X^T W and XtQ = X^T Q (read only on the instances
+    side), the penalty mu and ``u`` with N rows, all 1-D or all C columns.
 
     On the features side (M <= N) this is the Cholesky of the M x M matrix
     I + X X^T: M^2 N flops to form, M^3/3 to factor; a solve costs the two
-    products X u and X^T P plus about 2 M^2 C flops.
+    products X u and X^T P plus about 2 M^2 flops per column.
     On the instances side (M > N) it is the Cholesky of the N x N matrix
     I + K with K = X^T X, which is kept: N^2 M flops to form, N^3/3 to
     factor.  By the matrix inversion lemma P = W - Q/mu + X (u - s) with
     s = (I + K)^-1 X^T rhs and X^T rhs = XtW - XtQ/mu + K u, so
     X^T P = X^T rhs - K s = s, and a solve costs the one product X (u - s)
-    plus about 4 N^2 C flops.
+    plus about 4 N^2 flops per column.
 
     Both sides solve with the factor through LAPACK ``potrs``, looked up once
     here and called directly: the routine and arguments of ``cho_solve``
@@ -245,12 +248,13 @@ def solve_w_subproblem(P: np.ndarray, Q: np.ndarray, mu: float) -> np.ndarray:
     return np.sign(V) * np.maximum(magnitude - tau, 0.0)
 
 
-def update_b(y: np.ndarray, E: np.ndarray, XtP: np.ndarray, Z_over_mu: np.ndarray) -> np.ndarray:
-    """Closed-form bias update: per-component mean of Y - E - X^T P - Z / mu,
-    given the labels y, the slack block E, XtP = X^T P and Z_over_mu = Z / mu."""
-    residual = y[:, None] - E - XtP - Z_over_mu
+def update_b(Y: np.ndarray, E: np.ndarray, XtP: np.ndarray, Z_over_mu: np.ndarray):
+    """Closed-form bias update: the mean over instances of Y - E - X^T P - Z/mu,
+    given the labels Y shaped by the caller, the slack block E, XtP = X^T P
+    and Z_over_mu = Z / mu; a scalar for N-vectors, one per column for N x C."""
+    residual = Y - E - XtP - Z_over_mu
     # The arithmetic of mean(axis=0), without its dispatch.
-    return residual.sum(axis=0) / residual.shape[0]
+    return np.add.reduce(residual) / len(residual)
 
 
 def _positive_branch_minimizer(a: np.ndarray, k: float, p: float) -> tuple[np.ndarray, int]:
@@ -351,13 +355,14 @@ def update_E(S: np.ndarray, Y: np.ndarray, lam: float, mu: float,
         if active.any():
             t, steps = _positive_branch_minimizer(target[active], k, p)
             value[active] = Y[active] * t
-    return np.where(active, value, S), steps
+    np.putmask(value, ~active, S)
+    return value, steps
 
 
 def update_P(solve_gram, W: np.ndarray, Q: np.ndarray, XtW: np.ndarray, XtQ: np.ndarray,
              mu: float, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Closed-form P update: solve (I + X X^T) P = W - Q/mu + X u, where the
-    caller passes u = Y - 1 b^T - Z/mu - E, and return P and X^T P.  Takes
+    caller passes u = Y - b - Z/mu - E, and return P and X^T P.  Takes
     the ``solve_gram`` that :func:`factor_gram` returned, and XtW = X^T W and
     XtQ = X^T Q, which only the instances side reads.  Costs two products
     with X on the features side and one on the instances side, where X^T P
@@ -365,11 +370,12 @@ def update_P(solve_gram, W: np.ndarray, Q: np.ndarray, XtW: np.ndarray, XtQ: np.
     return solve_gram(W, Q, XtW, XtQ, mu, u)
 
 
-def constraint_gaps(W: np.ndarray, b: np.ndarray, E: np.ndarray, P: np.ndarray,
-                    XtP: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Violations of the two constraints, P - W and E - Y + X^T P + 1 b^T,
-    given XtP = X^T P."""
-    return P - W, E - y[:, None] + XtP + b[None, :]
+def constraint_gaps(W: np.ndarray, b: np.ndarray | float, E: np.ndarray, P: np.ndarray,
+                    XtP: np.ndarray, Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Violations of the two constraints, P - W and E - Y + X^T P + b, given
+    XtP = X^T P and the bias b and labels Y shaped by the caller to broadcast
+    against E: a scalar and y, or a 1 x C row and an N x 1 column."""
+    return P - W, E - Y + XtP + b
 
 
 def update_multipliers(Z: np.ndarray, Q: np.ndarray, mu: float, split_gap: np.ndarray,
@@ -380,19 +386,20 @@ def update_multipliers(Z: np.ndarray, Q: np.ndarray, mu: float, split_gap: np.nd
     return Z + mu * slack_gap, Q + mu * split_gap, min(rho * mu, MU_CAP)
 
 
-def primal_objective(W: np.ndarray, b: np.ndarray, XtW: np.ndarray, y: np.ndarray,
+def primal_objective(W: np.ndarray, b: np.ndarray | float, XtW: np.ndarray, Y: np.ndarray,
                      lam: float, p: float, multiplicity: int = 1) -> float:
     """The quantity being minimized: diversity penalty plus weighted powered
-    hinge loss over all components and instances, given XtW = X^T W and the
-    labels y.  Every column of (W, b) counts ``multiplicity`` times (once by
+    hinge loss over all components and instances, given XtW = X^T W and b and
+    Y shaped as for :func:`constraint_gaps`.  Every column of (W, b), one
+    M-vector or an M x C block, counts ``multiplicity`` times (once by
     default): 0.5 * sum_j (m sum_c |W[j,c]|)^2 + lam * m sum_c loss_c.
 
     The penalty is that of :func:`xrm.diversity.exclusivity_regularizer`
     without its finiteness check: :func:`train` calls this only on finite
     blocks."""
-    margins = 1.0 - (XtW + b[None, :]) * y[:, None]
-    loss = float((np.maximum(margins, 0.0) ** p * multiplicity).sum())
-    return _l12_penalty(W * multiplicity) + lam * loss
+    margins = 1.0 - (XtW + b) * Y
+    loss = float(np.add.reduce(np.maximum(margins, 0.0) ** p * multiplicity, axis=None))
+    return _l12_penalty((W * multiplicity).reshape(len(W), -1)) + lam * loss
 
 
 def constraint_residuals(split_gap: np.ndarray, slack_gap: np.ndarray,
@@ -403,13 +410,6 @@ def constraint_residuals(split_gap: np.ndarray, slack_gap: np.ndarray,
     root = math.sqrt(multiplicity)
     split, slack = (split_gap * root).ravel(), (slack_gap * root).ravel()
     return math.sqrt(split.dot(split)), math.sqrt(slack.dot(slack))
-
-
-def _lap(block_ms: dict[str, float], block: str, since: float) -> float:
-    """Add the milliseconds since ``since`` to ``block_ms[block]``; return now."""
-    now = time.perf_counter()
-    block_ms[block] += (now - since) * 1e3
-    return now
 
 
 def _first_non_finite(blocks) -> str | None:
@@ -426,9 +426,9 @@ def train(data, config: SolverConfig = SolverConfig()) -> tuple[EnsembleModel, T
     """Run the outer loop to convergence and return the averaged ensemble.
 
     The C components start identical and every block update treats columns
-    alike, so the loop carries one column of multiplicity C and the returned
-    model repeats it C times.  The objective and residual traces are those of
-    the C-column problem.
+    alike, so the loop carries one column of multiplicity C, as 1-D vectors
+    with a scalar bias, and the returned model repeats it C times.  The
+    objective and residual traces are those of the C-column problem.
 
     Stops when the absolute change of the primal objective between consecutive
     outer iterations falls below ``outer_tol`` (stop reason
@@ -438,48 +438,50 @@ def train(data, config: SolverConfig = SolverConfig()) -> tuple[EnsembleModel, T
     Raises :class:`DivergenceError` naming the first block that went
     non-finite.
     """
-    started = time.perf_counter()
-    C = config.components
-    Y = data.y[:, None]
+    clock = time.perf_counter
+    started = clock()
+    C, lam, power, rho = config.components, config.lam, config.loss_power, config.rho
+    y = data.y
     report = TrainReport(stop_reason="max_iters", gram_side=gram_side(data.X))
     solve_gram = factor_gram(data.X)
-    _lap(report.block_ms, "factorization", started)
+    factorized = clock()
     M, N = data.X.shape
     # The start: Q all ones, every other block zero, mu = MU_INIT.  W and b
     # are written before any block reads them.
-    P, Q, mu = np.zeros((M, 1)), np.ones((M, 1)), MU_INIT
-    E, Z = np.zeros((N, 1)), np.zeros((N, 1))
+    P, Q, mu = np.zeros(M), np.ones(M), MU_INIT
+    E, Z = np.zeros(N), np.zeros(N)
     # X^T P, X^T Q and X^T W follow P, Q and W by the same affine updates.
     XtP = np.zeros_like(E)  # X^T P for the starting P = 0
     XtQ = data.X.T @ Q
     previous_objective = None
+    # Seconds per loop block, summed here and written to the report once.
+    s_W = s_b = s_E = s_P = s_mult = s_obj = 0.0
     for iteration in range(1, config.outer_max_iters + 1):
-        tick = time.perf_counter()
+        t_0 = clock()
         # The row prox of one column of multiplicity C is the shrink
         # (P + Q/mu) * mu / (mu + C).
         shrink = mu / (mu + C)
         W = P * shrink + Q / (mu + C)
         XtW = XtP * shrink + XtQ / (mu + C)
-        tick = _lap(report.block_ms, "W", tick)
+        t_W = clock()
         Z_over_mu = Z / mu
-        b = update_b(data.y, E, XtP, Z_over_mu)
-        tick = _lap(report.block_ms, "b", tick)
-        # The E target Y - X^T P - 1 b^T - Z/mu and the P operand
-        # u = Y - 1 b^T - Z/mu - E are temporaries and the gaps are dropped
+        b = update_b(y, E, XtP, Z_over_mu)
+        t_b = clock()
+        # The E target y - X^T P - b - Z/mu and the P operand
+        # u = y - b - Z/mu - E are temporaries and the gaps are dropped
         # after use, so only the carried N-vectors outlive their block.
-        E, e_steps = update_E(Y - XtP - b[None, :] - Z_over_mu, Y, config.lam, mu,
-                              config.loss_power)
+        E, e_steps = update_E(y - XtP - b - Z_over_mu, y, lam, mu, power)
         report.e_inner_steps.append(e_steps)
-        tick = _lap(report.block_ms, "E", tick)
-        P, XtP = update_P(solve_gram, W, Q, XtW, XtQ, mu, Y - b[None, :] - Z_over_mu - E)
-        tick = _lap(report.block_ms, "P", tick)
-        split_gap, slack_gap = constraint_gaps(W, b, E, P, XtP, data.y)
-        XtQ = XtQ + mu * (XtP - XtW)
-        Z, Q, mu = update_multipliers(Z, Q, mu, split_gap, slack_gap, config.rho)
+        t_E = clock()
+        P, XtP = update_P(solve_gram, W, Q, XtW, XtQ, mu, y - b - Z_over_mu - E)
+        t_P = clock()
+        split_gap, slack_gap = constraint_gaps(W, b, E, P, XtP, y)
+        XtQ += mu * (XtP - XtW)
+        Z, Q, mu = update_multipliers(Z, Q, mu, split_gap, slack_gap, rho)
         residuals = constraint_residuals(split_gap, slack_gap, C)
         del split_gap, slack_gap
-        z_sup, q_sup = float(np.abs(Z).max()), float(np.abs(Q).max())
-        tick = _lap(report.block_ms, "multipliers", tick)
+        z_sup, q_sup = float(np.maximum.reduce(np.abs(Z))), float(np.maximum.reduce(np.abs(Q)))
+        t_mult = clock()
 
         # Each scalar is non-finite when an array it covers is: the split
         # residual covers P and W, the slack residual E, b and X^T P, the
@@ -488,18 +490,19 @@ def train(data, config: SolverConfig = SolverConfig()) -> tuple[EnsembleModel, T
         # in the total, so the blocks are scanned only when it is.  Finite
         # blocks whose total overflows scan clean, and the fit goes on.
         block = None
-        if not math.isfinite(sum(residuals) + z_sup + q_sup + float(XtQ.sum())):
+        if not math.isfinite(sum(residuals) + z_sup + q_sup + float(np.add.reduce(XtQ))):
             block = _first_non_finite((("W", W, XtW), ("b", b), ("E", E), ("P", P, XtP),
                                        ("Z", Z), ("Q", Q, XtQ)))
         if block is None:
-            objective = primal_objective(W, b, XtW, data.y, config.lam, config.loss_power, C)
-            _lap(report.block_ms, "objective", tick)
-            if not np.isfinite(objective):
+            objective = primal_objective(W, b, XtW, y, lam, power, C)
+            if not math.isfinite(objective):
                 block = "objective"
         if block is not None:
             raise DivergenceError(
                 f"non-finite solver state at iteration {iteration} in block {block}",
                 iteration, block)
+        s_W, s_b, s_E = s_W + (t_W - t_0), s_b + (t_b - t_W), s_E + (t_E - t_b)
+        s_P, s_mult, s_obj = s_P + (t_P - t_E), s_mult + (t_mult - t_P), s_obj + (clock() - t_mult)
         report.objective_trace.append(objective)
         report.residual_trace.append(residuals)
         report.multiplier_sup_trace.append(max(z_sup, q_sup))
@@ -510,8 +513,10 @@ def train(data, config: SolverConfig = SolverConfig()) -> tuple[EnsembleModel, T
         previous_objective = objective
 
     report.iterations = iteration
-    report.wall_time = time.perf_counter() - started
-    W = np.repeat(W, C, axis=1)
+    seconds = (s_W, s_b, s_E, s_P, s_mult, s_obj, factorized - started)
+    report.block_ms = {block: 1e3 * spent for block, spent in zip(TIMED_BLOCKS, seconds)}
+    report.wall_time = clock() - started
+    W = np.repeat(W[:, None], C, axis=1)
     report.diversity = diversity_report(W)
-    model = EnsembleModel(W=W, b=np.repeat(b, C), lam=config.lam, p=config.loss_power)
+    model = EnsembleModel(W=W, b=np.repeat(b, C), lam=lam, p=power)
     return model, report

@@ -66,6 +66,10 @@ _BAD_HEADERS = [
     ("bool_lambda", {"lambda": True}, _WRONG_TYPE + "lambda must be a number, got True"),
     ("null_p", {"p": None}, _WRONG_TYPE + "p must be a number, got None"),
     ("bool_p", {"p": True}, _WRONG_TYPE + "p must be a number, got True"),
+    ("huge_lambda", {"lambda": 10**400}, "model's lambda holds an integer too large for a float"),
+    ("huge_p", {"p": -(10**400)}, "model's p holds an integer too large for a float"),
+    ("huge_W", {"W": [0.5, 10**400, 2.0]}, "model's W holds an integer too large for a float"),
+    ("huge_b", {"b": [10**400]}, "model's b holds an integer too large for a float"),
 ]
 # Scaler changes that the two formats with a scaler reject; xrm-model/1 reads no scaler.
 _SCALED_VERSIONS = ("xrm-model/2", "xrm-model/3")
@@ -74,6 +78,8 @@ _BAD_SCALERS = [
      "model's feature_mean must be a flat list of numbers"),
     ("bool_feature_scale", {"feature_mean": [0.0, 0.0, 0.0], "feature_scale": [1.0, True, 1.0]},
      "model's feature_scale must be a flat list of numbers"),
+    ("huge_feature_mean", {"feature_mean": [0, 10**400, 0], "feature_scale": [1.0, 1.0, 1.0]},
+     "model's feature_mean holds an integer too large for a float"),
 ]
 
 

@@ -292,6 +292,19 @@ class TestSerialization:
         with pytest.raises(ValueError, match="finite"):
             load_model(path)
 
+    @pytest.mark.parametrize("key, value", [("lambda", 10**400), ("p", 2**1024),
+                                            ("W", [1.0, -(10**309)]), ("b", [10**400])])
+    def test_integer_beyond_float_range_names_key(self, key, value):
+        # A JSON integer too large for a float fails as a ValueError naming
+        # its key, not as the OverflowError of the conversion.
+        payload = model_to_dict(_model([[1.0], [2.0]], [0.0]))
+        payload[key] = value
+        with pytest.raises(ValueError, match=f"model's {key} holds an integer too large"):
+            model_from_dict(json.loads(json.dumps(payload)))
+        payload[key] = 10**300 if key in ("lambda", "p") else [10**300] * len(value)
+        model = model_from_dict(payload)  # within the float range it converts as before
+        assert 1e300 in (model.lam, model.p, *model.W.ravel(), *model.b)
+
     def test_unknown_version_rejected(self):
         payload = model_to_dict(_model([[1.0]], [0.0]))
         payload["version"] = "xrm-model/999"

@@ -16,8 +16,9 @@ from xrm.model import EnsembleModel, average_component_loss
 
 
 def _objective(W, b, data, lam, p, multiplicity=1):
-    """``solver.primal_objective`` with X^T W formed directly."""
-    return solver.primal_objective(W, b, data.X.T @ W, data.y, lam, p, multiplicity)
+    """``solver.primal_objective`` on an M x C block W with X^T W formed directly."""
+    return solver.primal_objective(W, b[None, :], data.X.T @ W, data.y[:, None], lam, p,
+                                   multiplicity)
 
 
 def _count_products_with_x(data, config):
@@ -65,13 +66,13 @@ def _reference_train(data, config):
     for iteration in range(1, config.outer_max_iters + 1):
         Z_over_mu = Z / mu
         W = solver.solve_w_subproblem(P, Q, mu)
-        b = solver.update_b(data.y, E, XtP, Z_over_mu)
+        b = solver.update_b(data.y[:, None], E, XtP, Z_over_mu)
         E, _ = solver.update_E(Y - XtP - b[None, :] - Z_over_mu, Y, config.lam, mu,
                                config.loss_power)
         P, _ = solver.update_P(solve_gram, W, Q, data.X.T @ W, data.X.T @ Q, mu,
                                Y - b[None, :] - Z_over_mu - E)
         XtP = data.X.T @ P
-        gaps = solver.constraint_gaps(W, b, E, P, XtP, data.y)
+        gaps = solver.constraint_gaps(W, b[None, :], E, P, XtP, data.y[:, None])
         Z, Q, mu = solver.update_multipliers(Z, Q, mu, *gaps, config.rho)
         residuals.append(solver.constraint_residuals(*gaps))
         objectives.append(_objective(W, b, data, config.lam, config.loss_power))
@@ -225,13 +226,14 @@ class TestUpdateB:
         data = DataSet(X=np.zeros((1, 2)), y=np.array([1.0, -1.0]))
         # choose E so that the residual matrix has one column equal to (1, 3)
         E = data.y[:, None] - np.array([[1.0], [3.0]])
-        assert solver.update_b(data.y, E, data.X.T @ np.zeros((1, 1)),
+        assert solver.update_b(data.y[:, None], E, data.X.T @ np.zeros((1, 1)),
                                np.zeros((2, 1))) == pytest.approx(np.array([2.0]))
 
     def test_zero_residual(self):
         data = DataSet(X=np.zeros((1, 3)), y=np.array([1.0, -1.0, 1.0]))
         E = data.y[:, None] * np.ones((1, 2))
-        np.testing.assert_allclose(solver.update_b(data.y, E, data.X.T @ np.zeros((1, 2)),
+        np.testing.assert_allclose(solver.update_b(data.y[:, None], E,
+                                                   data.X.T @ np.zeros((1, 2)),
                                                    np.zeros((3, 2))), np.zeros(2))
 
     @pytest.mark.parametrize("N", [1, 7, 150, 1021])
@@ -241,7 +243,7 @@ class TestUpdateB:
         E, XtP, Z_over_mu = (rng.normal(size=(N, 2)) * 10.0 ** rng.integers(-3, 4, size=(N, 2))
                              for _ in range(3))
         expected = (y[:, None] - E - XtP - Z_over_mu).mean(axis=0)
-        np.testing.assert_array_equal(solver.update_b(y, E, XtP, Z_over_mu), expected)
+        np.testing.assert_array_equal(solver.update_b(y[:, None], E, XtP, Z_over_mu), expected)
 
     def test_minimizes_by_finite_differences(self):
         rng = np.random.default_rng(19)
@@ -249,7 +251,7 @@ class TestUpdateB:
         data = DataSet(X=rng.normal(size=(M, N)), y=rng.choice([-1.0, 1.0], N))
         E, P, Z, mu = (rng.normal(size=(N, C)), rng.normal(size=(M, C)),
                        rng.normal(size=(N, C)), 1.7)
-        b = solver.update_b(data.y, E, data.X.T @ P, Z / mu)
+        b = solver.update_b(data.y[:, None], E, data.X.T @ P, Z / mu)
 
         def penalty(b_vec):
             resid = E - data.y[:, None] + data.X.T @ P + b_vec[None, :]
@@ -562,7 +564,7 @@ class TestMultipliers:
         b = np.zeros(2)
         E = data.y[:, None] * np.ones((1, 2))  # feasible: E = Y - X^T P - 1 b^T with X = 0
         Q0, Z0 = np.ones((2, 2)), np.ones((3, 2))
-        gaps = solver.constraint_gaps(W, b, E, W.copy(), data.X.T @ W, data.y)
+        gaps = solver.constraint_gaps(W, b[None, :], E, W.copy(), data.X.T @ W, data.y[:, None])
         Z, Q, mu = solver.update_multipliers(Z0, Q0, 1.0, *gaps, rho=1.1)
         np.testing.assert_array_equal(Z, Z0)
         np.testing.assert_array_equal(Q, Q0)
@@ -573,7 +575,7 @@ class TestMultipliers:
         W = np.zeros((2, 2))
         P = W + 1.0
         E = data.y[:, None] * np.ones((1, 2)) + 1.0
-        gaps = solver.constraint_gaps(W, np.zeros(2), E, P, data.X.T @ P, data.y)
+        gaps = solver.constraint_gaps(W, np.zeros((1, 2)), E, P, data.X.T @ P, data.y[:, None])
         Z, Q, mu = solver.update_multipliers(np.zeros((2, 2)), np.zeros((2, 2)), 2.0, *gaps,
                                              rho=1.5)
         np.testing.assert_allclose(Q, np.full((2, 2), 2.0))
@@ -582,8 +584,9 @@ class TestMultipliers:
 
     def test_mu_cap(self):
         data = DataSet(X=np.zeros((1, 1)), y=np.array([1.0]))
-        gaps = solver.constraint_gaps(np.zeros((1, 1)), np.zeros(1), np.ones((1, 1)),
-                                      np.zeros((1, 1)), data.X.T @ np.zeros((1, 1)), data.y)
+        gaps = solver.constraint_gaps(np.zeros((1, 1)), np.zeros((1, 1)), np.ones((1, 1)),
+                                      np.zeros((1, 1)), data.X.T @ np.zeros((1, 1)),
+                                      data.y[:, None])
         _, _, mu = solver.update_multipliers(np.zeros((1, 1)), np.zeros((1, 1)), 9e9, *gaps,
                                              rho=2.0)
         assert mu == 1e10
@@ -631,7 +634,7 @@ class TestResiduals:
         b = rng.normal(size=2)
         E = data.y[:, None] - data.X.T @ W - b[None, :]
         P = W.copy()
-        gaps = solver.constraint_gaps(W, b, E, P, data.X.T @ P, data.y)
+        gaps = solver.constraint_gaps(W, b[None, :], E, P, data.X.T @ P, data.y[:, None])
         np.testing.assert_allclose(solver.constraint_residuals(*gaps), (0.0, 0.0),
                                    atol=1e-12)
 
@@ -640,7 +643,7 @@ class TestResiduals:
         W = np.zeros((3, 2))
         E = np.ones((4, 1)) * np.array([[1.0, 1.0]])
         P = W + 1.0
-        gaps = solver.constraint_gaps(W, np.zeros(2), E, P, data.X.T @ P, data.y)
+        gaps = solver.constraint_gaps(W, np.zeros((1, 2)), E, P, data.X.T @ P, data.y[:, None])
         first, _ = solver.constraint_residuals(*gaps)
         assert first == pytest.approx(np.sqrt(3 * 2))
 
@@ -672,11 +675,11 @@ class TestColumnSymmetry:
         def blocks(s, mu=1.7):
             XtP, Z_over_mu = data.X.T @ s["P"], s["Z"] / mu
             W = solver.solve_w_subproblem(s["P"], s["Q"], mu)
-            b = solver.update_b(data.y, s["E"], XtP, Z_over_mu)
+            b = solver.update_b(data.y[:, None], s["E"], XtP, Z_over_mu)
             E, _ = solver.update_E(Y - XtP - b[None, :] - Z_over_mu, Y, 2.0, mu, 1.5)
             P, _ = solver.update_P(solve_gram, W, s["Q"], data.X.T @ W, data.X.T @ s["Q"], mu,
                                    Y - b[None, :] - Z_over_mu - E)
-            gaps = solver.constraint_gaps(W, b, E, P, data.X.T @ P, data.y)
+            gaps = solver.constraint_gaps(W, b[None, :], E, P, data.X.T @ P, data.y[:, None])
             Z, Q, mu = solver.update_multipliers(s["Z"], s["Q"], mu, *gaps, rho=1.1)
             return W, b, E, P, Z, Q, mu
 
@@ -689,6 +692,68 @@ class TestColumnSymmetry:
                           (Q2, Q[:, perm])):
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
         assert mu2 == mu
+
+
+def _assert_same_bits(vector, column):
+    """A block's result on 1-D vectors (or its scalar) holds the bits of its
+    result on the same data as (n, 1) columns."""
+    vector, column = np.asarray(vector), np.asarray(column)
+    assert vector.ndim < column.ndim and vector.size == column.size
+    assert vector.ravel().tobytes() == column.ravel().tobytes()
+
+
+class TestVectorLayout:
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(2, 8), st.integers(1, 12), st.integers(0, 2**32 - 1))
+    @example(M=3, N=9, seed=0)  # features side
+    @example(M=8, N=3, seed=1)  # instances side
+    def test_blocks_give_column_bits_on_vectors(self, M, N, seed):
+        # train carries its one column as 1-D vectors with a scalar bias and
+        # y as it is; the C-column reference passes (n, 1) columns, y[:, None]
+        # and b[None, :].  Each block function gives the same bits either way.
+        # M >= 2, so a penalty that summed a 1-D W whole, instead of row by
+        # row, would differ.
+        rng = np.random.default_rng(seed)
+        X = rng.normal(size=(M, N)) * rng.choice([0.1, 1.0, 10.0])
+        y = rng.choice([-1.0, 1.0], N)
+        W, P, Q = (rng.normal(size=M) for _ in range(3))
+        E, Z, XtP = (rng.normal(size=N) * rng.choice([0.1, 1.0, 10.0]) for _ in range(3))
+        b, mu, lam = np.float64(rng.normal()), float(rng.uniform(0.5, 3.0)), 2.0
+        col = {name: value[:, None] for name, value in
+               dict(X_W=X.T @ W, X_Q=X.T @ Q, W=W, P=P, Q=Q, E=E, Z=Z, XtP=XtP, y=y).items()}
+        b_row = np.full((1, 1), b)
+
+        _assert_same_bits(solver.update_b(y, E, XtP, Z / mu),
+                          solver.update_b(col["y"], col["E"], col["XtP"], col["Z"] / mu))
+        S = y - XtP - b - Z / mu
+        for p in (1.0, 1.25, 1.5, 2.0):
+            vector, vector_steps = solver.update_E(S, y, lam, mu, p)
+            column, column_steps = solver.update_E(S[:, None], col["y"], lam, mu, p)
+            _assert_same_bits(vector, column)
+            assert vector_steps == column_steps
+        solve = solver.factor_gram(X)
+        u = y - b - Z / mu - E
+        column_solution = solve(col["W"], col["Q"], col["X_W"], col["X_Q"], mu, u[:, None])
+        for vector, column in zip(solve(W, Q, X.T @ W, X.T @ Q, mu, u), column_solution):
+            _assert_same_bits(vector, column)
+        gaps = solver.constraint_gaps(W, b, E, P, XtP, y)
+        column_gaps = solver.constraint_gaps(col["W"], b_row, col["E"], col["P"], col["XtP"],
+                                             col["y"])
+        for vector, column in zip(gaps, column_gaps):
+            _assert_same_bits(vector, column)
+        vector_Z, vector_Q, vector_mu = solver.update_multipliers(Z, Q, mu, *gaps, 1.1)
+        column_Z, column_Q, column_mu = solver.update_multipliers(col["Z"], col["Q"], mu,
+                                                                  *column_gaps, 1.1)
+        _assert_same_bits(vector_Z, column_Z)
+        _assert_same_bits(vector_Q, column_Q)
+        assert vector_mu == column_mu
+        for m in (1, 3):
+            assert (solver.constraint_residuals(*gaps, m)
+                    == solver.constraint_residuals(*column_gaps, m))
+            for p in (1.0, 1.5, 2.0):
+                assert (solver.primal_objective(W, b, X.T @ W, y, lam, p, m)
+                        == solver.primal_objective(col["W"], b_row, col["X_W"], col["y"], lam, p,
+                                                   m))
 
 
 class TestTrain:
