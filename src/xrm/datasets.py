@@ -50,6 +50,11 @@ def _store_frozen(instance, **arrays: np.ndarray) -> None:
         object.__setattr__(instance, name, array)
 
 
+def _check_finite(X: np.ndarray) -> None:
+    if not np.all(np.isfinite(X)):
+        raise ValueError("feature matrix contains NaN or Inf entries")
+
+
 @dataclass(frozen=True)
 class DataSet:
     """A binary classification dataset.
@@ -77,14 +82,21 @@ class DataSet:
         data._take(X, y)
         return data
 
+    @classmethod
+    def _adopt_valid(cls, X: np.ndarray, y: np.ndarray) -> DataSet:
+        """:meth:`_adopt` for arrays whose values already passed its checks,
+        such as subsets of a data set: stored without checking them again."""
+        data = object.__new__(cls)
+        _store_frozen(data, X=X, y=y)
+        return data
+
     def _take(self, X: np.ndarray, y: np.ndarray) -> None:
         """Validate X and y, store them and make them read-only."""
         if X.ndim != 2 or X.shape[0] < 1 or X.shape[1] < 1:
             raise ValueError(f"feature matrix must be 2-d and non-empty, got shape {X.shape}")
         if y.shape != (X.shape[1],):
             raise ValueError(f"label vector of length {y.shape} does not match {X.shape[1]} instances")
-        if not np.all(np.isfinite(X)):
-            raise ValueError("feature matrix contains NaN or Inf entries")
+        _check_finite(X)
         if not np.all(np.isin(y, (-1.0, 1.0))):
             raise ValueError("labels must be -1 or +1")
         _store_frozen(self, X=X, y=y)
@@ -284,7 +296,8 @@ def split(data: DataSet, spec: SplitSpec, trial_index: int) -> tuple[DataSet, Da
     The permutation is a pure function of (spec.seed, trial_index).  The first
     ``train_size`` permuted instances form the training set; if they happen to
     contain a single class the permutation is redrawn from the same stream, up
-    to a bounded number of retries.
+    to a bounded number of retries.  The two sets skip the checks of
+    :class:`DataSet`: their values are those of ``data``, which passed them.
     """
     if not 0 <= trial_index < spec.trials:
         raise ValueError(f"trial_index {trial_index} outside [0, {spec.trials})")
@@ -297,8 +310,8 @@ def split(data: DataSet, spec: SplitSpec, trial_index: int) -> tuple[DataSet, Da
         train_idx = order[: spec.train_size]
         if np.unique(data.y[train_idx]).size == 2:
             test_idx = order[spec.train_size :]
-            train = DataSet._adopt(data.X[:, train_idx], data.y[train_idx])
-            test = DataSet._adopt(data.X[:, test_idx], data.y[test_idx])
+            train = DataSet._adopt_valid(data.X[:, train_idx], data.y[train_idx])
+            test = DataSet._adopt_valid(data.X[:, test_idx], data.y[test_idx])
             return train, test
     raise ValueError(
         f"could not draw a training set of size {spec.train_size} containing both classes "
@@ -337,7 +350,9 @@ def standardize(train: DataSet, test: DataSet | None = None, *, scaler: Scaler |
 
     A given ``scaler`` (for example one saved with a model) is applied instead
     of fitting one on ``train``.  Returns the transformed training set, or a
-    (train, test) pair when ``test`` is given.
+    (train, test) pair when ``test`` is given.  The labels skip the checks of
+    :class:`DataSet`; the features do not, as a value far from the training
+    data, divided by a tiny training scale, can overflow to inf.
     """
     if scaler is None:
         scaler = fit_scaler(train)
@@ -349,7 +364,8 @@ def standardize(train: DataSet, test: DataSet | None = None, *, scaler: Scaler |
     def transform(data: DataSet) -> DataSet:
         X = data.X - mean
         X /= std  # in place, so each set allocates one matrix
-        return DataSet._adopt(X, data.y)
+        _check_finite(X)
+        return DataSet._adopt_valid(X, data.y)
 
     if test is None:
         return transform(train)

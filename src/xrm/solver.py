@@ -28,6 +28,13 @@ functions broadcast over the layout their caller passes, and the caller
 shapes the labels and the bias: :func:`train` passes y and a scalar b, a
 C-column run N x C blocks with y[:, None] and b[None, :].
 
+Vector expressions of three or more operands in the loop allocate their
+result once and finish in place (``W = P * shrink; W += Q / (mu + C)``),
+keeping each operation, its operands' order and its association, so the bits
+are those of the plain expression (numpy elides temporaries only above
+256 kB).  A 1-D W's penalty, 0.5 * sum((m W)^2), has the bits of
+:func:`xrm.diversity._l12_penalty` on the M x 1 view.
+
 The P update solves with I + X X^T, factored once per fit on the smaller side
 of X (M features x N instances):
 
@@ -110,18 +117,19 @@ class SolverConfig:
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
+        # bool is a subclass of int; numpy integers are accepted.
+        for name in ("components", "outer_max_iters"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+                raise ValueError(f"{name} must be a positive integer, got {value!r}")
         if self.lam <= 0:
             raise ValueError("lam must be positive")
-        if self.components < 1:
-            raise ValueError("components must be a positive integer")
         if self.loss_power < 1:
             raise ValueError("loss_power must be at least 1")
         if self.rho <= 1:
             raise ValueError("rho must exceed 1")
         if self.outer_tol <= 0:
             raise ValueError("outer_tol must be positive")
-        if self.outer_max_iters < 1:
-            raise ValueError("the iteration cap must be positive")
 
     def to_dict(self) -> dict:
         """The fields in order, with ``lam`` under the key ``lambda``."""
@@ -203,20 +211,18 @@ def factor_gram(X: np.ndarray):
 
     # A non-finite right-hand side passes through unchecked, so that train
     # can name the block that produced it.
-    def potrs_solve(rhs):
-        x, info = potrs(c, rhs, lower=lower)
-        if info != 0:
-            raise ValueError(f"illegal value in {-info}th argument of internal potrs")
-        return x
-
     if features:
         def solve(W, Q, XtW, XtQ, mu, u):
-            P = potrs_solve(W - Q / mu + X @ u)
+            P, info = potrs(c, W - Q / mu + X @ u, lower=lower)
+            if info != 0:
+                raise ValueError(f"illegal value in {-info}th argument of internal potrs")
             return P, X.T @ P
         return solve
 
     def solve(W, Q, XtW, XtQ, mu, u):
-        s = potrs_solve(XtW - XtQ / mu + gram @ u)
+        s, info = potrs(c, XtW - XtQ / mu + gram @ u, lower=lower)
+        if info != 0:
+            raise ValueError(f"illegal value in {-info}th argument of internal potrs")
         return W - Q / mu + X @ (u - s), s
     return solve
 
@@ -375,7 +381,10 @@ def constraint_gaps(W: np.ndarray, b: np.ndarray | float, E: np.ndarray, P: np.n
     """Violations of the two constraints, P - W and E - Y + X^T P + b, given
     XtP = X^T P and the bias b and labels Y shaped by the caller to broadcast
     against E: a scalar and y, or a 1 x C row and an N x 1 column."""
-    return P - W, E - Y + XtP + b
+    slack_gap = E - Y
+    slack_gap += XtP
+    slack_gap += b
+    return P - W, slack_gap
 
 
 def update_multipliers(Z: np.ndarray, Q: np.ndarray, mu: float, split_gap: np.ndarray,
@@ -383,7 +392,10 @@ def update_multipliers(Z: np.ndarray, Q: np.ndarray, mu: float, split_gap: np.nd
     """Ascent on both multipliers with step mu along the constraint gaps of
     the new iterate, then geometric penalty growth capped at MU_CAP; returns
     the new Z, Q and mu."""
-    return Z + mu * slack_gap, Q + mu * split_gap, min(rho * mu, MU_CAP)
+    Z_new, Q_new = slack_gap * mu, split_gap * mu
+    Z_new += Z
+    Q_new += Q
+    return Z_new, Q_new, min(rho * mu, MU_CAP)
 
 
 def primal_objective(W: np.ndarray, b: np.ndarray | float, XtW: np.ndarray, Y: np.ndarray,
@@ -396,10 +408,17 @@ def primal_objective(W: np.ndarray, b: np.ndarray | float, XtW: np.ndarray, Y: n
 
     The penalty is that of :func:`xrm.diversity.exclusivity_regularizer`
     without its finiteness check: :func:`train` calls this only on finite
-    blocks."""
-    margins = 1.0 - (XtW + b) * Y
-    loss = float(np.add.reduce(np.maximum(margins, 0.0) ** p * multiplicity, axis=None))
-    return _l12_penalty((W * multiplicity).reshape(len(W), -1)) + lam * loss
+    blocks.  A 1-D W is one column, whose rows each hold one entry."""
+    margins = XtW + b
+    margins *= Y
+    np.subtract(1.0, margins, out=margins)
+    np.maximum(margins, 0.0, out=margins)
+    margins **= p
+    margins *= multiplicity
+    loss = float(np.add.reduce(margins, axis=None))
+    if W.ndim == 1:  # one column: _l12_penalty of the M x 1 view, without its row sums
+        return float(0.5 * np.add.reduce(np.square(W * multiplicity))) + lam * loss
+    return _l12_penalty(W * multiplicity) + lam * loss
 
 
 def constraint_residuals(split_gap: np.ndarray, slack_gap: np.ndarray,
@@ -408,7 +427,9 @@ def constraint_residuals(split_gap: np.ndarray, slack_gap: np.ndarray,
     every column counted ``multiplicity`` times: sqrt(m sum_c ||gap_c||^2),
     with the arithmetic of ``np.linalg.norm``."""
     root = math.sqrt(multiplicity)
-    split, slack = (split_gap * root).ravel(), (slack_gap * root).ravel()
+    split, slack = split_gap * root, slack_gap * root
+    if split.ndim > 1:
+        split, slack = split.ravel(), slack.ravel()
     return math.sqrt(split.dot(split)), math.sqrt(slack.dot(slack))
 
 
@@ -461,22 +482,31 @@ def train(data, config: SolverConfig = SolverConfig()) -> tuple[EnsembleModel, T
         # The row prox of one column of multiplicity C is the shrink
         # (P + Q/mu) * mu / (mu + C).
         shrink = mu / (mu + C)
-        W = P * shrink + Q / (mu + C)
-        XtW = XtP * shrink + XtQ / (mu + C)
+        W = P * shrink
+        W += Q / (mu + C)
+        XtW = XtP * shrink
+        XtW += XtQ / (mu + C)
         t_W = clock()
         Z_over_mu = Z / mu
         b = update_b(y, E, XtP, Z_over_mu)
         t_b = clock()
         # The E target y - X^T P - b - Z/mu and the P operand
-        # u = y - b - Z/mu - E are temporaries and the gaps are dropped
-        # after use, so only the carried N-vectors outlive their block.
-        E, e_steps = update_E(y - XtP - b - Z_over_mu, y, lam, mu, power)
+        # u = y - b - Z/mu - E, each one new vector finished in place.
+        target = y - XtP
+        target -= b
+        target -= Z_over_mu
+        E, e_steps = update_E(target, y, lam, mu, power)
         report.e_inner_steps.append(e_steps)
         t_E = clock()
-        P, XtP = update_P(solve_gram, W, Q, XtW, XtQ, mu, y - b - Z_over_mu - E)
+        u = y - b
+        u -= Z_over_mu
+        u -= E
+        P, XtP = update_P(solve_gram, W, Q, XtW, XtQ, mu, u)
         t_P = clock()
         split_gap, slack_gap = constraint_gaps(W, b, E, P, XtP, y)
-        XtQ += mu * (XtP - XtW)
+        ascent = XtP - XtW
+        ascent *= mu
+        XtQ += ascent
         Z, Q, mu = update_multipliers(Z, Q, mu, split_gap, slack_gap, rho)
         residuals = constraint_residuals(split_gap, slack_gap, C)
         del split_gap, slack_gap

@@ -477,6 +477,21 @@ class TestSplit:
             split(data, SplitSpec(train_size=3), 0)
 
 
+    def test_sets_are_read_only_and_equal_checked_sets(self):
+        # split and standardize store arrays they did not check again; the
+        # sets equal those that DataSet builds, with its checks, from them.
+        rng = np.random.default_rng(5)
+        data = DataSet(X=rng.normal(size=(3, 20)), y=np.where(np.arange(20) % 3, 1.0, -1.0))
+        train, test = split(data, SplitSpec(train_size=8, seed=2), 1)
+        for subset in (train, test, *standardize(train, test), standardize(train)):
+            checked = DataSet(X=subset.X, y=subset.y)
+            for name in ("X", "y"):
+                array, expected = getattr(subset, name), getattr(checked, name)
+                assert not array.flags.writeable
+                assert array.dtype == expected.dtype and array.shape == expected.shape
+                assert array.tobytes() == expected.tobytes()
+
+
 class TestRoundTrip:
     def test_random_round_trip(self):
         rng = np.random.default_rng(4)
@@ -611,6 +626,14 @@ class TestStandardize:
         np.testing.assert_array_equal(standardize(other, scaler=scaler).X, [[3.0], [2.0]])
         np.testing.assert_array_equal(standardize(train, other)[1].X,
                                       standardize(other, scaler=scaler).X)
+
+    def test_overflowing_test_set_is_rejected(self):
+        # A tiny training scale (about 4.7e-151) sends a test value of 1e160
+        # past the largest float; the scaled features are checked again.
+        train = DataSet(X=np.array([[0.0, 1e-150, 0.0]]), y=np.array([1.0, -1.0, 1.0]))
+        test = DataSet(X=np.array([[1e160]]), y=np.array([1.0]))
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="NaN or Inf"):
+            standardize(train, test)
 
     def test_scaler_validation(self):
         with pytest.raises(ValueError):

@@ -116,10 +116,17 @@ class TestConfig:
         {"outer_max_iters": 0},
         {"lam": np.nan}, {"loss_power": np.nan}, {"rho": np.nan}, {"outer_tol": np.nan},
         {"lam": np.inf}, {"loss_power": np.inf}, {"rho": np.inf}, {"outer_tol": np.inf},
+        # Counts must be integers: 2.5 would train a problem of multiplicity
+        # 2.5, True one component, and 50.0 would fail inside train.
+        {"components": 2.5}, {"components": True}, {"outer_max_iters": 50.0},
     ])
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
             SolverConfig(**kwargs)
+
+    def test_accepts_numpy_integer_counts(self):
+        config = SolverConfig(components=np.int64(3), outer_max_iters=np.int32(7))
+        assert (config.components, config.outer_max_iters) == (3, 7)
 
 
 class TestWSubproblem:
@@ -754,6 +761,51 @@ class TestVectorLayout:
                 assert (solver.primal_objective(W, b, X.T @ W, y, lam, p, m)
                         == solver.primal_objective(col["W"], b_row, col["X_W"], col["y"], lam, p,
                                                    m))
+
+
+class TestBlocksLeaveInputs:
+    @pytest.mark.parametrize("columns", [None, 3], ids=["vectors", "columns"])
+    @pytest.mark.parametrize("shape", [(5, 9), (9, 5)], ids=["features", "instances"])
+    def test_read_only_inputs_give_the_same_bits(self, shape, columns):
+        # train finishes its vector expressions in place, on arrays it has
+        # just allocated.  No block function writes to an input: each runs on
+        # read-only arrays, where a write would raise, and returns the bits it
+        # returns on writable copies, which it leaves as they were.
+        M, N = shape
+        rng = np.random.default_rng([M, columns or 1])
+        width = () if columns is None else (columns,)
+        y = rng.choice([-1.0, 1.0], N)
+        inputs = {name: rng.normal(size=(M, *width)) for name in ("W", "P", "Q", "split_gap")}
+        inputs.update({name: rng.normal(size=(N, *width)) for name in
+                       ("E", "S", "Z", "Z_over_mu", "XtP", "XtW", "XtQ", "u", "slack_gap")})
+        inputs["X"] = rng.normal(size=(M, N))
+        inputs["Y"] = y if columns is None else np.repeat(y[:, None], columns, axis=1)
+        inputs["b"] = np.float64(rng.normal()) if columns is None else rng.normal(size=(1, columns))
+        mu, lam, rho = 1.7, 2.0, 1.1
+
+        def run(a):
+            results = [solver.update_b(a["Y"], a["E"], a["XtP"], a["Z_over_mu"])]
+            for p in (1.0, 1.25, 1.5, 2.0):
+                results.extend(solver.update_E(a["S"], a["Y"], lam, mu, p))
+            results.extend(solver.factor_gram(a["X"])(a["W"], a["Q"], a["XtW"], a["XtQ"], mu,
+                                                      a["u"]))
+            results.extend(solver.constraint_gaps(a["W"], a["b"], a["E"], a["P"], a["XtP"],
+                                                  a["Y"]))
+            results.extend(solver.update_multipliers(a["Z"], a["Q"], mu, a["split_gap"],
+                                                     a["slack_gap"], rho))
+            results.extend(solver.constraint_residuals(a["split_gap"], a["slack_gap"], 3))
+            for p in (1.0, 1.5, 2.0):
+                results.append(solver.primal_objective(a["W"], a["b"], a["XtW"], a["Y"], lam, p,
+                                                       3))
+            return [np.asarray(result).tobytes() for result in results]
+
+        frozen = {name: np.array(value) for name, value in inputs.items()}
+        for value in frozen.values():
+            value.setflags(write=False)
+        writable = {name: np.array(value) for name, value in inputs.items()}
+        assert run(frozen) == run(writable)
+        for name, value in inputs.items():
+            assert writable[name].tobytes() == np.asarray(value).tobytes(), name
 
 
 class TestTrain:
