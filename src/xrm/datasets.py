@@ -308,9 +308,10 @@ def split(data: DataSet, spec: SplitSpec, trial_index: int) -> tuple[DataSet, Da
     for _ in range(_SPLIT_RETRIES):
         order = rng.permutation(N)
         train_idx = order[: spec.train_size]
-        if np.unique(data.y[train_idx]).size == 2:
+        labels = data.y[train_idx]
+        if labels.min() != labels.max():  # both classes
             test_idx = order[spec.train_size :]
-            train = DataSet._adopt_valid(data.X[:, train_idx], data.y[train_idx])
+            train = DataSet._adopt_valid(data.X[:, train_idx], labels)
             test = DataSet._adopt_valid(data.X[:, test_idx], data.y[test_idx])
             return train, test
     raise ValueError(
@@ -340,9 +341,18 @@ class Scaler:
 
 def fit_scaler(train: DataSet) -> Scaler:
     """Per-feature mean and standard deviation of ``train``; constant
-    features get scale 1, so they are centered but not scaled."""
+    features get scale 1, so they are centered but not scaled.  Raises
+    ValueError when a feature's variance, or its mean, overflows."""
     std = train.X.std(axis=1)
-    return Scaler(mean=train.X.mean(axis=1), scale=np.where(std == 0.0, 1.0, std))
+    # std takes its deviations from this same mean, and every deviation from
+    # a non-finite mean is non-finite, so a finite std vouches for the mean
+    # too; std >= 0, and its zeros become scale 1.
+    if not np.isfinite(std).all():
+        raise ValueError("a training feature's variance overflows: its values are too large "
+                         "to standardize")
+    scaler = object.__new__(Scaler)
+    _store_frozen(scaler, mean=train.X.mean(axis=1), scale=np.where(std == 0.0, 1.0, std))
+    return scaler
 
 
 def standardize(train: DataSet, test: DataSet | None = None, *, scaler: Scaler | None = None):

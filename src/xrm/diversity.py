@@ -120,13 +120,14 @@ def diversity_report(W) -> DiversityReport:
     U = D.shape[1]
     relaxed = np.abs(D).T @ np.abs(D)
     counts = np.empty((U, U))
-    tolerance = DISTINCT_RTOL * np.max(np.abs(D), initial=0.0)
-    distinct = 0
     for c in range(U):
-        column = D[:, c, None]
-        counts[c] = np.count_nonzero(column * D, axis=0)
-        nearest = np.min(np.max(np.abs(D[:, :c] - column), axis=0, initial=0.0), initial=np.inf)
-        distinct += int(nearest > tolerance)
+        counts[c] = np.count_nonzero(D[:, c, None] * D, axis=0)
+    distinct = 1  # the first column
+    if U > 1:
+        tolerance = DISTINCT_RTOL * np.max(np.abs(D))
+        for c in range(1, U):
+            nearest = np.min(np.max(np.abs(D[:, :c] - D[:, c, None]), axis=0))
+            distinct += int(nearest > tolerance)
     pairs = np.ix_(inverse, inverse)
     return DiversityReport(
         pairwise_relaxed_exclusivity=relaxed[pairs],

@@ -5,9 +5,10 @@ predicts with their uniform average (w_e, b_e).  By convexity of the powered
 hinge, the averaged predictor's loss never exceeds the mean component loss;
 ``verify_ensemble_bound`` checks that numerically.  The mean component loss
 is computed once per distinct component and weighted by its count, so the C
-equal columns that ``train`` returns cost as much as one.  Every loss here is
-taken at the model's own power ``p``; to evaluate another power q, pass
-``dataclasses.replace(model, p=q)``.
+equal columns that ``train`` returns cost as much as one.  A model computes
+its averaged predictor once, when it is built, and every prediction reads
+it.  Every loss here is taken at the model's own power ``p``; to evaluate
+another power q, pass ``dataclasses.replace(model, p=q)``.
 
 A model trained on standardized features carries the training
 :class:`~xrm.datasets.Scaler`; prediction here works on features that are
@@ -26,7 +27,7 @@ one column per component.  Files of the earlier formats still load:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -46,13 +47,19 @@ class EnsembleModel:
     """Component weights W (features x components), biases b, the training
     hyperparameters recorded for provenance, and the feature scaler the model
     was trained under (None when trained on raw features).  ``lam`` and ``p``
-    obey the rules of :class:`~xrm.solver.SolverConfig`."""
+    obey the rules of :class:`~xrm.solver.SolverConfig`.
+
+    Derived from W and b when the model is built (``dataclasses.replace``
+    builds a new one): the averaged ensemble weights ``w_e`` (read-only) and
+    bias ``b_e``."""
 
     W: np.ndarray
     b: np.ndarray
     lam: float
     p: float
     scaler: Scaler | None = None
+    w_e: np.ndarray = field(init=False, repr=False, compare=False)
+    b_e: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         W = np.array(self.W, dtype=float)
@@ -70,7 +77,8 @@ class EnsembleModel:
             raise ValueError(f"p must be finite and at least 1, got {self.p}")
         if self.scaler is not None and self.scaler.mean.size != W.shape[0]:
             raise ValueError(f"scaler has {self.scaler.mean.size} features but W has {W.shape[0]}")
-        _store_frozen(self, W=W, b=b)
+        _store_frozen(self, W=W, b=b, w_e=W.mean(axis=1))
+        object.__setattr__(self, "b_e", float(b.mean()))
 
     @property
     def feature_count(self) -> int:
@@ -79,16 +87,6 @@ class EnsembleModel:
     @property
     def components(self) -> int:
         return self.W.shape[1]
-
-    @property
-    def w_e(self) -> np.ndarray:
-        """Averaged ensemble weights, recomputed from W."""
-        return self.W.mean(axis=1)
-
-    @property
-    def b_e(self) -> float:
-        """Averaged ensemble bias, recomputed from b."""
-        return float(self.b.mean())
 
 
 def decision_values(model: EnsembleModel, X) -> np.ndarray:

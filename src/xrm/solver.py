@@ -35,6 +35,24 @@ are those of the plain expression (numpy elides temporaries only above
 256 kB).  A 1-D W's penalty, 0.5 * sum((m W)^2), has the bits of
 :func:`xrm.diversity._l12_penalty` on the M x 1 view.
 
+The scalar operands of the loop's vector ops are read-only 0-d float64
+arrays: C and p once per fit, and mu, mu + C, the shrink and b once per
+iteration, written into one buffer that the loop owns.  numpy converts a
+Python or numpy scalar operand on every call, which on the N-vectors of a
+protocol-sized fit costs about half as much as the op itself (a product of a
+150-vector and a float takes about 1.4 times as long as with a 0-d array);
+a 0-d array is used as it is, with the same bits.  Constants and scalars
+that a block function derives itself, such as lam/mu in :func:`update_E` and
+sqrt(C) in :func:`constraint_residuals`, stay plain: each enters a few ops
+per iteration, building a 0-d array per call costs about what it saves, and
+arithmetic between scalars is faster on plain ones.
+
+The bias needs the mean of y - E - X^T P - Z/mu.  The previous iteration's
+slack gap already formed E - y + X^T P (:func:`_slack_base`) before adding
+its bias, so :func:`train` keeps that vector (-y at the start), and
+:func:`update_b` takes the mean of it plus Z/mu and negates it, which gives
+the same bits with two fewer passes over the instances.
+
 The P update solves with I + X X^T, factored once per fit on the smaller side
 of X (M features x N instances):
 
@@ -72,7 +90,7 @@ import time
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, get_lapack_funcs
+from scipy.linalg import get_lapack_funcs
 
 from .diversity import DiversityReport, _l12_penalty, diversity_report
 from .model import EnsembleModel
@@ -81,6 +99,15 @@ MU_INIT = 1.0  # starting penalty mu
 MU_CAP = 1e10  # mu stops growing here, so late-iteration arithmetic stays well conditioned
 GENERAL_P_TOL = 1e-10  # step tolerance of the slack solver at p not in {1, 1.5, 2}
 TIMED_BLOCKS = ("W", "b", "E", "P", "multipliers", "objective", "factorization")
+
+
+def _read_only_scalars(values: np.ndarray) -> list[np.ndarray]:
+    """Read-only 0-d views of the entries of the float64 vector ``values``:
+    scalar operands that vector ops use without converting them, and that a
+    caller holding ``values`` can rewrite in place."""
+    view = values.view()
+    view.setflags(write=False)
+    return [view[i, ...] for i in range(values.size)]
 
 
 class DivergenceError(RuntimeError):
@@ -174,6 +201,13 @@ def gram_side(X: np.ndarray) -> str:
     return "features" if M <= N else "instances"
 
 
+def _gram_failure(cause: str) -> ValueError:
+    return ValueError(
+        f"factorization of the regularized Gram matrix failed ({cause}): the features are "
+        "too large for the Gram factorization in double precision; rescale them, "
+        "for example with --standardize")
+
+
 def factor_gram(X: np.ndarray):
     """Factor I + X X^T once per fit and return ``solve(W, Q, XtW, XtQ, mu, u)``,
     which gives P = (I + X X^T)^-1 (W - Q/mu + X u) and X^T P for W and Q
@@ -190,37 +224,41 @@ def factor_gram(X: np.ndarray):
     X^T P = X^T rhs - K s = s, and a solve costs the one product X (u - s)
     plus about 4 N^2 flops per column.
 
-    Both sides solve with the factor through LAPACK ``potrs``, looked up once
-    here and called directly: the routine and arguments of ``cho_solve``
-    without its per-call validation, so the solutions are the same bits.
+    Both sides factor with LAPACK ``potrf`` and solve with ``potrs``, looked
+    up once here and called directly: the routines and arguments of
+    ``cho_factor`` and ``cho_solve`` without their per-call validation, so
+    the factor and the solutions are the same bits.  The check kept is that
+    I + X X^T is finite: features whose Gram product overflows, or whose
+    squared norm nears 1/eps so that rounding leaves I + X X^T singular,
+    raise ValueError with the advice to rescale them.
     """
     features = gram_side(X) == "features"
-    gram = X @ X.T if features else X.T @ X
-    try:
-        factor = cho_factor(np.eye(gram.shape[0]) + gram)
-    except np.linalg.LinAlgError as exc:
+    with np.errstate(over="ignore", invalid="ignore"):  # reported by the check below
+        gram = X @ X.T if features else X.T @ X
+        regularized = np.eye(gram.shape[0]) + gram
+    if not np.isfinite(regularized).all():
+        raise _gram_failure("its entries overflow")
+    potrf, potrs = get_lapack_funcs(("potrf", "potrs"), (regularized,))
+    c, info = potrf(regularized, lower=False, overwrite_a=False, clean=False)
+    if info > 0:
         # I + X X^T is positive definite in exact arithmetic, but once |X|^2
         # nears 1/eps rounding swallows the identity and can leave it singular.
-        raise ValueError(
-            f"factorization of the regularized Gram matrix failed ({exc}): the features are "
-            "too large for the Gram factorization in double precision; rescale them, "
-            "for example with --standardize"
-        ) from exc
-    c, lower = factor
-    potrs, = get_lapack_funcs(("potrs",), (c,))
+        raise _gram_failure(f"{info}-th leading minor of the array is not positive definite")
+    if info < 0:
+        raise ValueError(f"illegal value in {-info}th argument of internal potrf")
 
     # A non-finite right-hand side passes through unchecked, so that train
     # can name the block that produced it.
     if features:
         def solve(W, Q, XtW, XtQ, mu, u):
-            P, info = potrs(c, W - Q / mu + X @ u, lower=lower)
+            P, info = potrs(c, W - Q / mu + X @ u, lower=False)
             if info != 0:
                 raise ValueError(f"illegal value in {-info}th argument of internal potrs")
             return P, X.T @ P
         return solve
 
     def solve(W, Q, XtW, XtQ, mu, u):
-        s, info = potrs(c, XtW - XtQ / mu + gram @ u, lower=lower)
+        s, info = potrs(c, XtW - XtQ / mu + gram @ u, lower=False)
         if info != 0:
             raise ValueError(f"illegal value in {-info}th argument of internal potrs")
         return W - Q / mu + X @ (u - s), s
@@ -254,13 +292,20 @@ def solve_w_subproblem(P: np.ndarray, Q: np.ndarray, mu: float) -> np.ndarray:
     return np.sign(V) * np.maximum(magnitude - tau, 0.0)
 
 
-def update_b(Y: np.ndarray, E: np.ndarray, XtP: np.ndarray, Z_over_mu: np.ndarray):
+def update_b(slack_base: np.ndarray, Z_over_mu: np.ndarray):
     """Closed-form bias update: the mean over instances of Y - E - X^T P - Z/mu,
-    given the labels Y shaped by the caller, the slack block E, XtP = X^T P
-    and Z_over_mu = Z / mu; a scalar for N-vectors, one per column for N x C."""
-    residual = Y - E - XtP - Z_over_mu
+    computed as -mean(slack_base + Z/mu) from slack_base = E - Y + X^T P, the
+    slack gap without its bias, and Z_over_mu = Z / mu, with the labels Y
+    shaped by the caller; a scalar for N-vectors, one per column for N x C.
+
+    Negation is exact and rounding is symmetric in sign, so every entry and
+    every partial sum is the negation of that of the mean form, or +0 in
+    both, and the result has the mean form's bits: it is 0 - sum, not -sum,
+    so that a zero sum gives +0 as the mean form does.
+    """
+    total = slack_base + Z_over_mu
     # The arithmetic of mean(axis=0), without its dispatch.
-    return np.add.reduce(residual) / len(residual)
+    return (0.0 - np.add.reduce(total)) / len(total)
 
 
 def _positive_branch_minimizer(a: np.ndarray, k: float, p: float) -> tuple[np.ndarray, int]:
@@ -376,13 +421,22 @@ def update_P(solve_gram, W: np.ndarray, Q: np.ndarray, XtW: np.ndarray, XtQ: np.
     return solve_gram(W, Q, XtW, XtQ, mu, u)
 
 
+def _slack_base(E: np.ndarray, Y: np.ndarray, XtP: np.ndarray) -> np.ndarray:
+    """E - Y + X^T P, the slack gap before its bias: the operand of
+    :func:`update_b`, and a new array that the caller may finish in place."""
+    base = E - Y
+    base += XtP
+    return base
+
+
 def constraint_gaps(W: np.ndarray, b: np.ndarray | float, E: np.ndarray, P: np.ndarray,
                     XtP: np.ndarray, Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Violations of the two constraints, P - W and E - Y + X^T P + b, given
     XtP = X^T P and the bias b and labels Y shaped by the caller to broadcast
-    against E: a scalar and y, or a 1 x C row and an N x 1 column."""
-    slack_gap = E - Y
-    slack_gap += XtP
+    against E: a scalar and y, or a 1 x C row and an N x 1 column.
+    :func:`train` forms the same two gaps from :func:`_slack_base`, which it
+    keeps for the next :func:`update_b`."""
+    slack_gap = _slack_base(E, Y, XtP)
     slack_gap += b
     return P - W, slack_gap
 
@@ -474,6 +528,13 @@ def train(data, config: SolverConfig = SolverConfig()) -> tuple[EnsembleModel, T
     # X^T P, X^T Q and X^T W follow P, Q and W by the same affine updates.
     XtP = np.zeros_like(E)  # X^T P for the starting P = 0
     XtQ = data.X.T @ Q
+    slack_base = -y  # E - y + X^T P for the starting E and P
+    # The scalar operands of vector ops as read-only 0-d arrays: C and p for
+    # the fit, and mu, mu + C, the shrink and b, which each iteration writes
+    # into ``scalars``.
+    C_op, power_op = _read_only_scalars(np.array([C, power], dtype=float))
+    scalars = np.empty(4)
+    mu_op, mu_C_op, shrink_op, b_op = _read_only_scalars(scalars)
     previous_objective = None
     # Seconds per loop block, summed here and written to the report once.
     s_W = s_b = s_E = s_P = s_mult = s_obj = 0.0
@@ -481,33 +542,37 @@ def train(data, config: SolverConfig = SolverConfig()) -> tuple[EnsembleModel, T
         t_0 = clock()
         # The row prox of one column of multiplicity C is the shrink
         # (P + Q/mu) * mu / (mu + C).
-        shrink = mu / (mu + C)
-        W = P * shrink
-        W += Q / (mu + C)
-        XtW = XtP * shrink
-        XtW += XtQ / (mu + C)
+        mu_C = mu + C
+        scalars[0], scalars[1], scalars[2] = mu, mu_C, mu / mu_C
+        W = P * shrink_op
+        W += Q / mu_C_op
+        XtW = XtP * shrink_op
+        XtW += XtQ / mu_C_op
         t_W = clock()
-        Z_over_mu = Z / mu
-        b = update_b(y, E, XtP, Z_over_mu)
+        Z_over_mu = Z / mu_op
+        scalars[3] = b = update_b(slack_base, Z_over_mu)
         t_b = clock()
         # The E target y - X^T P - b - Z/mu and the P operand
         # u = y - b - Z/mu - E, each one new vector finished in place.
         target = y - XtP
-        target -= b
+        target -= b_op
         target -= Z_over_mu
         E, e_steps = update_E(target, y, lam, mu, power)
         report.e_inner_steps.append(e_steps)
         t_E = clock()
-        u = y - b
+        u = y - b_op
         u -= Z_over_mu
         u -= E
-        P, XtP = update_P(solve_gram, W, Q, XtW, XtQ, mu, u)
+        P, XtP = update_P(solve_gram, W, Q, XtW, XtQ, mu_op, u)
         t_P = clock()
-        split_gap, slack_gap = constraint_gaps(W, b, E, P, XtP, y)
+        # The gaps of constraint_gaps, keeping E - y + X^T P for the next b.
+        split_gap = P - W
+        slack_base = _slack_base(E, y, XtP)
+        slack_gap = slack_base + b_op
         ascent = XtP - XtW
-        ascent *= mu
+        ascent *= mu_op
         XtQ += ascent
-        Z, Q, mu = update_multipliers(Z, Q, mu, split_gap, slack_gap, rho)
+        Z, Q, mu = update_multipliers(Z, Q, mu_op, split_gap, slack_gap, rho)
         residuals = constraint_residuals(split_gap, slack_gap, C)
         del split_gap, slack_gap
         z_sup, q_sup = float(np.maximum.reduce(np.abs(Z))), float(np.maximum.reduce(np.abs(Q)))
@@ -524,7 +589,7 @@ def train(data, config: SolverConfig = SolverConfig()) -> tuple[EnsembleModel, T
             block = _first_non_finite((("W", W, XtW), ("b", b), ("E", E), ("P", P, XtP),
                                        ("Z", Z), ("Q", Q, XtQ)))
         if block is None:
-            objective = primal_objective(W, b, XtW, y, lam, power, C)
+            objective = primal_objective(W, b_op, XtW, y, lam, power_op, C_op)
             if not math.isfinite(objective):
                 block = "objective"
         if block is not None:

@@ -25,6 +25,16 @@ def make_blobs(n, m, seed, separation=2.0, noise=1.0):
     return DataSet(X=X, y=y)
 
 
+def make_gram_overflow(n, m, seed=0):
+    """m features of n instances near 1e154: every entry of X X^T and of
+    X^T X sums at least two squares near 1e308 and overflows, while the
+    features, centered, have a spread near 1e152 and standardize well."""
+    rng = np.random.default_rng(seed)
+    y = np.where(rng.random(n) < 0.5, 1.0, -1.0)
+    y[:2] = (1.0, -1.0)
+    return DataSet(X=1e154 * (1.0 + 0.01 * rng.normal(size=(m, n))), y=y)
+
+
 def random_instance(rng, n_max=40, m_max=8):
     """Unstructured random instance with both classes present."""
     N = int(rng.integers(6, n_max + 1))

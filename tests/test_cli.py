@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from conftest import make_blobs, make_ill_scaled, random_instance
+from conftest import make_blobs, make_gram_overflow, make_ill_scaled, random_instance
 from xrm import (DataSet, datasets, fit_scaler, load_dataset, load_model, save_dataset, solver,
                  standardize)
 from xrm import cli
@@ -174,14 +174,16 @@ class TestTrain:
         assert rc == 0
 
     def test_ill_scaled_features_exit_one(self, tmp_path, capsys):
-        data_path = tmp_path / "ill.txt"
-        save_dataset(make_ill_scaled(), data_path)
-        argv = ["train", "--data", str(data_path), "--model", str(tmp_path / "m.json"),
-                "--out", str(tmp_path / "r.json")]
-        assert main(argv) == 1
-        err = capsys.readouterr().err
-        assert "too large for the Gram factorization" in err and "--standardize" in err
-        assert main(argv + ["--standardize"]) == 0  # the advice works
+        # a Gram matrix left singular by rounding, then one whose product overflows
+        for data in (make_ill_scaled(), make_gram_overflow(40, 3)):
+            data_path = tmp_path / "ill.txt"
+            save_dataset(data, data_path)
+            argv = ["train", "--data", str(data_path), "--model", str(tmp_path / "m.json"),
+                    "--out", str(tmp_path / "r.json")]
+            assert main(argv) == 1
+            err = capsys.readouterr().err
+            assert "too large for the Gram factorization" in err and "--standardize" in err
+            assert main(argv + ["--standardize"]) == 0  # the advice works
 
     def test_reports_gram_side(self, tmp_path, blob_file):
         wide_file = tmp_path / "wide.txt"

@@ -627,6 +627,22 @@ class TestStandardize:
         np.testing.assert_array_equal(standardize(train, other)[1].X,
                                       standardize(other, scaler=scaler).X)
 
+    def test_fitted_statistics_are_numpys(self):
+        rng = np.random.default_rng(2)
+        X = rng.normal(3.0, 2.0, size=(5, 37)) * 10.0 ** rng.integers(-3, 4, size=(5, 1))
+        X[1] = 4.0  # a constant feature: scale 1
+        scaler = fit_scaler(DataSet(X=X, y=rng.choice([-1.0, 1.0], 37)))
+        std = X.std(axis=1)
+        assert scaler.mean.tobytes() == X.mean(axis=1).tobytes()
+        assert scaler.scale.tobytes() == np.where(std == 0.0, 1.0, std).tobytes()
+        assert not (scaler.mean.flags.writeable or scaler.scale.flags.writeable)
+
+    def test_overflowing_training_variance_is_rejected(self):
+        # Finite features whose squared deviations pass the largest float.
+        train = DataSet(X=np.array([[1e200, -1e200, 0.0]]), y=np.array([1.0, -1.0, 1.0]))
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="variance overflows"):
+            fit_scaler(train)
+
     def test_overflowing_test_set_is_rejected(self):
         # A tiny training scale (about 4.7e-151) sends a test value of 1e160
         # past the largest float; the scaled features are checked again.

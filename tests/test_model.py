@@ -48,12 +48,16 @@ class TestDecision:
             decision_values(_model([[1.0]], [0.0]), [[1.0], [2.0]])
 
     def test_averages_recomputed(self):
+        # The model computes its averaged predictor once, read-only, and a
+        # replaced model computes its own.
         rng = np.random.default_rng(0)
-        W = rng.normal(size=(4, 3))
-        b = rng.normal(size=3)
+        W, b = _columns_with_repeats(rng, 4, 6)
         model = _model(W, b)
-        np.testing.assert_allclose(model.w_e, W.mean(axis=1))
-        assert model.b_e == pytest.approx(b.mean())
+        for W, b in ((W, b), (rng.normal(size=(4, 3)), rng.normal(size=3))):
+            model = replace(model, W=W, b=b)
+            assert model.w_e.tobytes() == W.mean(axis=1).tobytes()
+            assert model.b_e == float(b.mean()) and type(model.b_e) is float
+            assert not model.w_e.flags.writeable
 
 
 class TestPredict:

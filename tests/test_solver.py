@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from scipy.linalg import cho_factor, cho_solve
 
-from conftest import make_blobs, make_ill_scaled, random_instance
+from conftest import make_blobs, make_gram_overflow, make_ill_scaled, random_instance
 from xrm import DataSet, SolverConfig, TrainReport, train
 from xrm import oracles, solver
 from xrm.diversity import exclusivity_regularizer
@@ -66,7 +66,7 @@ def _reference_train(data, config):
     for iteration in range(1, config.outer_max_iters + 1):
         Z_over_mu = Z / mu
         W = solver.solve_w_subproblem(P, Q, mu)
-        b = solver.update_b(data.y[:, None], E, XtP, Z_over_mu)
+        b = solver.update_b(E - data.y[:, None] + XtP, Z_over_mu)
         E, _ = solver.update_E(Y - XtP - b[None, :] - Z_over_mu, Y, config.lam, mu,
                                config.loss_power)
         P, _ = solver.update_P(solve_gram, W, Q, data.X.T @ W, data.X.T @ Q, mu,
@@ -233,14 +233,14 @@ class TestUpdateB:
         data = DataSet(X=np.zeros((1, 2)), y=np.array([1.0, -1.0]))
         # choose E so that the residual matrix has one column equal to (1, 3)
         E = data.y[:, None] - np.array([[1.0], [3.0]])
-        assert solver.update_b(data.y[:, None], E, data.X.T @ np.zeros((1, 1)),
+        assert solver.update_b(E - data.y[:, None] + data.X.T @ np.zeros((1, 1)),
                                np.zeros((2, 1))) == pytest.approx(np.array([2.0]))
 
     def test_zero_residual(self):
         data = DataSet(X=np.zeros((1, 3)), y=np.array([1.0, -1.0, 1.0]))
         E = data.y[:, None] * np.ones((1, 2))
-        np.testing.assert_allclose(solver.update_b(data.y[:, None], E,
-                                                   data.X.T @ np.zeros((1, 2)),
+        np.testing.assert_allclose(solver.update_b(E - data.y[:, None]
+                                                   + data.X.T @ np.zeros((1, 2)),
                                                    np.zeros((3, 2))), np.zeros(2))
 
     @pytest.mark.parametrize("N", [1, 7, 150, 1021])
@@ -250,7 +250,30 @@ class TestUpdateB:
         E, XtP, Z_over_mu = (rng.normal(size=(N, 2)) * 10.0 ** rng.integers(-3, 4, size=(N, 2))
                              for _ in range(3))
         expected = (y[:, None] - E - XtP - Z_over_mu).mean(axis=0)
-        np.testing.assert_array_equal(solver.update_b(y[:, None], E, XtP, Z_over_mu), expected)
+        np.testing.assert_array_equal(solver.update_b(E - y[:, None] + XtP, Z_over_mu), expected)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 40), st.sampled_from([None, 1, 3]), st.integers(0, 2**32 - 1),
+           st.sampled_from([0.0, 1e-3, 1.0, 1e3]), st.sampled_from([0.0, 0.3]))
+    @example(N=2, C=None, seed=0, scale=0.0, exact=0.0)  # zero blocks: a zero sum
+    @example(N=4, C=3, seed=1, scale=0.0, exact=0.0)
+    def test_slack_base_form_has_the_mean_forms_bits(self, N, C, seed, scale, exact):
+        # update_b negates the mean of E - Y + X^T P + Z/mu; its bits, the
+        # sign of a zero included, are those of the mean of Y - E - X^T P - Z/mu.
+        rng = np.random.default_rng(seed)
+        shape = (N,) if C is None else (N, C)
+        Y = rng.permutation(np.resize([1.0, -1.0], N))  # balanced at even N
+        if C is not None:
+            Y = Y[:, None]
+        # A share ``exact`` of the entries are labels or zeros, which cancel
+        # exactly; with scale 0 the others are zeros.
+        E, XtP, Z_over_mu = (np.where(rng.random(shape) < exact,
+                                      rng.choice([0.0, -0.0, 1.0, -1.0], shape),
+                                      rng.normal(size=shape) * scale) for _ in range(3))
+        expected = np.mean(Y - E - XtP - Z_over_mu, axis=0)
+        got = solver.update_b(E - Y + XtP, Z_over_mu)
+        assert np.asarray(got).shape == np.asarray(expected).shape
+        assert np.asarray(got).tobytes() == np.asarray(expected).tobytes()
 
     def test_minimizes_by_finite_differences(self):
         rng = np.random.default_rng(19)
@@ -258,7 +281,7 @@ class TestUpdateB:
         data = DataSet(X=rng.normal(size=(M, N)), y=rng.choice([-1.0, 1.0], N))
         E, P, Z, mu = (rng.normal(size=(N, C)), rng.normal(size=(M, C)),
                        rng.normal(size=(N, C)), 1.7)
-        b = solver.update_b(data.y[:, None], E, data.X.T @ P, Z / mu)
+        b = solver.update_b(E - data.y[:, None] + data.X.T @ P, Z / mu)
 
         def penalty(b_vec):
             resid = E - data.y[:, None] + data.X.T @ P + b_vec[None, :]
@@ -552,10 +575,14 @@ class TestFactorGram:
 
     def test_ill_scaled_features_fail_with_advice(self):
         # finite X whose squared norm nears 1/eps: rounding costs I + X X^T its
-        # positive definiteness, and the error says to rescale the features
-        with pytest.raises(ValueError, match="too large for the Gram factorization") as err:
-            train(make_ill_scaled(), SolverConfig())
-        assert "--standardize" in str(err.value)
+        # positive definiteness, and the error says to rescale the features.
+        # Larger X overflows the Gram product on either side (features, then
+        # instances), with the same advice and no overflow warning.
+        for data in (make_ill_scaled(), make_gram_overflow(40, 3), make_gram_overflow(3, 40)):
+            with np.errstate(all="raise"), pytest.raises(
+                    ValueError, match="too large for the Gram factorization") as err:
+                train(data, SolverConfig())
+            assert "--standardize" in str(err.value)
 
     def test_side_follows_shape(self):
         assert solver.gram_side(np.zeros((3, 5))) == "features"
@@ -682,7 +709,7 @@ class TestColumnSymmetry:
         def blocks(s, mu=1.7):
             XtP, Z_over_mu = data.X.T @ s["P"], s["Z"] / mu
             W = solver.solve_w_subproblem(s["P"], s["Q"], mu)
-            b = solver.update_b(data.y[:, None], s["E"], XtP, Z_over_mu)
+            b = solver.update_b(s["E"] - data.y[:, None] + XtP, Z_over_mu)
             E, _ = solver.update_E(Y - XtP - b[None, :] - Z_over_mu, Y, 2.0, mu, 1.5)
             P, _ = solver.update_P(solve_gram, W, s["Q"], data.X.T @ W, data.X.T @ s["Q"], mu,
                                    Y - b[None, :] - Z_over_mu - E)
@@ -730,8 +757,8 @@ class TestVectorLayout:
                dict(X_W=X.T @ W, X_Q=X.T @ Q, W=W, P=P, Q=Q, E=E, Z=Z, XtP=XtP, y=y).items()}
         b_row = np.full((1, 1), b)
 
-        _assert_same_bits(solver.update_b(y, E, XtP, Z / mu),
-                          solver.update_b(col["y"], col["E"], col["XtP"], col["Z"] / mu))
+        _assert_same_bits(solver.update_b(E - y + XtP, Z / mu),
+                          solver.update_b(col["E"] - col["y"] + col["XtP"], col["Z"] / mu))
         S = y - XtP - b - Z / mu
         for p in (1.0, 1.25, 1.5, 2.0):
             vector, vector_steps = solver.update_E(S, y, lam, mu, p)
@@ -784,7 +811,7 @@ class TestBlocksLeaveInputs:
         mu, lam, rho = 1.7, 2.0, 1.1
 
         def run(a):
-            results = [solver.update_b(a["Y"], a["E"], a["XtP"], a["Z_over_mu"])]
+            results = [solver.update_b(a["slack_gap"], a["Z_over_mu"])]
             for p in (1.0, 1.25, 1.5, 2.0):
                 results.extend(solver.update_E(a["S"], a["Y"], lam, mu, p))
             results.extend(solver.factor_gram(a["X"])(a["W"], a["Q"], a["XtW"], a["XtQ"], mu,
