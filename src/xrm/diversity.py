@@ -65,13 +65,17 @@ def _distinct_columns(W: np.ndarray, b: np.ndarray | None = None):
 
     Returns ``(first, inverse)``: ``first`` holds the index of each distinct
     column's first occurrence, in order, and ``W[:, first][:, inverse]``
-    equals W.  Columns compare by their bytes, so -0.0 and 0.0 stay apart.
+    equals W.  Columns compare by their bytes, so -0.0 and 0.0 stay apart:
+    column c is keyed on row c of one ``tobytes()`` of the contiguous
+    transpose of W, or of W with b as its last row.
     """
+    rows = np.ascontiguousarray((W if b is None else np.vstack((W, b))).T)
+    raw, width = rows.tobytes(), rows.shape[1] * rows.itemsize
     first: list[int] = []
     index_of: dict[bytes, int] = {}
     inverse = np.empty(W.shape[1], dtype=np.intp)
     for c in range(W.shape[1]):
-        key = W[:, c].tobytes() if b is None else W[:, c].tobytes() + b[c].tobytes()
+        key = raw[c * width:(c + 1) * width]
         if key not in index_of:
             index_of[key] = len(first)
             first.append(c)

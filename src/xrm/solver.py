@@ -29,11 +29,31 @@ shapes the labels and the bias: :func:`train` passes y and a scalar b, a
 C-column run N x C blocks with y[:, None] and b[None, :].
 
 Vector expressions of three or more operands in the loop allocate their
-result once and finish in place (``W = P * shrink; W += Q / (mu + C)``),
-keeping each operation, its operands' order and its association, so the bits
-are those of the plain expression (numpy elides temporaries only above
-256 kB).  A 1-D W's penalty, 0.5 * sum((m W)^2), has the bits of
-:func:`xrm.diversity._l12_penalty` on the M x 1 view.
+result once and finish in place (``WX = PX * shrink; WX += QZ[:N + M] /
+(mu + C)``), keeping each operation, its operands' order and its
+association, so the bits are those of the plain expression (numpy elides
+temporaries only above 256 kB).  A 1-D W's penalty, 0.5 * sum((m W)^2), has
+the bits of :func:`xrm.diversity._l12_penalty` on the M x 1 view.
+
+Blocks that take the same elementwise op share one stacked vector, so that
+one numpy call does it for all of them (the N rows first):
+
+* PX = [X^T P; P], which the P solve overwrites with the next one, and
+  WX = [X^T W; W], the shrink of PX by one product and one sum;
+* the multipliers QZ = [X^T Q; Q; Z] and the gaps
+  G = [X^T P - X^T W; P - W; slack gap] that :func:`constraint_gaps`
+  writes, ascended as QZ + G * mu in one product and one sum;
+* G[N:], the split and slack gaps, scaled by sqrt(C) once for both
+  residuals, and the multiplier size as one ``abs`` and one ``max``
+  over [Q; Z];
+* one division of QZ by mu for Z/mu and the multipliers over mu that the
+  P solve reads: Q/mu on the features side, and X^T Q/mu too on the
+  instances side (the features side never divides X^T Q, an N-vector).
+
+Each op keeps its operands and their order, so every block has the bits of
+its own op on separate vectors.  At p = 2 on the features side an iteration
+makes about 45 numpy calls (ufuncs, reductions, products and the LAPACK
+solve), where separate vectors took about 56.
 
 The scalar operands of the loop's vector ops are read-only 0-d float64
 arrays: C and p once per fit, and mu, mu + C, the shrink and b once per
@@ -41,7 +61,9 @@ iteration, written into one buffer that the loop owns.  numpy converts a
 Python or numpy scalar operand on every call, which on the N-vectors of a
 protocol-sized fit costs about half as much as the op itself (a product of a
 150-vector and a float takes about 1.4 times as long as with a 0-d array);
-a 0-d array is used as it is, with the same bits.  Constants and scalars
+a 0-d array is used as it is, with the same bits.  mu itself stays a float
+for scalar arithmetic, such as its growth in :func:`update_multipliers`,
+which takes several times as long on a 0-d array.  Constants and scalars
 that a block function derives itself, such as lam/mu in :func:`update_E` and
 sqrt(C) in :func:`constraint_residuals`, stay plain: each enters a few ops
 per iteration, building a 0-d array per call costs about what it saves, and
@@ -73,7 +95,8 @@ constraint gaps are formed once for both the multiplier ascent and the
 residual trace.  The products with X, N x M flops each whatever C is, are:
 
 * features side: two per iteration, X (r - e) for the right-hand side of
-  the P solve and X^T p of its solution;
+  the P solve and X^T p of its solution, written into PX by
+  ``ndarray.dot(..., out=)``;
 * instances side: one per iteration.  The P update forms
   X^T rhs = X^T w - X^T q/mu + K u with u = r - e from the carried vectors,
   solves s = (I + K)^-1 X^T rhs, and returns p = w - q/mu + X (u - s) and
@@ -209,28 +232,33 @@ def _gram_failure(cause: str) -> ValueError:
 
 
 def factor_gram(X: np.ndarray):
-    """Factor I + X X^T once per fit and return ``solve(W, Q, XtW, XtQ, mu, u)``,
-    which gives P = (I + X X^T)^-1 (W - Q/mu + X u) and X^T P for W and Q
-    with M rows, XtW = X^T W and XtQ = X^T Q (read only on the instances
-    side), the penalty mu and ``u`` with N rows, all 1-D or all C columns.
+    """Factor I + X X^T once per fit and return ``solve(WX, over_mu, u, out)``,
+    which writes the stacked [X^T P; P] for P = (I + X X^T)^-1 (W - Q/mu + X u)
+    into the caller's ``out`` and returns it.  ``WX`` is the stacked
+    [X^T W; W], ``u`` has N rows, and ``over_mu`` holds the multipliers over
+    mu that the side reads: Q/mu on the features side, the stacked
+    [X^T Q/mu; Q/mu] on the instances side.  Blocks are 1-D or all C columns.
 
     On the features side (M <= N) this is the Cholesky of the M x M matrix
     I + X X^T: M^2 N flops to form, M^3/3 to factor; a solve costs the two
-    products X u and X^T P plus about 2 M^2 flops per column.
+    products X u and X^T P plus about 2 M^2 flops per column, and never reads
+    X^T W.
     On the instances side (M > N) it is the Cholesky of the N x N matrix
     I + K with K = X^T X, which is kept: N^2 M flops to form, N^3/3 to
     factor.  By the matrix inversion lemma P = W - Q/mu + X (u - s) with
-    s = (I + K)^-1 X^T rhs and X^T rhs = XtW - XtQ/mu + K u, so
+    s = (I + K)^-1 X^T rhs and X^T rhs = X^T W - X^T Q/mu + K u, so
     X^T P = X^T rhs - K s = s, and a solve costs the one product X (u - s)
     plus about 4 N^2 flops per column.
 
     Both sides factor with LAPACK ``potrf`` and solve with ``potrs``, looked
     up once here and called directly: the routines and arguments of
     ``cho_factor`` and ``cho_solve`` without their per-call validation, so
-    the factor and the solutions are the same bits.  The check kept is that
-    I + X X^T is finite: features whose Gram product overflows, or whose
-    squared norm nears 1/eps so that rounding leaves I + X X^T singular,
-    raise ValueError with the advice to rescale them.
+    the factor and the solutions are the same bits.  The right-hand side is
+    formed in its block of ``out`` and ``potrs`` overwrites it there; only a
+    C-column block that is not Fortran-contiguous comes back as a copy.  The
+    check kept is that I + X X^T is finite: features whose Gram product
+    overflows, or whose squared norm nears 1/eps so that rounding leaves
+    I + X X^T singular, raise ValueError with the advice to rescale them.
     """
     features = gram_side(X) == "features"
     with np.errstate(over="ignore", invalid="ignore"):  # reported by the check below
@@ -246,22 +274,33 @@ def factor_gram(X: np.ndarray):
         raise _gram_failure(f"{info}-th leading minor of the array is not positive definite")
     if info < 0:
         raise ValueError(f"illegal value in {-info}th argument of internal potrf")
+    N = X.shape[1]
+
+    def solve_in_place(rhs):
+        solution, info = potrs(c, rhs, lower=False, overwrite_b=True)
+        if info != 0:
+            raise ValueError(f"illegal value in {-info}th argument of internal potrs")
+        if solution is not rhs:
+            rhs[...] = solution
 
     # A non-finite right-hand side passes through unchecked, so that train
     # can name the block that produced it.
     if features:
-        def solve(W, Q, XtW, XtQ, mu, u):
-            P, info = potrs(c, W - Q / mu + X @ u, lower=False)
-            if info != 0:
-                raise ValueError(f"illegal value in {-info}th argument of internal potrs")
-            return P, X.T @ P
+        def solve(WX, over_mu, u, out):
+            P = np.subtract(WX[N:], over_mu, out=out[N:])
+            P += X.dot(u)
+            solve_in_place(P)
+            X.T.dot(P, out=out[:N])
+            return out
         return solve
 
-    def solve(W, Q, XtW, XtQ, mu, u):
-        s, info = potrs(c, XtW - XtQ / mu + gram @ u, lower=False)
-        if info != 0:
-            raise ValueError(f"illegal value in {-info}th argument of internal potrs")
-        return W - Q / mu + X @ (u - s), s
+    def solve(WX, over_mu, u, out):
+        s = np.subtract(WX[:N], over_mu[:N], out=out[:N])
+        s += gram.dot(u)
+        solve_in_place(s)
+        P = np.subtract(WX[N:], over_mu[N:], out=out[N:])
+        P += X.dot(u - s)
+        return out
     return solve
 
 
@@ -410,15 +449,16 @@ def update_E(S: np.ndarray, Y: np.ndarray, lam: float, mu: float,
     return value, steps
 
 
-def update_P(solve_gram, W: np.ndarray, Q: np.ndarray, XtW: np.ndarray, XtQ: np.ndarray,
-             mu: float, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def update_P(solve_gram, WX: np.ndarray, over_mu: np.ndarray, u: np.ndarray,
+             out: np.ndarray) -> np.ndarray:
     """Closed-form P update: solve (I + X X^T) P = W - Q/mu + X u, where the
-    caller passes u = Y - b - Z/mu - E, and return P and X^T P.  Takes
-    the ``solve_gram`` that :func:`factor_gram` returned, and XtW = X^T W and
-    XtQ = X^T Q, which only the instances side reads.  Costs two products
-    with X on the features side and one on the instances side, where X^T P
-    is the solution of the N x N system (see :func:`factor_gram`)."""
-    return solve_gram(W, Q, XtW, XtQ, mu, u)
+    caller passes u = Y - b - Z/mu - E, and write the stacked [X^T P; P]
+    into ``out``, which it returns.  Takes the ``solve_gram`` that
+    :func:`factor_gram` returned, the stacked WX = [X^T W; W] and ``over_mu``,
+    the multipliers over mu that its side reads.  Costs two products with X
+    on the features side and one on the instances side, where X^T P is the
+    solution of the N x N system (see :func:`factor_gram`)."""
+    return solve_gram(WX, over_mu, u, out)
 
 
 def _slack_base(E: np.ndarray, Y: np.ndarray, XtP: np.ndarray) -> np.ndarray:
@@ -429,27 +469,30 @@ def _slack_base(E: np.ndarray, Y: np.ndarray, XtP: np.ndarray) -> np.ndarray:
     return base
 
 
-def constraint_gaps(W: np.ndarray, b: np.ndarray | float, E: np.ndarray, P: np.ndarray,
-                    XtP: np.ndarray, Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Violations of the two constraints, P - W and E - Y + X^T P + b, given
-    XtP = X^T P and the bias b and labels Y shaped by the caller to broadcast
-    against E: a scalar and y, or a 1 x C row and an N x 1 column.
-    :func:`train` forms the same two gaps from :func:`_slack_base`, which it
-    keeps for the next :func:`update_b`."""
-    slack_gap = _slack_base(E, Y, XtP)
-    slack_gap += b
-    return P - W, slack_gap
+def constraint_gaps(PX: np.ndarray, WX: np.ndarray, E: np.ndarray, Y: np.ndarray,
+                    b: np.ndarray | float, out: np.ndarray) -> np.ndarray:
+    """Write the violations of the two constraints into ``out``, behind
+    X^T P - X^T W: [X^T P - X^T W; P - W; E - Y + X^T P + b], from the stacks
+    PX = [X^T P; P] and WX = [X^T W; W] and the bias b and labels Y shaped by
+    the caller to broadcast against E: a scalar and y, or a 1 x C row and an
+    N x 1 column.  Returns E - Y + X^T P from :func:`_slack_base`, which
+    :func:`train` keeps for the next :func:`update_b`."""
+    rows = len(PX)
+    np.subtract(PX, WX, out=out[:rows])
+    slack_base = _slack_base(E, Y, PX[:len(E)])
+    np.add(slack_base, b, out=out[rows:])
+    return slack_base
 
 
-def update_multipliers(Z: np.ndarray, Q: np.ndarray, mu: float, split_gap: np.ndarray,
-                       slack_gap: np.ndarray, rho: float) -> tuple[np.ndarray, np.ndarray, float]:
-    """Ascent on both multipliers with step mu along the constraint gaps of
-    the new iterate, then geometric penalty growth capped at MU_CAP; returns
-    the new Z, Q and mu."""
-    Z_new, Q_new = slack_gap * mu, split_gap * mu
-    Z_new += Z
-    Q_new += Q
-    return Z_new, Q_new, min(rho * mu, MU_CAP)
+def update_multipliers(multipliers: np.ndarray, mu, gaps: np.ndarray,
+                       rho: float) -> tuple[np.ndarray, float]:
+    """Ascent with step mu along the constraint gaps of the new iterate, on
+    any stack of multipliers and the gaps in the same layout, then geometric
+    penalty growth capped at MU_CAP; returns the new multipliers and mu.
+    ``mu`` may be a 0-d array, and the new mu is a float."""
+    ascended = gaps * mu
+    ascended += multipliers
+    return ascended, min(rho * float(mu), MU_CAP)
 
 
 def primal_objective(W: np.ndarray, b: np.ndarray | float, XtW: np.ndarray, Y: np.ndarray,
@@ -475,24 +518,26 @@ def primal_objective(W: np.ndarray, b: np.ndarray | float, XtW: np.ndarray, Y: n
     return _l12_penalty(W * multiplicity) + lam * loss
 
 
-def constraint_residuals(split_gap: np.ndarray, slack_gap: np.ndarray,
+def constraint_residuals(gaps: np.ndarray, split_rows: int,
                          multiplicity: int = 1) -> tuple[float, float]:
-    """Frobenius norms of the two gaps from :func:`constraint_gaps`, with
-    every column counted ``multiplicity`` times: sqrt(m sum_c ||gap_c||^2),
-    with the arithmetic of ``np.linalg.norm``."""
-    root = math.sqrt(multiplicity)
-    split, slack = split_gap * root, slack_gap * root
-    if split.ndim > 1:
+    """Frobenius norms of the split and slack gaps, stacked as in the last
+    rows of :func:`constraint_gaps`, the split gap in the first
+    ``split_rows`` rows, with every column counted
+    ``multiplicity`` times: sqrt(m sum_c ||gap_c||^2), with the arithmetic of
+    ``np.linalg.norm``."""
+    scaled = gaps * math.sqrt(multiplicity)
+    split, slack = scaled[:split_rows], scaled[split_rows:]
+    if scaled.ndim > 1:
         split, slack = split.ravel(), slack.ravel()
     return math.sqrt(split.dot(split)), math.sqrt(slack.dot(slack))
 
 
 def _first_non_finite(blocks) -> str | None:
-    """The name of the first ``(name, *arrays)`` entry with a non-finite
+    """The name of the first ``(name, array)`` entry with a non-finite
     value, or None.  :func:`train` scans its blocks only when a scalar that
     covers them is non-finite, to name the block that went non-finite."""
-    for name, *arrays in blocks:
-        if not all(np.isfinite(array).all() for array in arrays):
+    for name, array in blocks:
+        if not np.isfinite(array).all():
             return name
     return None
 
@@ -516,18 +561,24 @@ def train(data, config: SolverConfig = SolverConfig()) -> tuple[EnsembleModel, T
     clock = time.perf_counter
     started = clock()
     C, lam, power, rho = config.components, config.lam, config.loss_power, config.rho
-    y = data.y
-    report = TrainReport(stop_reason="max_iters", gram_side=gram_side(data.X))
-    solve_gram = factor_gram(data.X)
+    X, y = data.X, data.y
+    report = TrainReport(stop_reason="max_iters", gram_side=gram_side(X))
+    solve_gram = factor_gram(X)
     factorized = clock()
-    M, N = data.X.shape
+    M, N = X.shape
+    # The stacked iterate PX = [X^T P; P] and multipliers QZ = [X^T Q; Q; Z];
+    # the gaps G = [X^T P - X^T W; P - W; slack gap] and WX = [X^T W; W]
+    # share their layout, so one op updates blocks that move in lockstep.
     # The start: Q all ones, every other block zero, mu = MU_INIT.  W and b
     # are written before any block reads them.
-    P, Q, mu = np.zeros(M), np.ones(M), MU_INIT
-    E, Z = np.zeros(N), np.zeros(N)
-    # X^T P, X^T Q and X^T W follow P, Q and W by the same affine updates.
-    XtP = np.zeros_like(E)  # X^T P for the starting P = 0
-    XtQ = data.X.T @ Q
+    PX, QZ, mu = np.zeros(N + M), np.zeros(2 * N + M), MU_INIT
+    QZ[N:N + M] = 1.0
+    X.T.dot(QZ[N:N + M], out=QZ[:N])
+    # Each iteration divides QZ by mu from ``lead`` on, which gives Z/mu and
+    # the multipliers over mu that the Gram solve reads: X^T Q is divided
+    # only on the instances side.
+    lead = N if report.gram_side == "features" else 0
+    G = np.empty(2 * N + M)  # written whole by constraint_gaps each iteration
     slack_base = -y  # E - y + X^T P for the starting E and P
     # The scalar operands of vector ops as read-only 0-d arrays: C and p for
     # the fit, and mu, mu + C, the shrink and b, which each iteration writes
@@ -541,20 +592,19 @@ def train(data, config: SolverConfig = SolverConfig()) -> tuple[EnsembleModel, T
     for iteration in range(1, config.outer_max_iters + 1):
         t_0 = clock()
         # The row prox of one column of multiplicity C is the shrink
-        # (P + Q/mu) * mu / (mu + C).
+        # (P + Q/mu) * mu / (mu + C), and X^T W follows by the same formula.
         mu_C = mu + C
         scalars[0], scalars[1], scalars[2] = mu, mu_C, mu / mu_C
-        W = P * shrink_op
-        W += Q / mu_C_op
-        XtW = XtP * shrink_op
-        XtW += XtQ / mu_C_op
+        WX = PX * shrink_op
+        WX += QZ[:N + M] / mu_C_op
         t_W = clock()
-        Z_over_mu = Z / mu_op
+        over_mu = QZ[lead:] / mu_op
+        Z_over_mu = over_mu[-N:]
         scalars[3] = b = update_b(slack_base, Z_over_mu)
         t_b = clock()
         # The E target y - X^T P - b - Z/mu and the P operand
         # u = y - b - Z/mu - E, each one new vector finished in place.
-        target = y - XtP
+        target = y - PX[:N]
         target -= b_op
         target -= Z_over_mu
         E, e_steps = update_E(target, y, lam, mu, power)
@@ -563,33 +613,29 @@ def train(data, config: SolverConfig = SolverConfig()) -> tuple[EnsembleModel, T
         u = y - b_op
         u -= Z_over_mu
         u -= E
-        P, XtP = update_P(solve_gram, W, Q, XtW, XtQ, mu_op, u)
+        # Nothing reads the old X^T P and P past the E target, so the solve
+        # writes the new ones over them.
+        PX = update_P(solve_gram, WX, over_mu[:-N], u, PX)
         t_P = clock()
-        # The gaps of constraint_gaps, keeping E - y + X^T P for the next b.
-        split_gap = P - W
-        slack_base = _slack_base(E, y, XtP)
-        slack_gap = slack_base + b_op
-        ascent = XtP - XtW
-        ascent *= mu_op
-        XtQ += ascent
-        Z, Q, mu = update_multipliers(Z, Q, mu_op, split_gap, slack_gap, rho)
-        residuals = constraint_residuals(split_gap, slack_gap, C)
-        del split_gap, slack_gap
-        z_sup, q_sup = float(np.maximum.reduce(np.abs(Z))), float(np.maximum.reduce(np.abs(Q)))
+        # The gaps, keeping E - y + X^T P for the next b.
+        slack_base = constraint_gaps(PX, WX, E, y, b_op, G)
+        QZ, mu = update_multipliers(QZ, mu_op, G, rho)
+        residuals = constraint_residuals(G[N:], M, C)
+        sup = float(np.maximum.reduce(np.abs(QZ[N:])))
         t_mult = clock()
 
         # Each scalar is non-finite when an array it covers is: the split
         # residual covers P and W, the slack residual E, b and X^T P, the
-        # sups Z and Q, and the sum of X^T Q covers X^T Q and, through its
+        # sup Z and Q, and the sum of X^T Q covers X^T Q and, through its
         # update, X^T W.  NaN and infinities of either sign stay non-finite
         # in the total, so the blocks are scanned only when it is.  Finite
         # blocks whose total overflows scan clean, and the fit goes on.
         block = None
-        if not math.isfinite(sum(residuals) + z_sup + q_sup + float(np.add.reduce(XtQ))):
-            block = _first_non_finite((("W", W, XtW), ("b", b), ("E", E), ("P", P, XtP),
-                                       ("Z", Z), ("Q", Q, XtQ)))
+        if not math.isfinite(sum(residuals) + sup + float(np.add.reduce(QZ[:N]))):
+            block = _first_non_finite((("W", WX), ("b", b), ("E", E), ("P", PX),
+                                       ("Z", QZ[N + M:]), ("Q", QZ[:N + M])))
         if block is None:
-            objective = primal_objective(W, b_op, XtW, y, lam, power_op, C_op)
+            objective = primal_objective(WX[N:], b_op, WX[:N], y, lam, power_op, C_op)
             if not math.isfinite(objective):
                 block = "objective"
         if block is not None:
@@ -600,7 +646,7 @@ def train(data, config: SolverConfig = SolverConfig()) -> tuple[EnsembleModel, T
         s_P, s_mult, s_obj = s_P + (t_P - t_E), s_mult + (t_mult - t_P), s_obj + (clock() - t_mult)
         report.objective_trace.append(objective)
         report.residual_trace.append(residuals)
-        report.multiplier_sup_trace.append(max(z_sup, q_sup))
+        report.multiplier_sup_trace.append(sup)
 
         if previous_objective is not None and abs(objective - previous_objective) < config.outer_tol:
             report.stop_reason = "objective_change"
@@ -611,7 +657,7 @@ def train(data, config: SolverConfig = SolverConfig()) -> tuple[EnsembleModel, T
     seconds = (s_W, s_b, s_E, s_P, s_mult, s_obj, factorized - started)
     report.block_ms = {block: 1e3 * spent for block, spent in zip(TIMED_BLOCKS, seconds)}
     report.wall_time = clock() - started
-    W = np.repeat(W[:, None], C, axis=1)
+    W = np.repeat(WX[N:, None], C, axis=1)
     report.diversity = diversity_report(W)
     model = EnsembleModel(W=W, b=np.repeat(b, C), lam=lam, p=power)
     return model, report

@@ -1,10 +1,14 @@
+import hypothesis.extra.numpy as hnp
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
 
 from conftest import make_blobs
 from xrm import SolverConfig, train
 from xrm.diversity import (
     DISTINCT_RTOL,
+    _distinct_columns,
     diversity_report,
     exclusivity,
     exclusivity_regularizer,
@@ -216,6 +220,34 @@ class TestDistinctColumnReport:
         assert report.distinct_components == 2
         np.testing.assert_array_equal(report.pairwise_exclusivity,
                                       [[1, 1, 1], [1, 1, 1], [1, 1, 2]])
+
+    @settings(max_examples=200, deadline=None)
+    @given(W=hnp.arrays(np.float64, st.tuples(st.integers(0, 4), st.integers(0, 8)),
+                        elements=st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, 5e-324])),
+           data=st.data())
+    @example(W=np.array([[0.0, -0.0, 0.0], [1.0, 1.0, 1.0]]), data=None)
+    def test_distinct_columns_match_the_per_column_form(self, W, data):
+        # Keyed on slices of one transpose, the distinct columns are those of
+        # the per-column keys, with and without biases: the same first
+        # occurrences and inverse, and -0.0 and 0.0 apart in W and in b.
+        C = W.shape[1]
+        b = (np.array([-0.0, 0.0, 1.0][:C]) if data is None else
+             data.draw(hnp.arrays(np.float64, C, elements=st.sampled_from([0.0, -0.0, 1.0]))))
+
+        def per_column(W, b=None):
+            index_of, first, inverse = {}, [], []
+            for c in range(C):
+                key = W[:, c].tobytes() if b is None else W[:, c].tobytes() + b[c].tobytes()
+                if key not in index_of:
+                    index_of[key] = len(first)
+                    first.append(c)
+                inverse.append(index_of[key])
+            return first, inverse
+
+        for args in ((W,), (W, b)):
+            first, inverse = _distinct_columns(*args)
+            assert first.dtype == inverse.dtype == np.intp
+            assert (first.tolist(), inverse.tolist()) == per_column(*args)
 
     @pytest.mark.parametrize("shape, components", [((60, 4), 7), ((8, 20), 5)])
     def test_trained_model_report(self, shape, components):

@@ -23,9 +23,10 @@ def _objective(W, b, data, lam, p, multiplicity=1):
 
 def _count_products_with_x(data, config):
     """Train while recording every product that has X, or a view of it such
-    as X.T, as an operand; returns (count, report, widths), where widths
-    lists the column count of the other operand of each product except the
-    Gram product of X with itself."""
+    as X.T, as an operand, by ``@`` or by ``ndarray.dot`` (with or without
+    ``out=``); returns (count, report, widths), where widths lists the column
+    count of the other operand of each product except the Gram product of X
+    with itself."""
     products = []
     widths = []
 
@@ -43,9 +44,43 @@ def _count_products_with_x(data, config):
             record(other)
             return np.asarray(other) @ np.asarray(self)
 
+        def dot(self, other, out=None):
+            record(other)
+            return np.asarray(self).dot(np.asarray(other), out=out)
+
     object.__setattr__(data, "X", data.X.view(CountingArray))
     _, report = train(data, config)
     return len(products), report, widths
+
+
+def _solve_operands(X, W, Q, mu):
+    """The stacked operands of a ``factor_gram`` solve for W and Q with M
+    rows: WX = [X^T W; W], and the multipliers over mu that the side of X
+    reads, Q/mu on the features side and [X^T Q/mu; Q/mu] on the instances
+    side."""
+    WX = np.concatenate((X.T @ W, W))
+    if solver.gram_side(X) == "features":
+        return WX, Q / mu
+    return WX, np.concatenate((X.T @ Q, Q)) / mu
+
+
+def _update_P(solve_gram, X, W, Q, mu, u):
+    """``solver.update_P`` on the stacked operands for W and Q, into a new
+    buffer; returns P and X^T P."""
+    WX, over_mu = _solve_operands(X, W, Q, mu)
+    PX = solver.update_P(solve_gram, WX, over_mu, u, np.empty_like(WX))
+    N = X.shape[1]
+    return PX[N:], PX[:N]
+
+
+def _split_and_slack_gaps(X, W, b, E, P, XtP, Y):
+    """``solver.constraint_gaps`` on the stacks [X^T P; P] and [X^T W; W],
+    into a new buffer; returns its rows behind X^T P - X^T W, the split and
+    slack gaps [P - W; E - Y + X^T P + b]."""
+    PX, WX = np.concatenate((XtP, P)), np.concatenate((X.T @ W, W))
+    gaps = np.empty((len(PX) + len(E), *P.shape[1:]))
+    solver.constraint_gaps(PX, WX, E, Y, b, gaps)
+    return gaps[len(XtP):]
 
 
 def _reference_train(data, config):
@@ -69,12 +104,12 @@ def _reference_train(data, config):
         b = solver.update_b(E - data.y[:, None] + XtP, Z_over_mu)
         E, _ = solver.update_E(Y - XtP - b[None, :] - Z_over_mu, Y, config.lam, mu,
                                config.loss_power)
-        P, _ = solver.update_P(solve_gram, W, Q, data.X.T @ W, data.X.T @ Q, mu,
-                               Y - b[None, :] - Z_over_mu - E)
+        P, _ = _update_P(solve_gram, data.X, W, Q, mu, Y - b[None, :] - Z_over_mu - E)
         XtP = data.X.T @ P
-        gaps = solver.constraint_gaps(W, b[None, :], E, P, XtP, data.y[:, None])
-        Z, Q, mu = solver.update_multipliers(Z, Q, mu, *gaps, config.rho)
-        residuals.append(solver.constraint_residuals(*gaps))
+        gaps = _split_and_slack_gaps(data.X, W, b[None, :], E, P, XtP, data.y[:, None])
+        QZ, mu = solver.update_multipliers(np.concatenate((Q, Z)), mu, gaps, config.rho)
+        Q, Z = QZ[:M], QZ[M:]
+        residuals.append(solver.constraint_residuals(gaps, M))
         objectives.append(_objective(W, b, data, config.lam, config.loss_power))
         if len(objectives) > 1 and abs(objectives[-1] - objectives[-2]) < config.outer_tol:
             stop_reason = "objective_change"
@@ -477,7 +512,7 @@ class TestUpdateP:
         Q = np.array([[0.5, 0.0], [0.0, 0.5]])
         K = solver.factor_gram(data.X)
         u = np.repeat(data.y[:, None], 2, axis=1)  # Y - 1 b^T - Z/mu - E with b, Z, E zero
-        P, XtP = solver.update_P(K, W, Q, data.X.T @ W, data.X.T @ Q, 2.0, u)
+        P, XtP = _update_P(K, data.X, W, Q, 2.0, u)
         np.testing.assert_allclose(P, W - Q / 2.0)
         np.testing.assert_array_equal(XtP, np.zeros((3, 2)))
 
@@ -493,7 +528,7 @@ class TestUpdateP:
             Q, Z, mu = rng.normal(size=(M, C)), rng.normal(size=(N, C)), 1.3
             K = solver.factor_gram(data.X)
             R = data.y[:, None] - b[None, :] - Z / mu
-            P, XtP = solver.update_P(K, W, Q, data.X.T @ W, data.X.T @ Q, mu, R - E)
+            P, XtP = _update_P(K, data.X, W, Q, mu, R - E)
             rhs = W - Q / mu + data.X @ (R - E)
             expected = np.linalg.solve(np.eye(M) + data.X @ data.X.T, rhs)
             np.testing.assert_allclose(P, expected, atol=1e-8)
@@ -509,8 +544,7 @@ class TestUpdateP:
             rng.normal(size=(M, C))  # a P, drawn only to keep the random stream
             Q, Z, mu = rng.normal(size=(M, C)), rng.normal(size=(N, C)), 0.9
             K = solver.factor_gram(data.X)
-            P, _ = solver.update_P(K, W, Q, data.X.T @ W, data.X.T @ Q, mu,
-                                   data.y[:, None] - b[None, :] - Z / mu - E)
+            P, _ = _update_P(K, data.X, W, Q, mu, data.y[:, None] - b[None, :] - Z / mu - E)
 
             def objective(P_mat):
                 split = P_mat - W
@@ -542,10 +576,14 @@ class TestFactorGram:
         R = rng.normal(size=(M, C))
         expected = np.linalg.solve(np.eye(M) + X @ X.T, R)
         # W = R and Q = 0 make the right-hand side R.  Only the instances
-        # side reads X^T W and X^T Q; the features side gets None for both.
+        # side reads X^T W and X^T Q; the features side gets NaN for X^T W
+        # and Q/mu alone.
         Q = np.zeros((M, C))
-        XtW, XtQ = (X.T @ R, X.T @ Q) if M > N else (None, None)
-        got, Xt_got = solver.factor_gram(X)(R, Q, XtW, XtQ, 1.0, np.zeros((N, C)))
+        WX, over_mu = _solve_operands(X, R, Q, 1.0)
+        if M <= N:
+            WX[:N] = np.nan
+        PX = solver.factor_gram(X)(WX, over_mu, np.zeros((N, C)), np.empty_like(WX))
+        got, Xt_got = PX[N:], PX[:N]
         scale = 1.0 + np.abs(X).max() ** 2
         np.testing.assert_allclose(got, expected, rtol=0, atol=1e-10 * scale * (1 + np.abs(R).max()))
         # X^T P comes back without a product on the instances side
@@ -554,24 +592,32 @@ class TestFactorGram:
 
     @pytest.mark.parametrize("shape", [(5, 40), (30, 12)], ids=["features", "instances"])
     def test_bound_solve_equals_cho_solve(self, shape):
-        # The solve calls LAPACK potrs directly; cho_solve on the same factor
-        # gives the same bits on both sides.  On the instances side X^T P is
-        # the solution s of the N x N system itself.
+        # The solve calls LAPACK potrs directly, overwriting the right-hand
+        # side that it forms in the caller's buffer; cho_solve on the same
+        # factor, which copies a fresh right-hand side, gives the same bits
+        # on both sides, for 1-D vectors, one column, and three columns that
+        # potrs returns as a copy.  On the instances side X^T P is the
+        # solution s of the N x N system itself.
         M, N = shape
-        rng = np.random.default_rng(M)
-        X, W, u = rng.normal(size=(M, N)), rng.normal(size=(M, 1)), rng.normal(size=(N, 1))
-        Q, mu = rng.normal(size=(M, 1)), 1.7
-        XtW, XtQ = X.T @ W, X.T @ Q
-        got, Xt_got = solver.factor_gram(X)(W, Q, XtW, XtQ, mu, u)
-        if M <= N:
-            expected = cho_solve(cho_factor(np.eye(M) + X @ X.T), W - Q / mu + X @ u)
-            Xt_expected = X.T @ expected
-        else:
-            K = X.T @ X
-            s = cho_solve(cho_factor(np.eye(N) + K), XtW - XtQ / mu + K @ u)
-            expected, Xt_expected = W - Q / mu + X @ (u - s), s
-        np.testing.assert_array_equal(got, expected)
-        np.testing.assert_array_equal(Xt_got, Xt_expected)
+        for width in ((), (1,), (3,)):
+            rng = np.random.default_rng(M)
+            X, W, u = (rng.normal(size=(M, N)), rng.normal(size=(M, *width)),
+                       rng.normal(size=(N, *width)))
+            Q, mu = rng.normal(size=(M, *width)), 1.7
+            XtW, XtQ = X.T @ W, X.T @ Q
+            WX, over_mu = _solve_operands(X, W, Q, mu)
+            out = np.full_like(WX, np.nan)
+            assert solver.factor_gram(X)(WX, over_mu, u, out) is out
+            got, Xt_got = out[N:], out[:N]
+            if M <= N:
+                expected = cho_solve(cho_factor(np.eye(M) + X @ X.T), W - Q / mu + X @ u)
+                Xt_expected = X.T @ expected
+            else:
+                K = X.T @ X
+                s = cho_solve(cho_factor(np.eye(N) + K), XtW - XtQ / mu + K @ u)
+                expected, Xt_expected = W - Q / mu + X @ (u - s), s
+            np.testing.assert_array_equal(got, expected)
+            np.testing.assert_array_equal(Xt_got, Xt_expected)
 
     def test_ill_scaled_features_fail_with_advice(self):
         # finite X whose squared norm nears 1/eps: rounding costs I + X X^T its
@@ -598,8 +644,10 @@ class TestMultipliers:
         b = np.zeros(2)
         E = data.y[:, None] * np.ones((1, 2))  # feasible: E = Y - X^T P - 1 b^T with X = 0
         Q0, Z0 = np.ones((2, 2)), np.ones((3, 2))
-        gaps = solver.constraint_gaps(W, b[None, :], E, W.copy(), data.X.T @ W, data.y[:, None])
-        Z, Q, mu = solver.update_multipliers(Z0, Q0, 1.0, *gaps, rho=1.1)
+        gaps = _split_and_slack_gaps(data.X, W, b[None, :], E, W.copy(), data.X.T @ W,
+                                     data.y[:, None])
+        QZ, mu = solver.update_multipliers(np.concatenate((Q0, Z0)), 1.0, gaps, rho=1.1)
+        Q, Z = QZ[:2], QZ[2:]
         np.testing.assert_array_equal(Z, Z0)
         np.testing.assert_array_equal(Q, Q0)
         assert mu == pytest.approx(1.1)
@@ -609,21 +657,37 @@ class TestMultipliers:
         W = np.zeros((2, 2))
         P = W + 1.0
         E = data.y[:, None] * np.ones((1, 2)) + 1.0
-        gaps = solver.constraint_gaps(W, np.zeros((1, 2)), E, P, data.X.T @ P, data.y[:, None])
-        Z, Q, mu = solver.update_multipliers(np.zeros((2, 2)), np.zeros((2, 2)), 2.0, *gaps,
-                                             rho=1.5)
+        gaps = _split_and_slack_gaps(data.X, W, np.zeros((1, 2)), E, P, data.X.T @ P,
+                                     data.y[:, None])
+        QZ, mu = solver.update_multipliers(np.zeros((4, 2)), 2.0, gaps, rho=1.5)
+        Q, Z = QZ[:2], QZ[2:]
         np.testing.assert_allclose(Q, np.full((2, 2), 2.0))
         np.testing.assert_allclose(Z, np.full((2, 2), 2.0))
         assert mu == 3.0
 
     def test_mu_cap(self):
         data = DataSet(X=np.zeros((1, 1)), y=np.array([1.0]))
-        gaps = solver.constraint_gaps(np.zeros((1, 1)), np.zeros((1, 1)), np.ones((1, 1)),
-                                      np.zeros((1, 1)), data.X.T @ np.zeros((1, 1)),
-                                      data.y[:, None])
-        _, _, mu = solver.update_multipliers(np.zeros((1, 1)), np.zeros((1, 1)), 9e9, *gaps,
-                                             rho=2.0)
+        gaps = _split_and_slack_gaps(data.X, np.zeros((1, 1)), np.zeros((1, 1)),
+                                     np.ones((1, 1)), np.zeros((1, 1)),
+                                     data.X.T @ np.zeros((1, 1)), data.y[:, None])
+        _, mu = solver.update_multipliers(np.zeros((2, 1)), 9e9, gaps, rho=2.0)
         assert mu == 1e10
+
+    @pytest.mark.parametrize("shape", [(5, 9), (9, 5)], ids=["features", "instances"])
+    def test_stacked_ascent_has_the_bits_of_separate_ascents(self, shape):
+        # train ascends [X^T Q; Q; Z] along [X^T P - X^T W; P - W; slack gap]
+        # in one call, with mu a 0-d array; each block gets the bits of its
+        # own ascent, block + gap * mu, and mu grows as a float.
+        M, N = shape
+        rng = np.random.default_rng(M)
+        XtQ, Q, Z = (rng.normal(size=n) * 10.0 ** rng.integers(-3, 4, size=n) for n in (N, M, N))
+        lift, split, slack = (rng.normal(size=n) for n in (N, M, N))
+        mu_op = np.array(1.7)
+        stacked, mu = solver.update_multipliers(np.concatenate((XtQ, Q, Z)), mu_op,
+                                                np.concatenate((lift, split, slack)), 1.1)
+        separate = [block + gap * 1.7 for block, gap in ((XtQ, lift), (Q, split), (Z, slack))]
+        assert stacked.tobytes() == np.concatenate(separate).tobytes()
+        assert type(mu) is float and mu == 1.1 * 1.7
 
 
 class TestPrimalObjective:
@@ -668,8 +732,9 @@ class TestResiduals:
         b = rng.normal(size=2)
         E = data.y[:, None] - data.X.T @ W - b[None, :]
         P = W.copy()
-        gaps = solver.constraint_gaps(W, b[None, :], E, P, data.X.T @ P, data.y[:, None])
-        np.testing.assert_allclose(solver.constraint_residuals(*gaps), (0.0, 0.0),
+        gaps = _split_and_slack_gaps(data.X, W, b[None, :], E, P, data.X.T @ P,
+                                     data.y[:, None])
+        np.testing.assert_allclose(solver.constraint_residuals(gaps, 3), (0.0, 0.0),
                                    atol=1e-12)
 
     def test_unit_offset(self):
@@ -677,18 +742,17 @@ class TestResiduals:
         W = np.zeros((3, 2))
         E = np.ones((4, 1)) * np.array([[1.0, 1.0]])
         P = W + 1.0
-        gaps = solver.constraint_gaps(W, np.zeros((1, 2)), E, P, data.X.T @ P, data.y[:, None])
-        first, _ = solver.constraint_residuals(*gaps)
+        gaps = _split_and_slack_gaps(data.X, W, np.zeros((1, 2)), E, P, data.X.T @ P,
+                                     data.y[:, None])
+        first, _ = solver.constraint_residuals(gaps, 3)
         assert first == pytest.approx(np.sqrt(3 * 2))
 
     def test_multiplicity_counts_repeated_columns(self):
         rng = np.random.default_rng(33)
-        split_gap, slack_gap = rng.normal(size=(3, 2)), rng.normal(size=(5, 2))
+        gaps = np.concatenate((rng.normal(size=(3, 2)), rng.normal(size=(5, 2))))
         m = 3
-        expected = solver.constraint_residuals(np.repeat(split_gap, m, axis=1),
-                                               np.repeat(slack_gap, m, axis=1))
-        np.testing.assert_allclose(solver.constraint_residuals(split_gap, slack_gap, m),
-                                   expected, rtol=1e-14)
+        expected = solver.constraint_residuals(np.repeat(gaps, m, axis=1), 3)
+        np.testing.assert_allclose(solver.constraint_residuals(gaps, 3, m), expected, rtol=1e-14)
 
 
 class TestColumnSymmetry:
@@ -711,11 +775,12 @@ class TestColumnSymmetry:
             W = solver.solve_w_subproblem(s["P"], s["Q"], mu)
             b = solver.update_b(s["E"] - data.y[:, None] + XtP, Z_over_mu)
             E, _ = solver.update_E(Y - XtP - b[None, :] - Z_over_mu, Y, 2.0, mu, 1.5)
-            P, _ = solver.update_P(solve_gram, W, s["Q"], data.X.T @ W, data.X.T @ s["Q"], mu,
-                                   Y - b[None, :] - Z_over_mu - E)
-            gaps = solver.constraint_gaps(W, b[None, :], E, P, data.X.T @ P, data.y[:, None])
-            Z, Q, mu = solver.update_multipliers(s["Z"], s["Q"], mu, *gaps, rho=1.1)
-            return W, b, E, P, Z, Q, mu
+            P, _ = _update_P(solve_gram, data.X, W, s["Q"], mu, Y - b[None, :] - Z_over_mu - E)
+            gaps = _split_and_slack_gaps(data.X, W, b[None, :], E, P, data.X.T @ P,
+                                         data.y[:, None])
+            QZ, mu = solver.update_multipliers(np.concatenate((s["Q"], s["Z"])), mu, gaps,
+                                               rho=1.1)
+            return W, b, E, P, QZ[M:], QZ[:M], mu
 
         W, b, E, P, Z, Q, mu = blocks(state)
         W2, b2, E2, P2, Z2, Q2, mu2 = blocks(swapped)
@@ -754,7 +819,7 @@ class TestVectorLayout:
         E, Z, XtP = (rng.normal(size=N) * rng.choice([0.1, 1.0, 10.0]) for _ in range(3))
         b, mu, lam = np.float64(rng.normal()), float(rng.uniform(0.5, 3.0)), 2.0
         col = {name: value[:, None] for name, value in
-               dict(X_W=X.T @ W, X_Q=X.T @ Q, W=W, P=P, Q=Q, E=E, Z=Z, XtP=XtP, y=y).items()}
+               dict(X_W=X.T @ W, W=W, P=P, Q=Q, E=E, Z=Z, XtP=XtP, y=y).items()}
         b_row = np.full((1, 1), b)
 
         _assert_same_bits(solver.update_b(E - y + XtP, Z / mu),
@@ -767,23 +832,26 @@ class TestVectorLayout:
             assert vector_steps == column_steps
         solve = solver.factor_gram(X)
         u = y - b - Z / mu - E
-        column_solution = solve(col["W"], col["Q"], col["X_W"], col["X_Q"], mu, u[:, None])
-        for vector, column in zip(solve(W, Q, X.T @ W, X.T @ Q, mu, u), column_solution):
-            _assert_same_bits(vector, column)
-        gaps = solver.constraint_gaps(W, b, E, P, XtP, y)
-        column_gaps = solver.constraint_gaps(col["W"], b_row, col["E"], col["P"], col["XtP"],
-                                             col["y"])
-        for vector, column in zip(gaps, column_gaps):
-            _assert_same_bits(vector, column)
-        vector_Z, vector_Q, vector_mu = solver.update_multipliers(Z, Q, mu, *gaps, 1.1)
-        column_Z, column_Q, column_mu = solver.update_multipliers(col["Z"], col["Q"], mu,
-                                                                  *column_gaps, 1.1)
-        _assert_same_bits(vector_Z, column_Z)
-        _assert_same_bits(vector_Q, column_Q)
+        WX, over_mu = _solve_operands(X, W, Q, mu)
+        column_WX, column_over_mu = _solve_operands(X, col["W"], col["Q"], mu)
+        _assert_same_bits(solve(WX, over_mu, u, np.empty_like(WX)),
+                          solve(column_WX, column_over_mu, u[:, None], np.empty_like(column_WX)))
+        gaps, column_gaps = np.empty(2 * N + M), np.empty((2 * N + M, 1))
+        _assert_same_bits(
+            solver.constraint_gaps(np.concatenate((XtP, P)), WX, E, y, b, gaps),
+            solver.constraint_gaps(np.concatenate((col["XtP"], col["P"])), column_WX, col["E"],
+                                   col["y"], b_row, column_gaps))
+        _assert_same_bits(gaps, column_gaps)
+        XtQ = X.T @ Q
+        vector_QZ, vector_mu = solver.update_multipliers(np.concatenate((XtQ, Q, Z)), mu, gaps,
+                                                         1.1)
+        column_QZ, column_mu = solver.update_multipliers(
+            np.concatenate((XtQ[:, None], col["Q"], col["Z"])), mu, column_gaps, 1.1)
+        _assert_same_bits(vector_QZ, column_QZ)
         assert vector_mu == column_mu
         for m in (1, 3):
-            assert (solver.constraint_residuals(*gaps, m)
-                    == solver.constraint_residuals(*column_gaps, m))
+            assert (solver.constraint_residuals(gaps[N:], M, m)
+                    == solver.constraint_residuals(column_gaps[N:], M, m))
             for p in (1.0, 1.5, 2.0):
                 assert (solver.primal_objective(W, b, X.T @ W, y, lam, p, m)
                         == solver.primal_objective(col["W"], b_row, col["X_W"], col["y"], lam, p,
@@ -795,16 +863,24 @@ class TestBlocksLeaveInputs:
     @pytest.mark.parametrize("shape", [(5, 9), (9, 5)], ids=["features", "instances"])
     def test_read_only_inputs_give_the_same_bits(self, shape, columns):
         # train finishes its vector expressions in place, on arrays it has
-        # just allocated.  No block function writes to an input: each runs on
-        # read-only arrays, where a write would raise, and returns the bits it
-        # returns on writable copies, which it leaves as they were.
+        # just allocated, and the P solve writes into the buffer its caller
+        # passes as ``out``.  No block function writes to anything else: each
+        # runs on read-only inputs, where a write would raise, and returns
+        # the bits it returns on writable copies, which it leaves as they
+        # were.
         M, N = shape
         rng = np.random.default_rng([M, columns or 1])
         width = () if columns is None else (columns,)
         y = rng.choice([-1.0, 1.0], N)
-        inputs = {name: rng.normal(size=(M, *width)) for name in ("W", "P", "Q", "split_gap")}
+        inputs = {"W": rng.normal(size=(M, *width))}
         inputs.update({name: rng.normal(size=(N, *width)) for name in
-                       ("E", "S", "Z", "Z_over_mu", "XtP", "XtW", "XtQ", "u", "slack_gap")})
+                       ("E", "S", "Z_over_mu", "XtW", "u", "slack_gap")})
+        # The stacks of train: PX = [X^T P; P], WX = [X^T W; W], the
+        # multipliers [X^T Q; Q; Z] and their gaps.
+        inputs["PX"], inputs["WX"] = (rng.normal(size=(N + M, *width)) for _ in range(2))
+        inputs["multipliers"], inputs["gaps"] = (rng.normal(size=(2 * N + M, *width))
+                                                 for _ in range(2))
+        inputs["over_mu"] = rng.normal(size=(M if M <= N else N + M, *width))
         inputs["X"] = rng.normal(size=(M, N))
         inputs["Y"] = y if columns is None else np.repeat(y[:, None], columns, axis=1)
         inputs["b"] = np.float64(rng.normal()) if columns is None else rng.normal(size=(1, columns))
@@ -814,13 +890,15 @@ class TestBlocksLeaveInputs:
             results = [solver.update_b(a["slack_gap"], a["Z_over_mu"])]
             for p in (1.0, 1.25, 1.5, 2.0):
                 results.extend(solver.update_E(a["S"], a["Y"], lam, mu, p))
-            results.extend(solver.factor_gram(a["X"])(a["W"], a["Q"], a["XtW"], a["XtQ"], mu,
-                                                      a["u"]))
-            results.extend(solver.constraint_gaps(a["W"], a["b"], a["E"], a["P"], a["XtP"],
-                                                  a["Y"]))
-            results.extend(solver.update_multipliers(a["Z"], a["Q"], mu, a["split_gap"],
-                                                     a["slack_gap"], rho))
-            results.extend(solver.constraint_residuals(a["split_gap"], a["slack_gap"], 3))
+            out = np.empty_like(a["WX"])  # the caller's buffer for [X^T P; P]
+            assert solver.factor_gram(a["X"])(a["WX"], a["over_mu"], a["u"], out) is out
+            results.append(out)
+            gaps = np.empty((2 * N + M, *width))  # the caller's buffer for the gaps
+            results.append(solver.constraint_gaps(a["PX"], a["WX"], a["E"], a["Y"], a["b"],
+                                                  gaps))
+            results.append(gaps)
+            results.extend(solver.update_multipliers(a["multipliers"], mu, a["gaps"], rho))
+            results.extend(solver.constraint_residuals(a["gaps"][N:], M, 3))
             for p in (1.0, 1.5, 2.0):
                 results.append(solver.primal_objective(a["W"], a["b"], a["XtW"], a["Y"], lam, p,
                                                        3))
@@ -943,10 +1021,13 @@ class TestTrain:
 
         def dense_reference(X):
             K = np.eye(X.shape[0]) + X @ X.T
+            N = X.shape[1]
 
-            def solve(W, Q, XtW, XtQ, mu, u):
-                P = np.linalg.solve(K, W - Q / mu + X @ u)
-                return P, X.T @ P
+            def solve(WX, over_mu, u, out):
+                # the instances side: over_mu is [X^T Q/mu; Q/mu]
+                out[N:] = np.linalg.solve(K, WX[N:] - over_mu[N:] + X @ u)
+                out[:N] = X.T @ out[N:]
+                return out
             return solve
 
         monkeypatch.setattr(solver, "factor_gram", dense_reference)
@@ -970,16 +1051,18 @@ class TestTrain:
         # and of X Z, with mu the penalty of that iteration's P step.
         data = make_blobs(*shape, seed=3)
         X = data.X
+        M, N = X.shape
         row_sum = np.abs(X).sum(axis=1).max()
         eps = np.finfo(float).eps
         units = []
         original = solver.update_multipliers
 
-        def recorded(Z, Q, mu, *args):
-            Z_new, Q_new, mu_new = original(Z, Q, mu, *args)
+        def recorded(multipliers, mu, *args):
+            stacked, mu_new = original(multipliers, mu, *args)
+            Q_new, Z_new = stacked[N:N + M], stacked[N + M:]  # of [X^T Q; Q; Z]
             scale = 1.0 + np.abs(Q_new).max() + row_sum * np.abs(Z_new).max()
             units.append(float(np.abs(Q_new + X @ Z_new).max() / (eps * mu * scale)))
-            return Z_new, Q_new, mu_new
+            return stacked, mu_new
 
         monkeypatch.setattr(solver, "update_multipliers", recorded)
         _, report = train(data, SolverConfig(components=3, loss_power=power, outer_tol=outer_tol))
@@ -1121,9 +1204,11 @@ class TestTrain:
                                              ("update_multipliers", "Q")])
     def test_divergence_names_block(self, monkeypatch, shape, name, block):
         # The block that turns NaN at iteration 3 is the one reported, even
-        # though every later block inherits the NaN.  update_b returns b
-        # alone; the others return a tuple whose first entry is the block,
-        # except Q, the second entry of update_multipliers.
+        # though every later block inherits the NaN.  update_b returns b and
+        # update_P the stack [X^T P; P]; update_E returns a tuple whose first
+        # entry is E, and update_multipliers one whose first entry is the
+        # stack [X^T Q; Q; Z], of which only the Q or the Z rows turn NaN.
+        N, M = shape
         original = getattr(solver, name)
         calls = []
 
@@ -1134,11 +1219,17 @@ class TestTrain:
                 return result
             if name == "update_b":
                 return result * np.nan
-            index = 1 if block == "Q" else 0
-            return tuple(part * np.nan if i == index else part for i, part in enumerate(result))
+            if name == "update_P":  # P alone, with X^T P left finite
+                poisoned = result.copy()
+                poisoned[N:] = np.nan
+                return poisoned
+            first = result[0] * np.nan
+            if name == "update_multipliers":
+                first = result[0].copy()
+                first[slice(N, N + M) if block == "Q" else slice(N + M, None)] = np.nan
+            return (first, *result[1:])
 
         monkeypatch.setattr(solver, name, poisoned)
-        N, M = shape
         with pytest.raises(solver.DivergenceError, match=f"in block {block}") as err:
             train(make_blobs(N, M, seed=2), SolverConfig(components=3, outer_tol=1e-300))
         assert err.value.iteration == 3
