@@ -16,11 +16,25 @@ text = """\
 -1 1:-0.5 4:1
 """
 
+
+def representation(data) -> str:
+    """How a data set stores X: the parse keeps text whose entries fill less
+    than 27% of the M x N matrix as a CSC sparse array, the rest dense."""
+    return "dense ndarray" if isinstance(data.X, np.ndarray) else "CSC sparse array"
+
+
 data = parse_sparse_text(text)
-print("parsed", data.instance_count, "instances with", data.feature_count, "features")
+print("parsed", data.instance_count, "instances with", data.feature_count, "features;",
+      "X is a", representation(data))
 print("X (features x instances):")
 print(data.X)
 print("y:", data.y)
+
+# A file whose entries are few against its largest index is kept sparse: the
+# parse never fills the zeros of its 20 x 3 matrix.
+wide = parse_sparse_text("+1 3:1 17:0.5\n-1 8:2\n+1 20:1\n")
+print("\nparsed", wide.instance_count, "instances with", wide.feature_count, "features;",
+      "X is a", representation(wide), f"holding {wide.X.nnz} entries")
 
 # Labels in other encodings are mapped onto {-1, +1}: the larger raw value
 # becomes +1.
@@ -34,6 +48,10 @@ for trial in range(spec.trials):
     train_part, test_part = split(data, spec, trial)
     print(f"trial {trial}: train labels {train_part.y}, test labels {test_part.y}")
 
-# Serialization writes nonzero entries only and round-trips exactly.
+# Serialization writes nonzero entries only and round-trips exactly, in
+# either representation.
 again = parse_sparse_text(format_sparse_text(data))
 print("\nround trip exact:", np.array_equal(again.X, data.X) and np.array_equal(again.y, data.y))
+wide_again = parse_sparse_text(format_sparse_text(wide))
+print("sparse round trip exact:", representation(wide_again) == representation(wide)
+      and np.array_equal(wide_again.X.toarray(), wide.X.toarray()))

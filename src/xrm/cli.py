@@ -188,9 +188,8 @@ def cmd_eval(args) -> int:
             )
         if missing > 0:
             # Sparse text cannot show trailing features that are zero in every
-            # instance, so a narrower file is padded with zero feature rows.
-            padding = np.zeros((missing, data.instance_count))
-            data = datasets.DataSet(X=np.vstack([data.X, padding]), y=data.y)
+            # instance, so a narrower file is padded with zero features.
+            data = datasets._pad_features(data, trained.feature_count)
         if args.standardize and trained.scaler is None:
             raise ValueError(
                 f"model {args.model} carries no feature scaler; train it with --standardize "

@@ -10,6 +10,9 @@ its averaged predictor once, when it is built, and every prediction reads
 it.  Every loss here is taken at the model's own power ``p``; to evaluate
 another power q, pass ``dataclasses.replace(model, p=q)``.
 
+Evaluation multiplies a sparse (CSC) feature matrix as it is stored, without
+a dense copy.
+
 A model trained on standardized features carries the training
 :class:`~xrm.datasets.Scaler`; prediction here works on features that are
 already transformed, and callers apply ``model.scaler`` first.
@@ -32,7 +35,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .datasets import Scaler, _store_frozen
+from .datasets import Scaler, _is_sparse, _store_frozen
 from .diversity import _distinct_columns
 
 MODEL_FORMAT_VERSION = "xrm-model/3"
@@ -90,8 +93,10 @@ class EnsembleModel:
 
 
 def decision_values(model: EnsembleModel, X) -> np.ndarray:
-    """Ensemble decision values for a column-major instance matrix."""
-    X = np.asarray(X, dtype=float)
+    """Ensemble decision values for a column-major instance matrix, dense
+    or scipy.sparse; a sparse one is multiplied as it is stored."""
+    if not _is_sparse(X):
+        X = np.asarray(X, dtype=float)
     if X.shape[0] != model.feature_count:
         raise ValueError(f"matrix with {X.shape[0]} rows does not match {model.feature_count} features")
     return X.T @ model.w_e + model.b_e
@@ -115,7 +120,9 @@ def ensemble_loss(model: EnsembleModel, data) -> float:
 def average_component_loss(model: EnsembleModel, data) -> float:
     """Mean over components of each component's summed powered hinge loss."""
     first, inverse = _distinct_columns(model.W, model.b)
-    scores = model.W[:, first].T @ data.X + model.b[first, None]  # distinct components x instances
+    W, X = model.W[:, first], data.X
+    products = W.T @ X if isinstance(X, np.ndarray) else (X.T @ W).T
+    scores = products + model.b[first, None]  # distinct components x instances
     margins = 1.0 - scores * data.y
     losses = _powered_hinge(margins, model.p).sum(axis=1)
     return float(losses @ np.bincount(inverse) / model.components)

@@ -96,7 +96,7 @@ residual trace.  The products with X, N x M flops each whatever C is, are:
 
 * features side: two per iteration, X (r - e) for the right-hand side of
   the P solve and X^T p of its solution, written into PX by
-  ``ndarray.dot(..., out=)``;
+  ``ndarray.dot(..., out=)`` (a CSC X writes X^T @ p there);
 * instances side: one per iteration.  The P update forms
   X^T rhs = X^T w - X^T q/mu + K u with u = r - e from the carried vectors,
   solves s = (I + K)^-1 X^T rhs, and returns p = w - q/mu + X (u - s) and
@@ -104,6 +104,11 @@ residual trace.  The products with X, N x M flops each whatever C is, are:
   about 4 N^2 flops;
 
 plus, once per fit, the Gram product and X^T Q for the starting Q.
+
+X may be a CSC array (:mod:`xrm.datasets`).  Then each product with X costs
+about nnz flops instead of N x M, and the Gram product comes from a dense
+copy of X that lives only until the Gram is formed; :func:`factor_gram`
+chooses the products once per fit, so the loop never tests the type of X.
 """
 
 from __future__ import annotations
@@ -115,6 +120,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 from scipy.linalg import get_lapack_funcs
 
+from .datasets import _dense
 from .diversity import DiversityReport, _l12_penalty, diversity_report
 from .model import EnsembleModel
 
@@ -216,6 +222,20 @@ class TrainReport:
         }
 
 
+def _transposed_product(X):
+    """``product(v, out=...)``, which writes X^T v into ``out`` and returns
+    it: ``ndarray.dot`` of X^T for a dense X; for a CSC X, whose products
+    take no ``out``, the product X^T @ v copied in."""
+    if isinstance(X, np.ndarray):
+        return X.T.dot
+    Xt = X.T
+
+    def product(v, out):
+        out[...] = Xt @ v
+        return out
+    return product
+
+
 def gram_side(X: np.ndarray) -> str:
     """The side of X (M x N) that :func:`factor_gram` factors: ``"features"``
     (the M x M matrix I + X X^T) when M <= N, else ``"instances"`` (the
@@ -250,6 +270,14 @@ def factor_gram(X: np.ndarray):
     X^T P = X^T rhs - K s = s, and a solve costs the one product X (u - s)
     plus about 4 N^2 flops per column.
 
+    X is a dense ndarray or a CSC array, and the products are chosen here,
+    once per fit.  A dense X multiplies with ``ndarray.dot``, X^T into its
+    block of ``out``.  A CSC X multiplies as it is stored, at about nnz
+    flops a product, and its X^T p is copied into ``out``; its Gram product
+    comes from a temporary dense copy of X, freed once the Gram is formed,
+    which holds no more memory than a dense X and, with BLAS, takes less time
+    than a sparse-sparse product.
+
     Both sides factor with LAPACK ``potrf`` and solve with ``potrs``, looked
     up once here and called directly: the routines and arguments of
     ``cho_factor`` and ``cho_solve`` without their per-call validation, so
@@ -261,9 +289,11 @@ def factor_gram(X: np.ndarray):
     I + X X^T singular, raise ValueError with the advice to rescale them.
     """
     features = gram_side(X) == "features"
+    dense = _dense(X, "the Gram factorization")
     with np.errstate(over="ignore", invalid="ignore"):  # reported by the check below
-        gram = X @ X.T if features else X.T @ X
+        gram = dense @ dense.T if features else dense.T @ dense
         regularized = np.eye(gram.shape[0]) + gram
+    del dense
     if not np.isfinite(regularized).all():
         raise _gram_failure("its entries overflow")
     potrf, potrs = get_lapack_funcs(("potrf", "potrs"), (regularized,))
@@ -286,11 +316,13 @@ def factor_gram(X: np.ndarray):
     # A non-finite right-hand side passes through unchecked, so that train
     # can name the block that produced it.
     if features:
+        transposed_product = _transposed_product(X)
+
         def solve(WX, over_mu, u, out):
             P = np.subtract(WX[N:], over_mu, out=out[N:])
             P += X.dot(u)
             solve_in_place(P)
-            X.T.dot(P, out=out[:N])
+            transposed_product(P, out=out[:N])
             return out
         return solve
 
@@ -573,7 +605,7 @@ def train(data, config: SolverConfig = SolverConfig()) -> tuple[EnsembleModel, T
     # are written before any block reads them.
     PX, QZ, mu = np.zeros(N + M), np.zeros(2 * N + M), MU_INIT
     QZ[N:N + M] = 1.0
-    X.T.dot(QZ[N:N + M], out=QZ[:N])
+    _transposed_product(X)(QZ[N:N + M], out=QZ[:N])
     # Each iteration divides QZ by mu from ``lead`` on, which gives Z/mu and
     # the multipliers over mu that the Gram solve reads: X^T Q is divided
     # only on the instances side.

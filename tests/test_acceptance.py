@@ -12,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.sparse import csc_array
 
 from conftest import make_blobs, random_instance
 from xrm import DataSet, SolverConfig, SplitSpec, load_dataset, split, train
@@ -47,7 +48,7 @@ def criterion1_runs():
         model, report = train(data, config)
         _, _, oracle_best = oracles.reference_primal_solver(data, lam, C, p, max_iters=50_000)
         runs.append({"data": data, "p": p, "model": model, "report": report,
-                     "oracle_best": oracle_best})
+                     "oracle_best": oracle_best, "config": config})
     return runs
 
 
@@ -62,27 +63,69 @@ def criterion2_runs():
         model, report = train(data, config)
         _, _, oracle_best = oracles.reference_primal_solver(data, lam, 1, 2.0, max_iters=50_000)
         runs.append({"data": data, "p": 2.0, "model": model, "report": report,
-                     "oracle_best": oracle_best})
+                     "oracle_best": oracle_best, "config": config})
     return runs
 
 
-def test_criterion_01_oracle_equivalence(criterion1_runs):
+def _on_csc_copies(runs):
+    """Each run trained again on a CSC copy of its data.  The problem is the
+    same, so each keeps the oracle value of its dense run."""
+    copies = []
+    for run in runs:
+        data = DataSet(X=csc_array(run["data"].X), y=run["data"].y)
+        model, report = train(data, run["config"])
+        copies.append({**run, "data": data, "model": model, "report": report})
+    return copies
+
+
+@pytest.fixture(scope="module")
+def criterion1_csc_runs(criterion1_runs):
+    return _on_csc_copies(criterion1_runs)
+
+
+@pytest.fixture(scope="module")
+def criterion2_csc_runs(criterion2_runs):
+    return _on_csc_copies(criterion2_runs)
+
+
+def _oracle_equivalence(runs) -> float:
     worst = 0.0
-    for run in criterion1_runs:
+    for run in runs:
         ratio = run["report"].objective_trace[-1] / run["oracle_best"]
         worst = max(worst, ratio)
         assert ratio <= 1.01
+    return worst
+
+
+def test_criterion_01_oracle_equivalence(criterion1_runs):
+    worst = _oracle_equivalence(criterion1_runs)
     _report(1, "oracle equivalence on 20 random instances", f"worst ratio {worst:.6f}")
 
 
-def test_criterion_02_single_component_reduction(criterion2_runs):
+def test_criterion_01_on_csc_copies(criterion1_csc_runs):
+    worst = _oracle_equivalence(criterion1_csc_runs)
+    _report(1, "oracle equivalence on CSC copies of 20 random instances",
+            f"worst ratio {worst:.6f}")
+
+
+def _single_component_reduction(runs) -> float:
     worst = 0.0
-    for run in criterion2_runs:
+    for run in runs:
         final = run["report"].objective_trace[-1]
         relative = abs(final - run["oracle_best"]) / run["oracle_best"]
         worst = max(worst, relative)
         assert relative <= 1e-3
+    return worst
+
+
+def test_criterion_02_single_component_reduction(criterion2_runs):
+    worst = _single_component_reduction(criterion2_runs)
     _report(2, "C=1 quadratic-hinge reduction", f"worst relative gap {worst:.2e}")
+
+
+def test_criterion_02_on_csc_copies(criterion2_csc_runs):
+    worst = _single_component_reduction(criterion2_csc_runs)
+    _report(2, "C=1 quadratic-hinge reduction on CSC copies", f"worst relative gap {worst:.2e}")
 
 
 def test_criterion_03_row_subproblem_optimality():
@@ -130,11 +173,20 @@ def test_criterion_05_ensemble_loss_bound(criterion1_runs, criterion2_runs):
         p = float(rng.choice([1.0, 1.5, 2.0]))
         holds, ens, avg = model_mod.verify_ensemble_bound(replace(model, p=p), data)
         assert holds, (ens, avg)
-    for run in criterion1_runs + criterion2_runs:
+    _bound_holds_on_trained_models(criterion1_runs + criterion2_runs)
+    _report(5, "averaged-ensemble loss bound", "1000 random draws + 30 trained models")
+
+
+def _bound_holds_on_trained_models(runs) -> None:
+    for run in runs:
         assert run["model"].p == run["p"]
         holds, ens, avg = model_mod.verify_ensemble_bound(run["model"], run["data"])
         assert holds, (ens, avg)
-    _report(5, "averaged-ensemble loss bound", "1000 random draws + 30 trained models")
+
+
+def test_criterion_05_on_csc_copies(criterion1_csc_runs, criterion2_csc_runs):
+    _bound_holds_on_trained_models(criterion1_csc_runs + criterion2_csc_runs)
+    _report(5, "averaged-ensemble loss bound on CSC copies", "30 trained models")
 
 
 def test_criterion_06_regularizer_identity():
@@ -154,27 +206,45 @@ def test_criterion_06_regularizer_identity():
     _report(6, "pairwise decomposition of the regularizer", f"worst relative {worst:.2e}")
 
 
-def test_criterion_07_feasibility_and_bounded_multipliers(criterion1_runs, criterion2_runs):
+def _feasible_with_bounded_multipliers(runs) -> str:
     worst_residual = 0.0
     worst_multiplier = 0.0
-    for run in criterion1_runs + criterion2_runs:
+    for run in runs:
         first, second = run["report"].residual_trace[-1]
         worst_residual = max(worst_residual, first, second)
         worst_multiplier = max(worst_multiplier, max(run["report"].multiplier_sup_trace))
         assert first < 1e-3 and second < 1e-3
         assert worst_multiplier <= 1e8
-    _report(7, "feasibility at termination, multipliers bounded",
-            f"worst residual {worst_residual:.2e}, multiplier sup {worst_multiplier:.2e}")
+    return f"worst residual {worst_residual:.2e}, multiplier sup {worst_multiplier:.2e}"
 
 
-def test_criterion_08_convergence_speed():
-    data = make_blobs(500, 10, seed=42)
+def test_criterion_07_feasibility_and_bounded_multipliers(criterion1_runs, criterion2_runs):
+    detail = _feasible_with_bounded_multipliers(criterion1_runs + criterion2_runs)
+    _report(7, "feasibility at termination, multipliers bounded", detail)
+
+
+def test_criterion_07_on_csc_copies(criterion1_csc_runs, criterion2_csc_runs):
+    detail = _feasible_with_bounded_multipliers(criterion1_csc_runs + criterion2_csc_runs)
+    _report(7, "feasibility at termination on CSC copies, multipliers bounded", detail)
+
+
+def _convergence_speed(data) -> str:
     _, report_p2 = train(data, SolverConfig(loss_power=2.0))
     assert report_p2.iterations <= 100
     _, report_p1 = train(data, SolverConfig(loss_power=1.0))
     assert report_p1.iterations <= 200
-    _report(8, "outer-iteration budget on 500-instance synthetic",
-            f"p=2 took {report_p2.iterations}, p=1 took {report_p1.iterations}")
+    return f"p=2 took {report_p2.iterations}, p=1 took {report_p1.iterations}"
+
+
+def test_criterion_08_convergence_speed():
+    detail = _convergence_speed(make_blobs(500, 10, seed=42))
+    _report(8, "outer-iteration budget on 500-instance synthetic", detail)
+
+
+def test_criterion_08_on_a_csc_copy():
+    data = make_blobs(500, 10, seed=42)
+    detail = _convergence_speed(DataSet(X=csc_array(data.X), y=data.y))
+    _report(8, "outer-iteration budget on a CSC copy of the 500-instance synthetic", detail)
 
 
 _BENCHMARKS = {

@@ -1,5 +1,9 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -88,6 +92,14 @@ def blob_file(tmp_path):
     path = tmp_path / "blobs.txt"
     save_dataset(make_blobs(120, 4, seed=1, separation=6.0, noise=0.5), path)
     return path
+
+
+def _sparse_blobs(n, m, seed, density=0.1):
+    """Blobs of ``m`` features in which each entry is kept with probability
+    ``density``, so that a parse stores the set as CSC."""
+    data = make_blobs(n, m, seed=seed, separation=8.0)
+    keep = np.random.default_rng(seed).random((m, n)) < density
+    return DataSet(X=np.where(keep, data.X, 0.0), y=data.y)
 
 
 class TestTrain:
@@ -208,6 +220,17 @@ class TestTrain:
         np.testing.assert_array_equal(scaler.mean, expected.mean)
         np.testing.assert_array_equal(scaler.scale, expected.scale)
 
+    def test_standardize_on_a_sparse_file_trains_on_the_dense_bits(self, tmp_path):
+        data = _sparse_blobs(60, 40, seed=3)
+        save_dataset(data, tmp_path / "sparse.txt")
+        assert not isinstance(load_dataset(tmp_path / "sparse.txt").X, np.ndarray)
+        report_path = tmp_path / "r.json"
+        rc = main(["train", "--data", str(tmp_path / "sparse.txt"), "--standardize",
+                   "--no-timing", "--model", str(tmp_path / "m.json"), "--out", str(report_path)])
+        assert rc == 0
+        _, expected = solver.train(standardize(data), solver.SolverConfig())
+        assert json.loads(report_path.read_text())["objective_trace"] == expected.objective_trace
+
     def test_no_timing_zeroes_wall_time(self, tmp_path, blob_file):
         report_path = tmp_path / "report.json"
         rc = main(["train", "--data", str(blob_file), "--model", str(tmp_path / "m.json"),
@@ -321,6 +344,32 @@ class TestEval:
         assert rc == 0
         trained = load_model(model_path)
         expected = 100.0 * error_rate(trained, standardize(padded, scaler=trained.scaler))
+        assert json.loads(out.read_text())["error_percent"] == expected
+
+    @pytest.mark.parametrize("standardize_flag", [[], ["--standardize"]])
+    def test_narrow_sparse_file_is_padded(self, tmp_path, standardize_flag):
+        # The model has 60 features; the narrow file holds 50 of them.
+        data = _sparse_blobs(280, 60, seed=5)
+        save_dataset(DataSet(X=data.X[:, :200], y=data.y[:200]), tmp_path / "train.txt")
+        model_path = tmp_path / "model.json"
+        rc = main(["train", "--data", str(tmp_path / "train.txt"), *standardize_flag,
+                   "--model", str(model_path), "--out", str(tmp_path / "r.json")])
+        assert rc == 0
+        held_out, y = data.X[:, 200:], data.y[200:]
+        padded = DataSet(X=np.vstack([held_out[:50], np.zeros((10, 80))]), y=y)
+        narrow = DataSet(X=held_out[:50], y=y)
+        save_dataset(narrow, tmp_path / "narrow.txt")
+        assert not isinstance(load_dataset(tmp_path / "narrow.txt").X, np.ndarray)
+        out = tmp_path / "e.json"
+        rc = main(["eval", "--data", str(tmp_path / "narrow.txt"), "--model", str(model_path),
+                   "--out", str(out)])
+        assert rc == 0
+        trained = load_model(model_path)
+        assert (trained.scaler is not None) == bool(standardize_flag)
+        if trained.scaler is not None:
+            padded = standardize(padded, scaler=trained.scaler)
+        expected = 100.0 * error_rate(trained, padded)
+        assert 0.0 < expected < 50.0
         assert json.loads(out.read_text())["error_percent"] == expected
 
     def test_standardize_needs_a_saved_scaler(self, tmp_path, blob_file, capsys):
@@ -684,6 +733,24 @@ class TestBench:
         args = build_parser().parse_args(["sweep", "--data", "x"])
         assert [cli._make_config(args, lam, components) for lam in args.lam_grid
                 for components in args.component_grid] == [solver.SolverConfig()]
+
+
+def test_scipy_sparse_loads_with_the_first_sparse_set():
+    # Importing the CLI and parsing dense text leave scipy.sparse unloaded.
+    code = (
+        "import sys, xrm.cli\n"
+        "from xrm import parse_sparse_text\n"
+        "loaded = ['scipy.sparse' in sys.modules]\n"
+        "parse_sparse_text('+1 1:1 2:2\\n-1 1:3 2:4\\n')\n"
+        "loaded.append('scipy.sparse' in sys.modules)\n"
+        "parse_sparse_text('+1 1:1 100:2\\n-1 1:3\\n')\n"
+        "loaded.append('scipy.sparse' in sys.modules)\n"
+        "print(loaded)\n"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env=dict(os.environ, PYTHONPATH=str(src)), timeout=60, check=True)
+    assert result.stdout.strip() == "[False, False, True]"
 
 
 def test_huge_feature_index_exits_one(tmp_path, capsys):

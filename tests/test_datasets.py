@@ -7,6 +7,7 @@ import hypothesis.strategies as st
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
+from scipy.sparse import coo_array, csc_array
 
 from xrm import datasets
 from xrm.datasets import (
@@ -70,13 +71,11 @@ def _reference_parse(source) -> DataSet:
         raise SparseFormatError("input contains no instances", 0)
     if max_index == 0:
         raise SparseFormatError("input contains no feature entries", 0)
-    try:
-        X = np.zeros((max_index, len(labels)))
-    except (MemoryError, ValueError):
+    if max_index > np.iinfo(np.int64).max:
         raise SparseFormatError(
-            f"largest index {max_index} over {len(labels)} instances needs a feature matrix "
-            "too large to allocate: X is stored dense, one row per index up to the largest",
-            0) from None
+            f"largest index {max_index} over {len(labels)} instances is beyond "
+            f"{np.iinfo(np.int64).max}, the largest index a feature matrix holds", 0)
+    X = np.zeros((max_index, len(labels)))
     for column, entries in enumerate(rows):
         for index, value in entries:
             X[index - 1, column] = value
@@ -101,6 +100,17 @@ def _reference_format(data: DataSet) -> str:
     return "\n".join(" ".join(tokens) for tokens in lines) + "\n"
 
 
+def _dense(X) -> np.ndarray:
+    """X as an ndarray: itself, or a dense copy of a CSC X with its stored
+    entries assigned, which keeps -0.0 (``toarray`` adds them to zeros)."""
+    if isinstance(X, np.ndarray):
+        return X
+    entries = X.tocoo()
+    dense = np.zeros(X.shape)
+    dense[entries.row, entries.col] = entries.data
+    return dense
+
+
 def _outcome(parse, source):
     """What ``parse`` makes of ``source``: the exact bits of X and y, or the
     exception's type, message and line number."""
@@ -108,7 +118,7 @@ def _outcome(parse, source):
         data = parse(source)
     except ValueError as exc:
         return type(exc), str(exc), getattr(exc, "line_number", None)
-    return data.X.shape, data.X.tobytes(), data.y.tobytes()
+    return data.X.shape, _dense(data.X).tobytes(), data.y.tobytes()
 
 
 # Whitespace that str.split() splits at but that is no line break of a string
@@ -291,15 +301,19 @@ class TestParse:
         assert data.instance_count == 2
 
     def test_index_beyond_any_matrix_names_index_and_count(self):
-        # numpy rejects a 2**62-row shape before it allocates anything.
-        with pytest.raises(SparseFormatError) as err:
-            parse_sparse_text(f"+1 1:0.5 {2 ** 62}:1.0\n-1 2:1.0\n")
-        assert err.value.line_number == 0
+        # The parse keeps the 2**62 x 2 matrix sparse; numpy rejects its
+        # dense shape before it allocates anything.
+        data = parse_sparse_text(f"+1 1:0.5 {2 ** 62}:1.0\n-1 2:1.0\n")
+        assert data.X.shape == (2 ** 62, 2)
+        with pytest.raises(ValueError) as err:
+            standardize(data)
         message = str(err.value)
         assert f"largest index {2 ** 62} over 2 instances" in message
-        assert "stored dense" in message
+        assert f"{2 ** 62} x 2 matrix" in message and "stored dense" in message
 
-    def test_failed_dense_allocation_is_a_format_error(self, monkeypatch):
+    def test_failed_dense_allocation_names_the_shape(self, monkeypatch):
+        data = parse_sparse_text("+1 1:0.5 100000000000:1.0\n")
+        assert data.X.shape == (100000000000, 1)
         original = np.zeros
 
         def zeros(shape, *args, **kwargs):
@@ -308,10 +322,29 @@ class TestParse:
             return original(shape, *args, **kwargs)
 
         monkeypatch.setattr(np, "zeros", zeros)
+        for densify in (fit_scaler, standardize):
+            with pytest.raises(ValueError) as err:
+                densify(data)
+            assert not isinstance(err.value, SparseFormatError)
+            assert str(err.value).startswith("largest index 100000000000 over 1 instances")
+            assert "100000000000 x 1 matrix is too large to allocate" in str(err.value)
+
+    def test_index_beyond_int64_is_rejected(self):
         with pytest.raises(SparseFormatError) as err:
-            parse_sparse_text("+1 1:0.5 100000000000:1.0\n")
+            parse_sparse_text(f"+1 1:0.5 {2 ** 63}:1.0\n-1 2:1.0\n")
         assert err.value.line_number == 0
-        assert str(err.value).startswith("largest index 100000000000 over 1 instances")
+        assert str(err.value).startswith(f"largest index {2 ** 63} over 2 instances is beyond")
+
+    @pytest.mark.parametrize("entries, sparse", [(26, True), (27, False)])
+    def test_density_below_27_percent_is_stored_csc(self, entries, sparse):
+        # one instance over 100 features: 26 entries fill 26%, 27 fill 27%
+        text = "+1 " + " ".join(f"{3 * k}:1.5" for k in range(1, entries)) + " 100:0\n"
+        data = parse_sparse_text(text)
+        assert data.X.shape == (100, 1)
+        assert isinstance(data.X, np.ndarray) is not sparse
+        expected = np.zeros((100, 1))
+        expected[3 * np.arange(1, entries) - 1] = 1.5
+        assert _dense(data.X).tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("label", ["nan", "inf", "-inf", "NaN"])
     def test_non_finite_label_reports_line(self, label):
@@ -422,7 +455,7 @@ class TestOneCopyOfX:
         text = format_sparse_text(_text_like())
         peak, data = _peak_bytes(lambda: parse_sparse_text(text))
         assert data.X.shape == (2000, 400)
-        assert peak < 2 * data.X.nbytes
+        assert peak < 2 * data.X.toarray().nbytes
 
     def test_standardize_and_split_peaks(self):
         data = _text_like()
@@ -503,7 +536,7 @@ class TestRoundTrip:
             y = rng.choice([-1.0, 1.0], size=N)
             data = DataSet(X=X, y=y)
             again = parse_sparse_text(format_sparse_text(data))
-            np.testing.assert_array_equal(again.X, data.X)
+            np.testing.assert_array_equal(_dense(again.X), data.X)
             np.testing.assert_array_equal(again.y, data.y)
 
     def test_trailing_zero_feature_preserved(self):
@@ -592,8 +625,118 @@ class TestFormatMatchesReference:
         again = parse_sparse_text(text)
         assert again.X.shape == data.X.shape
         # -0.0 is not written, so it reads back as 0.0; every other bit survives
-        assert again.X.tobytes() == (data.X + 0.0).tobytes()
+        assert _dense(again.X).tobytes() == (data.X + 0.0).tobytes()
         assert again.y.tobytes() == data.y.tobytes()
+
+
+def _csc_set(X, y, zeros=()) -> DataSet:
+    """A data set over the CSC form of X that also stores each
+    ``(row, column, value)`` of ``zeros``, such as 0.0 or -0.0, explicitly."""
+    stored = coo_array(np.asarray(X, dtype=float))
+    extra = np.array(zeros, dtype=float).reshape(-1, 3)
+    rows = np.concatenate([stored.row, extra[:, 0].astype(int)])
+    columns = np.concatenate([stored.col, extra[:, 1].astype(int)])
+    values = np.concatenate([stored.data, extra[:, 2]])
+    return DataSet(X=coo_array((values, (rows, columns)), shape=stored.shape), y=y)
+
+
+@st.composite
+def _csc_sets(draw):
+    """A data set with a CSC X of at most 8 x 6 whose stored entries may hold
+    0.0 and -0.0, and whose last feature is all zero about half the time."""
+    M, N = draw(st.integers(1, 8)), draw(st.integers(1, 6))
+    usable = M - draw(st.integers(0, 1))  # the features that may hold entries
+    indices, indptr = [], [0]
+    for _ in range(N):
+        mask = draw(st.lists(st.booleans(), min_size=usable, max_size=usable))
+        indices += [row for row, stored in enumerate(mask) if stored]
+        indptr.append(len(indices))
+    values = draw(st.lists(_FORMAT_VALUES, min_size=len(indices), max_size=len(indices)))
+    positive = draw(st.lists(st.booleans(), min_size=N, max_size=N))
+    X = csc_array((np.array(values, dtype=float), np.array(indices, dtype=np.int64),
+                   np.array(indptr)), shape=(M, N))
+    return DataSet(X=X, y=np.where(positive, 1.0, -1.0))
+
+
+class TestSparseSets:
+    def test_dataset_copies_sums_duplicates_and_freezes(self):
+        X = coo_array(([1.0, 2.0, 0.5, -0.0], ([2, 0, 2, 1], [0, 1, 0, 1])), shape=(3, 2))
+        data = DataSet(X=X, y=[1.0, -1.0])
+        assert isinstance(data.X, csc_array) and data.X.has_canonical_format
+        np.testing.assert_array_equal(data.X.toarray(), [[0.0, 2.0], [0.0, 0.0], [1.5, 0.0]])
+        X.data[0] = 9.0
+        assert data.X[2, 0] == 1.5
+        for part in (data.X.data, data.X.indices, data.X.indptr):
+            assert not part.flags.writeable
+        with pytest.raises(ValueError):
+            data.X.data[0] = 5.0
+
+    def test_rejects_non_finite_entries(self):
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="NaN or Inf"):
+                DataSet(X=csc_array(np.array([[1.0, 0.0], [0.0, bad]])), y=[1.0, -1.0])
+
+    def test_split_takes_columns_of_the_csc_array(self):
+        rng = np.random.default_rng(3)
+        X = np.where(rng.random((30, 12)) < 0.1, rng.normal(size=(30, 12)), 0.0)
+        y = np.where(np.arange(12) % 2, 1.0, -1.0)
+        spec = SplitSpec(train_size=5, seed=4)
+        for sparse_part, dense_part in zip(split(_csc_set(X, y), spec, 2),
+                                           split(DataSet(X=X, y=y), spec, 2)):
+            assert isinstance(sparse_part.X, csc_array) and sparse_part.X.has_canonical_format
+            assert sparse_part.X.toarray().tobytes() == dense_part.X.tobytes()
+            assert sparse_part.y.tobytes() == dense_part.y.tobytes()
+            assert not sparse_part.X.data.flags.writeable
+
+    def test_scaler_and_standardize_give_the_dense_bits(self):
+        rng = np.random.default_rng(6)
+        X = np.where(rng.random((20, 15)) < 0.15, rng.normal(size=(20, 15)), 0.0)
+        y = np.where(np.arange(15) % 3, 1.0, -1.0)
+        sparse_set = _csc_set(X, y, [(4, 7, -0.0)])
+        dense_set = DataSet(X=_dense(sparse_set.X), y=y)
+        assert np.signbit(dense_set.X[4, 7])
+        sparse_scaler, dense_scaler = fit_scaler(sparse_set), fit_scaler(dense_set)
+        assert sparse_scaler.mean.tobytes() == dense_scaler.mean.tobytes()
+        assert sparse_scaler.scale.tobytes() == dense_scaler.scale.tobytes()
+        for got, expected in zip(standardize(sparse_set, sparse_set),
+                                 standardize(dense_set, dense_set)):
+            assert isinstance(got.X, np.ndarray)
+            assert got.X.tobytes() == expected.X.tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=_csc_sets())
+    @example(data=_csc_set([[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]], [1.0, -1.0],
+                           [(1, 1, 0.0), (0, 1, -0.0)]))  # stored zeros, zero last feature
+    @example(data=_csc_set([[0.0]], [1.0], [(0, 0, -0.0)]))  # nothing to write but the pin
+    def test_csc_formats_as_its_dense_copy_and_round_trips(self, data):
+        dense = DataSet(X=_dense(data.X), y=data.y)
+        text = format_sparse_text(data)
+        assert text == format_sparse_text(dense)
+        again = parse_sparse_text(text)
+        # -0.0 and stored zeros are not written, so they read back as 0.0
+        assert _dense(again.X).tobytes() == (dense.X + 0.0).tobytes()
+        assert format_sparse_text(again) == text
+
+    def test_save_writes_the_bytes_of_the_dense_copy(self, tmp_path):
+        sparse_set = _csc_set([[0.0, 2.5, 0.0], [1e-300, 0.0, 0.0], [0.0, 0.0, 0.0]],
+                              [1.0, -1.0, 1.0], [(2, 0, 0.0), (0, 2, -0.0)])
+        datasets.save_dataset(sparse_set, tmp_path / "sparse.txt")
+        datasets.save_dataset(DataSet(X=_dense(sparse_set.X), y=sparse_set.y),
+                              tmp_path / "dense.txt")
+        assert (tmp_path / "sparse.txt").read_bytes() == (tmp_path / "dense.txt").read_bytes()
+
+    @pytest.mark.parametrize("density", [0.05, 0.6])
+    def test_parse_format_parse_round_trips(self, density):
+        rng = np.random.default_rng(8)
+        X = np.where(rng.random((30, 20)) < density, rng.normal(size=(30, 20)), 0.0)
+        X[-1] = 0.0
+        text = format_sparse_text(DataSet(X=X, y=np.where(np.arange(20) % 2, 1.0, -1.0)))
+        first = parse_sparse_text(text)
+        second = parse_sparse_text(format_sparse_text(first))
+        assert isinstance(first.X, np.ndarray) is (density > 0.27)
+        assert type(second.X) is type(first.X)
+        assert _dense(second.X).tobytes() == _dense(first.X).tobytes() == X.tobytes()
+        assert format_sparse_text(second) == text
 
 
 class TestStandardize:

@@ -8,6 +8,7 @@ import hypothesis.strategies as st
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from scipy.sparse import csc_array, csr_array
 
 from conftest import make_blobs
 from xrm import DataSet, Scaler
@@ -186,6 +187,34 @@ class TestDistinctComponentLoss:
                 expected = self._reference(W, b, data, p)
                 assert average_component_loss(replace(model, p=p), data) == pytest.approx(
                     expected, rel=1e-12, abs=0.0)
+
+
+class TestSparseFeatures:
+    """Evaluation on a CSC feature matrix agrees with its dense copy."""
+
+    def test_matches_dense_copy(self):
+        rng = np.random.default_rng(12)
+        for _ in range(50):
+            M, C, N = int(rng.integers(1, 30)), int(rng.integers(1, 6)), int(rng.integers(1, 40))
+            X = np.where(rng.random((M, N)) < 0.2, rng.normal(size=(M, N)), 0.0)
+            y = rng.choice([-1.0, 1.0], N)
+            W, b = _columns_with_repeats(rng, M, C)
+            dense, sparse = DataSet(X=X, y=y), DataSet(X=csc_array(X), y=y)
+            for p in (1.0, 2.0):
+                model = _model(W, b, p=p)
+                np.testing.assert_allclose(decision_values(model, sparse.X),
+                                           decision_values(model, X), rtol=1e-12, atol=1e-12)
+                np.testing.assert_allclose(decision_values(model, csr_array(X)),
+                                           decision_values(model, X), rtol=1e-12, atol=1e-12)
+                for loss in (ensemble_loss, average_component_loss):
+                    assert loss(model, sparse) == pytest.approx(loss(model, dense), rel=1e-12,
+                                                                abs=1e-12)
+                assert verify_ensemble_bound(model, sparse)[0]
+                assert error_rate(model, sparse) == error_rate(model, dense)
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(ValueError, match="2 rows"):
+            decision_values(_model([[1.0]], [0.0]), csc_array(np.ones((2, 3))))
 
 
 class TestEnsembleBound:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from scipy.linalg import cho_factor, cho_solve
+from scipy.sparse import csc_array
 
 from conftest import make_blobs, make_gram_overflow, make_ill_scaled, random_instance
 from xrm import DataSet, SolverConfig, TrainReport, train
@@ -619,6 +620,21 @@ class TestFactorGram:
             np.testing.assert_array_equal(got, expected)
             np.testing.assert_array_equal(Xt_got, Xt_expected)
 
+    @pytest.mark.parametrize("shape", [(5, 40), (30, 12)], ids=["features", "instances"])
+    def test_csc_solve_matches_dense_solve(self, shape):
+        # A CSC X factors the Gram of its dense copy, so the factor is the
+        # same; its products add the nonzeros alone, in their own order.
+        M, N = shape
+        for width in ((), (3,)):
+            rng = np.random.default_rng(N)
+            X = np.where(rng.random((M, N)) < 0.2, rng.normal(size=(M, N)), 0.0)
+            W, u = rng.normal(size=(M, *width)), rng.normal(size=(N, *width))
+            WX, over_mu = _solve_operands(X, W, rng.normal(size=(M, *width)), 1.7)
+            dense = solver.factor_gram(X)(WX, over_mu, u, np.empty_like(WX))
+            out = np.full_like(WX, np.nan)
+            assert solver.factor_gram(csc_array(X))(WX, over_mu, u, out) is out
+            np.testing.assert_allclose(out, dense, rtol=1e-12, atol=1e-12)
+
     def test_ill_scaled_features_fail_with_advice(self):
         # finite X whose squared norm nears 1/eps: rounding costs I + X X^T its
         # positive definiteness, and the error says to rescale the features.
@@ -635,6 +651,28 @@ class TestFactorGram:
         assert solver.gram_side(np.zeros((4, 4))) == "features"
         assert solver.gram_side(np.zeros((5, 3))) == "instances"
         assert solver.gram_side(np.zeros((1, 1))) == "features"
+
+
+class TestSparseFeatures:
+    """A CSC copy of X trains like the dense set: its products add the
+    same terms in another order, so the fits agree to rounding."""
+
+    @pytest.mark.parametrize("components", [1, 5])
+    @pytest.mark.parametrize("power", [1.0, 1.5, 2.0])
+    @settings(max_examples=20, deadline=None)
+    @given(shape=st.sampled_from([(40, 8), (60, 12), (10, 30), (8, 50)]),  # both Gram sides
+           density=st.sampled_from([0.1, 0.3]), seed=st.integers(0, 2**16))
+    def test_csc_copy_stops_as_the_dense_set(self, components, power, shape, density, seed):
+        N, M = shape
+        blobs = make_blobs(N, M, seed=seed)
+        X = np.where(np.random.default_rng(seed).random((M, N)) < density, blobs.X, 0.0)
+        config = SolverConfig(components=components, loss_power=power)
+        _, dense = train(DataSet(X=X, y=blobs.y), config)
+        _, sparse = train(DataSet(X=csc_array(X), y=blobs.y), config)
+        assert ((sparse.iterations, sparse.stop_reason, sparse.gram_side)
+                == (dense.iterations, dense.stop_reason, dense.gram_side))
+        assert sparse.objective_trace[-1] == pytest.approx(dense.objective_trace[-1],
+                                                           rel=1e-12, abs=0.0)
 
 
 class TestMultipliers:
