@@ -12,8 +12,11 @@ and lines are counted at ``\\n`` (a file read in text mode also ends lines at
 ``\\r\\n`` and ``\\r``); :func:`load_dataset` ignores a leading UTF-8
 byte-order mark.  A parse splits each line into tokens, then converts and
 checks all tokens in whole-input passes that only accept or reject the input.
-Rejected input is read again token by token, in line order, to report its
-first defect with its line number.  :func:`format_sparse_text` writes nonzero
+Labels, indices or values whose texts repeat, such as term counts, are
+converted once per distinct text by a measured rule (see
+:func:`parse_sparse_text`); no result depends on the rule.  Rejected input
+is read again token by token, in line order, to report its first defect
+with its line number.  :func:`format_sparse_text` writes nonzero
 entries as shortest round-trip floats and pins the feature count with
 ``M:0.0`` when the last feature is all zero.
 
@@ -29,6 +32,7 @@ from __future__ import annotations
 
 import math
 import sys
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NoReturn
@@ -39,6 +43,11 @@ _SPLIT_RETRIES = 64
 # A parse stores X as CSC when its entries fill less than this percentage of
 # the M x N matrix (see parse_sparse_text).
 _CSC_DENSITY_PCT = 27
+# A parse converts each distinct label, index or value text once, instead of
+# every token, when a sample of every _SAMPLE_STRIDE-th text estimates that
+# fewer than this percentage of the texts are distinct (see parse_sparse_text).
+_DISTINCT_PCT = 10
+_SAMPLE_STRIDE = 64
 
 
 class SparseFormatError(ValueError):
@@ -240,6 +249,20 @@ def _raise_first_defect(label_tokens, entry_texts, line_numbers) -> NoReturn:
     raise SparseFormatError("input contains no feature entries", 0)
 
 
+def _convert(convert, texts: list) -> list:
+    """``list(map(convert, texts))``, converting each distinct text once when
+    a sample says that the texts repeat enough for that to pay (the rule is
+    in :func:`parse_sparse_text`)."""
+    # k -> how many sampled texts occur k times in the sample
+    occurrences = Counter(Counter(texts[::_SAMPLE_STRIDE]).values())
+    once, twice = occurrences[1], occurrences[2]
+    distinct = sum(occurrences.values()) + once * (once - 1) / (2 * (twice + 1))
+    if 100 * distinct >= _DISTINCT_PCT * len(texts):
+        return list(map(convert, texts))
+    table = {text: convert(text) for text in set(texts)}
+    return list(map(table.__getitem__, texts))
+
+
 def parse_sparse_text(source) -> DataSet:
     """Parse sparse `label index:value` text into a :class:`DataSet`.
 
@@ -252,6 +275,26 @@ def parse_sparse_text(source) -> DataSet:
     All tokens are converted and checked in whole-input passes that only
     accept or reject the input; rejected input is then read token by token
     to name its first defect.
+
+    The labels, the indices and the values are each converted as one list,
+    every token by ``float()`` or ``int()``, or, when the list's texts
+    repeat, each distinct text once, with every token then looked up in a
+    table of the results.  A list takes the table when fewer than 10% of its
+    texts are distinct by Chao's bias-corrected estimate
+    ``d + f1 (f1 - 1) / (2 (f2 + 1))`` from a sample of every 64th text, in
+    which d texts are distinct, f1 of them occur once and f2 twice.  The
+    rule is measured: on 40k texts drawn evenly from D distinct ones (2-core
+    VM, one thread, three runs), the table broke even with ``map(int)`` at
+    D = 4k to 6k and with ``map(float)`` at D = 12k or more, and on 40k
+    all-distinct texts it took 20-25 ms against 5-6 ms for ``map(int)`` and
+    25-42 ms against 9-21 ms for ``map(float)``, as it hashes every text and
+    converts them in hash order.  The distinct share of the sample itself
+    understates repetition: the indices of a ``wide`` benchmark file sample
+    465 of 624 texts distinct but hold 1999 distinct texts in 39928, which
+    the estimate puts at 1487; and it would send half ``1`` and half
+    distinct texts to the table, which the estimate keeps off it.  ``int()``
+    and ``float()`` are pure functions of the text, so X, y and every error
+    are the same on either path.
 
     X is stored as a ``scipy.sparse.csc_array``, one column per instance and
     every written entry kept (``k:0`` too), when the nnz entries of the N
@@ -287,7 +330,7 @@ def parse_sparse_text(source) -> DataSet:
     instance = np.repeat(np.arange(len(counts)), counts)
     joined = " ".join(filter(None, entry_texts))
     try:
-        labels = list(map(float, label_tokens))
+        labels = _convert(float, label_tokens)
         # Tokens hold no spaces, so the colons and spaces of ``joined``
         # alternate ": : ... :" exactly when every token holds one colon (and
         # never when there are no tokens, which is itself a defect).
@@ -301,9 +344,9 @@ def parse_sparse_text(source) -> DataSet:
         parts = joined.replace(" ", ":").split(":")
         index_texts, value_texts = parts[0::2], parts[1::2]
         del parts, joined  # the texts are most of a parse's memory: free each once read
-        index = list(map(int, index_texts))
+        index = _convert(int, index_texts)
         del index_texts
-        values = np.array(list(map(float, value_texts)))
+        values = np.array(_convert(float, value_texts))
         del value_texts
         try:
             index = np.array(index, dtype=np.int64)
@@ -463,13 +506,15 @@ def standardize(train: DataSet, test: DataSet | None = None, *, scaler: Scaler |
     data, divided by a tiny training scale, can overflow to inf.  Centering
     fills in every zero, so a sparse X is copied dense first and the result
     is dense, with the bits of the dense parse's result; a set too large to
-    copy dense raises ValueError naming its shape.
+    copy dense raises ValueError naming its shape.  Either set having another
+    feature count than the scaler raises ValueError.
     """
     if scaler is None:
         scaler = fit_scaler(train)
-    if scaler.mean.size != train.feature_count:
-        raise ValueError(f"scaler has {scaler.mean.size} features but dataset has "
-                         f"{train.feature_count}")
+    for data in (train,) if test is None else (train, test):
+        if scaler.mean.size != data.feature_count:
+            raise ValueError(f"scaler has {scaler.mean.size} features but dataset has "
+                             f"{data.feature_count}")
     mean, std = scaler.mean[:, None], scaler.scale[:, None]
 
     def transform(data: DataSet) -> DataSet:

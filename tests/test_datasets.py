@@ -1,5 +1,6 @@
 import io
 import math
+import random
 import tracemalloc
 
 import hypothesis.extra.numpy as hnp
@@ -247,6 +248,78 @@ def _outcomes(text, as_stream):
                  for parse in (parse_sparse_text, _reference_parse))
 
 
+# Small pools of texts that differ but read alike, so that a parse converts
+# each distinct text once and must still keep them apart.  At most 10 texts a
+# pool and 20 entries a file keep the sampled estimate of distinct texts
+# below a tenth of the texts, whatever the sample holds.
+_POOLED_VALUES = ["0", "-0", "0.0", "-0.0", "1_0.5", "10.5", "+3", "3", "\uff13", "5e-324"]
+_POOLED_INDEX_SPELLINGS = {1: ["1", "+1", "01", "\uff11"]}
+
+
+@st.composite
+def _pooled_lines(draw):
+    """A valid file of 20 to 600 instance lines, each with at least one entry
+    drawn from the pools: a few hundred to a few thousand entries.  The lines
+    come from a seeded generator, as a draw per token would be slow."""
+    rnd = random.Random(draw(st.integers(0, 2**32 - 1)))
+    width = draw(st.integers(1, 7))
+    pair = draw(st.sampled_from(_LABEL_PAIRS))
+    lines = []
+    for row in range(rnd.randint(20, 600)):
+        label = pair[row] if row < 2 else rnd.choice(pair)
+        indices = sorted(rnd.sample(range(1, width + 1), rnd.randint(1, width)))
+        lines.append([label] + [
+            rnd.choice(_POOLED_INDEX_SPELLINGS.get(i, [str(i)])) + ":" + rnd.choice(_POOLED_VALUES)
+            for i in indices])
+    return lines
+
+
+@st.composite
+def _pooled_defects(draw):
+    """A pooled file with a defect on one line, then a bad value or index text
+    on every entry of every line from a later one on."""
+    lines = draw(_pooled_lines())
+    first = draw(st.integers(0, len(lines) - 2))
+    tokens = lines[first]
+    kind = draw(st.sampled_from(["index_decreases", "index_repeats", "index_below_one",
+                                 "value_not_finite", "bad_label", "label_not_finite"]))
+    if kind == "index_decreases":
+        tokens.append("1:1")
+    elif kind == "index_repeats":
+        tokens.append(tokens[-1])
+    elif kind == "index_below_one":
+        tokens[1] = "0:" + tokens[1].partition(":")[2]
+    elif kind == "value_not_finite":
+        tokens[-1] = tokens[-1].partition(":")[0] + ":inf"
+    else:
+        tokens[0] = "abc" if kind == "bad_label" else "nan"
+    bad = draw(st.sampled_from(["abc", "1,5", "x", "--1", "\ud800"]))
+    in_index = draw(st.booleans())
+    for later in lines[draw(st.integers(first + 1, len(lines) - 1)):]:
+        for k in range(1, len(later)):
+            index, _, value = later[k].partition(":")
+            later[k] = f"{bad}:{value}" if in_index else f"{index}:{bad}"
+    return lines
+
+
+# An index decreases on line 2, and every value is "abc" from line 5 on.
+_DECREASING_THEN_BAD_VALUES = "".join(
+    f"{label} {entries}\n" for label, entries in zip(
+        ["+1", "-1"] * 50,
+        ["1:0 2:-0 3:1_0.5", "2:1 1:1", "1:+3 3:5e-324", "2:0.0 3:3"] + ["1:abc 2:abc 3:abc"] * 96))
+
+
+def _pooled_text(lines) -> str:
+    return "\n".join(" ".join(tokens) for tokens in lines) + "\n"
+
+
+def _conversions(convert, texts) -> int:
+    """How many texts ``datasets._convert`` passes to ``convert``."""
+    calls = []
+    datasets._convert(lambda text: calls.append(text) or convert(text), texts)
+    return len(calls)
+
+
 class TestParse:
     def test_single_line(self):
         data = parse_sparse_text("+1 1:0.5 3:-2")
@@ -345,6 +418,14 @@ class TestParse:
         expected = np.zeros((100, 1))
         expected[3 * np.arange(1, entries) - 1] = 1.5
         assert _dense(data.X).tobytes() == expected.tobytes()
+
+    def test_repeated_texts_are_converted_once(self):
+        repeated = ["3", "+3", "\uff13", "-0", "0"] * 400
+        distinct = [repr(k + 0.5) for k in range(2000)]
+        for texts, conversions in ((repeated, 5), (distinct, 2000)):
+            assert _conversions(float, texts) == conversions
+            converted = np.array(datasets._convert(float, texts))
+            assert converted.tobytes() == np.array(list(map(float, texts))).tobytes()
 
     @pytest.mark.parametrize("label", ["nan", "inf", "-inf", "NaN"])
     def test_non_finite_label_reports_line(self, label):
@@ -452,10 +533,16 @@ class TestOneCopyOfX:
     # The matrices that parse, split and standardize allocate become the new
     # data set's X as they are; a second copy would double these peaks.
     def test_parse_peak(self):
-        text = format_sparse_text(_text_like())
-        peak, data = _peak_bytes(lambda: parse_sparse_text(text))
-        assert data.X.shape == (2000, 400)
-        assert peak < 2 * data.X.toarray().nbytes
+        # Term counts repeat and are converted once per distinct text; values
+        # that are all distinct are converted one token at a time.
+        repeated = _text_like()
+        X = np.array(repeated.X)
+        X[X != 0] = np.random.default_rng(1).uniform(1.0, 2.0, np.count_nonzero(X))
+        for source in (repeated, DataSet(X=X, y=repeated.y)):
+            text = format_sparse_text(source)
+            peak, data = _peak_bytes(lambda: parse_sparse_text(text))
+            assert data.X.shape == (2000, 400)
+            assert peak < 2 * data.X.toarray().nbytes
 
     def test_standardize_and_split_peaks(self):
         data = _text_like()
@@ -596,6 +683,26 @@ class TestParseMatchesReference:
     @example(case=("+1 1\uff1a1\n", False))  # a full-width colon is no separator
     @example(case=("+1 \ud800:1\n", False))  # a lone surrogate index
     def test_defects_match(self, case):
+        got, expected = _outcomes(*case)
+        assert got == expected
+        assert isinstance(got[0], type)
+
+    @settings(max_examples=25, deadline=None)
+    @given(lines=_pooled_lines(), as_stream=st.booleans())
+    def test_repeated_texts_match(self, lines, as_stream):
+        got, expected = _outcomes(_pooled_text(lines), as_stream)
+        assert got == expected
+        assert not isinstance(got[0], type)
+        # Each distinct index and value text was converted once.
+        parts = [token.partition(":") for tokens in lines for token in tokens[1:]]
+        for convert, texts in ((int, [index for index, _, _ in parts]),
+                               (float, [value for _, _, value in parts])):
+            assert _conversions(convert, texts) == len(set(texts)) < len(texts)
+
+    @settings(max_examples=25, deadline=None)
+    @given(case=_pooled_defects().map(lambda lines: (_pooled_text(lines), False)))
+    @example(case=(_DECREASING_THEN_BAD_VALUES, False))
+    def test_repeated_bad_texts_after_a_defect_match(self, case):
         got, expected = _outcomes(*case)
         assert got == expected
         assert isinstance(got[0], type)
@@ -802,3 +909,15 @@ class TestStandardize:
         train = DataSet(X=np.ones((2, 3)), y=np.array([1.0, -1.0, 1.0]))
         with pytest.raises(ValueError):
             standardize(train, scaler=Scaler(mean=[0.0], scale=[1.0]))
+
+    @pytest.mark.parametrize("test_features", [1, 3])
+    def test_test_set_feature_count_is_checked(self, test_features):
+        # A narrower test set would be broadcast to the train set's width,
+        # and a wider one would fail inside numpy.
+        train = DataSet(X=np.array([[0.0, 2.0], [1.0, 5.0]]), y=np.array([1.0, -1.0]))
+        test = DataSet(X=np.ones((test_features, 3)), y=np.array([1.0, -1.0, 1.0]))
+        with pytest.raises(ValueError,
+                           match=f"^scaler has 2 features but dataset has {test_features}$"):
+            standardize(train, test)
+        with pytest.raises(ValueError, match="^scaler has 2 features but dataset has"):
+            standardize(train, test, scaler=fit_scaler(train))
