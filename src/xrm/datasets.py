@@ -129,32 +129,14 @@ class DataSet:
     y: np.ndarray
 
     def __post_init__(self):
-        # Copies, so that the caller's arrays stay theirs to write.
+        """Validate copies of X and y, so that the caller's arrays stay
+        theirs to write, store them and make them read-only.  A CSC X is put
+        in canonical format, summing duplicate entries."""
         if _is_sparse(self.X):
             X = _csc_array(self.X, dtype=float, copy=True)
         else:
             X = np.array(self.X, dtype=float)
-        self._take(X, np.array(self.y, dtype=float))
-
-    @classmethod
-    def _adopt(cls, X: np.ndarray, y: np.ndarray) -> DataSet:
-        """A data set over float arrays that this module has just allocated
-        (or read-only arrays of another data set), taken without a copy."""
-        data = object.__new__(cls)
-        data._take(X, y)
-        return data
-
-    @classmethod
-    def _adopt_valid(cls, X: np.ndarray, y: np.ndarray) -> DataSet:
-        """:meth:`_adopt` for arrays whose values already passed its checks,
-        such as subsets of a data set: stored without checking them again."""
-        data = object.__new__(cls)
-        _store_frozen(data, X=X, y=y)
-        return data
-
-    def _take(self, X, y: np.ndarray) -> None:
-        """Validate X and y, store them and make them read-only.  A CSC X is
-        put in canonical format first, summing duplicate entries."""
+        y = np.array(self.y, dtype=float)
         if X.ndim != 2 or X.shape[0] < 1 or X.shape[1] < 1:
             raise ValueError(f"feature matrix must be 2-d and non-empty, got shape {X.shape}")
         if y.shape != (X.shape[1],):
@@ -167,6 +149,16 @@ class DataSet:
         if not np.all(np.isin(y, (-1.0, 1.0))):
             raise ValueError("labels must be -1 or +1")
         _store_frozen(self, X=X, y=y)
+
+    @classmethod
+    def _adopt_valid(cls, X: np.ndarray, y: np.ndarray) -> DataSet:
+        """A data set over float64 arrays that already pass the checks of
+        :class:`DataSet`, taken without a copy or a second check: subsets of
+        a data set, or the arrays that :func:`parse_sparse_text` has just
+        built and checked.  A CSC X must be canonical."""
+        data = object.__new__(cls)
+        _store_frozen(data, X=X, y=y)
+        return data
 
     @property
     def feature_count(self) -> int:
@@ -187,10 +179,12 @@ class SplitSpec:
     trials: int = 10
 
     def __post_init__(self):
-        if self.train_size < 1:
-            raise ValueError("train_size must be positive")
-        if self.trials < 1:
-            raise ValueError("trials must be positive")
+        # bool is a subclass of int; numpy integers are accepted.
+        for name, least in (("train_size", 1), ("seed", 0), ("trials", 1)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+                kind = "positive" if least else "non-negative"
+                raise ValueError(f"{name} must be a {kind} integer, got {value!r}")
 
 
 def map_labels(raw_labels) -> np.ndarray:
@@ -373,7 +367,10 @@ def parse_sparse_text(source) -> DataSet:
         np.cumsum(counts, out=indptr[1:])
         index -= 1
         X = _csc_array((values, index, indptr), shape=(int(M), N))
-    return DataSet._adopt(X, map_labels(labels))
+    # Every check of DataSet has passed: finite labels mapped to +-1 and
+    # finite values, indices from 1 that rise within each line (a canonical
+    # CSC array), and at least one instance and one feature.
+    return DataSet._adopt_valid(X, map_labels(labels))
 
 
 def format_sparse_text(data: DataSet) -> str:

@@ -120,9 +120,7 @@ def ensemble_loss(model: EnsembleModel, data) -> float:
 def average_component_loss(model: EnsembleModel, data) -> float:
     """Mean over components of each component's summed powered hinge loss."""
     first, inverse = _distinct_columns(model.W, model.b)
-    W, X = model.W[:, first], data.X
-    products = W.T @ X if isinstance(X, np.ndarray) else (X.T @ W).T
-    scores = products + model.b[first, None]  # distinct components x instances
+    scores = (data.X.T @ model.W[:, first]).T + model.b[first, None]  # components x instances
     margins = 1.0 - scores * data.y
     losses = _powered_hinge(margins, model.p).sum(axis=1)
     return float(losses @ np.bincount(inverse) / model.components)

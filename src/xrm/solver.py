@@ -46,9 +46,8 @@ one numpy call does it for all of them (the N rows first):
 * G[N:], the split and slack gaps, scaled by sqrt(C) once for both
   residuals, and the multiplier size as one ``abs`` and one ``max``
   over [Q; Z];
-* one division of QZ by mu for Z/mu and the multipliers over mu that the
-  P solve reads: Q/mu on the features side, and X^T Q/mu too on the
-  instances side (the features side never divides X^T Q, an N-vector).
+* one division of the whole of QZ by mu for Z/mu and the multipliers
+  over mu, [X^T Q/mu; Q/mu], that the P solve reads on either side.
 
 Each op keeps its operands and their order, so every block has the bits of
 its own op on separate vectors.  At p = 2 on the features side an iteration
@@ -70,8 +69,9 @@ per iteration, building a 0-d array per call costs about what it saves, and
 arithmetic between scalars is faster on plain ones.
 
 The bias needs the mean of y - E - X^T P - Z/mu.  The previous iteration's
-slack gap already formed E - y + X^T P (:func:`_slack_base`) before adding
-its bias, so :func:`train` keeps that vector (-y at the start), and
+slack gap already formed E - y + X^T P before adding its bias, and
+:func:`constraint_gaps` returns it, so :func:`train` keeps that vector (-y
+at the start), and
 :func:`update_b` takes the mean of it plus Z/mu and negates it, which gives
 the same bits with two fewer passes over the instances.
 
@@ -95,8 +95,7 @@ constraint gaps are formed once for both the multiplier ascent and the
 residual trace.  The products with X, N x M flops each whatever C is, are:
 
 * features side: two per iteration, X (r - e) for the right-hand side of
-  the P solve and X^T p of its solution, written into PX by
-  ``ndarray.dot(..., out=)`` (a CSC X writes X^T @ p there);
+  the P solve and X^T p of its solution;
 * instances side: one per iteration.  The P update forms
   X^T rhs = X^T w - X^T q/mu + K u with u = r - e from the carried vectors,
   solves s = (I + K)^-1 X^T rhs, and returns p = w - q/mu + X (u - s) and
@@ -107,8 +106,14 @@ plus, once per fit, the Gram product and X^T Q for the starting Q.
 
 X may be a CSC array (:mod:`xrm.datasets`).  Then each product with X costs
 about nnz flops instead of N x M, and the Gram product comes from a dense
-copy of X that lives only until the Gram is formed; :func:`factor_gram`
-chooses the products once per fit, so the loop never tests the type of X.
+copy of X that lives only until the Gram is formed.  Every product is
+written ``X.dot(v)`` or ``X.T.dot(v)``, which multiplies either storage, so
+that copy in :func:`factor_gram` is the one place that looks at how X is
+stored.  The products are ``dot`` rather than ``@``, which dispatches more
+slowly on an ndarray: with ``@`` a protocol-sized fit (34 x 150) took about
+3% longer, two products an iteration.  X^T is taken once per fit, because
+each ``.T`` of a CSC X builds a new CSR array: 27 us against 4 us for the
+product at 20 x 60 and 10% density (2-core VM, one BLAS thread).
 """
 
 from __future__ import annotations
@@ -222,20 +227,6 @@ class TrainReport:
         }
 
 
-def _transposed_product(X):
-    """``product(v, out=...)``, which writes X^T v into ``out`` and returns
-    it: ``ndarray.dot`` of X^T for a dense X; for a CSC X, whose products
-    take no ``out``, the product X^T @ v copied in."""
-    if isinstance(X, np.ndarray):
-        return X.T.dot
-    Xt = X.T
-
-    def product(v, out):
-        out[...] = Xt @ v
-        return out
-    return product
-
-
 def gram_side(X: np.ndarray) -> str:
     """The side of X (M x N) that :func:`factor_gram` factors: ``"features"``
     (the M x M matrix I + X X^T) when M <= N, else ``"instances"`` (the
@@ -255,14 +246,13 @@ def factor_gram(X: np.ndarray):
     """Factor I + X X^T once per fit and return ``solve(WX, over_mu, u, out)``,
     which writes the stacked [X^T P; P] for P = (I + X X^T)^-1 (W - Q/mu + X u)
     into the caller's ``out`` and returns it.  ``WX`` is the stacked
-    [X^T W; W], ``u`` has N rows, and ``over_mu`` holds the multipliers over
-    mu that the side reads: Q/mu on the features side, the stacked
-    [X^T Q/mu; Q/mu] on the instances side.  Blocks are 1-D or all C columns.
+    [X^T W; W], ``over_mu`` the stacked [X^T Q/mu; Q/mu], and ``u`` has N
+    rows.  Blocks are 1-D or all C columns.
 
     On the features side (M <= N) this is the Cholesky of the M x M matrix
     I + X X^T: M^2 N flops to form, M^3/3 to factor; a solve costs the two
     products X u and X^T P plus about 2 M^2 flops per column, and never reads
-    X^T W.
+    X^T W or X^T Q/mu.
     On the instances side (M > N) it is the Cholesky of the N x N matrix
     I + K with K = X^T X, which is kept: N^2 M flops to form, N^3/3 to
     factor.  By the matrix inversion lemma P = W - Q/mu + X (u - s) with
@@ -270,13 +260,11 @@ def factor_gram(X: np.ndarray):
     X^T P = X^T rhs - K s = s, and a solve costs the one product X (u - s)
     plus about 4 N^2 flops per column.
 
-    X is a dense ndarray or a CSC array, and the products are chosen here,
-    once per fit.  A dense X multiplies with ``ndarray.dot``, X^T into its
-    block of ``out``.  A CSC X multiplies as it is stored, at about nnz
-    flops a product, and its X^T p is copied into ``out``; its Gram product
-    comes from a temporary dense copy of X, freed once the Gram is formed,
-    which holds no more memory than a dense X and, with BLAS, takes less time
-    than a sparse-sparse product.
+    X is a dense ndarray or a CSC array, which multiplies as it is stored,
+    at about nnz flops a product.  The Gram product of a CSC X comes from a
+    temporary dense copy of X, freed once the Gram is formed, which holds no
+    more memory than a dense X and, with BLAS, takes less time than a
+    sparse-sparse product.
 
     Both sides factor with LAPACK ``potrf`` and solve with ``potrs``, looked
     up once here and called directly: the routines and arguments of
@@ -316,13 +304,13 @@ def factor_gram(X: np.ndarray):
     # A non-finite right-hand side passes through unchecked, so that train
     # can name the block that produced it.
     if features:
-        transposed_product = _transposed_product(X)
+        Xt = X.T  # once per fit: each X.T of a CSC X builds a new CSR array
 
         def solve(WX, over_mu, u, out):
-            P = np.subtract(WX[N:], over_mu, out=out[N:])
+            P = np.subtract(WX[N:], over_mu[N:], out=out[N:])
             P += X.dot(u)
             solve_in_place(P)
-            transposed_product(P, out=out[:N])
+            out[:N] = Xt.dot(P)
             return out
         return solve
 
@@ -493,25 +481,18 @@ def update_P(solve_gram, WX: np.ndarray, over_mu: np.ndarray, u: np.ndarray,
     return solve_gram(WX, over_mu, u, out)
 
 
-def _slack_base(E: np.ndarray, Y: np.ndarray, XtP: np.ndarray) -> np.ndarray:
-    """E - Y + X^T P, the slack gap before its bias: the operand of
-    :func:`update_b`, and a new array that the caller may finish in place."""
-    base = E - Y
-    base += XtP
-    return base
-
-
 def constraint_gaps(PX: np.ndarray, WX: np.ndarray, E: np.ndarray, Y: np.ndarray,
                     b: np.ndarray | float, out: np.ndarray) -> np.ndarray:
     """Write the violations of the two constraints into ``out``, behind
     X^T P - X^T W: [X^T P - X^T W; P - W; E - Y + X^T P + b], from the stacks
     PX = [X^T P; P] and WX = [X^T W; W] and the bias b and labels Y shaped by
     the caller to broadcast against E: a scalar and y, or a 1 x C row and an
-    N x 1 column.  Returns E - Y + X^T P from :func:`_slack_base`, which
-    :func:`train` keeps for the next :func:`update_b`."""
+    N x 1 column.  Returns E - Y + X^T P, the slack gap before its bias and
+    a new array, which :func:`train` keeps for the next :func:`update_b`."""
     rows = len(PX)
     np.subtract(PX, WX, out=out[:rows])
-    slack_base = _slack_base(E, Y, PX[:len(E)])
+    slack_base = E - Y
+    slack_base += PX[:len(E)]
     np.add(slack_base, b, out=out[rows:])
     return slack_base
 
@@ -605,11 +586,7 @@ def train(data, config: SolverConfig = SolverConfig()) -> tuple[EnsembleModel, T
     # are written before any block reads them.
     PX, QZ, mu = np.zeros(N + M), np.zeros(2 * N + M), MU_INIT
     QZ[N:N + M] = 1.0
-    _transposed_product(X)(QZ[N:N + M], out=QZ[:N])
-    # Each iteration divides QZ by mu from ``lead`` on, which gives Z/mu and
-    # the multipliers over mu that the Gram solve reads: X^T Q is divided
-    # only on the instances side.
-    lead = N if report.gram_side == "features" else 0
+    QZ[:N] = X.T.dot(QZ[N:N + M])
     G = np.empty(2 * N + M)  # written whole by constraint_gaps each iteration
     slack_base = -y  # E - y + X^T P for the starting E and P
     # The scalar operands of vector ops as read-only 0-d arrays: C and p for
@@ -630,7 +607,7 @@ def train(data, config: SolverConfig = SolverConfig()) -> tuple[EnsembleModel, T
         WX = PX * shrink_op
         WX += QZ[:N + M] / mu_C_op
         t_W = clock()
-        over_mu = QZ[lead:] / mu_op
+        over_mu = QZ / mu_op  # [X^T Q/mu; Q/mu] for the P solve, and Z/mu
         Z_over_mu = over_mu[-N:]
         scalars[3] = b = update_b(slack_base, Z_over_mu)
         t_b = clock()

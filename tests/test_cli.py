@@ -424,7 +424,7 @@ class TestEval:
         rc = main(["eval", "--data", str(blob_file), "--train-size", "40", "--trials", trials,
                    "--out", str(out)])
         assert rc == 1
-        assert "trials must be positive" in capsys.readouterr().err
+        assert "trials must be a positive integer" in capsys.readouterr().err
         assert not out.exists()
 
     def test_non_finite_model_exits_one(self, tmp_path, blob_file, capsys):
@@ -604,7 +604,7 @@ class TestSweep:
         rc = main(["sweep", "--data", str(blob_file), "--train-size", "40", "--trials", "0",
                    "--out", str(out)])
         assert rc == 1
-        assert "trials must be positive" in capsys.readouterr().err
+        assert "trials must be a positive integer" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.fixture

@@ -478,6 +478,23 @@ class TestMapLabels:
             map_labels([0.0, bad, 2.0])
 
 
+def _assert_equals_checked_set(data: DataSet) -> None:
+    """``data`` holds what DataSet builds, with its checks, from its arrays:
+    the same values in float64, read-only, and a CSC X in canonical format."""
+    checked = DataSet(X=data.X, y=data.y)
+    assert type(data.X) is type(checked.X)
+    for array, expected in ((data.X, checked.X), (data.y, checked.y)):
+        assert array.dtype == expected.dtype == np.float64
+        assert array.shape == expected.shape
+        assert _dense(array).tobytes() == _dense(expected).tobytes()
+    if isinstance(data.X, np.ndarray):
+        parts = (data.X,)
+    else:
+        parts = (data.X.data, data.X.indices, data.X.indptr)
+        assert data.X.has_canonical_format
+    assert not any(part.flags.writeable for part in (*parts, data.y))
+
+
 class TestDataSetValidation:
     def test_rejects_nan(self):
         with pytest.raises(ValueError):
@@ -596,6 +613,24 @@ class TestSplit:
         with pytest.raises(ValueError):
             split(data, SplitSpec(train_size=3), 0)
 
+    @pytest.mark.parametrize("kwargs", [
+        {"train_size": 0}, {"train_size": -2}, {"trials": 0}, {"seed": -1},
+        # Counts and the seed must be integers: True would draw a training
+        # set of size True, 2.0 and a seed of 1.5 would fail inside split,
+        # and 2.5 trials would accept a third trial index.
+        {"train_size": True}, {"train_size": 2.0}, {"trials": 2.5}, {"trials": True},
+        {"seed": 1.5}, {"seed": False}, {"seed": "0"},
+    ])
+    def test_spec_rejects_bad_values(self, kwargs):
+        (name,) = kwargs
+        with pytest.raises(ValueError, match=name):
+            SplitSpec(**{"train_size": 2, **kwargs})
+
+    def test_spec_accepts_numpy_integers(self):
+        spec = SplitSpec(train_size=np.int64(2), seed=np.uint32(0), trials=np.int32(3))
+        train, _ = split(self._four_points(), spec, 2)
+        assert train.instance_count == 2
+
 
     def test_sets_are_read_only_and_equal_checked_sets(self):
         # split and standardize store arrays they did not check again; the
@@ -604,12 +639,7 @@ class TestSplit:
         data = DataSet(X=rng.normal(size=(3, 20)), y=np.where(np.arange(20) % 3, 1.0, -1.0))
         train, test = split(data, SplitSpec(train_size=8, seed=2), 1)
         for subset in (train, test, *standardize(train, test), standardize(train)):
-            checked = DataSet(X=subset.X, y=subset.y)
-            for name in ("X", "y"):
-                array, expected = getattr(subset, name), getattr(checked, name)
-                assert not array.flags.writeable
-                assert array.dtype == expected.dtype and array.shape == expected.shape
-                assert array.tobytes() == expected.tobytes()
+            _assert_equals_checked_set(subset)
 
 
 class TestRoundTrip:
@@ -664,6 +694,10 @@ class TestParseMatchesReference:
         got, expected = _outcomes(*case)
         assert got == expected
         assert not isinstance(got[0], type)
+        # The parse stores its arrays without DataSet's checks, having made them.
+        text, as_stream = case
+        _assert_equals_checked_set(
+            parse_sparse_text(io.StringIO(text, newline=None) if as_stream else text))
 
     @settings(max_examples=500, deadline=None)
     @given(case=st.one_of(_corrupted_lines(), _BLANK_LINES, _LABEL_LINES).flatmap(_render))

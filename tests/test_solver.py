@@ -56,13 +56,8 @@ def _count_products_with_x(data, config):
 
 def _solve_operands(X, W, Q, mu):
     """The stacked operands of a ``factor_gram`` solve for W and Q with M
-    rows: WX = [X^T W; W], and the multipliers over mu that the side of X
-    reads, Q/mu on the features side and [X^T Q/mu; Q/mu] on the instances
-    side."""
-    WX = np.concatenate((X.T @ W, W))
-    if solver.gram_side(X) == "features":
-        return WX, Q / mu
-    return WX, np.concatenate((X.T @ Q, Q)) / mu
+    rows: WX = [X^T W; W] and over_mu = [X^T Q/mu; Q/mu]."""
+    return np.concatenate((X.T @ W, W)), np.concatenate((X.T @ Q, Q)) / mu
 
 
 def _update_P(solve_gram, X, W, Q, mu, u):
@@ -577,12 +572,11 @@ class TestFactorGram:
         R = rng.normal(size=(M, C))
         expected = np.linalg.solve(np.eye(M) + X @ X.T, R)
         # W = R and Q = 0 make the right-hand side R.  Only the instances
-        # side reads X^T W and X^T Q; the features side gets NaN for X^T W
-        # and Q/mu alone.
+        # side reads X^T W and X^T Q/mu; the features side gets NaN for both.
         Q = np.zeros((M, C))
         WX, over_mu = _solve_operands(X, R, Q, 1.0)
         if M <= N:
-            WX[:N] = np.nan
+            WX[:N] = over_mu[:N] = np.nan
         PX = solver.factor_gram(X)(WX, over_mu, np.zeros((N, C)), np.empty_like(WX))
         got, Xt_got = PX[N:], PX[:N]
         scale = 1.0 + np.abs(X).max() ** 2
@@ -918,7 +912,7 @@ class TestBlocksLeaveInputs:
         inputs["PX"], inputs["WX"] = (rng.normal(size=(N + M, *width)) for _ in range(2))
         inputs["multipliers"], inputs["gaps"] = (rng.normal(size=(2 * N + M, *width))
                                                  for _ in range(2))
-        inputs["over_mu"] = rng.normal(size=(M if M <= N else N + M, *width))
+        inputs["over_mu"] = rng.normal(size=(N + M, *width))
         inputs["X"] = rng.normal(size=(M, N))
         inputs["Y"] = y if columns is None else np.repeat(y[:, None], columns, axis=1)
         inputs["b"] = np.float64(rng.normal()) if columns is None else rng.normal(size=(1, columns))
@@ -1042,6 +1036,25 @@ class TestTrain:
         assert report.iterations > 1
         assert products == 2 + 2 * report.iterations
 
+    def test_csc_x_is_transposed_once_per_fit(self):
+        # Each X.T of a CSC X builds a new CSR array, which costs several
+        # times a product, so the features-side solve transposes X once per
+        # fit and train once for the starting X^T Q: no transpose per
+        # iteration.
+        transposes = []
+
+        class CountingCSC(csc_array):
+            def transpose(self, *args, **kwargs):
+                transposes.append(1)
+                return super().transpose(*args, **kwargs)
+
+        data = make_blobs(60, 4, seed=3)
+        object.__setattr__(data, "X", CountingCSC(data.X))
+        _, report = train(data, SolverConfig(components=3))
+        assert report.gram_side == "features"
+        assert report.iterations > 2
+        assert len(transposes) == 2
+
     def test_one_product_per_iteration_on_instances_side(self):
         # With M > N the P update reads X once, in X (u - s), and gets X^T P
         # from the kept X^T X; forming I + X^T X and the starting X^T Q are
@@ -1062,7 +1075,6 @@ class TestTrain:
             N = X.shape[1]
 
             def solve(WX, over_mu, u, out):
-                # the instances side: over_mu is [X^T Q/mu; Q/mu]
                 out[N:] = np.linalg.solve(K, WX[N:] - over_mu[N:] + X @ u)
                 out[:N] = X.T @ out[N:]
                 return out

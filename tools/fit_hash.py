@@ -1,0 +1,40 @@
+"""Train a fixed grid of small fits and print one SHA-256 over their results.
+
+The grid covers both Gram sides (20 x 60 and 80 x 30 features x instances),
+X stored dense and as a CSC array, p in {1, 1.25, 1.5, 2} and C in {1, 5, 30}.
+The digest covers every fit's W, b, objective trace and residual trace, so
+two versions of the solver print the same digest only when they fit the
+grid bit for bit.  Run from the repository root:
+
+    PYTHONPATH=src python tools/fit_hash.py
+"""
+
+import hashlib
+import random
+
+from xrm import DataSet, SolverConfig, parse_sparse_text, train
+
+
+def sparse_text(M, N, seed):
+    """N lines of about 10% density whose labels follow a fixed hyperplane."""
+    rng, lines = random.Random(seed), []
+    for _ in range(N):
+        entries = {j: rng.gauss(0.0, 1.0) for j in rng.sample(range(1, M + 1), max(1, M // 10))}
+        score = sum(value * (1 if j % 2 else -1) for j, value in entries.items())
+        label = "+1" if score + rng.gauss(0.0, 0.3) > 0 else "-1"
+        lines.append(label + "".join(f" {j}:{entries[j]!r}" for j in sorted(entries)))
+    return "\n".join(lines) + f"\n+1 {M}:0.5\n-1 1:0.5\n"
+
+
+digest, fits = hashlib.sha256(), 0
+for M, N in ((20, 60), (80, 30)):
+    csc = parse_sparse_text(sparse_text(M, N, seed=M))
+    for data in (csc, DataSet(X=csc.X.toarray(), y=csc.y)):
+        for p in (1.0, 1.25, 1.5, 2.0):
+            for C in (1, 5, 30):
+                model, report = train(data, SolverConfig(components=C, loss_power=p))
+                for part in (model.W.tobytes(), model.b.tobytes(),
+                             repr(report.objective_trace), repr(report.residual_trace)):
+                    digest.update(part if isinstance(part, bytes) else part.encode())
+                fits += 1
+print(f"fits {fits} sha256 {digest.hexdigest()}")
