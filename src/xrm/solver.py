@@ -55,7 +55,7 @@ makes about 45 numpy calls (ufuncs, reductions, products and the LAPACK
 solve), where separate vectors took about 56.
 
 The scalar operands of the loop's vector ops are read-only 0-d float64
-arrays: C and p once per fit, and mu, mu + C, the shrink and b once per
+arrays: C once per fit, and mu, mu + C, the shrink and b once per
 iteration, written into one buffer that the loop owns.  numpy converts a
 Python or numpy scalar operand on every call, which on the N-vectors of a
 protocol-sized fit costs about half as much as the op itself (a product of a
@@ -66,7 +66,9 @@ which takes several times as long on a 0-d array.  Constants and scalars
 that a block function derives itself, such as lam/mu in :func:`update_E` and
 sqrt(C) in :func:`constraint_residuals`, stay plain: each enters a few ops
 per iteration, building a 0-d array per call costs about what it saves, and
-arithmetic between scalars is faster on plain ones.
+arithmetic between scalars is faster on plain ones.  p stays a Python float
+too, because :func:`primal_objective` picks its power kernel by comparing p
+with 2, 1.5 and 1, which is slower on a 0-d array.
 
 The bias needs the mean of y - E - X^T P - Z/mu.  The previous iteration's
 slack gap already formed E - y + X^T P before adding its bias, and
@@ -127,7 +129,7 @@ from scipy.linalg import get_lapack_funcs
 
 from .datasets import _dense
 from .diversity import DiversityReport, _l12_penalty, diversity_report
-from .model import EnsembleModel
+from .model import EnsembleModel, _power_in_place
 
 MU_INIT = 1.0  # starting penalty mu
 MU_CAP = 1e10  # mu stops growing here, so late-iteration arithmetic stays well conditioned
@@ -516,6 +518,11 @@ def primal_objective(W: np.ndarray, b: np.ndarray | float, XtW: np.ndarray, Y: n
     M-vector or an M x C block, counts ``multiplicity`` times (once by
     default): 0.5 * sum_j (m sum_c |W[j,c]|)^2 + lam * m sum_c loss_c.
 
+    The hinge is powered by :func:`xrm.model._power_in_place`, chosen from
+    the Python float p: squared at p = 2, multiplied by its square root at
+    p = 1.5 (within two units in the last place of ``pow``), left as it is
+    at p = 1 and raised by ``pow`` at any other p.
+
     The penalty is that of :func:`xrm.diversity.exclusivity_regularizer`
     without its finiteness check: :func:`train` calls this only on finite
     blocks.  A 1-D W is one column, whose rows each hold one entry."""
@@ -523,7 +530,7 @@ def primal_objective(W: np.ndarray, b: np.ndarray | float, XtW: np.ndarray, Y: n
     margins *= Y
     np.subtract(1.0, margins, out=margins)
     np.maximum(margins, 0.0, out=margins)
-    margins **= p
+    _power_in_place(margins, p)
     margins *= multiplicity
     loss = float(np.add.reduce(margins, axis=None))
     if W.ndim == 1:  # one column: _l12_penalty of the M x 1 view, without its row sums
@@ -589,10 +596,10 @@ def train(data, config: SolverConfig = SolverConfig()) -> tuple[EnsembleModel, T
     QZ[:N] = X.T.dot(QZ[N:N + M])
     G = np.empty(2 * N + M)  # written whole by constraint_gaps each iteration
     slack_base = -y  # E - y + X^T P for the starting E and P
-    # The scalar operands of vector ops as read-only 0-d arrays: C and p for
-    # the fit, and mu, mu + C, the shrink and b, which each iteration writes
+    # The scalar operands of vector ops as read-only 0-d arrays: C for the
+    # fit, and mu, mu + C, the shrink and b, which each iteration writes
     # into ``scalars``.
-    C_op, power_op = _read_only_scalars(np.array([C, power], dtype=float))
+    [C_op] = _read_only_scalars(np.array([C], dtype=float))
     scalars = np.empty(4)
     mu_op, mu_C_op, shrink_op, b_op = _read_only_scalars(scalars)
     previous_objective = None
@@ -644,7 +651,7 @@ def train(data, config: SolverConfig = SolverConfig()) -> tuple[EnsembleModel, T
             block = _first_non_finite((("W", WX), ("b", b), ("E", E), ("P", PX),
                                        ("Z", QZ[N + M:]), ("Q", QZ[:N + M])))
         if block is None:
-            objective = primal_objective(WX[N:], b_op, WX[:N], y, lam, power_op, C_op)
+            objective = primal_objective(WX[N:], b_op, WX[:N], y, lam, power, C_op)
             if not math.isfinite(objective):
                 block = "objective"
         if block is not None:

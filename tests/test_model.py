@@ -14,6 +14,7 @@ from conftest import make_blobs
 from xrm import DataSet, Scaler
 from xrm.model import (
     EnsembleModel,
+    _power_in_place,
     average_component_loss,
     decision_values,
     ensemble_loss,
@@ -135,6 +136,35 @@ class TestLosses:
                 assert ensemble_loss(mid, data) <= 0.5 * (
                     ensemble_loss(left, data) + ensemble_loss(right, data)
                 ) + 1e-9
+
+
+class TestPowerKernel:
+    # Zeros of both signs, the smallest subnormal, a power that underflows
+    # and one that overflows at p > 1.5.
+    EDGES = [0.0, -0.0, 5e-324, 1e-300, 1e200]
+
+    @settings(max_examples=60, deadline=None)
+    @given(hnp.arrays(np.float64, st.integers(0, 40),
+                      elements=st.floats(0.0, 3e205)))  # x**1.5 overflows above 3.18e205
+    def test_matches_pow(self, drawn):
+        hinge = np.concatenate((drawn, self.EDGES))
+        with np.errstate(over="ignore"):
+            for p in (1.0, 1.25, 2.0, 3.0):
+                powered = hinge.copy()
+                assert _power_in_place(powered, p) is powered
+                assert powered.tobytes() == (hinge ** p).tobytes(), p
+            expected = hinge ** 1.5
+        powered = hinge.copy()
+        assert _power_in_place(powered, 1.5) is powered
+        # Two correctly rounded operations, sqrt and the product, stay
+        # within two units in the last place of pow.
+        assert np.all(np.abs(powered - expected) <= 2.0 * np.spacing(expected))
+
+    def test_overflow_gives_inf_as_pow(self):
+        hinge = np.array([3.2e205, 1e206])
+        with np.errstate(over="ignore"):
+            assert np.all(hinge ** 1.5 == np.inf)
+            assert np.all(_power_in_place(hinge.copy(), 1.5) == np.inf)
 
 
 def _columns_with_repeats(rng, M, C):

@@ -755,6 +755,21 @@ class TestPrimalObjective:
                 assert _objective(W, b, data, lam, p, m) == pytest.approx(expected, rel=1e-14)
                 assert _objective(W, b, data, lam, p, 1) == _objective(W, b, data, lam, p)
 
+    @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "csc"])
+    @pytest.mark.parametrize("components", [1, 5])
+    @pytest.mark.parametrize("power", [1.0, 1.5, 2.0])
+    @pytest.mark.parametrize("shape", [(40, 5), (12, 30)], ids=["features", "instances"])
+    def test_last_objective_matches_oracle(self, shape, power, components, sparse):
+        # The last traced objective, from the carried X^T W and the solver's
+        # power kernel, against the oracle's direct product and hinge**p.
+        N, M = shape
+        data = make_blobs(N, M, seed=int(4 * power) + components)
+        fitted = DataSet(X=csc_array(data.X), y=data.y) if sparse else data
+        config = SolverConfig(components=components, loss_power=power)
+        model, report = train(fitted, config)
+        expected = oracles.joint_objective(model.W, model.b, data, config.lam, power)
+        assert report.objective_trace[-1] == pytest.approx(expected, rel=1e-10, abs=0.0)
+
 
 class TestResiduals:
     def test_feasible(self):

@@ -1,10 +1,12 @@
-"""Train a fixed grid of small fits and print one SHA-256 over their results.
+"""Train a fixed grid of small fits and print SHA-256 digests of their results.
 
 The grid covers both Gram sides (20 x 60 and 80 x 30 features x instances),
 X stored dense and as a CSC array, p in {1, 1.25, 1.5, 2} and C in {1, 5, 30}.
-The digest covers every fit's W, b, objective trace and residual trace, so
-two versions of the solver print the same digest only when they fit the
-grid bit for bit.  Run from the repository root:
+The first line's digest covers every fit's W, b, objective trace and
+residual trace, so two versions of the solver print the same digest only
+when they fit the grid bit for bit.  One line per p follows, with the digest
+of that p's fits alone, so a change confined to one power shows which p
+moved.  Run from the repository root:
 
     PYTHONPATH=src python tools/fit_hash.py
 """
@@ -26,15 +28,21 @@ def sparse_text(M, N, seed):
     return "\n".join(lines) + f"\n+1 {M}:0.5\n-1 1:0.5\n"
 
 
+POWERS = (1.0, 1.25, 1.5, 2.0)
 digest, fits = hashlib.sha256(), 0
+power_digests = {p: hashlib.sha256() for p in POWERS}
 for M, N in ((20, 60), (80, 30)):
     csc = parse_sparse_text(sparse_text(M, N, seed=M))
     for data in (csc, DataSet(X=csc.X.toarray(), y=csc.y)):
-        for p in (1.0, 1.25, 1.5, 2.0):
+        for p in POWERS:
             for C in (1, 5, 30):
                 model, report = train(data, SolverConfig(components=C, loss_power=p))
                 for part in (model.W.tobytes(), model.b.tobytes(),
                              repr(report.objective_trace), repr(report.residual_trace)):
-                    digest.update(part if isinstance(part, bytes) else part.encode())
+                    part = part if isinstance(part, bytes) else part.encode()
+                    digest.update(part)
+                    power_digests[p].update(part)
                 fits += 1
 print(f"fits {fits} sha256 {digest.hexdigest()}")
+for p, power_digest in power_digests.items():
+    print(f"p {p} fits {fits // len(POWERS)} sha256 {power_digest.hexdigest()}")
