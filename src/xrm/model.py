@@ -11,10 +11,10 @@ it.  Every loss here is taken at the model's own power ``p``; to evaluate
 another power q, pass ``dataclasses.replace(model, p=q)``.
 
 The hinge is powered in place (:func:`_power_in_place`, which
-:func:`xrm.solver.primal_objective` shares): squared at p = 2, left as it is
-at p = 1, and at p = 1.5 multiplied by its square root, which takes about
-half the time of ``pow`` and stays within two units in the last place of it
-(within one on every sample measured).  Any other p uses ``pow``.
+:func:`xrm.solver.primal_objective` shares): at p = 1.5 it is multiplied by
+its square root, which takes about half the time of ``pow`` and stays within
+two units in the last place of it (within one on every sample measured).
+Any other p uses ``pow``.
 
 Evaluation multiplies a sparse (CSC) feature matrix as it is stored, without
 a dense copy.
@@ -115,15 +115,12 @@ def predict_all(model: EnsembleModel, X) -> np.ndarray:
 
 def _power_in_place(hinge: np.ndarray, p: float) -> np.ndarray:
     """Raise the non-negative array ``hinge`` to the power p in place and
-    return it, by the kernel that the Python float p selects: p = 2 squares,
-    p = 1.5 multiplies by the square root, p = 1 leaves it as it is and any
-    other p takes ``hinge **= p``.  Only p = 1.5 can differ from
-    ``hinge ** p``, by at most two units in the last place."""
-    if p == 2:
-        np.square(hinge, out=hinge)
-    elif p == 1.5:
+    return it: at p = 1.5 by multiplying it by its square root, which stays
+    within two units in the last place of ``hinge ** 1.5``, and at any other
+    p by ``hinge **= p``."""
+    if p == 1.5:
         hinge *= np.sqrt(hinge)
-    elif p != 1:
+    else:
         hinge **= p
     return hinge
 

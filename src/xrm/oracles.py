@@ -4,9 +4,9 @@ Nothing here shares formulas with the solver module: the joint objective is
 re-derived locally, the scalar slack problem is brute-forced on a grid, and
 the per-row weight problem is minimized by coordinate-wise golden-section
 search.  These are deliberately slow and simple.  The joint objective keeps
-``hinge**p`` at every p on purpose, where the solver squares at p = 2 and
-multiplies by the square root at p = 1.5, so the two agree only if both
-power the hinge correctly.
+``hinge**p`` at every p on purpose, where the solver multiplies the hinge
+by its square root at p = 1.5, so the two agree only if both power the hinge
+correctly.
 """
 
 from __future__ import annotations

@@ -68,7 +68,7 @@ sqrt(C) in :func:`constraint_residuals`, stay plain: each enters a few ops
 per iteration, building a 0-d array per call costs about what it saves, and
 arithmetic between scalars is faster on plain ones.  p stays a Python float
 too, because :func:`primal_objective` picks its power kernel by comparing p
-with 2, 1.5 and 1, which is slower on a 0-d array.
+with 1.5, which is slower on a 0-d array.
 
 The bias needs the mean of y - E - X^T P - Z/mu.  The previous iteration's
 slack gap already formed E - y + X^T P before adding its bias, and
@@ -518,10 +518,9 @@ def primal_objective(W: np.ndarray, b: np.ndarray | float, XtW: np.ndarray, Y: n
     M-vector or an M x C block, counts ``multiplicity`` times (once by
     default): 0.5 * sum_j (m sum_c |W[j,c]|)^2 + lam * m sum_c loss_c.
 
-    The hinge is powered by :func:`xrm.model._power_in_place`, chosen from
-    the Python float p: squared at p = 2, multiplied by its square root at
-    p = 1.5 (within two units in the last place of ``pow``), left as it is
-    at p = 1 and raised by ``pow`` at any other p.
+    The hinge is powered by :func:`xrm.model._power_in_place`: multiplied
+    by its square root at p = 1.5 (within two units in the last place of
+    ``pow``) and raised by ``pow`` at any other p.
 
     The penalty is that of :func:`xrm.diversity.exclusivity_regularizer`
     without its finiteness check: :func:`train` calls this only on finite
