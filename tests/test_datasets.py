@@ -690,6 +690,7 @@ class TestParseMatchesReference:
     @example(case=("+1 1:1\u20282:1\n-1 3:1\x0c4:1\n", False))  # no line breaks
     @example(case=("+1 1:1\r-1 2:1\n", True))  # a stream breaks lines at a carriage return
     @example(case=("+1 +3:\uff13 1_0:1_0.5\n-1 \uff11\uff12:-0.0\n", False))
+    @example(case=("+1 01:1 0010:2.5\n-1 3:1 12:0\n", True))  # leading zeros, read from bytes
     def test_valid_input_matches(self, case):
         got, expected = _outcomes(*case)
         assert got == expected
@@ -708,6 +709,7 @@ class TestParseMatchesReference:
     @example(case=("+1 1:1 3\n-1 0:1", False))  # the first defect wins
     @example(case=("+1 2:1 1:1:1\n", False))  # a second colon, also decreasing
     @example(case=("+1 1:1 99999999999999999999:1 5:1\n", False))
+    @example(case=("+1 1:1 9999999999999999999:1\n", False))  # 19 digits, read by int()
     @example(case=("x 1:1\n", False))
     @example(case=("+1 1:1\n-1 2:1\nnan 1:1\n", False))  # a label that is not finite
     @example(case=("+1 -0:1\n", False))  # an index below 1
@@ -720,6 +722,32 @@ class TestParseMatchesReference:
         got, expected = _outcomes(*case)
         assert got == expected
         assert isinstance(got[0], type)
+
+    @pytest.mark.parametrize("spelling", ["+12", "012", "1_2", "\uff11\uff12"])
+    def test_index_spellings_match_ascii_digits(self, monkeypatch, spelling):
+        # Index texts of 1 to 18 ASCII digits are read from the text's bytes;
+        # any other spelling sends every index text through int().  Both
+        # give the same CSC arrays and labels.
+        plain = "+1 1:0.5 12:-2 30:1\n-1 3:1 12:4 29:0\n"
+        spelled = plain.replace(" 12:-2", f" {spelling}:-2")
+        by_int = []
+        convert = datasets._convert
+
+        def recording(function, texts):
+            by_int.append(function is int)
+            return convert(function, texts)
+
+        monkeypatch.setattr(datasets, "_convert", recording)
+        expected = parse_sparse_text(plain)
+        assert not any(by_int)
+        got = parse_sparse_text(spelled)
+        assert any(by_int) is not (spelling.isascii() and spelling.isdigit())
+        assert isinstance(got.X, csc_array) and isinstance(expected.X, csc_array)
+        assert got.X.shape == expected.X.shape
+        for name in ("data", "indices", "indptr"):
+            assert getattr(got.X, name).dtype == getattr(expected.X, name).dtype
+            assert getattr(got.X, name).tobytes() == getattr(expected.X, name).tobytes()
+        assert got.y.tobytes() == expected.y.tobytes()
 
     @settings(max_examples=25, deadline=None)
     @given(lines=_pooled_lines(), as_stream=st.booleans())

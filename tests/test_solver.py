@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from dataclasses import fields
 
 import hypothesis.extra.numpy as hnp
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.blas import dtrsv
 from scipy.sparse import csc_array
 
 from conftest import make_blobs, make_gram_overflow, make_ill_scaled, random_instance
@@ -587,12 +589,14 @@ class TestFactorGram:
 
     @pytest.mark.parametrize("shape", [(5, 40), (30, 12)], ids=["features", "instances"])
     def test_bound_solve_equals_cho_solve(self, shape):
-        # The solve calls LAPACK potrs directly, overwriting the right-hand
-        # side that it forms in the caller's buffer; cho_solve on the same
-        # factor, which copies a fresh right-hand side, gives the same bits
-        # on both sides, for 1-D vectors, one column, and three columns that
-        # potrs returns as a copy.  On the instances side X^T P is the
-        # solution s of the N x N system itself.
+        # The features side calls LAPACK potrs directly, overwriting the
+        # right-hand side that it forms in the caller's buffer; cho_solve on
+        # the same factor, which copies a fresh right-hand side, gives the
+        # same bits, for 1-D vectors, one column, and three columns that
+        # potrs returns as a copy.  The instances side solves
+        # z = (I + K)^-1 (X^T W - X^T Q/mu - u) by two BLAS triangular
+        # solves with the same factor, one column at a time, and returns
+        # X^T P = u + z and P = W - Q/mu - X z.
         M, N = shape
         for width in ((), (1,), (3,)):
             rng = np.random.default_rng(M)
@@ -608,11 +612,50 @@ class TestFactorGram:
                 expected = cho_solve(cho_factor(np.eye(M) + X @ X.T), W - Q / mu + X @ u)
                 Xt_expected = X.T @ expected
             else:
-                K = X.T @ X
-                s = cho_solve(cho_factor(np.eye(N) + K), XtW - XtQ / mu + K @ u)
-                expected, Xt_expected = W - Q / mu + X @ (u - s), s
+                factor, _ = cho_factor(np.eye(N) + X.T @ X)
+                z = XtW - XtQ / mu - u
+                for column in z.reshape(N, -1).T:
+                    column[...] = dtrsv(factor, dtrsv(factor, column.copy(), trans=1))
+                expected, Xt_expected = W - Q / mu - X @ z, u + z
             np.testing.assert_array_equal(got, expected)
             np.testing.assert_array_equal(Xt_got, Xt_expected)
+
+    def test_instances_block_solves_each_column_as_a_vector(self):
+        # On the instances side a 3-column block solves to the bits of the
+        # 1-D solve of each of its columns, because the triangular solves run
+        # column by column: X^T P = u + z has the same bits.  P adds the
+        # product X z, which BLAS may round apart on a block and a vector.
+        M, N = 30, 12
+        rng = np.random.default_rng(N)
+        X = rng.normal(size=(M, N))
+        W, Q, u = rng.normal(size=(M, 3)), rng.normal(size=(M, 3)), rng.normal(size=(N, 3))
+        solve = solver.factor_gram(X)
+        WX, over_mu = _solve_operands(X, W, Q, 1.7)
+        block = solve(WX, over_mu, u, np.empty_like(WX))
+        for c in range(3):
+            operands = (WX[:, c].copy(), over_mu[:, c].copy(), u[:, c].copy())
+            column = solve(*operands, np.empty(N + M))
+            np.testing.assert_array_equal(block[:N, c], column[:N])
+            np.testing.assert_allclose(block[N:, c], column[N:], rtol=1e-13, atol=1e-15)
+
+    def test_instances_side_keeps_the_factor_alone(self):
+        # The solve reads the N x N factor of I + X^T X and no copy of
+        # X^T X, so the returned closure holds about N^2 * 8 bytes, not twice
+        # that.
+        M, N = 400, 200
+        X = np.random.default_rng(5).normal(size=(M, N))
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            solve = solver.factor_gram(X)
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            if started:
+                tracemalloc.stop()
+        assert N * N * 8 <= kept < 1.5 * N * N * 8
+        del solve
 
     @pytest.mark.parametrize("shape", [(5, 40), (30, 12)], ids=["features", "instances"])
     def test_csc_solve_matches_dense_solve(self, shape):
@@ -1071,9 +1114,9 @@ class TestTrain:
         assert len(transposes) == 2
 
     def test_one_product_per_iteration_on_instances_side(self):
-        # With M > N the P update reads X once, in X (u - s), and gets X^T P
-        # from the kept X^T X; forming I + X^T X and the starting X^T Q are
-        # the two products outside the loop.
+        # With M > N the P update reads X once, in X z, and gets X^T P as
+        # u + z from the N x N solve; forming I + X^T X and the starting X^T Q
+        # are the two products outside the loop.
         products, report, _ = _count_products_with_x(make_blobs(12, 30, seed=3),
                                                   SolverConfig(components=3))
         assert report.gram_side == "instances"

@@ -6,7 +6,10 @@ The first line's digest covers every fit's W, b, objective trace and
 residual trace, so two versions of the solver print the same digest only
 when they fit the grid bit for bit.  One line per p follows, with the digest
 of that p's fits alone, so a change confined to one power shows which p
-moved.  Run from the repository root:
+moved.  Two lines, one per Gram side, follow with the digests of the 20 x 60
+fits (the features side) and of the 80 x 30 fits (the instances side), so a
+change confined to one side's solve shows which side moved.  Run from the
+repository root:
 
     PYTHONPATH=src python tools/fit_hash.py
 """
@@ -31,7 +34,9 @@ def sparse_text(M, N, seed):
 POWERS = (1.0, 1.25, 1.5, 2.0)
 digest, fits = hashlib.sha256(), 0
 power_digests = {p: hashlib.sha256() for p in POWERS}
-for M, N in ((20, 60), (80, 30)):
+SIDES = {(20, 60): "features", (80, 30): "instances"}
+side_digests = {side: hashlib.sha256() for side in SIDES.values()}
+for (M, N), side in SIDES.items():
     csc = parse_sparse_text(sparse_text(M, N, seed=M))
     for data in (csc, DataSet(X=csc.X.toarray(), y=csc.y)):
         for p in POWERS:
@@ -42,7 +47,10 @@ for M, N in ((20, 60), (80, 30)):
                     part = part if isinstance(part, bytes) else part.encode()
                     digest.update(part)
                     power_digests[p].update(part)
+                    side_digests[side].update(part)
                 fits += 1
 print(f"fits {fits} sha256 {digest.hexdigest()}")
 for p, power_digest in power_digests.items():
     print(f"p {p} fits {fits // len(POWERS)} sha256 {power_digest.hexdigest()}")
+for side, side_digest in side_digests.items():
+    print(f"{side} fits {fits // len(SIDES)} sha256 {side_digest.hexdigest()}")
