@@ -249,7 +249,10 @@ def _raise_first_defect(label_tokens, entry_texts, line_numbers) -> NoReturn:
 def _convert(convert, texts: list) -> list:
     """``list(map(convert, texts))``, converting each distinct text once when
     a sample says that the texts repeat enough for that to pay (the rule is
-    in :func:`parse_sparse_text`)."""
+    in :func:`parse_sparse_text`).  ``convert`` must be a pure function of a
+    hashable item: ``float()`` or ``int()`` on the texts of a parse, and
+    also ``repr`` on floats and a format on indices when
+    :func:`format_sparse_text` writes them."""
     # k -> how many sampled texts occur k times in the sample
     occurrences = Counter(Counter(texts[::_SAMPLE_STRIDE]).values())
     once, twice = occurrences[1], occurrences[2]
@@ -323,10 +326,13 @@ def parse_sparse_text(source) -> DataSet:
     same number, leading zeros included.  Any other index text (a sign,
     ``_``, non-ASCII digits, 19 digits or more, or one that is not a number)
     sends all the index texts through the conversion above, so its reading
-    and its errors are ``int()``'s.  On the 39928 indices of a ``wide``
-    benchmark file the bytes took 0.6-1.0 ms against 3.1-4.9 ms for
-    ``int()`` and the array, and the whole parse of the file 11.4-11.7 ms
-    against 14.7-15.0 ms (2-core VM, one thread, interleaved runs).
+    and its errors are ``int()``'s.  When the bytes are read, the value
+    texts are split from the bytes left once each token's index digits and
+    colon are dropped, so no index text is built as a string.  On the 39928
+    indices of a ``wide`` benchmark file the bytes took 0.6-1.0 ms against
+    3.1-4.9 ms for ``int()`` and the array, and the whole parse of the file
+    11.4-11.7 ms against 14.7-15.0 ms (2-core VM, one thread, interleaved
+    runs).
 
     X is stored as a ``scipy.sparse.csc_array``, one column per instance and
     every written entry kept (``k:0`` too), when the nnz entries of the N
@@ -373,14 +379,27 @@ def parse_sparse_text(source) -> DataSet:
                 or np.any(code[spaces] != ord(" "))):
             raise ValueError("a token does not hold exactly one colon")
         del cuts
-        index = _ascii_indices(code, np.concatenate(([0], spaces + 1)), colons)
-        del code, colons, spaces
-        parts = joined.replace(" ", ":").split(":")
-        index_texts, value_texts = parts[0::2], parts[1::2]
-        del parts, joined  # the texts are most of a parse's memory: free each once read
+        starts = np.concatenate(([0], spaces + 1))
+        index = _ascii_indices(code, starts, colons)
         if index is None:
+            del code, colons, spaces, starts
+            parts = joined.replace(" ", ":").split(":")
+            del joined  # the texts are most of a parse's memory: free each once read
+            index_texts, value_texts = parts[0::2], parts[1::2]
+            del parts
             index = _convert(int, index_texts)
-        del index_texts
+            del index_texts
+        else:
+            del joined
+            # Drop each token's index digits and colon, which leaves the value
+            # texts joined by the spaces between the tokens.
+            lengths = colons - starts
+            kept = np.ones(code.size, dtype=bool)
+            for j in range(lengths.max() + 1):
+                kept[colons[lengths >= j] - j] = False
+            del colons, spaces, starts, lengths
+            value_texts = code[kept].tobytes().decode("utf-8", "surrogatepass").split(" ")
+            del code, kept
         values = np.array(_convert(float, value_texts))
         del value_texts
         try:
@@ -422,24 +441,37 @@ def format_sparse_text(data: DataSet) -> str:
     feature index is pinned with an explicit ``M:0.0`` entry on the first
     line when it would otherwise vanish, so parse/format round-trips preserve
     the matrix shape.  A CSC set and its dense copy give the same text.
+
+    Each value's text is ``repr`` of its float and each entry's `` j:`` is
+    formatted from its index, both through :func:`_convert`: when a set's
+    values or indices repeat, each distinct one is formatted once, by the
+    rule that :func:`parse_sparse_text` uses for texts, and every entry
+    takes its text from a table.  Written values are nonzero and finite,
+    and distinct such floats have distinct ``repr`` texts, so the rule
+    changes no byte.  Labels and entry texts are laid out in one token
+    array and joined once; the work grows with the entries and instances
+    written, not with M.
     """
-    M, X = data.feature_count, data.X
-    if isinstance(X, np.ndarray):
-        instance, feature = np.nonzero(X.T)  # instance-major, as the lines run
+    M, N, X = data.feature_count, data.instance_count, data.X
+    if isinstance(X, np.ndarray):  # instance-major, as the lines run
+        instance, feature = np.divmod(np.flatnonzero(X.T != 0.0), M)
         values = X[feature, instance]
     else:  # the stored entries in column order, which is instance-major, without zeros
         entries = X.tocoo()
         written = entries.data != 0.0
         instance, feature = entries.col[written], entries.row[written]
         values = entries.data[written]
-    entries = np.array(list(map(" {}:{!r}".format, (feature + 1).tolist(), values.tolist())),
-                       dtype=object)
-    starts = np.searchsorted(instance, np.arange(data.instance_count))
-    # Each label opens its line; the newline before the first one is dropped.
-    tokens = np.insert(entries, starts, np.where(data.y > 0, "\n+1", "\n-1").astype(object))
+    # Line i is its label, then two tokens, " j:" and the value, per entry:
+    # the label sits after the i labels and the entries of the lines before
+    # it, and entry k of line i at i + 1 + 2k.
+    label_at = np.arange(N) + 2 * np.searchsorted(instance, np.arange(N))
+    head_at = instance + 1 + 2 * np.arange(values.size)
+    tokens = np.empty(N + 2 * values.size, dtype=object)
+    tokens[label_at] = np.where(data.y > 0, "\n+1", "\n-1")  # the first newline is dropped
+    tokens[head_at] = _convert(" {}:".format, (feature + 1).tolist())
+    tokens[head_at + 1] = _convert(repr, values.tolist())
     if feature.size == 0 or feature.max() + 1 < M:
-        first_line_end = starts[1] if data.instance_count > 1 else entries.size  # its last token
-        tokens[first_line_end] += f" {M}:0.0"
+        tokens[(label_at[1] if N > 1 else tokens.size) - 1] += f" {M}:0.0"  # the first line's end
     return "".join(tokens.tolist())[1:] + "\n"
 
 

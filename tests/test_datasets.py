@@ -776,6 +776,29 @@ _FORMAT_VALUES = st.one_of(
 )
 
 
+# The extremes of the float range and a few plain values: formatting a set
+# drawn from them formats each distinct value once.
+_POOLED_FLOATS = [5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308, 1e-300,
+                  0.5, -3.0, 0.1]
+
+
+def _format_recording_reprs(monkeypatch, data) -> tuple[str, int]:
+    """``format_sparse_text(data)``, and how many floats it passes to
+    ``repr`` through ``datasets._convert``."""
+    calls = []
+    convert = datasets._convert
+
+    def recording(function, items):
+        if function is repr:
+            return convert(lambda value: calls.append(value) or repr(value), items)
+        return convert(function, items)
+
+    monkeypatch.setattr(datasets, "_convert", recording)
+    text = format_sparse_text(data)
+    monkeypatch.undo()
+    return text, len(calls)
+
+
 class TestFormatMatchesReference:
     @settings(max_examples=300, deadline=None)
     @given(X=hnp.arrays(np.float64, st.tuples(st.integers(1, 6), st.integers(1, 6)),
@@ -787,6 +810,11 @@ class TestFormatMatchesReference:
     @example(X=np.array([[5e-324]]), positive=[False] * 6)  # M = 1, N = 1
     @example(X=np.array([[1.7976931348623157e308, 0.0, -1.7976931348623157e308]]),
              positive=[True] * 6)
+    @example(X=np.array([[1.0, 0.0, 2.0], [0.0, 0.0, 3.0]]),
+             positive=[True, False, True] * 2)  # a line with no entries between two with some
+    @example(X=np.array([[1.5], [0.0], [0.0]]), positive=[False] * 6)  # the pin on the only line
+    @example(X=np.array([[0.0, 0.0, -2.5], [0.0, 0.0, 0.0]]),
+             positive=[True, False, False] * 2)  # entries in the last line only; the pin
     def test_matches_reference_and_round_trips(self, X, positive):
         data = DataSet(X=X, y=np.where(positive[: X.shape[1]], 1.0, -1.0))
         text = format_sparse_text(data)
@@ -796,6 +824,29 @@ class TestFormatMatchesReference:
         # -0.0 is not written, so it reads back as 0.0; every other bit survives
         assert _dense(again.X).tobytes() == (data.X + 0.0).tobytes()
         assert again.y.tobytes() == data.y.tobytes()
+
+
+    @pytest.mark.parametrize("pooled", [True, False])
+    def test_repeated_values_are_formatted_once(self, monkeypatch, pooled):
+        # A few thousand entries drawn from a pool that holds the extremes of
+        # the float range, or all distinct, with stored 0.0 and -0.0 in CSC X.
+        rng = np.random.default_rng(5)
+        M, N = 30, 400
+        drawn = (rng.choice(_POOLED_FLOATS, size=(M, N)) if pooled
+                 else rng.uniform(1.0, 2.0, size=(M, N)))
+        X = np.where(rng.random((M, N)) < 0.3, drawn, 0.0)
+        X[-1] = 0.0  # the M:0.0 pin
+        y = np.where(np.arange(N) % 3, 1.0, -1.0)
+        zeros = [(r, c, rng.choice([0.0, -0.0])) for r, c in np.argwhere(X == 0.0)[::7]]
+        sparse_set = _csc_set(X, y, zeros)
+        dense_set = DataSet(X=_dense(sparse_set.X), y=y)
+        written = X[X != 0.0].tolist()
+        expected = _reference_format(dense_set)
+        for data in (dense_set, sparse_set):
+            text, reprs = _format_recording_reprs(monkeypatch, data)
+            assert text == expected
+            assert reprs == (len(set(written)) if pooled else len(written))
+        assert pooled is (len(set(written)) < 10 < len(written))
 
 
 def _csc_set(X, y, zeros=()) -> DataSet:
@@ -885,6 +936,13 @@ class TestSparseSets:
         # -0.0 and stored zeros are not written, so they read back as 0.0
         assert _dense(again.X).tobytes() == (dense.X + 0.0).tobytes()
         assert format_sparse_text(again) == text
+
+    def test_format_cost_follows_the_entries_not_the_feature_count(self):
+        data = DataSet(X=csc_array(([0.5, -2.0], [2, 6], [0, 1, 2]), shape=(10**6, 2)),
+                       y=[1.0, -1.0])
+        peak, text = _peak_bytes(lambda: format_sparse_text(data))
+        assert text == "+1 3:0.5 1000000:0.0\n-1 7:-2.0\n"
+        assert peak < 100_000  # a text for each of the 10^6 features would take 50 MB
 
     def test_save_writes_the_bytes_of_the_dense_copy(self, tmp_path):
         sparse_set = _csc_set([[0.0, 2.5, 0.0], [1e-300, 0.0, 0.0], [0.0, 0.0, 0.0]],
