@@ -6,26 +6,11 @@ per line::
     <label> <index>:<value> <index>:<value> ...
 
 Labels are finite numbers of two values; indices are integers of at least 1
-that strictly increase along a line; values are finite floats.  Tokens are
-read exactly as ``int()`` and ``float()`` read them.  Blank lines are skipped,
-and lines are counted at ``\\n`` (a file read in text mode also ends lines at
-``\\r\\n`` and ``\\r``); :func:`load_dataset` ignores a leading UTF-8
-byte-order mark.  A parse splits each line into tokens, then converts and
-checks all tokens in whole-input passes that only accept or reject the input.
-Labels, indices or values whose texts repeat, such as term counts, are
-converted once per distinct text by a measured rule (see
-:func:`parse_sparse_text`); no result depends on the rule.  Rejected input
-is read again token by token, in line order, to report its first defect
-with its line number.  :func:`format_sparse_text` writes nonzero
-entries as shortest round-trip floats and pins the feature count with
-``M:0.0`` when the last feature is all zero.
-
-Instances are the columns of the M x N feature matrix X, and labels live in
-{-1, +1}.  X is a dense ndarray, or a ``scipy.sparse.csc_array`` (one column
-per instance) for sparse text whose density is below 27%; see
-:func:`parse_sparse_text`.  Sets built from an ndarray stay dense.  Code that
-needs X dense, such as standardization, copies a sparse X with
-:func:`_dense`.  ``scipy.sparse`` is imported only when a sparse set is built.
+that strictly increase along a line; values are finite floats, read as
+``int()`` and ``float()`` read them.  Instances are the columns of the M x N
+feature matrix X, a dense ndarray or, for sparse text, a
+``scipy.sparse.csc_array``; labels live in {-1, +1}.  ``scipy.sparse`` is
+imported only when a sparse set is built.
 """
 
 from __future__ import annotations
@@ -43,9 +28,9 @@ _SPLIT_RETRIES = 64
 # A parse stores X as CSC when its entries fill less than this percentage of
 # the M x N matrix (see parse_sparse_text).
 _CSC_DENSITY_PCT = 27
-# A parse converts each distinct label, index or value text once, instead of
-# every token, when a sample of every _SAMPLE_STRIDE-th text estimates that
-# fewer than this percentage of the texts are distinct (see parse_sparse_text).
+# _convert converts each distinct text once when a sample of every
+# _SAMPLE_STRIDE-th text estimates that fewer than this percentage of the
+# texts are distinct.
 _DISTINCT_PCT = 10
 _SAMPLE_STRIDE = 64
 # A parse reads index texts of at most this many ASCII digits from their bytes
@@ -116,17 +101,10 @@ def _dense(X, purpose: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DataSet:
-    """A binary classification dataset.
-
-    Attributes
-    ----------
-    X : ndarray or scipy.sparse.csc_array of shape (feature_count, instance_count)
-        Feature matrix; instances are columns.  A scipy.sparse X is stored as
-        a CSC array in canonical format (sorted row indices, no duplicates),
-        anything else as a dense ndarray.
-    y : ndarray of shape (instance_count,)
-        Labels in {-1.0, +1.0}.
-    """
+    """A binary classification dataset: the feature_count x instance_count
+    matrix X, a dense ndarray or, when given as scipy.sparse, a canonical
+    CSC array (sorted row indices, no duplicates), and the labels y in
+    {-1.0, +1.0}, one per instance."""
 
     X: np.ndarray
     y: np.ndarray
@@ -191,12 +169,9 @@ class SplitSpec:
 
 
 def map_labels(raw_labels) -> np.ndarray:
-    """Map a two-valued raw label vector onto {-1, +1}.
-
-    The larger raw value becomes +1 and the smaller -1.  Input already valued
-    in {-1, +1} passes through unchanged (this covers files where only one of
-    the two canonical labels happens to occur).  Non-finite labels raise.
-    """
+    """Map a two-valued raw label vector onto {-1, +1}: the larger value
+    becomes +1.  Input valued in {-1, +1}, even one value only, passes
+    through unchanged.  Non-finite labels raise."""
     raw = np.asarray(raw_labels, dtype=float)
     if not np.all(np.isfinite(raw)):
         raise ValueError("labels must be finite")
@@ -212,12 +187,9 @@ def map_labels(raw_labels) -> np.ndarray:
 
 def _raise_first_defect(label_tokens, entry_texts, line_numbers) -> NoReturn:
     """Raise :class:`SparseFormatError` for the first defect of rejected input,
-    read one label and one ``index:value`` token at a time in line order.
-
-    Input whose tokens hold no defect is rejected for holding no entries: the
-    whole-input checks of :func:`parse_sparse_text` reject nothing else that
-    this reading accepts.
-    """
+    read one token at a time in line order; input whose tokens hold none is
+    rejected for holding no entries, the one other defect the whole-input
+    checks of :func:`parse_sparse_text` find."""
     for label, entries, line_number in zip(label_tokens, entry_texts, line_numbers):
         try:
             number = float(label)
@@ -247,12 +219,13 @@ def _raise_first_defect(label_tokens, entry_texts, line_numbers) -> NoReturn:
 
 
 def _convert(convert, texts: list) -> list:
-    """``list(map(convert, texts))``, converting each distinct text once when
-    a sample says that the texts repeat enough for that to pay (the rule is
-    in :func:`parse_sparse_text`).  ``convert`` must be a pure function of a
-    hashable item: ``float()`` or ``int()`` on the texts of a parse, and
-    also ``repr`` on floats and a format on indices when
-    :func:`format_sparse_text` writes them."""
+    """``list(map(convert, texts))`` for ``float`` or ``int``, converting each
+    distinct text once, through a table, when fewer than 10% of the texts are
+    distinct by Chao's estimate ``d + f1 (f1 - 1) / (2 (f2 + 1))`` from a
+    sample of every 64th text, in which d texts are distinct, f1 of them
+    occur once and f2 twice.  The table hashes every text, so it pays only
+    on texts that repeat; the result and every error are the same either
+    way."""
     # k -> how many sampled texts occur k times in the sample
     occurrences = Counter(Counter(texts[::_SAMPLE_STRIDE]).values())
     once, twice = occurrences[1], occurrences[2]
@@ -288,61 +261,20 @@ def _ascii_indices(code: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np
 def parse_sparse_text(source) -> DataSet:
     """Parse sparse `label index:value` text into a :class:`DataSet`.
 
-    ``source`` may be a string, a text stream, or any iterable of lines; a
-    string is split into lines at ``\\n`` only, as iterating a
-    :class:`io.StringIO` would split it.  The feature count M is the largest
-    index seen anywhere; absent indices are zero.  Labels go through
-    :func:`map_labels`.
+    ``source`` may be a string, split into lines at ``\\n`` only, a text
+    stream, or any iterable of lines; blank lines are skipped.  The feature
+    count M is the largest index seen; absent entries are zero.  Labels go
+    through :func:`map_labels`.  All tokens are converted and checked in
+    whole-input passes that only accept or reject the input; rejected input
+    is then read token by token to name its first defect.  Texts go through
+    :func:`_convert`, except that index texts of 1 to 18 ASCII digits are
+    read with integer arithmetic from the UTF-8 bytes, as ``int()`` reads
+    them; one index text of another spelling sends all of them to ``int()``.
 
-    All tokens are converted and checked in whole-input passes that only
-    accept or reject the input; rejected input is then read token by token
-    to name its first defect.
-
-    The labels, the indices and the values are each converted as one list,
-    every token by ``float()`` or ``int()``, or, when the list's texts
-    repeat, each distinct text once, with every token then looked up in a
-    table of the results.  A list takes the table when fewer than 10% of its
-    texts are distinct by Chao's bias-corrected estimate
-    ``d + f1 (f1 - 1) / (2 (f2 + 1))`` from a sample of every 64th text, in
-    which d texts are distinct, f1 of them occur once and f2 twice.  The
-    rule is measured: on 40k texts drawn evenly from D distinct ones (2-core
-    VM, one thread, three runs), the table broke even with ``map(int)`` at
-    D = 4k to 6k and with ``map(float)`` at D = 12k or more, and on 40k
-    all-distinct texts it took 20-25 ms against 5-6 ms for ``map(int)`` and
-    25-42 ms against 9-21 ms for ``map(float)``, as it hashes every text and
-    converts them in hash order.  The distinct share of the sample itself
-    understates repetition: the indices of a ``wide`` benchmark file sample
-    465 of 624 texts distinct but hold 1999 distinct texts in 39928, which
-    the estimate puts at 1487; and it would send half ``1`` and half
-    distinct texts to the table, which the estimate keeps off it.  ``int()``
-    and ``float()`` are pure functions of the text, so X, y and every error
-    are the same on either path.
-
-    The indices skip ``int()`` when every index text is 1 to 18 ASCII
-    digits, as :func:`format_sparse_text` writes them: their numbers are read
-    with integer arithmetic from the UTF-8 bytes of the entries, at the
-    positions of the colons and spaces that the separator check finds, and
-    no 18-digit number overflows int64.  ``int()`` reads such a text as the
-    same number, leading zeros included.  Any other index text (a sign,
-    ``_``, non-ASCII digits, 19 digits or more, or one that is not a number)
-    sends all the index texts through the conversion above, so its reading
-    and its errors are ``int()``'s.  When the bytes are read, the value
-    texts are split from the bytes left once each token's index digits and
-    colon are dropped, so no index text is built as a string.  On the 39928
-    indices of a ``wide`` benchmark file the bytes took 0.6-1.0 ms against
-    3.1-4.9 ms for ``int()`` and the array, and the whole parse of the file
-    11.4-11.7 ms against 14.7-15.0 ms (2-core VM, one thread, interleaved
-    runs).
-
-    X is stored as a ``scipy.sparse.csc_array``, one column per instance and
-    every written entry kept (``k:0`` too), when the nnz entries of the N
-    lines fill less than 27% of the M x N matrix; otherwise it is a dense
-    ndarray, filled with the same bits.  The rule is measured: at the size of
-    the ``wide`` benchmark (2000 x 400 at 5% density, one BLAS thread) a
-    matrix-vector product took 0.306 ms dense (800k entries) and 0.055 ms on
-    CSC (40k nonzeros), about 0.38 ns per dense entry against 1.4 ns per
-    stored one, so CSC wins below about 27% density.  A CSC parse never fills
-    or checks M x N values, so its size depends on nnz, not on M.
+    X is a CSC array, one column per instance keeping every written entry,
+    when the entries fill less than 27% of the M x N matrix, below which a
+    product with it costs less than a dense one; otherwise a dense ndarray
+    with the same bits.
 
     Raises
     ------
@@ -436,21 +368,15 @@ def parse_sparse_text(source) -> DataSet:
 def format_sparse_text(data: DataSet) -> str:
     """Serialize a dataset back to sparse text.
 
-    Only nonzero entries are written, each value as the shortest text that
-    reads back to the same float, and labels as ``+1``/``-1``.  The highest
-    feature index is pinned with an explicit ``M:0.0`` entry on the first
-    line when it would otherwise vanish, so parse/format round-trips preserve
-    the matrix shape.  A CSC set and its dense copy give the same text.
-
-    Each value's text is ``repr`` of its float and each entry's `` j:`` is
-    formatted from its index, both through :func:`_convert`: when a set's
-    values or indices repeat, each distinct one is formatted once, by the
-    rule that :func:`parse_sparse_text` uses for texts, and every entry
-    takes its text from a table.  Written values are nonzero and finite,
-    and distinct such floats have distinct ``repr`` texts, so the rule
-    changes no byte.  Labels and entry texts are laid out in one token
-    array and joined once; the work grows with the entries and instances
-    written, not with M.
+    Only nonzero entries are written, each value as its ``repr``, the
+    shortest text that reads back to the same float, and labels as
+    ``+1``/``-1``.  The highest feature index is pinned with an explicit
+    ``M:0.0`` entry on the first line when it would otherwise vanish, so
+    parse/format round-trips preserve the matrix shape.  A CSC set and its
+    dense copy give the same text.  Each distinct index and value is
+    formatted once, found by ``np.unique``, which merges no two written
+    values with different ``repr`` texts as they are finite and nonzero.
+    The work grows with the entries and instances written, not with M.
     """
     M, N, X = data.feature_count, data.instance_count, data.X
     if isinstance(X, np.ndarray):  # instance-major, as the lines run
@@ -468,8 +394,10 @@ def format_sparse_text(data: DataSet) -> str:
     head_at = instance + 1 + 2 * np.arange(values.size)
     tokens = np.empty(N + 2 * values.size, dtype=object)
     tokens[label_at] = np.where(data.y > 0, "\n+1", "\n-1")  # the first newline is dropped
-    tokens[head_at] = _convert(" {}:".format, (feature + 1).tolist())
-    tokens[head_at + 1] = _convert(repr, values.tolist())
+    for at, format_one, numbers in ((head_at, " {}:".format, feature + 1),
+                                    (head_at + 1, repr, values)):
+        distinct, inverse = np.unique(numbers, return_inverse=True)
+        tokens[at] = np.array(list(map(format_one, distinct.tolist())), dtype=object)[inverse]
     if feature.size == 0 or feature.max() + 1 < M:
         tokens[(label_at[1] if N > 1 else tokens.size) - 1] += f" {M}:0.0"  # the first line's end
     return "".join(tokens.tolist())[1:] + "\n"
@@ -486,15 +414,10 @@ def save_dataset(data: DataSet, path) -> None:
 
 
 def split(data: DataSet, spec: SplitSpec, trial_index: int) -> tuple[DataSet, DataSet]:
-    """Deterministically split ``data`` for one trial.
-
-    The permutation is a pure function of (spec.seed, trial_index).  The first
-    ``train_size`` permuted instances form the training set; if they happen to
-    contain a single class the permutation is redrawn from the same stream, up
-    to a bounded number of retries.  The two sets skip the checks of
-    :class:`DataSet`: their values are those of ``data``, which passed them.
-    A CSC X is split by its columns, which stay canonical.
-    """
+    """Deterministically split ``data`` for one trial: the first
+    ``train_size`` instances of a permutation that is a pure function of
+    (spec.seed, trial_index), redrawn from the same stream, a bounded number
+    of times, while they hold a single class; the rest form the test set."""
     if not 0 <= trial_index < spec.trials:
         raise ValueError(f"trial_index {trial_index} outside [0, {spec.trials})")
     N = data.instance_count
@@ -567,18 +490,12 @@ def fit_scaler(train: DataSet) -> Scaler:
 
 
 def standardize(train: DataSet, test: DataSet | None = None, *, scaler: Scaler | None = None):
-    """Per-feature z-score fitted on the training set and applied to both sets.
-
-    A given ``scaler`` (for example one saved with a model) is applied instead
-    of fitting one on ``train``.  Returns the transformed training set, or a
-    (train, test) pair when ``test`` is given.  The labels skip the checks of
-    :class:`DataSet`; the features do not, as a value far from the training
-    data, divided by a tiny training scale, can overflow to inf.  Centering
-    fills in every zero, so a sparse X is copied dense first and the result
-    is dense, with the bits of the dense parse's result; a set too large to
-    copy dense raises ValueError naming its shape.  Either set having another
-    feature count than the scaler raises ValueError.
-    """
+    """Per-feature z-score fitted on the training set, or the given
+    ``scaler``, applied to both sets; returns the training set, or a
+    (train, test) pair when ``test`` is given.  The result is dense, with
+    the bits of the dense parse's result.  Raises ValueError when a set has
+    another feature count than the scaler, is too large to copy dense, or
+    transforms to a non-finite value."""
     if scaler is None:
         scaler = fit_scaler(train)
     for data in (train,) if test is None else (train, test):

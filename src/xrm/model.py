@@ -2,35 +2,20 @@
 
 An ensemble holds C linear components (columns of W with biases b) and
 predicts with their uniform average (w_e, b_e).  By convexity of the powered
-hinge, the averaged predictor's loss never exceeds the mean component loss;
-``verify_ensemble_bound`` checks that numerically.  The mean component loss
-is computed once per distinct component and weighted by its count, so the C
-equal columns that ``train`` returns cost as much as one.  A model computes
-its averaged predictor once, when it is built, and every prediction reads
-it.  Every loss here is taken at the model's own power ``p``; to evaluate
-another power q, pass ``dataclasses.replace(model, p=q)``.
-
-The hinge is powered in place (:func:`_power_in_place`, which
-:func:`xrm.solver.primal_objective` shares): at p = 1.5 it is multiplied by
-its square root, which takes about half the time of ``pow`` and stays within
-two units in the last place of it (within one on every sample measured).
-Any other p uses ``pow``.
-
-Evaluation multiplies a sparse (CSC) feature matrix as it is stored, without
-a dense copy.
-
-A model trained on standardized features carries the training
-:class:`~xrm.datasets.Scaler`; prediction here works on features that are
-already transformed, and callers apply ``model.scaler`` first.
+hinge, the averaged predictor's loss never exceeds the mean component loss,
+which ``verify_ensemble_bound`` checks.  The mean component loss and the
+model file take each distinct component once, with its count, so the C
+equal columns that ``train`` returns cost as much as one.  Every loss is
+taken at the model's own ``p``; for another power q, pass
+``dataclasses.replace(model, p=q)``.  Callers apply ``model.scaler``, the
+training :class:`~xrm.datasets.Scaler`, before prediction.
 
 Models are saved as ``xrm-model/3``: the distinct columns of W, each once, as
-a row-major M x U list ``W``, and a list ``column`` of C indices that names
-each component's stored column.  ``b`` keeps all C biases, and a model with
-a scaler adds ``feature_mean`` and ``feature_scale``.  A ``wide`` benchmark
-model (M = 2000, C = 10 equal columns) takes 44 kB instead of the 442 kB of
-one column per component.  Files of the earlier formats still load:
-``xrm-model/1`` (row-major M x C ``W``, no scaler) and ``xrm-model/2``
-(``/1`` plus the scaler keys).
+a row-major M x U list ``W``, a list ``column`` of C indices that names each
+component's stored column, all C biases ``b``, and, with a scaler,
+``feature_mean`` and ``feature_scale``.  Files of the earlier formats still
+load: ``xrm-model/1`` (row-major M x C ``W``, no scaler) and
+``xrm-model/2`` (``/1`` plus the scaler keys).
 """
 
 from __future__ import annotations
@@ -54,13 +39,10 @@ _BOUND_TOL = 1e-9
 @dataclass(frozen=True)
 class EnsembleModel:
     """Component weights W (features x components), biases b, the training
-    hyperparameters recorded for provenance, and the feature scaler the model
-    was trained under (None when trained on raw features).  ``lam`` and ``p``
-    obey the rules of :class:`~xrm.solver.SolverConfig`.
-
-    Derived from W and b when the model is built (``dataclasses.replace``
-    builds a new one): the averaged ensemble weights ``w_e`` (read-only) and
-    bias ``b_e``."""
+    hyperparameters, which obey the rules of :class:`~xrm.solver.SolverConfig`,
+    and the feature scaler the model was trained under, or None.  The
+    averaged weights ``w_e`` (read-only) and bias ``b_e`` are derived once,
+    when the model is built."""
 
     W: np.ndarray
     b: np.ndarray
@@ -115,9 +97,9 @@ def predict_all(model: EnsembleModel, X) -> np.ndarray:
 
 def _power_in_place(hinge: np.ndarray, p: float) -> np.ndarray:
     """Raise the non-negative array ``hinge`` to the power p in place and
-    return it: at p = 1.5 by multiplying it by its square root, which stays
-    within two units in the last place of ``hinge ** 1.5``, and at any other
-    p by ``hinge **= p``."""
+    return it: at p = 1.5 by multiplying it by its square root, which is
+    faster than ``pow`` and within two units in the last place of
+    ``hinge ** 1.5``, and at any other p by ``hinge **= p``."""
     if p == 1.5:
         hinge *= np.sqrt(hinge)
     else:
@@ -125,14 +107,10 @@ def _power_in_place(hinge: np.ndarray, p: float) -> np.ndarray:
     return hinge
 
 
-def _powered_hinge(margins: np.ndarray, p: float) -> np.ndarray:
-    return _power_in_place(np.maximum(margins, 0.0), p)
-
-
 def ensemble_loss(model: EnsembleModel, data) -> float:
     """Powered hinge loss of the averaged predictor, summed over instances."""
     margins = 1.0 - decision_values(model, data.X) * data.y
-    return float(_powered_hinge(margins, model.p).sum())
+    return float(_power_in_place(np.maximum(margins, 0.0), model.p).sum())
 
 
 def average_component_loss(model: EnsembleModel, data) -> float:
@@ -140,7 +118,7 @@ def average_component_loss(model: EnsembleModel, data) -> float:
     first, inverse = _distinct_columns(model.W, model.b)
     scores = (data.X.T @ model.W[:, first]).T + model.b[first, None]  # components x instances
     margins = 1.0 - scores * data.y
-    losses = _powered_hinge(margins, model.p).sum(axis=1)
+    losses = _power_in_place(np.maximum(margins, 0.0), model.p).sum(axis=1)
     return float(losses @ np.bincount(inverse) / model.components)
 
 
@@ -195,12 +173,10 @@ def _expand_stored_columns(stored: np.ndarray, C: int, column) -> np.ndarray:
 
 def model_from_dict(payload: dict) -> EnsembleModel:
     """The model a :func:`model_to_dict` payload describes, or one of an
-    earlier format; raises ValueError unless the payload is an object of a
-    known format holding every key of that format with a usable value,
-    ``feature_count`` and ``components`` are JSON integers of at least 1,
-    ``lambda`` and ``p`` are JSON numbers, ``W``, ``b`` and the scaler keys
-    are flat lists of JSON numbers, every number is within the float range,
-    and ``W`` holds M x C values (/3: a multiple of M)."""
+    earlier format; raises ValueError, naming the key, unless the payload
+    holds every key of a known format with a value of the right JSON type
+    within the float range, and ``W`` holds M x C values (/3: a multiple of
+    M)."""
     if not isinstance(payload, dict):
         raise ValueError(f"model file must hold a JSON object, got {type(payload).__name__}")
     version = payload.get("version")

@@ -7,116 +7,32 @@ with the row-wise l1,2 penalty from :mod:`xrm.diversity`:
                 + lam * sum_c sum_i max(0, 1 - (x_i . w_c + b_c) y_i)^p
 
 Two auxiliary blocks make the objective separable: P, a split copy of W, and
-E, the per-instance slack matrix with e[i,c] = y_i - (x_i . w_c + b_c), so the
-loss becomes a function of (Y * E)_+ alone.  Each outer iteration updates the
-blocks in turn (W by an exact row-wise proximal map, b in closed form, E
-elementwise, in closed form at p = 1, 1.5 and 2 and by Newton's method at
-any other p, P through one cached SPD solve), then performs multiplier ascent
-on Q and Z and grows the penalty mu geometrically.  Termination monitors the
-change of the primal objective evaluated at the current (W, b).  :func:`train`
-holds the iterate as local arrays and passes each block function only the
-arrays that block reads.
+E, the per-instance slack matrix with e[i,c] = y_i - (x_i . w_c + b_c).  Each
+outer iteration updates W, b, E and P in turn, each exactly, ascends the
+multipliers Q and Z and grows the penalty mu geometrically, and stops on the
+change of the primal objective at the current (W, b).
 
-The default start is symmetric under column permutations (Q all ones, every
-other block zero) and every block update is column-equivariant, so the C
-columns of the iterates stay identical.  :func:`train` therefore carries one
-column, as 1-D vectors with a scalar bias, with the integer ``multiplicity``
-C wherever the C columns are summed (the objective and the residuals), and
-repeats it C times at the end.  For one column of multiplicity C the row prox
-of the W block is the shrink W = (P + Q/mu) * mu / (mu + C).  The block
-functions broadcast over the layout their caller passes, and the caller
-shapes the labels and the bias: :func:`train` passes y and a scalar b, a
-C-column run N x C blocks with y[:, None] and b[None, :].
+The default start (Q all ones, every other block zero) is symmetric under
+column permutations and every block update is column-equivariant, so the C
+columns stay identical.  :func:`train` therefore carries one column, as 1-D
+vectors with a scalar bias, counts it ``multiplicity`` = C times where the
+columns are summed, and repeats it C times at the end; its W prox is the
+shrink W = (P + Q/mu) * mu / (mu + C).  The block functions broadcast over
+the layout their caller shapes: y and a scalar b, or N x C blocks with
+y[:, None] and b[None, :], with the same bits.
 
-Vector expressions of three or more operands in the loop allocate their
-result once and finish in place (``WX = PX * shrink; WX += QZ[:N + M] /
-(mu + C)``), keeping each operation, its operands' order and its
-association, so the bits are those of the plain expression (numpy elides
-temporaries only above 256 kB).  A 1-D W's penalty, 0.5 * sum((m W)^2), has
-the bits of :func:`xrm.diversity._l12_penalty` on the M x 1 view.
-
-Blocks that take the same elementwise op share one stacked vector, so that
-one numpy call does it for all of them (the N rows first):
-
-* PX = [X^T P; P], which the P solve overwrites with the next one, and
-  WX = [X^T W; W], the shrink of PX by one product and one sum;
-* the multipliers QZ = [X^T Q; Q; Z] and the gaps
-  G = [X^T P - X^T W; P - W; slack gap] that :func:`constraint_gaps`
-  writes, ascended as QZ + G * mu in one product and one sum;
-* G[N:], the split and slack gaps, scaled by sqrt(C) once for both
-  residuals, and the multiplier size as one ``abs`` and one ``max``
-  over [Q; Z];
-* one division of the whole of QZ by mu for Z/mu and the multipliers
-  over mu, [X^T Q/mu; Q/mu], that the P solve reads on either side.
-
-Each op keeps its operands and their order, so every block has the bits of
-its own op on separate vectors.  At p = 2 on the features side an iteration
-makes about 45 numpy calls (ufuncs, reductions, products and the LAPACK
-solve), where separate vectors took about 56.
-
-The scalar operands of the loop's vector ops are read-only 0-d float64
-arrays: C once per fit, and mu, mu + C, the shrink and b once per
-iteration, written into one buffer that the loop owns.  numpy converts a
-Python or numpy scalar operand on every call, which on the N-vectors of a
-protocol-sized fit costs about half as much as the op itself (a product of a
-150-vector and a float takes about 1.4 times as long as with a 0-d array);
-a 0-d array is used as it is, with the same bits.  mu itself stays a float
-for scalar arithmetic, such as its growth in :func:`update_multipliers`,
-which takes several times as long on a 0-d array.  Constants and scalars
-that a block function derives itself, such as lam/mu in :func:`update_E` and
-sqrt(C) in :func:`constraint_residuals`, stay plain: each enters a few ops
-per iteration, building a 0-d array per call costs about what it saves, and
-arithmetic between scalars is faster on plain ones.  p stays a Python float
-too, because :func:`primal_objective` picks its power kernel by comparing p
-with 1.5, which is slower on a 0-d array.
-
-The bias needs the mean of y - E - X^T P - Z/mu.  The previous iteration's
-slack gap already formed E - y + X^T P before adding its bias, and
-:func:`constraint_gaps` returns it, so :func:`train` keeps that vector (-y
-at the start), and
-:func:`update_b` takes the mean of it plus Z/mu and negates it, which gives
-the same bits with two fewer passes over the instances.
-
-The P update solves with I + X X^T, factored once per fit on the smaller side
-of X (M features x N instances):
-
-* M <= N ("features"): the M x M Cholesky of I + X X^T, formed with M^2 N
-  flops and factored with M^3/3; each solve costs about 2 M^2 per column.
-* M > N ("instances"): the N x N Cholesky of I + K with K = X^T X, formed
-  with N^2 M flops and factored with N^3/3, applied through the matrix
-  inversion lemma (I + X X^T)^-1 = I - X (I + K)^-1 X^T; only the factor
-  is kept.
-
-With the W block a shrink, W, the multiplier ascent on Q and the P update are
-all affine, so :func:`train` carries the N-vectors X^T P, X^T Q and X^T W
-beside P, Q and W and updates them by the same formulas instead of
-multiplying by X again: X^T W = (X^T P + X^T Q/mu) * mu / (mu + C) and
-X^T Q <- X^T Q + mu (X^T P - X^T W), starting from X^T Q = X^T 1.  X^T P
-feeds the next iteration's b and E updates, X^T W the objective, and the two
-constraint gaps are formed once for both the multiplier ascent and the
-residual trace.  The products with X, N x M flops each whatever C is, are:
-
-* features side: two per iteration, X (r - e) for the right-hand side of
-  the P solve and X^T p of its solution;
-* instances side: one per iteration.  With u = r - e and
-  a = X^T w - X^T q/mu from the carried vectors, the lemma gives
-  X^T p = (I + K)^-1 (a + K u) = u + z with z = (I + K)^-1 (a - u), so the
-  P update solves for z, with no product by K, and returns X^T p = u + z
-  and p = w - q/mu - X z, which costs the one product X z plus about
-  2 N^2 flops;
-
-plus, once per fit, the Gram product and X^T Q for the starting Q.
-
-X may be a CSC array (:mod:`xrm.datasets`).  Then each product with X costs
-about nnz flops instead of N x M, and the Gram product comes from a dense
-copy of X that lives only until the Gram is formed.  Every product is
-written ``X.dot(v)`` or ``X.T.dot(v)``, which multiplies either storage, so
-that copy in :func:`factor_gram` is the one place that looks at how X is
-stored.  The products are ``dot`` rather than ``@``, which dispatches more
-slowly on an ndarray: with ``@`` a protocol-sized fit (34 x 150) took about
-3% longer, two products an iteration.  X^T is taken once per fit, because
-each ``.T`` of a CSC X builds a new CSR array: 27 us against 4 us for the
-product at 20 x 60 and 10% density (2-core VM, one BLAS thread).
+With W a shrink, the W, Q and P updates are affine, so :func:`train`
+updates X^T P, X^T Q and X^T W by the same formulas instead of multiplying
+by X again.  To cut per-call overhead, which dominates on small vectors,
+with the bits of the plain expressions: blocks that take the same op share
+one stacked vector, N rows first (PX = [X^T P; P], WX = [X^T W; W],
+QZ = [X^T Q; Q; Z] and the gaps G = [X^T P - X^T W; P - W; slack gap]);
+expressions of three or more operands finish in place, in the plain
+order of operations; and the scalar operands of vector ops are read-only
+0-d float64 arrays, which numpy does not convert on each call.  Every
+product is ``X.dot(v)`` or ``Xt.dot(v)``, which dispatches faster than
+``@``, with Xt = X.T taken once; a dense and a CSC X multiply alike, so only
+:func:`factor_gram` looks at how X is stored.
 """
 
 from __future__ import annotations
@@ -160,13 +76,9 @@ class DivergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Training hyperparameters and stopping controls.
-
-    ``lam`` weighs the loss against the diversity penalty, ``components`` is
-    the ensemble width C, ``loss_power`` the hinge exponent p >= 1.  The
-    penalty mu starts at ``MU_INIT``, is multiplied by ``rho`` each iteration,
-    and is clamped at ``MU_CAP``.
-    """
+    """Training hyperparameters and stopping controls: ``lam`` weighs the
+    loss against the penalty, ``components`` is C, ``loss_power`` is p >= 1,
+    and mu starts at ``MU_INIT``, grows by ``rho`` and stops at ``MU_CAP``."""
 
     lam: float = 2.0
     components: int = 10
@@ -234,8 +146,7 @@ def gram_side(X: np.ndarray) -> str:
     """The side of X (M x N) that :func:`factor_gram` factors: ``"features"``
     (the M x M matrix I + X X^T) when M <= N, else ``"instances"`` (the
     N x N matrix I + X^T X)."""
-    M, N = X.shape
-    return "features" if M <= N else "instances"
+    return "features" if X.shape[0] <= X.shape[1] else "instances"
 
 
 def _gram_failure(cause: str) -> ValueError:
@@ -252,40 +163,16 @@ def factor_gram(X: np.ndarray):
     [X^T W; W], ``over_mu`` the stacked [X^T Q/mu; Q/mu], and ``u`` has N
     rows.  Blocks are 1-D or all C columns.
 
-    On the features side (M <= N) this is the Cholesky of the M x M matrix
-    I + X X^T: M^2 N flops to form, M^3/3 to factor; a solve costs the two
-    products X u and X^T P plus about 2 M^2 flops per column, and never reads
-    X^T W or X^T Q/mu.
-    On the instances side (M > N) it is the Cholesky of the N x N matrix
-    I + K with K = X^T X: N^2 M flops to form, N^3/3 to factor, and only
-    the factor is kept.  By the matrix inversion lemma
-    X^T P = (I + K)^-1 (X^T W - X^T Q/mu + K u) = u + z with
-    z = (I + K)^-1 (X^T W - X^T Q/mu - u), and P = W - Q/mu - X z, so a
-    solve costs the one product X z plus about 2 N^2 flops per column.
-
-    X is a dense ndarray or a CSC array, which multiplies as it is stored,
-    at about nnz flops a product.  The Gram product of a CSC X comes from a
-    temporary dense copy of X, freed once the Gram is formed, which holds no
-    more memory than a dense X and, with BLAS, takes less time than a
-    sparse-sparse product.
-
-    Both sides factor with LAPACK ``potrf``, looked up once here and called
-    directly: the routine and arguments of ``cho_factor`` without its
-    per-call validation, so the factor is the same bits.  The features side
-    solves with ``potrs``, as ``cho_solve`` does, so its solutions are the
-    same bits too; the right-hand side is formed in its block of ``out`` and
-    ``potrs`` overwrites it there, and only a C-column block that is not
-    Fortran-contiguous comes back as a copy.  The instances side solves
-    U^T U z = rhs, for the factor U, with two BLAS ``trsv`` calls on each
-    column in turn, so a C-column block has the bits of its columns solved
-    one at a time.  ``potrs`` runs ``trsm``, which packs the factor to solve
-    even one column: on a 400 x 400 factor it took 84 us against 28 us for
-    the two ``trsv`` calls (2-core VM, one BLAS thread).  On an M x M factor
-    of protocol size (M = 34) it took 1.8 us against 2.1 us, and the two
-    ``trsv`` calls do not give its bits, so the features side keeps it.  The
-    check kept is that I + X X^T is finite: features whose Gram product
-    overflows, or whose squared norm nears 1/eps so that rounding leaves
-    I + X X^T singular, raise ValueError with the advice to rescale them.
+    The smaller side (:func:`gram_side`) is factored by LAPACK ``potrf``
+    without ``cho_factor``'s per-call checks, with its bits.  The features
+    side (M <= N) factors I + X X^T and solves by ``potrs``, with the bits
+    of ``cho_solve``.  The instances side (M > N) factors I + X^T X and
+    applies the matrix inversion lemma: X^T P = u + z with
+    z = (I + X^T X)^-1 (X^T W - X^T Q/mu - u) and P = W - Q/mu - X z, solving
+    for z by two BLAS ``trsv`` calls per column, which skip the packing that
+    ``potrs`` does, so a C-column block has the bits of its columns solved
+    one at a time.  Features whose Gram overflows or is singular in floating
+    point raise ValueError with the advice to rescale them.
     """
     features = gram_side(X) == "features"
     dense = _dense(X, "the Gram factorization")
@@ -344,17 +231,11 @@ def solve_w_subproblem(P: np.ndarray, Q: np.ndarray, mu: float) -> np.ndarray:
     the split copy P, its multiplier Q and the penalty mu.
 
     Each row solves min_w 0.5 * (sum_c |w_c|)^2 + mu/2 * sum_c (w_c - v_c)^2
-    with v = P + Q/mu, the proximal map of half a squared l1 norm.  The
-    minimizer soft-thresholds v at tau_k = (sum of the k largest |v|) / (mu + k),
-    where k is the largest count whose k-th largest |v| exceeds tau_k
-    (Kowalski 2009; Zhou, Jin and Hoi 2010).  That threshold makes
-    sum_c |w_c| = mu * tau_k, so w_c = v_c - sign(v_c) * sum_c |w_c| / mu
-    wherever w_c is nonzero, the row's optimality condition.  An all-zero row
-    of v gives a zero row.  The one threshold per row couples the columns.
-
-    :func:`train` does not call it: for its one column of multiplicity C the
-    prox is the shrink v * mu / (mu + C), which equals this prox of the
-    column repeated C times.
+    with v = P + Q/mu by soft-thresholding v at
+    tau_k = (sum of the k largest |v|) / (mu + k), where k is the largest
+    count whose k-th largest |v| exceeds tau_k (Kowalski 2009; Zhou, Jin and
+    Hoi 2010).  An all-zero row of v gives a zero row.  :func:`train` uses
+    the shrink v * mu / (mu + C), this prox of one column repeated C times.
     """
     V = P + Q / mu
     magnitude = np.abs(V)
@@ -366,38 +247,28 @@ def solve_w_subproblem(P: np.ndarray, Q: np.ndarray, mu: float) -> np.ndarray:
     return np.sign(V) * np.maximum(magnitude - tau, 0.0)
 
 
-def update_b(slack_base: np.ndarray, Z_over_mu: np.ndarray):
+def update_b(Y: np.ndarray, E: np.ndarray, XtP: np.ndarray, Z_over_mu: np.ndarray):
     """Closed-form bias update: the mean over instances of Y - E - X^T P - Z/mu,
-    computed as -mean(slack_base + Z/mu) from slack_base = E - Y + X^T P, the
-    slack gap without its bias, and Z_over_mu = Z / mu, with the labels Y
-    shaped by the caller; a scalar for N-vectors, one per column for N x C.
-
-    Negation is exact and rounding is symmetric in sign, so every entry and
-    every partial sum is the negation of that of the mean form, or +0 in
-    both, and the result has the mean form's bits: it is 0 - sum, not -sum,
-    so that a zero sum gives +0 as the mean form does.
-    """
-    total = slack_base + Z_over_mu
+    with the bits of ``np.mean(..., axis=0)`` and the labels Y shaped by the
+    caller; a scalar for N-vectors, one per column for N x C."""
+    total = Y - E
+    total -= XtP
+    total -= Z_over_mu
     # The arithmetic of mean(axis=0), without its dispatch.
-    return (0.0 - np.add.reduce(total)) / len(total)
+    return np.add.reduce(total) / len(total)
 
 
 def _positive_branch_minimizer(a: np.ndarray, k: float, p: float) -> tuple[np.ndarray, int]:
     """Solve min_{t >= 0} k * t^p + 0.5 * (t - a)^2 for positive targets ``a``
     by Newton's method on the increasing derivative f(t) = k p t^(p-1) + t - a.
 
-    The root lies in (0, hi] with hi = min(a, (a/(kp))^(1/(p-1))), since
-    f(hi) >= 0.  f is concave for 1 < p < 2 and convex for p > 2, so every
-    Newton step ends at or below the root for p < 2 and at or above it for
-    p > 2, and the iterates approach it monotonically from that side.  So
-    no bracket is needed: Newton starts at a bound on that side and clamps
-    each step to it against rounding, hi for p > 2 and lo = max(newton(hi), 0)
-    for p < 2, which also keeps it off the 0/0 step at t = 0.
-
-    Iteration stops once no entry moves by more than ``GENERAL_P_TOL`` plus a
-    few units in the last place of t (for large t the iterates can alternate
-    between two neighbouring floats further apart than the tolerance), or
-    after 200 steps.  Returns the minimizers and the step count.
+    The root lies in (0, hi] with hi = min(a, (a/(kp))^(1/(p-1))).  f is
+    concave for 1 < p < 2 and convex for p > 2, so the Newton iterates
+    approach the root monotonically from one side and no bracket is needed:
+    Newton starts at a bound on that side and clamps each step to it, hi for
+    p > 2 and max(newton(hi), 0) for p < 2.  Stops once no entry moves by
+    more than ``GENERAL_P_TOL`` plus a few ulps of t, or after 200 steps.
+    Returns the minimizers and the step count.
     """
     slope = k * p
     resolution = 4.0 * np.finfo(float).eps
@@ -431,10 +302,10 @@ def _three_halves_minimizer(a: np.ndarray, k: float) -> np.ndarray:
     ``a`` in closed form.
 
     The stationary condition 1.5 k sqrt(t) + t - a = 0 is the quadratic
-    s^2 + 2h s - a = 0 in s = sqrt(t), with h = 0.75 k.  Its positive root
-    s = a / (h + sqrt(h^2 + a)) has no cancellation, and t = s^2.  For h > 1
-    the same root is written with r = a / h as s = r / (1 + sqrt(1 + r/h)),
-    so that h^2 cannot overflow.
+    s^2 + 2h s - a = 0 in s = sqrt(t), with h = 0.75 k, whose positive root
+    s = a / (h + sqrt(h^2 + a)) has no cancellation; t = s^2.  For h > 1 it
+    is written s = r / (1 + sqrt(1 + r/h)) with r = a / h, so that h^2
+    cannot overflow.
     """
     h = 0.75 * k
     if h <= 1.0:
@@ -450,18 +321,13 @@ def update_E(S: np.ndarray, Y: np.ndarray, lam: float, mu: float,
     """Elementwise minimizer of (lam/mu) * (Y*E)_+^p + 0.5 * (E - S)^2, and the
     number of Newton steps it took (0 at p = 1, 1.5 and 2).
 
-    p = 1 soft-thresholds the entries whose target violates the margin,
-    p = 2 shrinks them by 1 / (1 + 2 lam/mu), p = 1.5 solves the active
-    branch by :func:`_three_halves_minimizer` in closed form, and any other
-    p >= 1 by :func:`_positive_branch_minimizer` to ``GENERAL_P_TOL``.  The
-    result depends on the target Y*S alone, not on any earlier E block.
-    The active branch needs no comparison with the boundary t = 0: for p >= 1
-    the scalar problem is convex with slope -a < 0 at t = 0, so its
-    stationary point beats 0.5 a^2.
-    Entries with Y*S <= 0 keep their target S.  Closed forms run on the whole
-    block, at p = 1.5 with inactive targets set to 1 (no root of a negative, no
-    0/0 when lam/mu underflows).  Only Newton gathers the active entries: its
-    step from t = 0 is 0/0, and inactive targets would enter its stop test.
+    Entries with Y*S <= 0 keep their target S.  On the others p = 1
+    soft-thresholds, p = 2 shrinks by 1 / (1 + 2 lam/mu), p = 1.5 solves by
+    :func:`_three_halves_minimizer` and any other p by
+    :func:`_positive_branch_minimizer`; the result depends on the target Y*S
+    alone.  Closed forms run on the whole block, at p = 1.5 with inactive
+    targets set to 1 so that none is negative; Newton gathers the active
+    entries, as its step from t = 0 is 0/0.
     """
     if p < 1:
         raise ValueError("loss power p must be at least 1")
@@ -489,10 +355,8 @@ def update_P(solve_gram, WX: np.ndarray, over_mu: np.ndarray, u: np.ndarray,
     """Closed-form P update: solve (I + X X^T) P = W - Q/mu + X u, where the
     caller passes u = Y - b - Z/mu - E, and write the stacked [X^T P; P]
     into ``out``, which it returns.  Takes the ``solve_gram`` that
-    :func:`factor_gram` returned, the stacked WX = [X^T W; W] and ``over_mu``,
-    the multipliers over mu that its side reads.  Costs two products with X
-    on the features side and one on the instances side, where X^T P is u
-    plus the solution of an N x N system (see :func:`factor_gram`)."""
+    :func:`factor_gram` returned, the stacked WX = [X^T W; W] and
+    ``over_mu`` = [X^T Q/mu; Q/mu]."""
     return solve_gram(WX, over_mu, u, out)
 
 
@@ -502,14 +366,13 @@ def constraint_gaps(PX: np.ndarray, WX: np.ndarray, E: np.ndarray, Y: np.ndarray
     X^T P - X^T W: [X^T P - X^T W; P - W; E - Y + X^T P + b], from the stacks
     PX = [X^T P; P] and WX = [X^T W; W] and the bias b and labels Y shaped by
     the caller to broadcast against E: a scalar and y, or a 1 x C row and an
-    N x 1 column.  Returns E - Y + X^T P, the slack gap before its bias and
-    a new array, which :func:`train` keeps for the next :func:`update_b`."""
+    N x 1 column.  Returns ``out``."""
     rows = len(PX)
     np.subtract(PX, WX, out=out[:rows])
-    slack_base = E - Y
-    slack_base += PX[:len(E)]
-    np.add(slack_base, b, out=out[rows:])
-    return slack_base
+    slack = np.subtract(E, Y, out=out[rows:])
+    slack += PX[:len(E)]
+    slack += b
+    return out
 
 
 def update_multipliers(multipliers: np.ndarray, mu, gaps: np.ndarray,
@@ -531,13 +394,10 @@ def primal_objective(W: np.ndarray, b: np.ndarray | float, XtW: np.ndarray, Y: n
     M-vector or an M x C block, counts ``multiplicity`` times (once by
     default): 0.5 * sum_j (m sum_c |W[j,c]|)^2 + lam * m sum_c loss_c.
 
-    The hinge is powered by :func:`xrm.model._power_in_place`: multiplied
-    by its square root at p = 1.5 (within two units in the last place of
-    ``pow``) and raised by ``pow`` at any other p.
-
-    The penalty is that of :func:`xrm.diversity.exclusivity_regularizer`
-    without its finiteness check: :func:`train` calls this only on finite
-    blocks.  A 1-D W is one column, whose rows each hold one entry."""
+    The penalty skips the finiteness check of
+    :func:`xrm.diversity.exclusivity_regularizer`; on a 1-D W, one column, it
+    is 0.5 * sum((m W)^2), with the bits of :func:`xrm.diversity._l12_penalty`
+    on the M x 1 view."""
     margins = XtW + b
     margins *= Y
     np.subtract(1.0, margins, out=margins)
@@ -554,9 +414,8 @@ def constraint_residuals(gaps: np.ndarray, split_rows: int,
                          multiplicity: int = 1) -> tuple[float, float]:
     """Frobenius norms of the split and slack gaps, stacked as in the last
     rows of :func:`constraint_gaps`, the split gap in the first
-    ``split_rows`` rows, with every column counted
-    ``multiplicity`` times: sqrt(m sum_c ||gap_c||^2), with the arithmetic of
-    ``np.linalg.norm``."""
+    ``split_rows`` rows, with every column counted ``multiplicity`` times:
+    sqrt(m sum_c ||gap_c||^2), with the arithmetic of ``np.linalg.norm``."""
     scaled = gaps * math.sqrt(multiplicity)
     split, slack = scaled[:split_rows], scaled[split_rows:]
     if scaled.ndim > 1:
@@ -575,21 +434,12 @@ def _first_non_finite(blocks) -> str | None:
 
 
 def train(data, config: SolverConfig = SolverConfig()) -> tuple[EnsembleModel, TrainReport]:
-    """Run the outer loop to convergence and return the averaged ensemble.
-
-    The C components start identical and every block update treats columns
-    alike, so the loop carries one column of multiplicity C, as 1-D vectors
-    with a scalar bias, and the returned model repeats it C times.  The
-    objective and residual traces are those of the C-column problem.
-
-    Stops when the absolute change of the primal objective between consecutive
-    outer iterations falls below ``outer_tol`` (stop reason
-    ``"objective_change"``), or at ``outer_max_iters`` (``"max_iters"``).
-    The report carries per-iteration objective, residual, and multiplier-size
-    traces, the time spent per block, and the final diversity structure.
-    Raises :class:`DivergenceError` naming the first block that went
-    non-finite.
-    """
+    """Run the outer loop and return the model, which repeats the carried
+    column C times, and the report, whose traces are the C-column problem's.
+    Stops when the objective changes by less than ``outer_tol`` between
+    iterations (``"objective_change"``) or at ``outer_max_iters``
+    (``"max_iters"``); raises :class:`DivergenceError` naming the first
+    block that went non-finite."""
     clock = time.perf_counter
     started = clock()
     C, lam, power, rho = config.components, config.lam, config.loss_power, config.rho
@@ -603,11 +453,10 @@ def train(data, config: SolverConfig = SolverConfig()) -> tuple[EnsembleModel, T
     # share their layout, so one op updates blocks that move in lockstep.
     # The start: Q all ones, every other block zero, mu = MU_INIT.  W and b
     # are written before any block reads them.
-    PX, QZ, mu = np.zeros(N + M), np.zeros(2 * N + M), MU_INIT
+    PX, QZ, E, mu = np.zeros(N + M), np.zeros(2 * N + M), np.zeros(N), MU_INIT
     QZ[N:N + M] = 1.0
     QZ[:N] = X.T.dot(QZ[N:N + M])
     G = np.empty(2 * N + M)  # written whole by constraint_gaps each iteration
-    slack_base = -y  # E - y + X^T P for the starting E and P
     # The scalar operands of vector ops as read-only 0-d arrays: C for the
     # fit, and mu, mu + C, the shrink and b, which each iteration writes
     # into ``scalars``.
@@ -628,7 +477,7 @@ def train(data, config: SolverConfig = SolverConfig()) -> tuple[EnsembleModel, T
         t_W = clock()
         over_mu = QZ / mu_op  # [X^T Q/mu; Q/mu] for the P solve, and Z/mu
         Z_over_mu = over_mu[-N:]
-        scalars[3] = b = update_b(slack_base, Z_over_mu)
+        scalars[3] = b = update_b(y, E, PX[:N], Z_over_mu)
         t_b = clock()
         # The E target y - X^T P - b - Z/mu and the P operand
         # u = y - b - Z/mu - E, each one new vector finished in place.
@@ -645,8 +494,7 @@ def train(data, config: SolverConfig = SolverConfig()) -> tuple[EnsembleModel, T
         # writes the new ones over them.
         PX = update_P(solve_gram, WX, over_mu[:-N], u, PX)
         t_P = clock()
-        # The gaps, keeping E - y + X^T P for the next b.
-        slack_base = constraint_gaps(PX, WX, E, y, b_op, G)
+        constraint_gaps(PX, WX, E, y, b_op, G)
         QZ, mu = update_multipliers(QZ, mu_op, G, rho)
         residuals = constraint_residuals(G[N:], M, C)
         sup = float(np.maximum.reduce(np.abs(QZ[N:])))

@@ -783,17 +783,15 @@ _POOLED_FLOATS = [5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e3
 
 
 def _format_recording_reprs(monkeypatch, data) -> tuple[str, int]:
-    """``format_sparse_text(data)``, and how many floats it passes to
-    ``repr`` through ``datasets._convert``."""
+    """``format_sparse_text(data)``, and how many times it calls ``repr``,
+    counted through a module-level ``repr`` that shadows the builtin."""
     calls = []
-    convert = datasets._convert
 
-    def recording(function, items):
-        if function is repr:
-            return convert(lambda value: calls.append(value) or repr(value), items)
-        return convert(function, items)
+    def counting(value):
+        calls.append(value)
+        return repr(value)
 
-    monkeypatch.setattr(datasets, "_convert", recording)
+    monkeypatch.setattr(datasets, "repr", counting, raising=False)
     text = format_sparse_text(data)
     monkeypatch.undo()
     return text, len(calls)
@@ -847,6 +845,19 @@ class TestFormatMatchesReference:
             assert text == expected
             assert reprs == (len(set(written)) if pooled else len(written))
         assert pooled is (len(set(written)) < 10 < len(written))
+
+
+def test_each_distinct_value_is_formatted_once(monkeypatch):
+    # 40k entries, 8 of each of 5000 distinct values in random order: Chao's
+    # estimate from a sample of every 64th value puts about 16% of them
+    # distinct, yet each distinct value is formatted once.
+    rng = np.random.default_rng(1)
+    pool = rng.uniform(1.0, 2.0, size=5000)
+    X = rng.permutation(np.resize(pool, 40000)).reshape(100, 400)
+    data = DataSet(X=X, y=np.where(np.arange(400) % 2, 1.0, -1.0))
+    text, reprs = _format_recording_reprs(monkeypatch, data)
+    assert text == _reference_format(data)
+    assert reprs == len(np.unique(data.X)) == 5000
 
 
 def _csc_set(X, y, zeros=()) -> DataSet:

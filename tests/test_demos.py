@@ -1,6 +1,7 @@
-"""Smoke test: every script under demos/ runs to completion.
+"""Smoke test: every script under demos/, and the README quickstart, runs to
+completion.
 
-Each demo runs in a subprocess from a temporary working directory with the
+Each runs in a subprocess from a temporary working directory with the
 source tree on PYTHONPATH, and must exit 0 without adding, removing or
 changing any file in the repository.
 """
@@ -36,6 +37,21 @@ def test_demo_runs(demo, tmp_path):
     env = dict(os.environ, PYTHONPATH=str(REPO / "src"), PYTHONDONTWRITEBYTECODE="1")
     before = _snapshot()
     result = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr[-2000:]
+    assert _snapshot() == before
+
+
+def _readme_quickstart() -> str:
+    """The first ```python block under README's "Library quickstart" heading."""
+    section = (REPO / "README.md").read_text(encoding="utf-8").split("## Library quickstart", 1)[1]
+    return section.split("```python\n", 1)[1].split("```", 1)[0]
+
+
+def test_readme_quickstart_runs(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"), PYTHONDONTWRITEBYTECODE="1")
+    before = _snapshot()
+    result = subprocess.run([sys.executable, "-c", _readme_quickstart()], cwd=tmp_path, env=env,
                             capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr[-2000:]
     assert _snapshot() == before
