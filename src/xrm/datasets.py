@@ -220,9 +220,10 @@ def _raise_first_defect(label_tokens, entry_texts, line_numbers) -> NoReturn:
 
 def _convert(convert, texts: list) -> list:
     """``list(map(convert, texts))`` for ``float`` or ``int``, converting each
-    distinct text once, through a table, when fewer than 10% of the texts are
-    distinct by Chao's estimate ``d + f1 (f1 - 1) / (2 (f2 + 1))`` from a
-    sample of every 64th text, in which d texts are distinct, f1 of them
+    distinct text once, through a table, when fewer than ``_DISTINCT_PCT``
+    percent of the texts are distinct by Chao's estimate
+    ``d + f1 (f1 - 1) / (2 (f2 + 1))`` from a sample of every
+    ``_SAMPLE_STRIDE``-th text, in which d texts are distinct, f1 of them
     occur once and f2 twice.  The table hashes every text, so it pays only
     on texts that repeat; the result and every error are the same either
     way."""

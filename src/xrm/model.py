@@ -107,10 +107,14 @@ def _power_in_place(hinge: np.ndarray, p: float) -> np.ndarray:
     return hinge
 
 
+def _powered_hinge(margins: np.ndarray, p: float) -> np.ndarray:
+    return _power_in_place(np.maximum(margins, 0.0), p)
+
+
 def ensemble_loss(model: EnsembleModel, data) -> float:
     """Powered hinge loss of the averaged predictor, summed over instances."""
     margins = 1.0 - decision_values(model, data.X) * data.y
-    return float(_power_in_place(np.maximum(margins, 0.0), model.p).sum())
+    return float(_powered_hinge(margins, model.p).sum())
 
 
 def average_component_loss(model: EnsembleModel, data) -> float:
@@ -118,7 +122,7 @@ def average_component_loss(model: EnsembleModel, data) -> float:
     first, inverse = _distinct_columns(model.W, model.b)
     scores = (data.X.T @ model.W[:, first]).T + model.b[first, None]  # components x instances
     margins = 1.0 - scores * data.y
-    losses = _power_in_place(np.maximum(margins, 0.0), model.p).sum(axis=1)
+    losses = _powered_hinge(margins, model.p).sum(axis=1)
     return float(losses @ np.bincount(inverse) / model.components)
 
 
@@ -173,10 +177,11 @@ def _expand_stored_columns(stored: np.ndarray, C: int, column) -> np.ndarray:
 
 def model_from_dict(payload: dict) -> EnsembleModel:
     """The model a :func:`model_to_dict` payload describes, or one of an
-    earlier format; raises ValueError, naming the key, unless the payload
-    holds every key of a known format with a value of the right JSON type
-    within the float range, and ``W`` holds M x C values (/3: a multiple of
-    M)."""
+    earlier format; raises ValueError unless the payload is an object of a
+    known format holding every key of that format with a value of the right
+    JSON type within the float range, ``feature_count`` and ``components``
+    are integers of at least 1, and ``W`` holds M x C values (/3: a multiple
+    of M)."""
     if not isinstance(payload, dict):
         raise ValueError(f"model file must hold a JSON object, got {type(payload).__name__}")
     version = payload.get("version")

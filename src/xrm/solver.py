@@ -146,7 +146,8 @@ def gram_side(X: np.ndarray) -> str:
     """The side of X (M x N) that :func:`factor_gram` factors: ``"features"``
     (the M x M matrix I + X X^T) when M <= N, else ``"instances"`` (the
     N x N matrix I + X^T X)."""
-    return "features" if X.shape[0] <= X.shape[1] else "instances"
+    M, N = X.shape
+    return "features" if M <= N else "instances"
 
 
 def _gram_failure(cause: str) -> ValueError:
@@ -249,9 +250,10 @@ def solve_w_subproblem(P: np.ndarray, Q: np.ndarray, mu: float) -> np.ndarray:
 
 def update_b(Y: np.ndarray, E: np.ndarray, XtP: np.ndarray, Z_over_mu: np.ndarray):
     """Closed-form bias update: the mean over instances of Y - E - X^T P - Z/mu,
-    with the bits of ``np.mean(..., axis=0)`` and the labels Y shaped by the
-    caller; a scalar for N-vectors, one per column for N x C."""
-    total = Y - E
+    Y shaped by the caller; a scalar for N-vectors, one per column for N x C.
+    Summed row-major whatever E's layout: the bits of ``np.mean(..., axis=0)``
+    on row-major blocks, and permuting the inputs' columns permutes b alike."""
+    total = np.subtract(Y, E, order="C")
     total -= XtP
     total -= Z_over_mu
     # The arithmetic of mean(axis=0), without its dispatch.

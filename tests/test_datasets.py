@@ -824,14 +824,21 @@ class TestFormatMatchesReference:
         assert again.y.tobytes() == data.y.tobytes()
 
 
-    @pytest.mark.parametrize("pooled", [True, False])
-    def test_repeated_values_are_formatted_once(self, monkeypatch, pooled):
-        # A few thousand entries drawn from a pool that holds the extremes of
-        # the float range, or all distinct, with stored 0.0 and -0.0 in CSC X.
+    # The ids True and False say whether the entries come from _POOLED_FLOATS.
+    @pytest.mark.parametrize("pool, M", [
+        pytest.param(_POOLED_FLOATS, 30, id="True"),
+        pytest.param(None, 30, id="False"),
+        # About 40k entries, about 8 of each of 5000 values: Chao's estimate
+        # from a sample of every 64th puts more than 10% of them as distinct.
+        pytest.param(np.random.default_rng(6).uniform(1.0, 2.0, 5000), 333, id="5000-of-40k"),
+    ])
+    def test_repeated_values_are_formatted_once(self, monkeypatch, pool, M):
+        # Entries at 30% density drawn from a pool, or all distinct, with
+        # stored 0.0 and -0.0 in CSC X; each distinct value is formatted once.
         rng = np.random.default_rng(5)
-        M, N = 30, 400
-        drawn = (rng.choice(_POOLED_FLOATS, size=(M, N)) if pooled
-                 else rng.uniform(1.0, 2.0, size=(M, N)))
+        N = 400
+        drawn = (rng.uniform(1.0, 2.0, size=(M, N)) if pool is None
+                 else rng.choice(pool, size=(M, N)))
         X = np.where(rng.random((M, N)) < 0.3, drawn, 0.0)
         X[-1] = 0.0  # the M:0.0 pin
         y = np.where(np.arange(N) % 3, 1.0, -1.0)
@@ -843,21 +850,8 @@ class TestFormatMatchesReference:
         for data in (dense_set, sparse_set):
             text, reprs = _format_recording_reprs(monkeypatch, data)
             assert text == expected
-            assert reprs == (len(set(written)) if pooled else len(written))
-        assert pooled is (len(set(written)) < 10 < len(written))
-
-
-def test_each_distinct_value_is_formatted_once(monkeypatch):
-    # 40k entries, 8 of each of 5000 distinct values in random order: Chao's
-    # estimate from a sample of every 64th value puts about 16% of them
-    # distinct, yet each distinct value is formatted once.
-    rng = np.random.default_rng(1)
-    pool = rng.uniform(1.0, 2.0, size=5000)
-    X = rng.permutation(np.resize(pool, 40000)).reshape(100, 400)
-    data = DataSet(X=X, y=np.where(np.arange(400) % 2, 1.0, -1.0))
-    text, reprs = _format_recording_reprs(monkeypatch, data)
-    assert text == _reference_format(data)
-    assert reprs == len(np.unique(data.X)) == 5000
+            assert reprs == len(set(written))
+        assert (len(set(written)) < len(written)) is (pool is not None)
 
 
 def _csc_set(X, y, zeros=()) -> DataSet:

@@ -15,6 +15,16 @@ import pytest
 
 REPO = Path(__file__).resolve().parent.parent
 DEMOS = sorted((REPO / "demos").glob("*.py"))
+
+
+def _readme_quickstart() -> str:
+    """The first ```python block under README's "Library quickstart" heading."""
+    section = (REPO / "README.md").read_text(encoding="utf-8").split("## Library quickstart", 1)[1]
+    return section.split("```python\n", 1)[1].split("```", 1)[0]
+
+
+# The arguments of each run after the interpreter, by test id.
+RUNS = {**{demo.name: [str(demo)] for demo in DEMOS}, "README.md": ["-c", _readme_quickstart()]}
 _IGNORED = {".git", ".hypothesis", ".pytest_cache", "__pycache__", ".bench_out"}
 
 
@@ -32,26 +42,11 @@ def test_demos_found():
     assert len(DEMOS) >= 5
 
 
-@pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.name)
-def test_demo_runs(demo, tmp_path):
+@pytest.mark.parametrize("argv", RUNS.values(), ids=RUNS.keys())
+def test_demo_runs(argv, tmp_path):
     env = dict(os.environ, PYTHONPATH=str(REPO / "src"), PYTHONDONTWRITEBYTECODE="1")
     before = _snapshot()
-    result = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
-                            capture_output=True, text=True, timeout=120)
-    assert result.returncode == 0, result.stderr[-2000:]
-    assert _snapshot() == before
-
-
-def _readme_quickstart() -> str:
-    """The first ```python block under README's "Library quickstart" heading."""
-    section = (REPO / "README.md").read_text(encoding="utf-8").split("## Library quickstart", 1)[1]
-    return section.split("```python\n", 1)[1].split("```", 1)[0]
-
-
-def test_readme_quickstart_runs(tmp_path):
-    env = dict(os.environ, PYTHONPATH=str(REPO / "src"), PYTHONDONTWRITEBYTECODE="1")
-    before = _snapshot()
-    result = subprocess.run([sys.executable, "-c", _readme_quickstart()], cwd=tmp_path, env=env,
+    result = subprocess.run([sys.executable, *argv], cwd=tmp_path, env=env,
                             capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr[-2000:]
     assert _snapshot() == before

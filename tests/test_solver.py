@@ -833,9 +833,7 @@ class TestColumnSymmetry:
         state = dict(E=rng.normal(size=(N, C)), P=rng.normal(size=(M, C)),
                      Q=rng.normal(size=(M, C)), Z=rng.normal(size=(N, C)))
         perm = rng.permutation(C)
-        # numpy sums along axis 0 in an order set by the memory layout, so the
-        # permuted blocks are laid out row-major, as the originals are.
-        swapped = {name: np.ascontiguousarray(value[:, perm]) for name, value in state.items()}
+        swapped = {name: value[:, perm] for name, value in state.items()}
         solve_gram = solver.factor_gram(data.X)
         Y = np.broadcast_to(data.y[:, None], (N, C))
 
