@@ -33,6 +33,11 @@ order of operations; and the scalar operands of vector ops are read-only
 product is ``X.dot(v)`` or ``Xt.dot(v)``, which dispatches faster than
 ``@``, with Xt = X.T taken once; a dense and a CSC X multiply alike, so only
 :func:`factor_gram` looks at how X is stored.
+
+The P step takes two functions: :func:`factor_gram` factors I plus the Gram
+matrix on the smaller side once per fit and returns the Cholesky factor with
+X and Xt, and :func:`update_P` solves with them each iteration, writing
+[X^T P; P] into the caller's buffer.
 """
 
 from __future__ import annotations
@@ -42,7 +47,8 @@ import time
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
-from scipy.linalg import get_blas_funcs, get_lapack_funcs
+from scipy.linalg.blas import dtrsv
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .datasets import _dense
 from .diversity import DiversityReport, _l12_penalty, diversity_report
@@ -157,23 +163,16 @@ def _gram_failure(cause: str) -> ValueError:
         "for example with --standardize")
 
 
-def factor_gram(X: np.ndarray):
-    """Factor I + X X^T once per fit and return ``solve(WX, over_mu, u, out)``,
-    which writes the stacked [X^T P; P] for P = (I + X X^T)^-1 (W - Q/mu + X u)
-    into the caller's ``out`` and returns it.  ``WX`` is the stacked
-    [X^T W; W], ``over_mu`` the stacked [X^T Q/mu; Q/mu], and ``u`` has N
-    rows.  Blocks are 1-D or all C columns.
-
-    The smaller side (:func:`gram_side`) is factored by LAPACK ``potrf``
-    without ``cho_factor``'s per-call checks, with its bits.  The features
-    side (M <= N) factors I + X X^T and solves by ``potrs``, with the bits
-    of ``cho_solve``.  The instances side (M > N) factors I + X^T X and
-    applies the matrix inversion lemma: X^T P = u + z with
-    z = (I + X^T X)^-1 (X^T W - X^T Q/mu - u) and P = W - Q/mu - X z, solving
-    for z by two BLAS ``trsv`` calls per column, which skip the packing that
-    ``potrs`` does, so a C-column block has the bits of its columns solved
-    one at a time.  Features whose Gram overflows or is singular in floating
-    point raise ValueError with the advice to rescale them.
+def factor_gram(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """Factor the regularized Gram matrix of X (M x N) once per fit and
+    return ``(factor, X, Xt)``, the operands of :func:`update_P`: the upper
+    Cholesky factor U of I + X X^T (M x M) on the features side and of
+    I + X^T X (N x N) on the instances side (:func:`gram_side`), X itself,
+    and Xt = X.T on the features side, None on the instances side, whose
+    solve reads no X^T.  LAPACK ``potrf`` factors without ``cho_factor``'s
+    per-call checks, with its bits.  Features whose Gram overflows or is
+    singular in floating point raise ValueError with the advice to rescale
+    them.
     """
     features = gram_side(X) == "features"
     dense = _dense(X, "the Gram factorization")
@@ -183,48 +182,15 @@ def factor_gram(X: np.ndarray):
     del dense, gram
     if not np.isfinite(regularized).all():
         raise _gram_failure("its entries overflow")
-    potrf, potrs = get_lapack_funcs(("potrf", "potrs"), (regularized,))
-    c, info = potrf(regularized, lower=False, overwrite_a=False, clean=False)
+    factor, info = dpotrf(regularized, lower=False, overwrite_a=False, clean=False)
     if info > 0:
         # I + X X^T is positive definite in exact arithmetic, but once |X|^2
         # nears 1/eps rounding swallows the identity and can leave it singular.
         raise _gram_failure(f"{info}-th leading minor of the array is not positive definite")
     if info < 0:
         raise ValueError(f"illegal value in {-info}th argument of internal potrf")
-    N = X.shape[1]
-
-    # A non-finite right-hand side passes through unchecked, so that train
-    # can name the block that produced it.
-    if features:
-        Xt = X.T  # once per fit: each X.T of a CSC X builds a new CSR array
-
-        def solve(WX, over_mu, u, out):
-            P = np.subtract(WX[N:], over_mu[N:], out=out[N:])
-            P += X.dot(u)
-            solution, info = potrs(c, P, lower=False, overwrite_b=True)
-            if info != 0:
-                raise ValueError(f"illegal value in {-info}th argument of internal potrs")
-            if solution is not P:
-                P[...] = solution
-            out[:N] = Xt.dot(P)
-            return out
-        return solve
-
-    trsv = get_blas_funcs("trsv", (c,))
-
-    def solve(WX, over_mu, u, out):
-        z = np.subtract(WX[:N], over_mu[:N], out=out[:N])
-        z -= u
-        # z = (U^T U)^-1 z with the factor U, one column at a time
-        for column in z.T if z.ndim == 2 else (z,):
-            solution = trsv(c, trsv(c, column, trans=1, overwrite_x=1), overwrite_x=1)
-            if solution is not column:
-                column[...] = solution
-        P = np.subtract(WX[N:], over_mu[N:], out=out[N:])
-        P -= X.dot(z)
-        z += u
-        return out
-    return solve
+    # Xt once per fit: each X.T of a CSC X builds a new CSR array.
+    return factor, X, X.T if features else None
 
 
 def solve_w_subproblem(P: np.ndarray, Q: np.ndarray, mu: float) -> np.ndarray:
@@ -352,14 +318,48 @@ def update_E(S: np.ndarray, Y: np.ndarray, lam: float, mu: float,
     return value, steps
 
 
-def update_P(solve_gram, WX: np.ndarray, over_mu: np.ndarray, u: np.ndarray,
+def update_P(gram: tuple, WX: np.ndarray, over_mu: np.ndarray, u: np.ndarray,
              out: np.ndarray) -> np.ndarray:
     """Closed-form P update: solve (I + X X^T) P = W - Q/mu + X u, where the
-    caller passes u = Y - b - Z/mu - E, and write the stacked [X^T P; P]
-    into ``out``, which it returns.  Takes the ``solve_gram`` that
-    :func:`factor_gram` returned, the stacked WX = [X^T W; W] and
-    ``over_mu`` = [X^T Q/mu; Q/mu]."""
-    return solve_gram(WX, over_mu, u, out)
+    caller passes u = Y - b - Z/mu - E, write the stacked [X^T P; P] into
+    ``out`` and return ``out``.  Takes the ``gram`` that :func:`factor_gram`
+    returned, the stacked WX = [X^T W; W] and ``over_mu`` = [X^T Q/mu; Q/mu];
+    ``u`` has N rows, and blocks are 1-D or all C columns.
+
+    The features side (M <= N) solves by LAPACK ``potrs`` in place in
+    ``out``, with the bits of ``cho_solve`` on the same factor, then forms
+    X^T P from P.
+    The instances side (M > N) applies the matrix inversion lemma:
+    X^T P = u + z with z = (I + X^T X)^-1 (X^T W - X^T Q/mu - u) and
+    P = W - Q/mu - X z, solving for z one column at a time by two BLAS
+    ``trsv`` calls, which skip the packing that ``potrs`` does, so a
+    C-column block has the bits of its columns solved alone.  A non-finite
+    right-hand side passes through unchecked, so that :func:`train` can name
+    the block that produced it.
+    """
+    factor, X, Xt = gram
+    N = len(u)
+    if Xt is not None:
+        P = np.subtract(WX[N:], over_mu[N:], out=out[N:])
+        P += X.dot(u)
+        solution, info = dpotrs(factor, P, lower=False, overwrite_b=True)
+        if info != 0:
+            raise ValueError(f"illegal value in {-info}th argument of internal potrs")
+        if solution is not P:
+            P[...] = solution
+        out[:N] = Xt.dot(P)
+        return out
+    z = np.subtract(WX[:N], over_mu[:N], out=out[:N])
+    z -= u
+    # z = (U^T U)^-1 z with the factor U, one column at a time
+    for column in z.T if z.ndim == 2 else (z,):
+        solution = dtrsv(factor, dtrsv(factor, column, trans=1, overwrite_x=1), overwrite_x=1)
+        if solution is not column:
+            column[...] = solution
+    P = np.subtract(WX[N:], over_mu[N:], out=out[N:])
+    P -= X.dot(z)
+    z += u
+    return out
 
 
 def constraint_gaps(PX: np.ndarray, WX: np.ndarray, E: np.ndarray, Y: np.ndarray,
@@ -447,7 +447,7 @@ def train(data, config: SolverConfig = SolverConfig()) -> tuple[EnsembleModel, T
     C, lam, power, rho = config.components, config.lam, config.loss_power, config.rho
     X, y = data.X, data.y
     report = TrainReport(stop_reason="max_iters", gram_side=gram_side(X))
-    solve_gram = factor_gram(X)
+    gram = factor_gram(X)
     factorized = clock()
     M, N = X.shape
     # The stacked iterate PX = [X^T P; P] and multipliers QZ = [X^T Q; Q; Z];
@@ -494,7 +494,7 @@ def train(data, config: SolverConfig = SolverConfig()) -> tuple[EnsembleModel, T
         u -= E
         # Nothing reads the old X^T P and P past the E target, so the solve
         # writes the new ones over them.
-        PX = update_P(solve_gram, WX, over_mu[:-N], u, PX)
+        PX = update_P(gram, WX, over_mu[:-N], u, PX)
         t_P = clock()
         constraint_gaps(PX, WX, E, y, b_op, G)
         QZ, mu = update_multipliers(QZ, mu_op, G, rho)

@@ -666,6 +666,13 @@ class TestBench:
         assert "--runs must be positive" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_empty_sizes_exit_one(self, tmp_path, blob_file, capsys):
+        out = tmp_path / "b.csv"
+        rc = main(["bench", "--data", str(blob_file), "--sizes", "", "--out", str(out)])
+        assert rc == 1
+        assert "--sizes must be nonempty" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_oversized_size_fails_before_any_fit(self, tmp_path, blob_file, capsys,
                                                  monkeypatch):
         calls = _count_calls(monkeypatch, solver, "train")

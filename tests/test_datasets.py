@@ -508,6 +508,11 @@ class TestDataSetValidation:
         with pytest.raises(ValueError):
             DataSet(X=np.ones((2, 3)), y=np.array([1.0, -1.0]))
 
+    @pytest.mark.parametrize("X", [np.ones(3), np.zeros((0, 3))], ids=["1-d", "no_rows"])
+    def test_rejects_degenerate_feature_matrix(self, X):
+        with pytest.raises(ValueError, match="feature matrix must be 2-d and non-empty"):
+            DataSet(X=X, y=np.array([1.0, -1.0, 1.0]))
+
     def test_immutable(self):
         data = DataSet(X=np.ones((1, 2)), y=np.array([1.0, -1.0]))
         with pytest.raises(ValueError):

@@ -132,6 +132,10 @@ class TestDiversityReport:
         assert report.regularizer_value >= 0.5 * np.linalg.norm(W) ** 2
         assert report.regularizer_value == exclusivity_regularizer(W)
 
+    def test_rejects_non_matrix(self):
+        with pytest.raises(ValueError, match="expected a features-by-components matrix"):
+            diversity_report(np.ones(3))
+
     def test_serializes(self):
         report = diversity_report(np.ones((2, 2)))
         payload = report.to_dict()

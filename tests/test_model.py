@@ -332,14 +332,15 @@ class TestSerialization:
     @pytest.mark.parametrize("W, b, lam, p, message", [
         (np.zeros((3, 0)), np.zeros(0), 2.0, 2.0, "at least one feature and one component"),
         (np.zeros((0, 2)), np.zeros(2), 2.0, 2.0, "at least one feature and one component"),
+        (np.ones((2, 2)), [0.0], 2.0, 2.0, r"bias length \(1,\) does not match 2 components"),
         (np.ones((2, 1)), [0.0], float("nan"), 2.0, "lam must be finite and positive"),
         (np.ones((2, 1)), [0.0], float("inf"), 2.0, "lam must be finite and positive"),
         (np.ones((2, 1)), [0.0], 0.0, 2.0, "lam must be finite and positive"),
         (np.ones((2, 1)), [0.0], 2.0, 0.5, "p must be finite and at least 1"),
         (np.ones((2, 1)), [0.0], 2.0, float("nan"), "p must be finite and at least 1"),
         (np.ones((2, 1)), [0.0], 2.0, float("inf"), "p must be finite and at least 1"),
-    ], ids=["no_components", "no_features", "nan_lam", "inf_lam", "zero_lam", "power_below_one",
-            "nan_power", "inf_power"])
+    ], ids=["no_components", "no_features", "bias_length", "nan_lam", "inf_lam", "zero_lam",
+            "power_below_one", "nan_power", "inf_power"])
     def test_degenerate_models_rejected(self, W, b, lam, p, message):
         # The rules of SolverConfig: lam finite and positive, p finite and >= 1.
         with pytest.raises(ValueError, match=message):

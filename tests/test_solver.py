@@ -57,16 +57,16 @@ def _count_products_with_x(data, config):
 
 
 def _solve_operands(X, W, Q, mu):
-    """The stacked operands of a ``factor_gram`` solve for W and Q with M
+    """The stacked operands of an ``update_P`` solve for W and Q with M
     rows: WX = [X^T W; W] and over_mu = [X^T Q/mu; Q/mu]."""
     return np.concatenate((X.T @ W, W)), np.concatenate((X.T @ Q, Q)) / mu
 
 
-def _update_P(solve_gram, X, W, Q, mu, u):
+def _update_P(gram, X, W, Q, mu, u):
     """``solver.update_P`` on the stacked operands for W and Q, into a new
     buffer; returns P and X^T P."""
     WX, over_mu = _solve_operands(X, W, Q, mu)
-    PX = solver.update_P(solve_gram, WX, over_mu, u, np.empty_like(WX))
+    PX = solver.update_P(gram, WX, over_mu, u, np.empty_like(WX))
     N = X.shape[1]
     return PX[N:], PX[:N]
 
@@ -90,7 +90,7 @@ def _reference_train(data, config):
     C = config.components
     M, N = data.X.shape
     Y = np.broadcast_to(data.y[:, None], (N, C))
-    solve_gram = solver.factor_gram(data.X)
+    gram = solver.factor_gram(data.X)
     P, Q, mu = np.zeros((M, C)), np.ones((M, C)), solver.MU_INIT
     E, Z = np.zeros((N, C)), np.zeros((N, C))
     XtP = np.zeros_like(E)
@@ -102,7 +102,7 @@ def _reference_train(data, config):
         b = solver.update_b(data.y[:, None], E, XtP, Z_over_mu)
         E, _ = solver.update_E(Y - XtP - b[None, :] - Z_over_mu, Y, config.lam, mu,
                                config.loss_power)
-        P, _ = _update_P(solve_gram, data.X, W, Q, mu, Y - b[None, :] - Z_over_mu - E)
+        P, _ = _update_P(gram, data.X, W, Q, mu, Y - b[None, :] - Z_over_mu - E)
         XtP = data.X.T @ P
         gaps = _split_and_slack_gaps(data.X, W, b[None, :], E, P, XtP, data.y[:, None])
         QZ, mu = solver.update_multipliers(np.concatenate((Q, Z)), mu, gaps, config.rho)
@@ -556,7 +556,8 @@ class TestFactorGram:
         WX, over_mu = _solve_operands(X, R, Q, 1.0)
         if M <= N:
             WX[:N] = over_mu[:N] = np.nan
-        PX = solver.factor_gram(X)(WX, over_mu, np.zeros((N, C)), np.empty_like(WX))
+        PX = solver.update_P(solver.factor_gram(X), WX, over_mu, np.zeros((N, C)),
+                             np.empty_like(WX))
         got, Xt_got = PX[N:], PX[:N]
         scale = 1.0 + np.abs(X).max() ** 2
         np.testing.assert_allclose(got, expected, rtol=0, atol=1e-10 * scale * (1 + np.abs(R).max()))
@@ -583,7 +584,7 @@ class TestFactorGram:
             XtW, XtQ = X.T @ W, X.T @ Q
             WX, over_mu = _solve_operands(X, W, Q, mu)
             out = np.full_like(WX, np.nan)
-            assert solver.factor_gram(X)(WX, over_mu, u, out) is out
+            assert solver.update_P(solver.factor_gram(X), WX, over_mu, u, out) is out
             got, Xt_got = out[N:], out[:N]
             if M <= N:
                 expected = cho_solve(cho_factor(np.eye(M) + X @ X.T), W - Q / mu + X @ u)
@@ -606,19 +607,19 @@ class TestFactorGram:
         rng = np.random.default_rng(N)
         X = rng.normal(size=(M, N))
         W, Q, u = rng.normal(size=(M, 3)), rng.normal(size=(M, 3)), rng.normal(size=(N, 3))
-        solve = solver.factor_gram(X)
+        gram = solver.factor_gram(X)
         WX, over_mu = _solve_operands(X, W, Q, 1.7)
-        block = solve(WX, over_mu, u, np.empty_like(WX))
+        block = solver.update_P(gram, WX, over_mu, u, np.empty_like(WX))
         for c in range(3):
             operands = (WX[:, c].copy(), over_mu[:, c].copy(), u[:, c].copy())
-            column = solve(*operands, np.empty(N + M))
+            column = solver.update_P(gram, *operands, np.empty(N + M))
             np.testing.assert_array_equal(block[:N, c], column[:N])
             np.testing.assert_allclose(block[N:, c], column[N:], rtol=1e-13, atol=1e-15)
 
     def test_instances_side_keeps_the_factor_alone(self):
         # The solve reads the N x N factor of I + X^T X and no copy of
-        # X^T X, so the returned closure holds about N^2 * 8 bytes, not twice
-        # that.
+        # X^T X, so what factor_gram returns holds about N^2 * 8 bytes, not
+        # twice that.
         M, N = 400, 200
         X = np.random.default_rng(5).normal(size=(M, N))
         started = not tracemalloc.is_tracing()
@@ -626,13 +627,13 @@ class TestFactorGram:
             tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            solve = solver.factor_gram(X)
+            gram = solver.factor_gram(X)
             kept = tracemalloc.get_traced_memory()[0] - before
         finally:
             if started:
                 tracemalloc.stop()
         assert N * N * 8 <= kept < 1.5 * N * N * 8
-        del solve
+        del gram
 
     @pytest.mark.parametrize("shape", [(5, 40), (30, 12)], ids=["features", "instances"])
     def test_csc_solve_matches_dense_solve(self, shape):
@@ -644,9 +645,9 @@ class TestFactorGram:
             X = np.where(rng.random((M, N)) < 0.2, rng.normal(size=(M, N)), 0.0)
             W, u = rng.normal(size=(M, *width)), rng.normal(size=(N, *width))
             WX, over_mu = _solve_operands(X, W, rng.normal(size=(M, *width)), 1.7)
-            dense = solver.factor_gram(X)(WX, over_mu, u, np.empty_like(WX))
+            dense = solver.update_P(solver.factor_gram(X), WX, over_mu, u, np.empty_like(WX))
             out = np.full_like(WX, np.nan)
-            assert solver.factor_gram(csc_array(X))(WX, over_mu, u, out) is out
+            assert solver.update_P(solver.factor_gram(csc_array(X)), WX, over_mu, u, out) is out
             np.testing.assert_allclose(out, dense, rtol=1e-12, atol=1e-12)
 
     def test_ill_scaled_features_fail_with_advice(self):
@@ -834,7 +835,7 @@ class TestColumnSymmetry:
                      Q=rng.normal(size=(M, C)), Z=rng.normal(size=(N, C)))
         perm = rng.permutation(C)
         swapped = {name: value[:, perm] for name, value in state.items()}
-        solve_gram = solver.factor_gram(data.X)
+        gram = solver.factor_gram(data.X)
         Y = np.broadcast_to(data.y[:, None], (N, C))
 
         def blocks(s, mu=1.7):
@@ -842,7 +843,7 @@ class TestColumnSymmetry:
             W = solver.solve_w_subproblem(s["P"], s["Q"], mu)
             b = solver.update_b(data.y[:, None], s["E"], XtP, Z_over_mu)
             E, _ = solver.update_E(Y - XtP - b[None, :] - Z_over_mu, Y, 2.0, mu, 1.5)
-            P, _ = _update_P(solve_gram, data.X, W, s["Q"], mu, Y - b[None, :] - Z_over_mu - E)
+            P, _ = _update_P(gram, data.X, W, s["Q"], mu, Y - b[None, :] - Z_over_mu - E)
             gaps = _split_and_slack_gaps(data.X, W, b[None, :], E, P, data.X.T @ P,
                                          data.y[:, None])
             QZ, mu = solver.update_multipliers(np.concatenate((s["Q"], s["Z"])), mu, gaps,
@@ -897,12 +898,13 @@ class TestVectorLayout:
             column, column_steps = solver.update_E(S[:, None], col["y"], lam, mu, p)
             _assert_same_bits(vector, column)
             assert vector_steps == column_steps
-        solve = solver.factor_gram(X)
+        gram = solver.factor_gram(X)
         u = y - b - Z / mu - E
         WX, over_mu = _solve_operands(X, W, Q, mu)
         column_WX, column_over_mu = _solve_operands(X, col["W"], col["Q"], mu)
-        _assert_same_bits(solve(WX, over_mu, u, np.empty_like(WX)),
-                          solve(column_WX, column_over_mu, u[:, None], np.empty_like(column_WX)))
+        _assert_same_bits(solver.update_P(gram, WX, over_mu, u, np.empty_like(WX)),
+                          solver.update_P(gram, column_WX, column_over_mu, u[:, None],
+                                          np.empty_like(column_WX)))
         gaps, column_gaps = np.empty(2 * N + M), np.empty((2 * N + M, 1))
         solver.constraint_gaps(np.concatenate((XtP, P)), WX, E, y, b, gaps)
         solver.constraint_gaps(np.concatenate((col["XtP"], col["P"])), column_WX, col["E"],
@@ -957,7 +959,8 @@ class TestBlocksLeaveInputs:
             for p in (1.0, 1.25, 1.5, 2.0):
                 results.extend(solver.update_E(a["S"], a["Y"], lam, mu, p))
             out = np.empty_like(a["WX"])  # the caller's buffer for [X^T P; P]
-            assert solver.factor_gram(a["X"])(a["WX"], a["over_mu"], a["u"], out) is out
+            assert solver.update_P(solver.factor_gram(a["X"]), a["WX"], a["over_mu"], a["u"],
+                                   out) is out
             results.append(out)
             gaps = np.empty((2 * N + M, *width))  # the caller's buffer for the gaps
             assert solver.constraint_gaps(a["PX"], a["WX"], a["E"], a["Y"], a["b"], gaps) is gaps
@@ -1103,17 +1106,15 @@ class TestTrain:
         config = SolverConfig(components=3, loss_power=1.5, outer_tol=1e-6)
         _, fast = train(data, config)
 
-        def dense_reference(X):
-            K = np.eye(X.shape[0]) + X @ X.T
-            N = X.shape[1]
+        X, N = data.X, data.X.shape[1]
+        K = np.eye(X.shape[0]) + X @ X.T
 
-            def solve(WX, over_mu, u, out):
-                out[N:] = np.linalg.solve(K, WX[N:] - over_mu[N:] + X @ u)
-                out[:N] = X.T @ out[N:]
-                return out
-            return solve
+        def dense_reference(gram, WX, over_mu, u, out):
+            out[N:] = np.linalg.solve(K, WX[N:] - over_mu[N:] + X @ u)
+            out[:N] = X.T @ out[N:]
+            return out
 
-        monkeypatch.setattr(solver, "factor_gram", dense_reference)
+        monkeypatch.setattr(solver, "update_P", dense_reference)
         _, dense = train(data, config)
         assert fast.gram_side == "instances"
         assert fast.iterations == dense.iterations
