@@ -113,14 +113,12 @@ def _existing(path: str) -> str:
     return path
 
 
-def _fit(train_set, config, args, reports: list):
-    """Train once, zero the report's times under ``--no-timing``, and record
-    the report in ``reports``."""
+def _fit(train_set, config, args):
+    """Train once and zero the report's times under ``--no-timing``."""
     trained, report = solver.train(train_set, config)
     if args.no_timing:
         report.wall_time = 0.0
         report.block_ms = dict.fromkeys(report.block_ms, 0.0)
-    reports.append(report)
     return trained, report
 
 
@@ -133,12 +131,12 @@ def _draws(data, args, size: int, trials: int):
         yield datasets.standardize(*sets) if args.standardize else sets
 
 
-def _split_trials(data, args, configs, reports: list):
+def _split_trials(data, args, configs):
     """Per config, one (train error, test error, report) per trial; every
     config of a trial trains on that trial's one split and standardization."""
     by_trial = []
     for train_set, test_set in _draws(data, args, args.train_size, args.trials):
-        fits = [_fit(train_set, config, args, reports) for config in configs]
+        fits = [_fit(train_set, config, args) for config in configs]
         by_trial.append([(model_mod.test_error(trained, train_set),
                           model_mod.test_error(trained, test_set), report)
                          for trained, report in fits])
@@ -160,7 +158,7 @@ def cmd_train(args) -> int:
         scaler = datasets.fit_scaler(data)
         data = datasets.standardize(data, scaler=scaler)
     config = _make_config(args, args.lam, args.components)
-    trained, report = _fit(data, config, args, [])
+    trained, report = _fit(data, config, args)
     trained = dataclasses.replace(trained, scaler=scaler)
     model_mod.save_model(trained, args.model)
     payload = {"config": config.to_dict(), "data": str(args.data)}
@@ -203,8 +201,7 @@ def cmd_eval(args) -> int:
         print(f"test error: {error:.2f}%")
     else:
         config = _make_config(args, args.lam, args.components)
-        reports = []
-        (fits,) = _split_trials(data, args, [config], reports)
+        (fits,) = _split_trials(data, args, [config])
         errors = np.array([100.0 * test_error for _, test_error, _ in fits])
         mean = float(errors.mean())
         std = float(errors.std(ddof=1)) if errors.size > 1 else 0.0
@@ -220,7 +217,7 @@ def cmd_eval(args) -> int:
             "data": str(args.data),
         }
         print(f"test error: {mean:.2f}% +/- {std:.2f}% over {args.trials} trials")
-        _warn_at_iteration_cap(reports, args.max_iters)
+        _warn_at_iteration_cap([report for _, _, report in fits], args.max_iters)
     Path(args.out).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
     return _EXIT_OK
 
@@ -239,14 +236,15 @@ def cmd_sweep(args) -> int:
         raise ValueError("sweep grids must be nonempty")
     grid = [_make_config(args, lam, components)
             for lam in args.lam_grid for components in args.component_grid]
-    reports = []
+    by_config = _split_trials(data, args, grid)
     rows = [[_fmt(config.lam), config.components, trial, _fmt(train_error), _fmt(test_error),
              report.iterations, _fmt(report.wall_time)]
-            for config, fits in zip(grid, _split_trials(data, args, grid, reports))
+            for config, fits in zip(grid, by_config)
             for trial, (train_error, test_error, report) in enumerate(fits)]
     _write_csv(args.out, ["lambda", "components", "trial", "train_error", "test_error",
                           "iterations", "wall_time"], rows)
-    _warn_at_iteration_cap(reports, args.max_iters)
+    _warn_at_iteration_cap([report for fits in by_config for _, _, report in fits],
+                           args.max_iters)
     return _EXIT_OK
 
 
@@ -267,8 +265,9 @@ def cmd_bench(args) -> int:
             subsamples = [datasets.standardize(data) if args.standardize else data] * args.runs
         else:
             subsamples = (train_set for train_set, _ in _draws(data, args, size, args.runs))
-        total = sum(_fit(sample, config, args, reports)[1].wall_time for sample in subsamples)
-        rows.append([size, _fmt(total)])
+        fitted = [_fit(sample, config, args)[1] for sample in subsamples]
+        rows.append([size, _fmt(sum(report.wall_time for report in fitted))])
+        reports += fitted
     _write_csv(args.out, ["n_train", "total_time"], rows)
     _warn_at_iteration_cap(reports, args.max_iters)
     return _EXIT_OK

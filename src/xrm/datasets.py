@@ -20,7 +20,6 @@ import sys
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import NoReturn
 
 import numpy as np
 
@@ -185,17 +184,20 @@ def map_labels(raw_labels) -> np.ndarray:
     return np.where(raw == values[1], 1.0, -1.0)
 
 
-def _raise_first_defect(label_tokens, entry_texts, line_numbers) -> NoReturn:
-    """Raise :class:`SparseFormatError` for the first defect of rejected input,
-    read one token at a time in line order; input whose tokens hold none is
-    rejected for holding no entries, the one other defect the whole-input
-    checks of :func:`parse_sparse_text` find."""
+def _read_tokens(label_tokens, entry_texts, line_numbers):
+    """Read input one token at a time, in line order: the labels (a list),
+    indices (int64, one-based) and values of valid input, as
+    :func:`parse_sparse_text` stores them.  Raises
+    :class:`SparseFormatError` for the first defect, for input whose tokens
+    hold no entries, and, at line 0, for a largest index beyond the int64
+    range."""
+    labels, indices, values = [], [], []
     for label, entries, line_number in zip(label_tokens, entry_texts, line_numbers):
         try:
-            number = float(label)
+            labels.append(float(label))
         except ValueError:
             raise SparseFormatError(f"label {label!r} is not numeric", line_number) from None
-        if not math.isfinite(number):
+        if not math.isfinite(labels[-1]):
             raise SparseFormatError(f"label {label!r} is not finite", line_number)
         previous = 0
         for token in entries.split():
@@ -215,18 +217,25 @@ def _raise_first_defect(label_tokens, entry_texts, line_numbers) -> NoReturn:
                 raise SparseFormatError(f"index {index} does not increase "
                                         f"(previous index {previous})", line_number)
             previous = index
-    raise SparseFormatError("input contains no feature entries", 0)
+            indices.append(index)
+            values.append(value)
+    if not indices:
+        raise SparseFormatError("input contains no feature entries", 0)
+    if max(indices) > np.iinfo(np.int64).max:
+        raise SparseFormatError(
+            f"largest index {max(indices)} over {len(labels)} instances is beyond "
+            f"{np.iinfo(np.int64).max}, the largest index a feature matrix holds", 0)
+    return labels, np.array(indices, dtype=np.int64), np.array(values)
 
 
 def _convert(convert, texts: list) -> list:
-    """``list(map(convert, texts))`` for ``float`` or ``int``, converting each
-    distinct text once, through a table, when fewer than ``_DISTINCT_PCT``
-    percent of the texts are distinct by Chao's estimate
-    ``d + f1 (f1 - 1) / (2 (f2 + 1))`` from a sample of every
-    ``_SAMPLE_STRIDE``-th text, in which d texts are distinct, f1 of them
-    occur once and f2 twice.  The table hashes every text, so it pays only
-    on texts that repeat; the result and every error are the same either
-    way."""
+    """``list(map(convert, texts))``, converting each distinct text once,
+    through a table, when fewer than ``_DISTINCT_PCT`` percent of the texts
+    are distinct by Chao's estimate ``d + f1 (f1 - 1) / (2 (f2 + 1))`` from a
+    sample of every ``_SAMPLE_STRIDE``-th text, in which d texts are
+    distinct, f1 of them occur once and f2 twice.  The table hashes every
+    text, so it pays only on texts that repeat; the result and every error
+    are the same either way."""
     # k -> how many sampled texts occur k times in the sample
     occurrences = Counter(Counter(texts[::_SAMPLE_STRIDE]).values())
     once, twice = occurrences[1], occurrences[2]
@@ -237,26 +246,66 @@ def _convert(convert, texts: list) -> list:
     return list(map(table.__getitem__, texts))
 
 
-def _ascii_indices(code: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.ndarray | None:
+def _ascii_indices(code: np.ndarray, starts: np.ndarray, ends: np.ndarray):
     """The numbers that the byte texts ``code[starts[k]:ends[k]]`` write in
-    decimal, as int64, when every text is 1 to 18 ASCII digits; else None."""
+    decimal, as int64, and a mask of the bytes of ``code`` that are in none
+    of these texts and at none of ``ends``.  Raises ValueError unless every
+    text is 1 to 18 ASCII digits."""
     lengths = ends - starts
     if lengths.min() < 1 or lengths.max() > _MAX_ASCII_DIGITS:
-        return None
+        raise ValueError("an index text is not 1 to 18 bytes long")
     index = np.zeros(lengths.size, dtype=np.int64)
+    kept = np.ones(code.size, dtype=bool)
+    kept[ends] = False
     place = 1
     for j in range(lengths.max()):
         # The byte of place value 10^j.  A text shorter than j + 1 reads a
-        # byte before its start instead and counts it as 0; before position
-        # 0 that is a byte from the end of code, which is longer than j.
-        digit = code[ends - (j + 1)] - np.uint8(ord("0"))  # other bytes wrap past 9
+        # byte before its start instead, counts it as 0 and keeps it; before
+        # position 0 that is a byte from the end of code, which is longer
+        # than j.
+        at = ends - (j + 1)
+        digit = code[at] - np.uint8(ord("0"))  # other bytes wrap past 9
         if j:
-            digit *= lengths > j
+            longer = lengths > j
+            digit *= longer
+            at = at[longer]
         if digit.max() > 9:
-            return None
+            raise ValueError("an index text is not ASCII digits")
         index += np.multiply(digit, place, dtype=np.int64)
+        kept[at] = False
         place *= 10
-    return index
+    return index, kept
+
+
+def _read_bytes(label_tokens, entry_texts, instance):
+    """The labels, indices and values of valid input whose index texts are
+    all 1 to 18 ASCII digits, read in whole-input passes over the UTF-8 bytes
+    of its entries, as :func:`_read_tokens` reads them; ``instance`` numbers
+    each entry's line.  Raises ValueError on any other input."""
+    labels = _convert(float, label_tokens)
+    # Tokens hold no spaces, so the colons and spaces of the joined entries
+    # alternate ": : ... :" exactly when every token holds one colon (and
+    # never when there are no tokens).
+    code = np.frombuffer(" ".join(filter(None, entry_texts)).encode("utf-8", "surrogatepass"),
+                         dtype=np.uint8)
+    cuts = np.flatnonzero((code == ord(":")) | (code == ord(" ")))
+    colons, spaces = cuts[0::2], cuts[1::2]
+    if (cuts.size != 2 * instance.size - 1 or np.any(code[colons] != ord(":"))
+            or np.any(code[spaces] != ord(" "))):
+        raise ValueError("a token does not hold exactly one colon")
+    # The bytes kept are the value texts joined by the spaces between tokens.
+    index, kept = _ascii_indices(code, np.concatenate(([0], spaces + 1)), colons)
+    del cuts, colons, spaces
+    value_text = code[kept].tobytes().decode("utf-8", "surrogatepass")
+    del code, kept  # the texts are most of a parse's memory: free each once read
+    value_texts = value_text.split(" ")
+    del value_text
+    values = np.array(_convert(float, value_texts))
+    rises = (instance[1:] != instance[:-1]) | (index[1:] > index[:-1])
+    if not (np.all(np.isfinite(labels)) and np.all(np.isfinite(values))
+            and np.all(index >= 1) and np.all(rises)):
+        raise ValueError("a label, value or index is out of range")
+    return labels, index, values
 
 
 def parse_sparse_text(source) -> DataSet:
@@ -265,12 +314,12 @@ def parse_sparse_text(source) -> DataSet:
     ``source`` may be a string, split into lines at ``\\n`` only, a text
     stream, or any iterable of lines; blank lines are skipped.  The feature
     count M is the largest index seen; absent entries are zero.  Labels go
-    through :func:`map_labels`.  All tokens are converted and checked in
-    whole-input passes that only accept or reject the input; rejected input
-    is then read token by token to name its first defect.  Texts go through
-    :func:`_convert`, except that index texts of 1 to 18 ASCII digits are
-    read with integer arithmetic from the UTF-8 bytes, as ``int()`` reads
-    them; one index text of another spelling sends all of them to ``int()``.
+    through :func:`map_labels`.  Input whose index texts are all 1 to 18
+    ASCII digits is read in whole-input passes, the indices with integer
+    arithmetic from the UTF-8 bytes, as ``int()`` reads them; all other
+    input, and input those passes reject, is read one token at a time,
+    which names the first defect of rejected input.  Label and value texts
+    go through :func:`_convert`.
 
     X is a CSC array, one column per instance keeping every written entry,
     when the entries fill less than 27% of the M x N matrix, below which a
@@ -296,61 +345,16 @@ def parse_sparse_text(source) -> DataSet:
             entry_texts.append(" ".join(tokens[1:]))  # one space between tokens
             line_numbers.append(line_number)
             counts.append(len(tokens) - 1)
+    del lines  # a string source's lines, whose tokens are copied
     if not label_tokens:
         raise SparseFormatError("input contains no instances", 0)
     instance = np.repeat(np.arange(len(counts)), counts)
-    joined = " ".join(filter(None, entry_texts))
     try:
-        labels = _convert(float, label_tokens)
-        # Tokens hold no spaces, so the colons and spaces of ``joined``
-        # alternate ": : ... :" exactly when every token holds one colon (and
-        # never when there are no tokens, which is itself a defect).
-        code = np.frombuffer(joined.encode("utf-8", "surrogatepass"), dtype=np.uint8)
-        cuts = np.flatnonzero((code == ord(":")) | (code == ord(" ")))
-        colons, spaces = cuts[0::2], cuts[1::2]
-        if (cuts.size != 2 * instance.size - 1 or np.any(code[colons] != ord(":"))
-                or np.any(code[spaces] != ord(" "))):
-            raise ValueError("a token does not hold exactly one colon")
-        del cuts
-        starts = np.concatenate(([0], spaces + 1))
-        index = _ascii_indices(code, starts, colons)
-        if index is None:
-            del code, colons, spaces, starts
-            parts = joined.replace(" ", ":").split(":")
-            del joined  # the texts are most of a parse's memory: free each once read
-            index_texts, value_texts = parts[0::2], parts[1::2]
-            del parts
-            index = _convert(int, index_texts)
-            del index_texts
-        else:
-            del joined
-            # Drop each token's index digits and colon, which leaves the value
-            # texts joined by the spaces between the tokens.
-            lengths = colons - starts
-            kept = np.ones(code.size, dtype=bool)
-            for j in range(lengths.max() + 1):
-                kept[colons[lengths >= j] - j] = False
-            del colons, spaces, starts, lengths
-            value_texts = code[kept].tobytes().decode("utf-8", "surrogatepass").split(" ")
-            del code, kept
-        values = np.array(_convert(float, value_texts))
-        del value_texts
-        try:
-            index = np.asarray(index, dtype=np.int64)
-        except OverflowError:  # such an index is read, then rejected below
-            index = np.array(index, dtype=object)
-        rises = (instance[1:] != instance[:-1]) | (index[1:] > index[:-1])
-        accepted = (np.all(np.isfinite(labels)) and np.all(np.isfinite(values))
-                    and np.all(index >= 1) and np.all(rises))
+        read = _read_bytes(label_tokens, entry_texts, instance)
     except ValueError:
-        accepted = False
-    if not accepted:
-        _raise_first_defect(label_tokens, entry_texts, line_numbers)
+        read = None
+    labels, index, values = read or _read_tokens(label_tokens, entry_texts, line_numbers)
     M, N = index.max(), len(counts)
-    if index.dtype == object:
-        raise SparseFormatError(
-            f"largest index {M} over {N} instances is beyond {np.iinfo(np.int64).max}, "
-            "the largest index a feature matrix holds", 0)
     if 100 * index.size >= _CSC_DENSITY_PCT * int(M) * N:
         X = np.zeros((M, N))
         X[index - 1, instance] = values
