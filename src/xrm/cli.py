@@ -5,9 +5,10 @@ Every command trains through ``_fit``, with the defaults of ``SolverConfig``.
 (z-scored on its training side under ``--standardize``) through ``_draws``,
 and say on stderr how many fits stopped at the iteration cap.
 
-All commands are deterministic given their inputs and ``--seed``; pass
-``--no-timing`` to zero out wall-clock fields so repeated runs produce
-byte-identical JSON/CSV artifacts.
+Every command is deterministic given its inputs and, where it draws
+splits, ``--seed``; ``train``, ``sweep`` and ``bench`` take ``--no-timing``
+to zero out wall-clock fields so repeated runs produce byte-identical
+JSON/CSV artifacts.  Each command accepts only the flags it reads.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ def build_parser() -> argparse.ArgumentParser:
                                      description="Train and evaluate diverse linear ensembles.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, with_split=True, grid=False):
+    def add_common(p, with_split=True, grid=False, seeded=True, timed=True):
         p.add_argument("--data", required=True, help="sparse-text dataset path")
         if grid:
             p.add_argument("--lambda", dest="lam_grid", type=_float_list, default=[defaults.lam],
@@ -63,12 +64,14 @@ def build_parser() -> argparse.ArgumentParser:
                        help="objective-change stopping threshold")
         p.add_argument("--max-iters", type=int, default=defaults.outer_max_iters,
                        help="outer iteration cap")
-        p.add_argument("--seed", type=int, default=0, help="base seed for splits")
+        if seeded:
+            p.add_argument("--seed", type=int, default=0, help="base seed for splits")
         p.add_argument("--standardize", action="store_true",
                        help="z-score features (fit on train, applied to test); "
                             "eval --model applies the model's saved scaler")
-        p.add_argument("--no-timing", action="store_true",
-                       help="write wall and block times as 0 for reproducible artifacts")
+        if timed:
+            p.add_argument("--no-timing", action="store_true",
+                           help="write wall and block times as 0 for reproducible artifacts")
         if with_split:
             p.add_argument("--train-size", type=int, default=150,
                            help="training instances per trial (default 150)")
@@ -76,12 +79,13 @@ def build_parser() -> argparse.ArgumentParser:
                            help="independent trials (default 10)")
 
     p_train = sub.add_parser("train", help="train one model on a full dataset file")
-    add_common(p_train, with_split=False)
+    add_common(p_train, with_split=False, seeded=False)
     p_train.add_argument("--model", default="model.json", help="model output path")
     p_train.add_argument("--out", default="report.json", help="training report output path")
 
     p_eval = sub.add_parser("eval", help="evaluate a model, or mean error over retrained trials")
-    add_common(p_eval)
+    add_common(p_eval, timed=False)
+    p_eval.set_defaults(no_timing=False)  # _fit reads it; eval writes no times
     p_eval.add_argument("--model", default=None,
                         help="model path; omit to retrain per trial on random splits")
     p_eval.add_argument("--out", default="eval.json", help="evaluation report output path")
@@ -106,10 +110,15 @@ def _make_config(args, lam: float, components: int) -> solver.SolverConfig:
                                outer_tol=args.outer_tol, outer_max_iters=args.max_iters)
 
 
+class _MissingInput(FileNotFoundError):
+    """An input path that names no file; exits 2, where any other OSError,
+    such as an output that cannot be written, exits 1."""
+
+
 def _existing(path: str) -> str:
     """``path`` itself, once it names a file: a missing input exits 2."""
     if not Path(path).is_file():
-        raise FileNotFoundError(path)
+        raise _MissingInput(path)
     return path
 
 
@@ -280,10 +289,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except FileNotFoundError as exc:
+    except _MissingInput as exc:
         print(f"error: no such file: {exc}", file=sys.stderr)
         return _EXIT_MISSING_FILE
-    except (ValueError, solver.DivergenceError) as exc:
+    except (OSError, ValueError, solver.DivergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_ERROR
 

@@ -13,9 +13,7 @@ training :class:`~xrm.datasets.Scaler`, before prediction.
 Models are saved as ``xrm-model/3``: the distinct columns of W, each once, as
 a row-major M x U list ``W``, a list ``column`` of C indices that names each
 component's stored column, all C biases ``b``, and, with a scaler,
-``feature_mean`` and ``feature_scale``.  Files of the earlier formats still
-load: ``xrm-model/1`` (row-major M x C ``W``, no scaler) and
-``xrm-model/2`` (``/1`` plus the scaler keys).
+``feature_mean`` and ``feature_scale``.  No other format loads.
 """
 
 from __future__ import annotations
@@ -30,7 +28,6 @@ from .datasets import Scaler, _is_sparse, _store_frozen
 from .diversity import _distinct_columns
 
 MODEL_FORMAT_VERSION = "xrm-model/3"
-_EARLIER_VERSIONS = ("xrm-model/1", "xrm-model/2")  # every column stored; /2 adds the scaler
 _SCALER_KEYS = ("feature_mean", "feature_scale")
 
 _BOUND_TOL = 1e-9
@@ -174,24 +171,19 @@ def _expand_stored_columns(stored: np.ndarray, C: int, column) -> np.ndarray:
 
 
 def model_from_dict(payload: dict) -> EnsembleModel:
-    """The model a :func:`model_to_dict` payload describes, or one of an
-    earlier format; raises ValueError unless the payload is an object of a
-    known format holding every key of that format with a value of the right
-    JSON type within the float range, ``feature_count`` and ``components``
-    are integers of at least 1, and ``W`` holds M x C values (/3: a multiple
-    of M)."""
+    """The model a :func:`model_to_dict` payload describes; raises
+    ValueError unless the payload is an ``xrm-model/3`` object holding every
+    key of that format with a value of the right JSON type within the float
+    range, ``feature_count`` and ``components`` are integers of at least 1,
+    ``W`` holds a positive multiple of M values, and ``column`` lists C
+    indices that use every stored column."""
     if not isinstance(payload, dict):
         raise ValueError(f"model file must hold a JSON object, got {type(payload).__name__}")
     version = payload.get("version")
-    known = (MODEL_FORMAT_VERSION, *_EARLIER_VERSIONS)
-    if version not in known:
-        raise ValueError(f"unsupported model format {version!r}; expected one of "
-                         f"{', '.join(map(repr, known))}")
-    required = ["feature_count", "components", "W", "b", "lambda", "p"]
-    if version == MODEL_FORMAT_VERSION:
-        required.append("column")
-    scaled = (version == "xrm-model/2"
-              or (version == MODEL_FORMAT_VERSION and any(key in payload for key in _SCALER_KEYS)))
+    if version != MODEL_FORMAT_VERSION:
+        raise ValueError(f"unsupported model format {version!r}; expected {MODEL_FORMAT_VERSION!r}")
+    required = ["feature_count", "components", "W", "b", "lambda", "p", "column"]
+    scaled = any(key in payload for key in _SCALER_KEYS)
     if scaled:
         required += _SCALER_KEYS
     missing = [key for key in required if key not in payload]
@@ -219,13 +211,7 @@ def model_from_dict(payload: dict) -> EnsembleModel:
         if M < 1 or stored.size == 0 or stored.size % M:
             raise ValueError(f"{version} model's W holds {stored.size} values, "
                              f"not a positive multiple of feature_count {M}")
-        if version == MODEL_FORMAT_VERSION:
-            W = _expand_stored_columns(stored.reshape(M, -1), C, payload["column"])
-        elif stored.size != M * C:
-            raise ValueError(f"{version} model's W holds {stored.size} values, not "
-                             f"feature_count {M} times components {C}")
-        else:
-            W = stored.reshape(M, C)
+        W = _expand_stored_columns(stored.reshape(M, -1), C, payload["column"])
         scaler = None
         if scaled:
             scaler = Scaler(mean=numbers["feature_mean"], scale=numbers["feature_scale"])

@@ -29,16 +29,11 @@ def _count_calls(monkeypatch, module, *names):
     return calls
 
 
-# A valid model of 3 features and 1 component in each format, and header
-# changes that every format rejects with an error naming the key.
-_HEADER_BASE = {"feature_count": 3, "components": 1, "W": [0.5, -1.0, 2.0], "b": [0.0],
-                "lambda": 2.0, "p": 2.0}
-_HEADER_BASES = {
-    "xrm-model/1": _HEADER_BASE,
-    "xrm-model/2": {**_HEADER_BASE, "feature_mean": [0.0, 0.0, 0.0],
-                    "feature_scale": [1.0, 1.0, 1.0]},
-    "xrm-model/3": {**_HEADER_BASE, "column": [0]},
-}
+# A valid model of 3 features and 1 component, and header changes that the
+# loader rejects with an error naming the key.
+_HEADER_BASE = {"feature_count": 3, "components": 1, "W": [0.5, -1.0, 2.0], "column": [0],
+                "b": [0.0], "lambda": 2.0, "p": 2.0}
+_HEADER_BASES = {"xrm-model/3": _HEADER_BASE}
 _WRONG_TYPE = "model holds a value of the wrong type: "
 _BAD_HEADERS = [
     ("negative_feature_count", {"feature_count": -1},
@@ -75,8 +70,8 @@ _BAD_HEADERS = [
     ("huge_W", {"W": [0.5, 10**400, 2.0]}, "model's W holds an integer too large for a float"),
     ("huge_b", {"b": [10**400]}, "model's b holds an integer too large for a float"),
 ]
-# Scaler changes that the two formats with a scaler reject; xrm-model/1 reads no scaler.
-_SCALED_VERSIONS = ("xrm-model/2", "xrm-model/3")
+# Scaler changes that the loader rejects.
+_SCALED_VERSIONS = ("xrm-model/3",)
 _BAD_SCALERS = [
     ("string_feature_mean", {"feature_mean": ["0", "0", "0"], "feature_scale": [1.0, 1.0, 1.0]},
      "model's feature_mean must be a flat list of numbers"),
@@ -85,6 +80,19 @@ _BAD_SCALERS = [
     ("huge_feature_mean", {"feature_mean": [0, 10**400, 0], "feature_scale": [1.0, 1.0, 1.0]},
      "model's feature_mean holds an integer too large for a float"),
 ]
+# Files of the formats before xrm-model/3, which stored all C columns of W and
+# no column list, with the header and scaler changes each was checked on.
+# The loader refuses them by their version, before it reads any other key.
+_EARLIER_BASE = {key: value for key, value in _HEADER_BASE.items() if key != "column"}
+_EARLIER_BASES = {
+    "xrm-model/1": (_EARLIER_BASE, _BAD_HEADERS),
+    "xrm-model/2": ({**_EARLIER_BASE, "feature_mean": [0.0, 0.0, 0.0],
+                     "feature_scale": [1.0, 1.0, 1.0]}, _BAD_HEADERS + _BAD_SCALERS),
+}
+
+
+def _unsupported(version: str) -> str:
+    return f"error: unsupported model format {version!r}; expected 'xrm-model/3'\n"
 
 
 @pytest.fixture
@@ -388,7 +396,7 @@ class TestEval:
     def test_trials_mode(self, tmp_path, blob_file):
         out = tmp_path / "eval.json"
         rc = main(["eval", "--data", str(blob_file), "--train-size", "40", "--trials", "3",
-                   "--seed", "9", "--out", str(out), "--no-timing"])
+                   "--seed", "9", "--out", str(out)])
         assert rc == 0
         payload = json.loads(out.read_text())
         assert len(payload["trial_errors_percent"]) == 3
@@ -400,7 +408,7 @@ class TestEval:
     def test_trials_mode_with_standardization(self, tmp_path, blob_file):
         out = tmp_path / "eval.json"
         rc = main(["eval", "--data", str(blob_file), "--train-size", "40", "--trials", "2",
-                   "--seed", "9", "--standardize", "--out", str(out), "--no-timing"])
+                   "--seed", "9", "--standardize", "--out", str(out)])
         assert rc == 0
         payload = json.loads(out.read_text())
         assert payload["standardize"] is True
@@ -409,7 +417,7 @@ class TestEval:
     def test_trials_at_the_iteration_cap_warn(self, tmp_path, blob_file, capsys):
         out = tmp_path / "eval.json"
         rc = main(["eval", "--data", str(blob_file), "--train-size", "40", "--trials", "3",
-                   "--max-iters", "2", "--out", str(out), "--no-timing"])
+                   "--max-iters", "2", "--out", str(out)])
         assert rc == 0
         assert capsys.readouterr().err == (
             "warning: 3 of 3 fits stopped at the iteration cap (2) before the objective "
@@ -429,9 +437,9 @@ class TestEval:
 
     def test_non_finite_model_exits_one(self, tmp_path, blob_file, capsys):
         model_path = tmp_path / "model.json"
-        model_path.write_text(json.dumps({"version": "xrm-model/1", "feature_count": 4,
+        model_path.write_text(json.dumps({"version": "xrm-model/3", "feature_count": 4,
                                           "components": 1, "W": [float("nan"), 1.0, 0.0, 0.0],
-                                          "b": [0.0], "lambda": 2.0, "p": 2.0}))
+                                          "column": [0], "b": [0.0], "lambda": 2.0, "p": 2.0}))
         out = tmp_path / "e.json"
         rc = main(["eval", "--data", str(blob_file), "--model", str(model_path),
                    "--out", str(out)])
@@ -441,32 +449,35 @@ class TestEval:
 
     @pytest.mark.parametrize("payload, message", [
         ([1], "error: model file must hold a JSON object, got list\n"),
-        ({"version": "xrm-model/1", "feature_count": 1, "components": 1, "W": [0.0],
-          "b": [0.0], "p": 2.0}, "error: xrm-model/1 model lacks lambda\n"),
-        ({"version": "xrm-model/1", "feature_count": None, "components": 1, "W": [0.0],
-          "b": [0.0], "lambda": 2.0, "p": 2.0},
-         "error: xrm-model/1 model holds a value of the wrong type: "),
-        # Six values are a multiple of feature_count 2, but not 2 x 2.
+        ({"version": "xrm-model/3", **{key: value for key, value in _HEADER_BASE.items()
+                                       if key != "lambda"}},
+         "error: xrm-model/3 model lacks lambda\n"),
+        ({"version": "xrm-model/3", **_HEADER_BASE, "feature_count": None},
+         "error: xrm-model/3 model holds a value of the wrong type: "),
+        # Six values are a multiple of feature_count 2, but not 2 x 2; an
+        # earlier-format file is refused by its version before W is read.
         ({"version": "xrm-model/1", "feature_count": 2, "components": 2, "W": [1.0] * 6,
-          "b": [0.0, 0.0], "lambda": 2.0, "p": 2.0},
-         "error: xrm-model/1 model's W holds 6 values, not feature_count 2 times components 2\n"),
+          "b": [0.0, 0.0], "lambda": 2.0, "p": 2.0}, _unsupported("xrm-model/1")),
         ({"version": "xrm-model/2", "feature_count": 2, "components": 2, "W": [1.0] * 6,
           "b": [0.0, 0.0], "lambda": 2.0, "p": 2.0, "feature_mean": [0.0, 0.0],
-          "feature_scale": [1.0, 1.0]},
-         "error: xrm-model/2 model's W holds 6 values, not feature_count 2 times components 2\n"),
+          "feature_scale": [1.0, 1.0]}, _unsupported("xrm-model/2")),
         # json reads NaN, so a file can carry hyperparameters no fit accepts.
-        ({"version": "xrm-model/3", **_HEADER_BASE, "column": [0], "lambda": float("nan")},
+        ({"version": "xrm-model/3", **_HEADER_BASE, "lambda": float("nan")},
          "error: lam must be finite and positive, got nan\n"),
-        ({"version": "xrm-model/3", **_HEADER_BASE, "column": [0], "p": 0.5},
+        ({"version": "xrm-model/3", **_HEADER_BASE, "p": 0.5},
          "error: p must be finite and at least 1, got 0.5\n"),
     ] + [({"version": version, **base, **change}, f"error: {version} {message}\n")
          for version, base in _HEADER_BASES.items() for _, change, message in _BAD_HEADERS]
       + [({"version": version, **_HEADER_BASES[version], **change}, f"error: {version} {message}\n")
-         for version in _SCALED_VERSIONS for _, change, message in _BAD_SCALERS],
+         for version in _SCALED_VERSIONS for _, change, message in _BAD_SCALERS]
+      + [({"version": version, **base, **change}, _unsupported(version))
+         for version, (base, cases) in _EARLIER_BASES.items() for _, change, _ in cases],
         ids=["not_an_object", "missing_key", "null_value", "v1_W_not_M_by_C", "v2_W_not_M_by_C",
              "nan_lambda", "power_below_one"]
         + [f"{version}-{name}" for version in _HEADER_BASES for name, _, _ in _BAD_HEADERS]
-        + [f"{version}-{name}" for version in _SCALED_VERSIONS for name, _, _ in _BAD_SCALERS])
+        + [f"{version}-{name}" for version in _SCALED_VERSIONS for name, _, _ in _BAD_SCALERS]
+        + [f"{version}-{name}" for version, (_, cases) in _EARLIER_BASES.items()
+           for name, _, _ in cases])
     def test_malformed_model_exits_one(self, tmp_path, blob_file, capsys, payload, message):
         model_path = tmp_path / "model.json"
         model_path.write_text(json.dumps(payload))
@@ -477,6 +488,13 @@ class TestEval:
         err = capsys.readouterr().err
         assert err.startswith(message) and err.endswith("\n") and err.count("\n") == 1
         assert not out.exists()
+
+    def test_missing_model_exits_two(self, tmp_path, blob_file, capsys):
+        rc = main(["eval", "--data", str(blob_file), "--model", str(tmp_path / "absent.json"),
+                   "--out", str(tmp_path / "e.json")])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: no such file: {tmp_path / 'absent.json'}\n"
+        assert not (tmp_path / "e.json").exists()
 
     @pytest.mark.parametrize("change, message", [
         ({"column": [0]}, "error: xrm-model/3 model's column must list 2 indices"),
@@ -516,6 +534,23 @@ class TestEval:
         model_path.write_text(json.dumps({"version": version, **_HEADER_BASES[version]}))
         model = load_model(model_path)
         np.testing.assert_array_equal(model.W, [[0.5], [-1.0], [2.0]])
+
+    @pytest.mark.parametrize("version", list(_EARLIER_BASES))
+    def test_earlier_format_model_exits_one(self, tmp_path, blob_file, capsys, version):
+        # A file of a format before xrm-model/3, which earlier releases loaded
+        # and scored on this data set, no longer loads.
+        payload = {"version": version, "feature_count": 4, "components": 1,
+                   "W": [0.5, -1.0, 2.0, 0.0], "b": [0.0], "lambda": 2.0, "p": 2.0}
+        if version == "xrm-model/2":
+            payload.update(feature_mean=[0.0] * 4, feature_scale=[1.0] * 4)
+        model_path = tmp_path / "model.json"
+        model_path.write_text(json.dumps(payload))
+        out = tmp_path / "e.json"
+        rc = main(["eval", "--data", str(blob_file), "--model", str(model_path),
+                   "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr() == ("", _unsupported(version))
+        assert not out.exists()
 
     def test_well_formed_stored_columns_load(self, tmp_path, blob_file):
         # The payload the malformed cases above start from is itself valid.
@@ -740,6 +775,38 @@ class TestBench:
         args = build_parser().parse_args(["sweep", "--data", "x"])
         assert [cli._make_config(args, lam, components) for lam in args.lam_grid
                 for components in args.component_grid] == [solver.SolverConfig()]
+
+
+@pytest.mark.parametrize("argv", [["train", "--seed", "1"], ["eval", "--no-timing"]],
+                         ids=["train_seed", "eval_no_timing"])
+def test_flag_the_command_does_not_read_exits_two(tmp_path, blob_file, capsys, argv):
+    # train draws no split and eval writes no times, so neither takes the flag.
+    out = tmp_path / "out.json"
+    with pytest.raises(SystemExit) as caught:
+        main([argv[0], "--data", str(blob_file), *argv[1:], "--out", str(out)])
+    assert caught.value.code == 2
+    assert f"error: unrecognized arguments: {' '.join(argv[1:])}\n" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, output", [
+    (["train", "--out", "r.json"], "--model"),
+    (["train", "--model", "m.json"], "--out"),
+    (["eval", "--train-size", "40", "--trials", "2"], "--out"),
+    (["sweep", "--train-size", "40", "--trials", "2"], "--out"),
+    (["bench", "--sizes", "30", "--runs", "1"], "--out"),
+], ids=["train_model", "train_report", "eval", "sweep", "bench"])
+@pytest.mark.parametrize("path", ["folder", "absent/out"], ids=["directory", "missing_parent"])
+def test_unwritable_output_exits_one(tmp_path, blob_file, capsys, monkeypatch, argv, output,
+                                     path):
+    # An output that cannot be written is an error of the run (exit 1), not a
+    # missing input (exit 2), and its one line names the path.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "folder").mkdir()
+    rc = main([argv[0], "--data", str(blob_file), *argv[1:], output, path])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"'{path}'" in err and err.count("\n") == 1
 
 
 def test_scipy_sparse_loads_with_the_first_sparse_set():

@@ -2,6 +2,7 @@ import io
 import math
 import random
 import tracemalloc
+from unittest import mock
 
 import hypothesis.extra.numpy as hnp
 import hypothesis.strategies as st
@@ -772,14 +773,25 @@ class TestParseMatchesReference:
     @settings(max_examples=25, deadline=None)
     @given(lines=_pooled_lines(), as_stream=st.booleans())
     def test_repeated_texts_match(self, lines, as_stream):
-        got, expected = _outcomes(_pooled_text(lines), as_stream)
+        with mock.patch.object(datasets, "_read_tokens", wraps=datasets._read_tokens) as read:
+            got, expected = _outcomes(_pooled_text(lines), as_stream)
         assert got == expected
         assert not isinstance(got[0], type)
-        # Each distinct index and value text was converted once.
         parts = [token.partition(":") for tokens in lines for token in tokens[1:]]
-        for convert, texts in ((int, [index for index, _, _ in parts]),
-                               (float, [value for _, _, value in parts])):
-            assert _conversions(convert, texts) == len(set(texts)) < len(texts)
+        # Index texts of ASCII digits are read from bytes; a spelling such as
+        # "+1" or a full-width digit sends the input to the per-token reader.
+        # Written with plain indices, the same file is read from bytes alone.
+        assert read.called is not all(index.isascii() and index.isdigit()
+                                      for index, _, _ in parts)
+        plain = [[tokens[0]] + [f"{int(index)}:{value}" for index, _, value
+                                in (token.partition(":") for token in tokens[1:])]
+                 for tokens in lines]
+        with mock.patch.object(datasets, "_read_tokens", wraps=datasets._read_tokens) as read:
+            assert _outcome(parse_sparse_text, _pooled_text(plain)) == got
+        assert not read.called
+        # Each distinct value text is converted once.
+        values = [value for _, _, value in parts]
+        assert _conversions(float, values) == len(set(values)) < len(values)
 
     @settings(max_examples=25, deadline=None)
     @given(case=_pooled_defects().map(lambda lines: (_pooled_text(lines), False)))
