@@ -370,19 +370,25 @@ class TestSerialization:
         assert 1e300 in (model.lam, model.p, *model.W.ravel(), *model.b)
 
     def test_unknown_version_rejected(self):
+        payload = {**model_to_dict(_model([[1.0]], [0.0])), "version": "xrm-model/999"}
+        with pytest.raises(ValueError) as caught:
+            model_from_dict(payload)
+        assert str(caught.value) == ("unsupported model format 'xrm-model/999'; "
+                                     "expected 'xrm-model/3'")
+
+    @pytest.mark.parametrize("version", ["xrm-model/1", "xrm-model/2"])
+    def test_earlier_format_rejected(self, version):
         # Files of the formats before xrm-model/3, which stored all C columns
         # of W (/1) and then the scaler (/2), are refused by their version.
-        earlier = {"feature_count": 2, "components": 3,
+        payload = {"version": version, "feature_count": 2, "components": 3,
                    "W": [0.1, -0.0, 0.1, 2.5e-300, 0.0, 2.5e-300], "b": [0.3, -1.0, 0.3],
                    "lambda": 2.0, "p": 1.5}
-        for payload in ({**model_to_dict(_model([[1.0]], [0.0])), "version": "xrm-model/999"},
-                        {"version": "xrm-model/1", **earlier},
-                        {"version": "xrm-model/2", **earlier, "feature_mean": [0.7, -3.0],
-                         "feature_scale": [1e-3, 4.0]}):
-            with pytest.raises(ValueError) as caught:
-                model_from_dict(payload)
-            assert str(caught.value) == (f"unsupported model format {payload['version']!r}; "
-                                         "expected 'xrm-model/3'")
+        if version == "xrm-model/2":
+            payload.update(feature_mean=[0.7, -3.0], feature_scale=[1e-3, 4.0])
+        with pytest.raises(ValueError) as caught:
+            model_from_dict(payload)
+        assert str(caught.value) == (f"unsupported model format {version!r}; "
+                                     "expected 'xrm-model/3'")
 
     def test_row_major_layout(self):
         model = _model([[1.0, 2.0], [3.0, 4.0]], [0.0, 0.0])
