@@ -1,14 +1,13 @@
 """Command-line surface: train, eval, sweep, and bench subcommands.
 
-Every command trains through ``_fit``, with the defaults of ``SolverConfig``.
-``eval`` without ``--model``, ``sweep`` and ``bench`` draw each trial's split
-(z-scored on its training side under ``--standardize``) through ``_draws``,
-and say on stderr how many fits stopped at the iteration cap.
+Each ``cmd_*`` only computes, and returns ``({path: text}, stdout lines)``.
+``main`` alone writes the outputs, all or none, through ``_publish``, and
+prints the lines after that; before any fit it refuses an output that names
+the same file as an input or another output.
 
-Every command is deterministic given its inputs and, where it draws
-splits, ``--seed``; ``train``, ``sweep`` and ``bench`` take ``--no-timing``
-to zero out wall-clock fields so repeated runs produce byte-identical
-JSON/CSV artifacts.  Each command accepts only the flags it reads.
+Every command is deterministic given its inputs and ``--seed``; under
+``--no-timing`` it writes every time as 0, so reruns write identical bytes.
+Each command accepts only the flags it reads.
 """
 
 from __future__ import annotations
@@ -16,18 +15,16 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import io
+import itertools
 import json
+import os
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from . import datasets, model as model_mod, solver
-
-_EXIT_OK = 0
-_EXIT_ERROR = 1
-_EXIT_MISSING_FILE = 2
-
 
 def _float_list(text: str) -> list[float]:
     return [float(token) for token in text.split(",") if token.strip()]
@@ -47,7 +44,7 @@ def build_parser() -> argparse.ArgumentParser:
                                      description="Train and evaluate diverse linear ensembles.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, with_split=True, grid=False, seeded=True, timed=True):
+    def add_common(p, grid=False):
         p.add_argument("--data", required=True, help="sparse-text dataset path")
         if grid:
             p.add_argument("--lambda", dest="lam_grid", type=_float_list, default=[defaults.lam],
@@ -64,44 +61,38 @@ def build_parser() -> argparse.ArgumentParser:
                        help="objective-change stopping threshold")
         p.add_argument("--max-iters", type=int, default=defaults.outer_max_iters,
                        help="outer iteration cap")
-        if seeded:
-            p.add_argument("--seed", type=int, default=0, help="base seed for splits")
         p.add_argument("--standardize", action="store_true",
-                       help="z-score features (fit on train, applied to test); "
-                            "eval --model applies the model's saved scaler")
-        if timed:
-            p.add_argument("--no-timing", action="store_true",
-                           help="write wall and block times as 0 for reproducible artifacts")
-        if with_split:
-            p.add_argument("--train-size", type=int, default=150,
-                           help="training instances per trial (default 150)")
-            p.add_argument("--trials", type=int, default=10,
-                           help="independent trials (default 10)")
+                       help="z-score features, fitted on the training side")
+        p.add_argument("--no-timing", action="store_true",
+                       help="write wall and block times as 0 for reproducible artifacts")
 
     p_train = sub.add_parser("train", help="train one model on a full dataset file")
-    add_common(p_train, with_split=False, seeded=False)
+    add_common(p_train)
     p_train.add_argument("--model", default="model.json", help="model output path")
     p_train.add_argument("--out", default="report.json", help="training report output path")
 
-    p_eval = sub.add_parser("eval", help="evaluate a model, or mean error over retrained trials")
-    add_common(p_eval, timed=False)
-    p_eval.set_defaults(no_timing=False)  # _fit reads it; eval writes no times
-    p_eval.add_argument("--model", default=None,
-                        help="model path; omit to retrain per trial on random splits")
+    p_eval = sub.add_parser("eval", help="score a saved model on a dataset file")
+    p_eval.add_argument("--data", required=True, help="sparse-text dataset path")
+    p_eval.add_argument("--model", required=True, help="saved model path")
     p_eval.add_argument("--out", default="eval.json", help="evaluation report output path")
 
     p_sweep = sub.add_parser("sweep", help="grid over lambda and component counts")
     add_common(p_sweep, grid=True)
+    p_sweep.add_argument("--train-size", type=int, default=150,
+                         help="training instances per trial (default 150)")
+    p_sweep.add_argument("--trials", type=int, default=10, help="independent trials (default 10)")
     p_sweep.add_argument("--out", default="sweep.csv", help="results CSV path")
 
     p_bench = sub.add_parser("bench", help="training-time scaling against sample count")
-    add_common(p_bench, with_split=False)
+    add_common(p_bench)
     p_bench.add_argument("--sizes", type=_int_list, required=True,
                          help="comma-separated training sizes")
     p_bench.add_argument("--runs", type=int, default=10,
                          help="runs per size; totals are reported (default 10)")
     p_bench.add_argument("--out", default="bench.csv", help="results CSV path")
 
+    for p in (p_sweep, p_bench):
+        p.add_argument("--seed", type=int, default=0, help="base seed for splits")
     return parser
 
 
@@ -111,8 +102,7 @@ def _make_config(args, lam: float, components: int) -> solver.SolverConfig:
 
 
 class _MissingInput(FileNotFoundError):
-    """An input path that names no file; exits 2, where any other OSError,
-    such as an output that cannot be written, exits 1."""
+    """An input path that names no file: exit 2, where any other OSError exits 1."""
 
 
 def _existing(path: str) -> str:
@@ -120,6 +110,15 @@ def _existing(path: str) -> str:
     if not Path(path).is_file():
         raise _MissingInput(path)
     return path
+
+
+def _refuse_aliases(args) -> None:
+    """Refuse two path flags that name one file, such as an output over the data."""
+    flags = [flag for flag in ("data", "model", "out") if hasattr(args, flag)]
+    for first, second in itertools.combinations(flags, 2):
+        path = getattr(args, second)
+        if os.path.realpath(path) == os.path.realpath(getattr(args, first)):
+            raise ValueError(f"--{second} and --{first} name the same file {path!r}")
 
 
 def _fit(train_set, config, args):
@@ -140,18 +139,6 @@ def _draws(data, args, size: int, trials: int):
         yield datasets.standardize(*sets) if args.standardize else sets
 
 
-def _split_trials(data, args, configs):
-    """Per config, one (train error, test error, report) per trial; every
-    config of a trial trains on that trial's one split and standardization."""
-    by_trial = []
-    for train_set, test_set in _draws(data, args, args.train_size, args.trials):
-        fits = [_fit(train_set, config, args) for config in configs]
-        by_trial.append([(model_mod.test_error(trained, train_set),
-                          model_mod.test_error(trained, test_set), report)
-                         for trained, report in fits])
-    return list(zip(*by_trial))
-
-
 def _warn_at_iteration_cap(reports, max_iters: int) -> None:
     """One stderr line when some of the retrained fits stopped at the cap."""
     capped = sum(report.stop_reason == "max_iters" for report in reports)
@@ -160,7 +147,13 @@ def _warn_at_iteration_cap(reports, max_iters: int) -> None:
               f"({max_iters}) before the objective settled", file=sys.stderr)
 
 
-def cmd_train(args) -> int:
+def _table(path: str, header, rows, lines=()):
+    text = io.StringIO()
+    csv.writer(text).writerows([header, *rows])
+    return {path: text.getvalue()}, [*lines, f"wrote {len(rows)} rows to {path}"]
+
+
+def cmd_train(args):
     data = datasets.load_dataset(_existing(args.data))
     scaler = None
     if args.standardize:
@@ -168,96 +161,65 @@ def cmd_train(args) -> int:
         data = datasets.standardize(data, scaler=scaler)
     config = _make_config(args, args.lam, args.components)
     trained, report = _fit(data, config, args)
-    trained = dataclasses.replace(trained, scaler=scaler)
-    model_mod.save_model(trained, args.model)
-    payload = {"config": config.to_dict(), "data": str(args.data)}
-    payload.update(report.to_dict())
-    Path(args.out).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
-    print(f"objective={report.objective_trace[-1]:.6g} iterations={report.iterations} "
-          f"stop_reason={report.stop_reason} wall_time={report.wall_time:.6g}s")
     if report.stop_reason == "max_iters":
         split, slack = report.residual_trace[-1]
         print(f"warning: training stopped at the iteration cap ({config.outer_max_iters}) "
               f"before the objective settled; final residuals split={split:.3g} "
               f"slack={slack:.3g}", file=sys.stderr)
-    return _EXIT_OK
+    payload = {"config": config.to_dict(), "data": str(args.data), **report.to_dict()}
+    outputs = {args.model: model_mod.model_text(dataclasses.replace(trained, scaler=scaler)),
+               args.out: json.dumps(payload, indent=2) + "\n"}
+    return outputs, [f"objective={report.objective_trace[-1]:.6g} "
+                     f"iterations={report.iterations} stop_reason={report.stop_reason} "
+                     f"wall_time={report.wall_time:.6g}s"]
 
 
-def cmd_eval(args) -> int:
+def cmd_eval(args):
     data = datasets.load_dataset(_existing(args.data))
-    if args.model is not None:
-        trained = model_mod.load_model(_existing(args.model))
-        missing = trained.feature_count - data.feature_count
-        if missing < 0:
-            raise ValueError(
-                f"model has {trained.feature_count} features but dataset has "
-                f"{data.feature_count}"
-            )
-        if missing > 0:
-            # Sparse text cannot show trailing features that are zero in every
-            # instance, so a narrower file is padded with zero features.
-            data = datasets._pad_features(data, trained.feature_count)
-        if args.standardize and trained.scaler is None:
-            raise ValueError(
-                f"model {args.model} carries no feature scaler; train it with --standardize "
-                "to save the training transform"
-            )
-        if trained.scaler is not None:
-            # The model's own training transform, never one fitted on the eval file.
-            data = datasets.standardize(data, scaler=trained.scaler)
-        error = 100.0 * model_mod.test_error(trained, data)
-        payload = {"error_percent": error, "data": str(args.data), "model": str(args.model)}
-        print(f"test error: {error:.2f}%")
-    else:
-        config = _make_config(args, args.lam, args.components)
-        (fits,) = _split_trials(data, args, [config])
-        errors = np.array([100.0 * test_error for _, test_error, _ in fits])
-        mean = float(errors.mean())
-        std = float(errors.std(ddof=1)) if errors.size > 1 else 0.0
-        payload = {
-            "mean_error_percent": mean,
-            "std_error_percent": std,
-            "trial_errors_percent": errors.tolist(),
-            "config": config.to_dict(),
-            "train_size": args.train_size,
-            "trials": args.trials,
-            "seed": args.seed,
-            "standardize": bool(args.standardize),
-            "data": str(args.data),
-        }
-        print(f"test error: {mean:.2f}% +/- {std:.2f}% over {args.trials} trials")
-        _warn_at_iteration_cap([report for _, _, report in fits], args.max_iters)
-    Path(args.out).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
-    return _EXIT_OK
+    trained = model_mod.load_model(_existing(args.model))
+    missing = trained.feature_count - data.feature_count
+    if missing < 0:
+        raise ValueError(f"model has {trained.feature_count} features but dataset has "
+                         f"{data.feature_count}")
+    if missing > 0:
+        # Sparse text cannot show trailing features that are zero in every
+        # instance, so a narrower file is padded with zero features.
+        data = datasets._pad_features(data, trained.feature_count)
+    if trained.scaler is not None:
+        # The model's own training transform, never one fitted on the eval file.
+        data = datasets.standardize(data, scaler=trained.scaler)
+    error = 100.0 * model_mod.test_error(trained, data)
+    payload = {"error_percent": error, "data": str(args.data), "model": str(args.model)}
+    return {args.out: json.dumps(payload, indent=2) + "\n"}, [f"test error: {error:.2f}%"]
 
 
-def _write_csv(path, header, rows) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(header)
-        writer.writerows(rows)
-    print(f"wrote {len(rows)} rows to {path}")
-
-
-def cmd_sweep(args) -> int:
+def cmd_sweep(args):
     data = datasets.load_dataset(_existing(args.data))
     if not args.lam_grid or not args.component_grid:
         raise ValueError("sweep grids must be nonempty")
     grid = [_make_config(args, lam, components)
             for lam in args.lam_grid for components in args.component_grid]
-    by_config = _split_trials(data, args, grid)
-    rows = [[_fmt(config.lam), config.components, trial, _fmt(train_error), _fmt(test_error),
-             report.iterations, _fmt(report.wall_time)]
-            for config, fits in zip(grid, by_config)
-            for trial, (train_error, test_error, report) in enumerate(fits)]
-    _write_csv(args.out, ["lambda", "components", "trial", "train_error", "test_error",
-                          "iterations", "wall_time"], rows)
-    _warn_at_iteration_cap([report for fits in by_config for _, _, report in fits],
-                           args.max_iters)
-    return _EXIT_OK
+    by_trial = []  # every config of a trial trains on that trial's one split and standardization
+    for train_set, test_set in _draws(data, args, args.train_size, args.trials):
+        fitted = [_fit(train_set, config, args) for config in grid]
+        by_trial.append([(model_mod.test_error(trained, train_set),
+                          model_mod.test_error(trained, test_set), report)
+                         for trained, report in fitted])
+    rows, summaries = [], []
+    for config, fits in zip(grid, zip(*by_trial)):
+        rows += [[_fmt(config.lam), config.components, trial, _fmt(train_error),
+                  _fmt(test_error), report.iterations, _fmt(report.wall_time)]
+                 for trial, (train_error, test_error, report) in enumerate(fits)]
+        errors = np.array([100.0 * test_error for _, test_error, _ in fits])
+        std = float(errors.std(ddof=1)) if errors.size > 1 else 0.0
+        summaries.append(f"lambda={_fmt(config.lam)} components={config.components} test "
+                         f"error: {errors.mean():.2f}% +/- {std:.2f}% over {args.trials} trials")
+    _warn_at_iteration_cap([report for fits in by_trial for _, _, report in fits], args.max_iters)
+    return _table(args.out, ["lambda", "components", "trial", "train_error", "test_error",
+                             "iterations", "wall_time"], rows, summaries)
 
 
-def cmd_bench(args) -> int:
+def cmd_bench(args):
     data = datasets.load_dataset(_existing(args.data))
     if not args.sizes:
         raise ValueError("--sizes must be nonempty")
@@ -277,24 +239,60 @@ def cmd_bench(args) -> int:
         fitted = [_fit(sample, config, args)[1] for sample in subsamples]
         rows.append([size, _fmt(sum(report.wall_time for report in fitted))])
         reports += fitted
-    _write_csv(args.out, ["n_train", "total_time"], rows)
     _warn_at_iteration_cap(reports, args.max_iters)
-    return _EXIT_OK
+    return _table(args.out, ["n_train", "total_time"], rows)
 
 
 _COMMANDS = {"train": cmd_train, "eval": cmd_eval, "sweep": cmd_sweep, "bench": cmd_bench}
 
 
+def _publish(outputs: dict[str, str]) -> None:
+    """Write each output to a new file beside it and rename all into place; a
+    failure undoes the renames and raises an OSError naming the output."""
+    token = os.urandom(8).hex()
+    # A device or a pipe, such as /dev/null, has no file to swap: it is written in place, last.
+    streams = [path for path in outputs if os.path.exists(path) and not os.path.isfile(path)]
+    files = {path: os.path.realpath(path) for path in outputs if path not in streams}
+    made, replaced = [], []  # temporary files; files renamed into place, through any link
+    try:
+        for path, real in files.items():
+            made.append(f"{real}.{token}.tmp")
+            Path(made[-1]).write_text(outputs[path], encoding="utf-8", newline="")
+        for path, real in files.items():
+            if os.path.isfile(real):  # kept as a hard link until all are renamed
+                made.append(f"{real}.{token}.old")
+                os.link(real, made[-1])
+            os.replace(f"{real}.{token}.tmp", real)
+            replaced.append(real)
+        for path in streams:
+            Path(path).write_text(outputs[path], encoding="utf-8", newline="")
+    except OSError as exc:
+        for done in reversed(replaced):
+            if f"{done}.{token}.old" in made:
+                os.replace(f"{done}.{token}.old", done)
+            else:
+                os.remove(done)
+        raise OSError(exc.errno, exc.strerror or str(exc), path) from None
+    finally:
+        for name in made:
+            if os.path.lexists(name):
+                os.remove(name)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        _refuse_aliases(args)
+        outputs, lines = _COMMANDS[args.command](args)
+        _publish(outputs)
     except _MissingInput as exc:
         print(f"error: no such file: {exc}", file=sys.stderr)
-        return _EXIT_MISSING_FILE
+        return 2
     except (OSError, ValueError, solver.DivergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_ERROR
+        return 1
+    print("\n".join(lines))
+    return 0
 
 
 if __name__ == "__main__":

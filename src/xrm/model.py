@@ -223,8 +223,13 @@ def model_from_dict(payload: dict) -> EnsembleModel:
         raise ValueError(f"{version} model's {key} holds an integer too large for a float") from exc
 
 
+def model_text(model: EnsembleModel) -> str:
+    """The text of ``model``'s file, as ``save_model`` writes it."""
+    return json.dumps(model_to_dict(model)) + "\n"
+
+
 def save_model(model: EnsembleModel, path) -> None:
-    Path(path).write_text(json.dumps(model_to_dict(model)) + "\n", encoding="utf-8")
+    Path(path).write_text(model_text(model), encoding="utf-8")
 
 
 def load_model(path) -> EnsembleModel:

@@ -1,6 +1,8 @@
 import csv
+import errno
 import json
 import os
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -80,15 +82,9 @@ _BAD_SCALERS = [
     ("huge_feature_mean", {"feature_mean": [0, 10**400, 0], "feature_scale": [1.0, 1.0, 1.0]},
      "model's feature_mean holds an integer too large for a float"),
 ]
-# Files of the formats before xrm-model/3, which stored all C columns of W and
-# no column list, with the header and scaler changes each was checked on.
-# The loader refuses them by their version, before it reads any other key.
-_EARLIER_BASE = {key: value for key, value in _HEADER_BASE.items() if key != "column"}
-_EARLIER_BASES = {
-    "xrm-model/1": (_EARLIER_BASE, _BAD_HEADERS),
-    "xrm-model/2": ({**_EARLIER_BASE, "feature_mean": [0.0, 0.0, 0.0],
-                     "feature_scale": [1.0, 1.0, 1.0]}, _BAD_HEADERS + _BAD_SCALERS),
-}
+# A valid model of the 4 features of ``blob_file``.
+_BLOB_MODEL = {"version": "xrm-model/3", "feature_count": 4, "components": 1,
+               "W": [0.5, -1.0, 2.0, 0.0], "column": [0], "b": [0.0], "lambda": 2.0, "p": 2.0}
 
 
 def _unsupported(version: str) -> str:
@@ -332,12 +328,11 @@ class TestEval:
         refitted = 100.0 * error_rate(trained, standardize(shifted))
         assert under_training == pytest.approx(35.0)
         assert refitted == pytest.approx(5.0)
-        for flags in ([], ["--standardize"]):
-            out = tmp_path / "e.json"
-            rc = main(["eval", "--data", str(tmp_path / "shifted.txt"), "--model", str(model_path),
-                       "--out", str(out), *flags])
-            assert rc == 0
-            assert json.loads(out.read_text())["error_percent"] == under_training
+        out = tmp_path / "e.json"
+        rc = main(["eval", "--data", str(tmp_path / "shifted.txt"), "--model", str(model_path),
+                   "--out", str(out)])
+        assert rc == 0
+        assert json.loads(out.read_text())["error_percent"] == under_training
 
     def test_saved_scaler_applies_after_zero_padding(self, tmp_path, blob_file):
         model_path = tmp_path / "model.json"
@@ -380,61 +375,6 @@ class TestEval:
         assert 0.0 < expected < 50.0
         assert json.loads(out.read_text())["error_percent"] == expected
 
-    def test_standardize_needs_a_saved_scaler(self, tmp_path, blob_file, capsys):
-        model_path = tmp_path / "model.json"
-        main(["train", "--data", str(blob_file), "--model", str(model_path),
-              "--out", str(tmp_path / "r.json")])
-        payload = json.loads(model_path.read_text())
-        assert payload["version"] == "xrm-model/3" and "feature_mean" not in payload
-        rc = main(["eval", "--data", str(blob_file), "--model", str(model_path), "--standardize",
-                   "--out", str(tmp_path / "e.json")])
-        assert rc == 1
-        err = capsys.readouterr().err
-        assert "no feature scaler" in err and "xrm-model/" not in err
-        assert not (tmp_path / "e.json").exists()
-
-    def test_trials_mode(self, tmp_path, blob_file):
-        out = tmp_path / "eval.json"
-        rc = main(["eval", "--data", str(blob_file), "--train-size", "40", "--trials", "3",
-                   "--seed", "9", "--out", str(out)])
-        assert rc == 0
-        payload = json.loads(out.read_text())
-        assert len(payload["trial_errors_percent"]) == 3
-        assert payload["mean_error_percent"] == pytest.approx(
-            np.mean(payload["trial_errors_percent"])
-        )
-        assert payload["config"]["components"] == 10
-
-    def test_trials_mode_with_standardization(self, tmp_path, blob_file):
-        out = tmp_path / "eval.json"
-        rc = main(["eval", "--data", str(blob_file), "--train-size", "40", "--trials", "2",
-                   "--seed", "9", "--standardize", "--out", str(out)])
-        assert rc == 0
-        payload = json.loads(out.read_text())
-        assert payload["standardize"] is True
-        assert len(payload["trial_errors_percent"]) == 2
-
-    def test_trials_at_the_iteration_cap_warn(self, tmp_path, blob_file, capsys):
-        out = tmp_path / "eval.json"
-        rc = main(["eval", "--data", str(blob_file), "--train-size", "40", "--trials", "3",
-                   "--max-iters", "2", "--out", str(out)])
-        assert rc == 0
-        assert capsys.readouterr().err == (
-            "warning: 3 of 3 fits stopped at the iteration cap (2) before the objective "
-            "settled\n")
-        assert list(json.loads(out.read_text())) == [
-            "mean_error_percent", "std_error_percent", "trial_errors_percent", "config",
-            "train_size", "trials", "seed", "standardize", "data"]
-
-    @pytest.mark.parametrize("trials", ["0", "-3"])
-    def test_non_positive_trials_exit_one(self, tmp_path, blob_file, capsys, trials):
-        out = tmp_path / "eval.json"
-        rc = main(["eval", "--data", str(blob_file), "--train-size", "40", "--trials", trials,
-                   "--out", str(out)])
-        assert rc == 1
-        assert "trials must be a positive integer" in capsys.readouterr().err
-        assert not out.exists()
-
     def test_non_finite_model_exits_one(self, tmp_path, blob_file, capsys):
         model_path = tmp_path / "model.json"
         model_path.write_text(json.dumps({"version": "xrm-model/3", "feature_count": 4,
@@ -454,13 +394,6 @@ class TestEval:
          "error: xrm-model/3 model lacks lambda\n"),
         ({"version": "xrm-model/3", **_HEADER_BASE, "feature_count": None},
          "error: xrm-model/3 model holds a value of the wrong type: "),
-        # Six values are a multiple of feature_count 2, but not 2 x 2; an
-        # earlier-format file is refused by its version before W is read.
-        ({"version": "xrm-model/1", "feature_count": 2, "components": 2, "W": [1.0] * 6,
-          "b": [0.0, 0.0], "lambda": 2.0, "p": 2.0}, _unsupported("xrm-model/1")),
-        ({"version": "xrm-model/2", "feature_count": 2, "components": 2, "W": [1.0] * 6,
-          "b": [0.0, 0.0], "lambda": 2.0, "p": 2.0, "feature_mean": [0.0, 0.0],
-          "feature_scale": [1.0, 1.0]}, _unsupported("xrm-model/2")),
         # json reads NaN, so a file can carry hyperparameters no fit accepts.
         ({"version": "xrm-model/3", **_HEADER_BASE, "lambda": float("nan")},
          "error: lam must be finite and positive, got nan\n"),
@@ -469,15 +402,10 @@ class TestEval:
     ] + [({"version": version, **base, **change}, f"error: {version} {message}\n")
          for version, base in _HEADER_BASES.items() for _, change, message in _BAD_HEADERS]
       + [({"version": version, **_HEADER_BASES[version], **change}, f"error: {version} {message}\n")
-         for version in _SCALED_VERSIONS for _, change, message in _BAD_SCALERS]
-      + [({"version": version, **base, **change}, _unsupported(version))
-         for version, (base, cases) in _EARLIER_BASES.items() for _, change, _ in cases],
-        ids=["not_an_object", "missing_key", "null_value", "v1_W_not_M_by_C", "v2_W_not_M_by_C",
-             "nan_lambda", "power_below_one"]
+         for version in _SCALED_VERSIONS for _, change, message in _BAD_SCALERS],
+        ids=["not_an_object", "missing_key", "null_value", "nan_lambda", "power_below_one"]
         + [f"{version}-{name}" for version in _HEADER_BASES for name, _, _ in _BAD_HEADERS]
-        + [f"{version}-{name}" for version in _SCALED_VERSIONS for name, _, _ in _BAD_SCALERS]
-        + [f"{version}-{name}" for version, (_, cases) in _EARLIER_BASES.items()
-           for name, _, _ in cases])
+        + [f"{version}-{name}" for version in _SCALED_VERSIONS for name, _, _ in _BAD_SCALERS])
     def test_malformed_model_exits_one(self, tmp_path, blob_file, capsys, payload, message):
         model_path = tmp_path / "model.json"
         model_path.write_text(json.dumps(payload))
@@ -535,22 +463,28 @@ class TestEval:
         model = load_model(model_path)
         np.testing.assert_array_equal(model.W, [[0.5], [-1.0], [2.0]])
 
-    @pytest.mark.parametrize("version", list(_EARLIER_BASES))
+    @pytest.mark.parametrize("version", ["xrm-model/1", "xrm-model/2"])
     def test_earlier_format_model_exits_one(self, tmp_path, blob_file, capsys, version):
-        # A file of a format before xrm-model/3, which earlier releases loaded
-        # and scored on this data set, no longer loads.
-        payload = {"version": version, "feature_count": 4, "components": 1,
-                   "W": [0.5, -1.0, 2.0, 0.0], "b": [0.0], "lambda": 2.0, "p": 2.0}
+        # The formats before xrm-model/3 stored all C columns of W and no
+        # column list.  The loader refuses them by their version, before it
+        # reads any other key: a file that earlier releases loaded and scored
+        # on this data set, one whose six W values are not 2 x 2, and one with
+        # each header or scaler change that the loader names for /3.
+        base = {"version": version, "feature_count": 4, "components": 1,
+                "W": [0.5, -1.0, 2.0, 0.0], "b": [0.0], "lambda": 2.0, "p": 2.0}
         if version == "xrm-model/2":
-            payload.update(feature_mean=[0.0] * 4, feature_scale=[1.0] * 4)
+            base.update(feature_mean=[0.0] * 4, feature_scale=[1.0] * 4)
+        changes = [{}, {"feature_count": 2, "components": 2, "W": [1.0] * 6, "b": [0.0, 0.0]}]
+        changes += [change for _, change, _ in _BAD_HEADERS + _BAD_SCALERS]
         model_path = tmp_path / "model.json"
-        model_path.write_text(json.dumps(payload))
         out = tmp_path / "e.json"
-        rc = main(["eval", "--data", str(blob_file), "--model", str(model_path),
-                   "--out", str(out)])
-        assert rc == 1
-        assert capsys.readouterr() == ("", _unsupported(version))
-        assert not out.exists()
+        for change in changes:
+            model_path.write_text(json.dumps({**base, **change}))
+            rc = main(["eval", "--data", str(blob_file), "--model", str(model_path),
+                       "--out", str(out)])
+            assert rc == 1
+            assert capsys.readouterr() == ("", _unsupported(version))
+            assert not out.exists()
 
     def test_well_formed_stored_columns_load(self, tmp_path, blob_file):
         # The payload the malformed cases above start from is itself valid.
@@ -597,12 +531,36 @@ class TestSweep:
             assert captured.err == (
                 f"warning: {capped} of 12 fits stopped at the iteration cap ({cap}) before the "
                 "objective settled\n")
-            assert captured.out == f"wrote 12 rows to {out}\n"
+            lines = captured.out.splitlines()
+            assert [line.split(" test error: ")[0] for line in lines[:4]] == [
+                "lambda=0.5 components=2", "lambda=0.5 components=4", "lambda=2 components=2",
+                "lambda=2 components=4"]
+            assert lines[4:] == [f"wrote 12 rows to {out}"]
             with open(out) as handle:
                 rows = list(csv.reader(handle))
             assert rows[0] == converged[0]
             assert sum(int(row[5]) == int(cap) < int(full[5])
                        for row, full in zip(rows[1:], converged[1:])) == capped
+
+    @pytest.mark.parametrize("flags, trials", [([], 3), (["--standardize"], 3), ([], 1)],
+                             ids=["raw", "standardized", "one_trial"])
+    def test_summary_line_is_the_mean_and_std_of_the_csv(self, tmp_path, noisy_file, capsys,
+                                                         flags, trials):
+        # Per (lambda, components), the mean and sample standard deviation of
+        # the held-out error over the trials, in percent; one trial has no
+        # spread.
+        out = tmp_path / "sweep.csv"
+        rc = main(["sweep", "--data", str(noisy_file), "--lambda", "2", "--components", "10",
+                   "--train-size", "40", "--trials", str(trials), "--seed", "9",
+                   "--out", str(out), "--no-timing", *flags])
+        assert rc == 0
+        with open(out) as handle:
+            errors = 100.0 * np.array([float(row["test_error"]) for row in csv.DictReader(handle)])
+        assert errors.size == trials and errors.mean() > 0
+        std = errors.std(ddof=1) if trials > 1 else 0.0
+        assert capsys.readouterr().out == (
+            f"lambda=2 components=10 test error: {errors.mean():.2f}% +/- {std:.2f}% "
+            f"over {trials} trials\nwrote {trials} rows to {out}\n")
 
     def test_byte_identical_reruns(self, tmp_path, blob_file):
         first = tmp_path / "a.csv"
@@ -636,11 +594,12 @@ class TestSweep:
 
     def test_non_positive_trials_exit_one(self, tmp_path, blob_file, capsys):
         out = tmp_path / "s.csv"
-        rc = main(["sweep", "--data", str(blob_file), "--train-size", "40", "--trials", "0",
-                   "--out", str(out)])
-        assert rc == 1
-        assert "trials must be a positive integer" in capsys.readouterr().err
-        assert not out.exists()
+        for trials in ("0", "-3"):
+            rc = main(["sweep", "--data", str(blob_file), "--train-size", "40", "--trials", trials,
+                       "--out", str(out)])
+            assert rc == 1
+            assert "trials must be a positive integer" in capsys.readouterr().err
+            assert not out.exists()
 
     @pytest.fixture
     def noisy_file(self, tmp_path):
@@ -762,14 +721,15 @@ class TestBench:
     def test_defaults_match_protocol(self):
         args = build_parser().parse_args(["bench", "--data", "x", "--sizes", "10"])
         assert args.runs == 10
-        args = build_parser().parse_args(["eval", "--data", "x"])
+        args = build_parser().parse_args(["sweep", "--data", "x"])
         assert args.trials == 10
         assert args.train_size == 150
+        args = build_parser().parse_args(["train", "--data", "x"])
         assert args.lam == 2.0
         assert args.components == 10
         assert args.loss_power == 2.0
         # Every solver flag defaults to its SolverConfig field.
-        for argv in (["train"], ["eval"], ["bench", "--sizes", "10"]):
+        for argv in (["train"], ["bench", "--sizes", "10"]):
             args = build_parser().parse_args([argv[0], "--data", "x", *argv[1:]])
             assert cli._make_config(args, args.lam, args.components) == solver.SolverConfig()
         args = build_parser().parse_args(["sweep", "--data", "x"])
@@ -777,36 +737,192 @@ class TestBench:
                 for components in args.component_grid] == [solver.SolverConfig()]
 
 
-@pytest.mark.parametrize("argv", [["train", "--seed", "1"], ["eval", "--no-timing"]],
-                         ids=["train_seed", "eval_no_timing"])
+@pytest.mark.parametrize("argv", [
+    ["train", "--seed", "1"], ["eval", "--no-timing"], ["eval", "--lambda", "99"],
+    ["eval", "--trials", "3"], ["eval", "--seed", "1"], ["eval", "--standardize"],
+], ids=["train_seed", "eval_no_timing", "eval_lambda", "eval_trials", "eval_seed",
+        "eval_standardize"])
 def test_flag_the_command_does_not_read_exits_two(tmp_path, blob_file, capsys, argv):
-    # train draws no split and eval writes no times, so neither takes the flag.
+    # train draws no split, and eval only scores a model file under the
+    # transform saved in it, so neither takes the flag.
     out = tmp_path / "out.json"
+    model = ["--model", str(tmp_path / "m.json")] if argv[0] == "eval" else []
     with pytest.raises(SystemExit) as caught:
-        main([argv[0], "--data", str(blob_file), *argv[1:], "--out", str(out)])
+        main([argv[0], "--data", str(blob_file), *model, *argv[1:], "--out", str(out)])
     assert caught.value.code == 2
     assert f"error: unrecognized arguments: {' '.join(argv[1:])}\n" in capsys.readouterr().err
     assert not out.exists()
 
 
+def test_eval_needs_a_model(blob_file, capsys):
+    with pytest.raises(SystemExit) as caught:
+        main(["eval", "--data", str(blob_file)])
+    assert caught.value.code == 2
+    assert "the following arguments are required: --model" in capsys.readouterr().err
+
+
+def _files(folder):
+    """Every file under ``folder`` with its bytes."""
+    return {path: path.read_bytes() for path in sorted(folder.rglob("*")) if path.is_file()}
+
+
+# One small run of each command whose fits settle before the iteration cap,
+# with its output flags.
+_RUNS = {
+    "train": (["train"], ["--model", "--out"]),
+    "eval": (["eval", "--model", "model.json"], ["--out"]),
+    "sweep": (["sweep", "--lambda", "2", "--components", "2", "--train-size", "40",
+               "--trials", "2"], ["--out"]),
+    "bench": (["bench", "--sizes", "30", "--runs", "1"], ["--out"]),
+}
+
+
 @pytest.mark.parametrize("argv, output", [
     (["train", "--out", "r.json"], "--model"),
     (["train", "--model", "m.json"], "--out"),
-    (["eval", "--train-size", "40", "--trials", "2"], "--out"),
-    (["sweep", "--train-size", "40", "--trials", "2"], "--out"),
-    (["bench", "--sizes", "30", "--runs", "1"], "--out"),
+    (_RUNS["eval"][0], "--out"),
+    (_RUNS["sweep"][0], "--out"),
+    (_RUNS["bench"][0], "--out"),
 ], ids=["train_model", "train_report", "eval", "sweep", "bench"])
 @pytest.mark.parametrize("path", ["folder", "absent/out"], ids=["directory", "missing_parent"])
 def test_unwritable_output_exits_one(tmp_path, blob_file, capsys, monkeypatch, argv, output,
                                      path):
     # An output that cannot be written is an error of the run (exit 1), not a
-    # missing input (exit 2), and its one line names the path.
+    # missing input (exit 2), and its one line names the path.  The run
+    # writes no other output and prints nothing on stdout.
     monkeypatch.chdir(tmp_path)
     (tmp_path / "folder").mkdir()
+    (tmp_path / "model.json").write_text(json.dumps(_BLOB_MODEL))
+    before = _files(tmp_path)
     rc = main([argv[0], "--data", str(blob_file), *argv[1:], output, path])
     assert rc == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and f"'{path}'" in err and err.count("\n") == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and f"'{path}'" in captured.err
+    assert captured.err.count("\n") == 1
+    assert _files(tmp_path) == before
+
+
+def _fail_on_call(k, original):
+    """``original``, but its ``k``-th call writes half its text, if it takes
+    one, and raises OSError."""
+    calls = []
+
+    def failing(*args, **kwargs):
+        calls.append(args)
+        if len(calls) != k:
+            return original(*args, **kwargs)
+        if isinstance(args[0], Path):
+            original(args[0], args[1][:len(args[1]) // 2], **kwargs)
+        raise OSError(errno.ENOSPC, "No space left on device")
+    return failing
+
+
+@pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
+@pytest.mark.parametrize("target", ["write", "replace"])
+@pytest.mark.parametrize("command, k", [("train", 1), ("train", 2), ("eval", 1), ("sweep", 1),
+                                        ("bench", 1)])
+def test_failed_publish_changes_no_output(tmp_path, blob_file, capsys, monkeypatch, command, k,
+                                          target, existing):
+    # A write or a rename that fails on the k-th output leaves every output
+    # as it was before the run, and no file of its own, and prints one error
+    # line that names the k-th output.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "model.json").write_text(json.dumps(_BLOB_MODEL))
+    argv, flags = _RUNS[command]
+    outputs = [f"out{index}.txt" for index in range(len(flags))]
+    if existing:
+        for output in outputs:
+            Path(output).write_text(f"{output} before the run\n")
+    before = _files(tmp_path)
+    owner, name = (Path, "write_text") if target == "write" else (os, "replace")
+    monkeypatch.setattr(owner, name, _fail_on_call(k, getattr(owner, name)))
+    rc = main([*argv, "--data", str(blob_file),
+               *[item for pair in zip(flags, outputs) for item in pair]])
+    monkeypatch.undo()
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: [Errno {errno.ENOSPC}] No space left on device: " \
+                           f"'{outputs[k - 1]}'\n"
+    assert _files(tmp_path) == before
+
+
+@pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
+def test_publish_replaces_every_output(tmp_path, blob_file, monkeypatch, existing):
+    # The same runs, unhindered, write every output and leave no other file.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "model.json").write_text(json.dumps(_BLOB_MODEL))
+    for command, (argv, flags) in _RUNS.items():
+        outputs = [f"{command}{index}.txt" for index in range(len(flags))]
+        if existing:
+            for output in outputs:
+                Path(output).write_text("before the run\n")
+        rc = main([*argv, "--data", str(blob_file),
+                   *[item for pair in zip(flags, outputs) for item in pair]])
+        assert rc == 0
+        assert all(Path(output).read_text() != "before the run\n" for output in outputs)
+    written = {path.name for path in tmp_path.iterdir()}
+    assert written == {"blobs.txt", "model.json", "train0.txt", "train1.txt", "eval0.txt",
+                       "sweep0.txt", "bench0.txt"}
+    assert load_model("train0.txt").feature_count == 4
+
+
+def test_device_or_pipe_output_is_written_in_place(tmp_path, blob_file):
+    # An output that exists but is no regular file, such as /dev/stdout or a
+    # pipe, takes the text in place and stays what it was.
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        rc = main(["bench", "--data", str(blob_file), "--sizes", "30", "--runs", "1",
+                   "--no-timing", "--out", str(fifo)])
+        assert rc == 0
+        assert os.read(reader, 1 << 16) == b"n_train,total_time\r\n30,0\r\n"
+    finally:
+        os.close(reader)
+    assert stat.S_ISFIFO(fifo.stat().st_mode)
+    assert sorted(tmp_path.iterdir()) == [tmp_path / "blobs.txt", fifo]
+
+
+def test_symlinked_output_is_written_through_its_link(tmp_path, blob_file):
+    # The new file is renamed over the file the link names, beside it, so
+    # the link stays a link.
+    (tmp_path / "runs").mkdir()
+    (tmp_path / "runs" / "bench.csv").write_text("before the run\n")
+    link = tmp_path / "latest.csv"
+    link.symlink_to(tmp_path / "runs" / "bench.csv")
+    rc = main(["bench", "--data", str(blob_file), "--sizes", "30", "--runs", "1",
+               "--no-timing", "--out", str(link)])
+    assert rc == 0
+    assert link.is_symlink()
+    assert (tmp_path / "runs" / "bench.csv").read_bytes() == b"n_train,total_time\r\n30,0\r\n"
+    assert sorted(path.name for path in (tmp_path / "runs").iterdir()) == ["bench.csv"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["train", "--model", "r.json", "--out", "r.json"],
+     "error: --out and --model name the same file 'r.json'\n"),
+    (["train", "--model", "r.json", "--out", "./sub/../r.json"],
+     "error: --out and --model name the same file './sub/../r.json'\n"),
+    (["sweep", "--out", "blobs.txt"], "error: --out and --data name the same file 'blobs.txt'\n"),
+    (["eval", "--model", "model.json", "--out", "model.json"],
+     "error: --out and --model name the same file 'model.json'\n"),
+], ids=["train_report_over_model", "train_spelled_apart", "sweep_over_data", "eval_over_model"])
+def test_aliased_paths_exit_one_before_any_fit(tmp_path, blob_file, capsys, monkeypatch, argv,
+                                               message):
+    # An output that names the same file as an input or as another output
+    # would replace it; the run is refused before it loads or fits anything.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "model.json").write_text(json.dumps(_BLOB_MODEL))
+    calls = _count_calls(monkeypatch, solver, "train")
+    before = _files(tmp_path)
+    rc = main([argv[0], "--data", str(blob_file), *argv[1:]])
+    assert rc == 1
+    assert capsys.readouterr() == ("", message)
+    assert calls == {"train": 0}
+    assert _files(tmp_path) == before
 
 
 def test_scipy_sparse_loads_with_the_first_sparse_set():
