@@ -82,6 +82,15 @@ _BAD_SCALERS = [
     ("huge_feature_mean", {"feature_mean": [0, 10**400, 0], "feature_scale": [1.0, 1.0, 1.0]},
      "model's feature_mean holds an integer too large for a float"),
 ]
+# Files of the formats before xrm-model/3, which stored all C columns of W and
+# no column list, with the header and scaler changes each was checked on.
+# The loader refuses them by their version, before it reads any other key.
+_EARLIER_BASE = {key: value for key, value in _HEADER_BASE.items() if key != "column"}
+_EARLIER_BASES = {
+    "xrm-model/1": (_EARLIER_BASE, _BAD_HEADERS),
+    "xrm-model/2": ({**_EARLIER_BASE, "feature_mean": [0.0, 0.0, 0.0],
+                     "feature_scale": [1.0, 1.0, 1.0]}, _BAD_HEADERS + _BAD_SCALERS),
+}
 # A valid model of the 4 features of ``blob_file``.
 _BLOB_MODEL = {"version": "xrm-model/3", "feature_count": 4, "components": 1,
                "W": [0.5, -1.0, 2.0, 0.0], "column": [0], "b": [0.0], "lambda": 2.0, "p": 2.0}
@@ -394,6 +403,13 @@ class TestEval:
          "error: xrm-model/3 model lacks lambda\n"),
         ({"version": "xrm-model/3", **_HEADER_BASE, "feature_count": None},
          "error: xrm-model/3 model holds a value of the wrong type: "),
+        # Six values are a multiple of feature_count 2, but not 2 x 2; an
+        # earlier-format file is refused by its version before W is read.
+        ({"version": "xrm-model/1", "feature_count": 2, "components": 2, "W": [1.0] * 6,
+          "b": [0.0, 0.0], "lambda": 2.0, "p": 2.0}, _unsupported("xrm-model/1")),
+        ({"version": "xrm-model/2", "feature_count": 2, "components": 2, "W": [1.0] * 6,
+          "b": [0.0, 0.0], "lambda": 2.0, "p": 2.0, "feature_mean": [0.0, 0.0],
+          "feature_scale": [1.0, 1.0]}, _unsupported("xrm-model/2")),
         # json reads NaN, so a file can carry hyperparameters no fit accepts.
         ({"version": "xrm-model/3", **_HEADER_BASE, "lambda": float("nan")},
          "error: lam must be finite and positive, got nan\n"),
@@ -402,10 +418,15 @@ class TestEval:
     ] + [({"version": version, **base, **change}, f"error: {version} {message}\n")
          for version, base in _HEADER_BASES.items() for _, change, message in _BAD_HEADERS]
       + [({"version": version, **_HEADER_BASES[version], **change}, f"error: {version} {message}\n")
-         for version in _SCALED_VERSIONS for _, change, message in _BAD_SCALERS],
-        ids=["not_an_object", "missing_key", "null_value", "nan_lambda", "power_below_one"]
+         for version in _SCALED_VERSIONS for _, change, message in _BAD_SCALERS]
+      + [({"version": version, **base, **change}, _unsupported(version))
+         for version, (base, cases) in _EARLIER_BASES.items() for _, change, _ in cases],
+        ids=["not_an_object", "missing_key", "null_value", "v1_W_not_M_by_C", "v2_W_not_M_by_C",
+             "nan_lambda", "power_below_one"]
         + [f"{version}-{name}" for version in _HEADER_BASES for name, _, _ in _BAD_HEADERS]
-        + [f"{version}-{name}" for version in _SCALED_VERSIONS for name, _, _ in _BAD_SCALERS])
+        + [f"{version}-{name}" for version in _SCALED_VERSIONS for name, _, _ in _BAD_SCALERS]
+        + [f"{version}-{name}" for version, (_, cases) in _EARLIER_BASES.items()
+           for name, _, _ in cases])
     def test_malformed_model_exits_one(self, tmp_path, blob_file, capsys, payload, message):
         model_path = tmp_path / "model.json"
         model_path.write_text(json.dumps(payload))
@@ -465,26 +486,20 @@ class TestEval:
 
     @pytest.mark.parametrize("version", ["xrm-model/1", "xrm-model/2"])
     def test_earlier_format_model_exits_one(self, tmp_path, blob_file, capsys, version):
-        # The formats before xrm-model/3 stored all C columns of W and no
-        # column list.  The loader refuses them by their version, before it
-        # reads any other key: a file that earlier releases loaded and scored
-        # on this data set, one whose six W values are not 2 x 2, and one with
-        # each header or scaler change that the loader names for /3.
-        base = {"version": version, "feature_count": 4, "components": 1,
-                "W": [0.5, -1.0, 2.0, 0.0], "b": [0.0], "lambda": 2.0, "p": 2.0}
+        # A file that earlier releases loaded and scored on this data set is
+        # refused by its version too, with nothing on stdout.
+        payload = {"version": version, "feature_count": 4, "components": 1,
+                   "W": [0.5, -1.0, 2.0, 0.0], "b": [0.0], "lambda": 2.0, "p": 2.0}
         if version == "xrm-model/2":
-            base.update(feature_mean=[0.0] * 4, feature_scale=[1.0] * 4)
-        changes = [{}, {"feature_count": 2, "components": 2, "W": [1.0] * 6, "b": [0.0, 0.0]}]
-        changes += [change for _, change, _ in _BAD_HEADERS + _BAD_SCALERS]
+            payload.update(feature_mean=[0.0] * 4, feature_scale=[1.0] * 4)
         model_path = tmp_path / "model.json"
+        model_path.write_text(json.dumps(payload))
         out = tmp_path / "e.json"
-        for change in changes:
-            model_path.write_text(json.dumps({**base, **change}))
-            rc = main(["eval", "--data", str(blob_file), "--model", str(model_path),
-                       "--out", str(out)])
-            assert rc == 1
-            assert capsys.readouterr() == ("", _unsupported(version))
-            assert not out.exists()
+        rc = main(["eval", "--data", str(blob_file), "--model", str(model_path),
+                   "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr() == ("", _unsupported(version))
+        assert not out.exists()
 
     def test_well_formed_stored_columns_load(self, tmp_path, blob_file):
         # The payload the malformed cases above start from is itself valid.
