@@ -96,10 +96,13 @@ def _power_in_place(hinge: np.ndarray, p: float) -> np.ndarray:
     """Raise the non-negative array ``hinge`` to the power p in place and
     return it: at p = 1.5 by multiplying it by its square root, which is
     faster than ``pow`` and within two units in the last place of
-    ``hinge ** 1.5``, and at any other p by ``hinge **= p``."""
+    ``hinge ** 1.5``; at p = 2 by squaring it and at p = 1 not at all, both
+    with the bits of ``hinge ** p``; and at any other p by ``hinge **= p``."""
     if p == 1.5:
         hinge *= np.sqrt(hinge)
-    else:
+    elif p == 2:
+        np.square(hinge, out=hinge)
+    elif p != 1:
         hinge **= p
     return hinge
 

@@ -34,6 +34,11 @@ product is ``X.dot(v)`` or ``Xt.dot(v)``, which dispatches faster than
 ``@``, with Xt = X.T taken once; a dense and a CSC X multiply alike, so only
 :func:`factor_gram` looks at how X is stored.
 
+The slack step at p = 1, 1.5 and 2 is branch-free: its closed forms are
+arithmetic on the whole target Y*S with no mask of the active entries, and
+keep signed zeros by ``np.copysign``, with the bits of the masked forms
+(:func:`update_E`).
+
 The P step takes two functions: :func:`factor_gram` factors I plus the Gram
 matrix on the smaller side once per fit and returns the Cholesky factor with
 X and Xt, and :func:`update_P` solves with them each iteration, writing
@@ -286,35 +291,58 @@ def _three_halves_minimizer(a: np.ndarray, k: float) -> np.ndarray:
 
 def update_E(S: np.ndarray, Y: np.ndarray, lam: float, mu: float,
              p: float) -> tuple[np.ndarray, int]:
-    """Elementwise minimizer of (lam/mu) * (Y*E)_+^p + 0.5 * (E - S)^2, and the
-    number of Newton steps it took (0 at p = 1, 1.5 and 2).
+    """Elementwise minimizer of (lam/mu) * (Y*E)_+^p + 0.5 * (E - S)^2, for
+    labels Y of +1 and -1, and the number of Newton steps it took (0 at
+    p = 1, 1.5 and 2).
 
-    Entries with Y*S <= 0 keep their target S.  On the others p = 1
-    soft-thresholds, p = 2 shrinks by 1 / (1 + 2 lam/mu), p = 1.5 solves by
-    :func:`_three_halves_minimizer` and any other p by
-    :func:`_positive_branch_minimizer`; the result depends on the target Y*S
-    alone.  Closed forms run on the whole block, at p = 1.5 with inactive
-    targets set to 1 so that none is negative; Newton gathers the active
-    entries, as its step from t = 0 is 0/0.
+    With k = lam/mu, entries whose target t = Y*S is not positive keep S;
+    on the others p = 1 soft-thresholds t by k, p = 2 shrinks it by
+    1 / (1 + 2k), p = 1.5 solves by :func:`_three_halves_minimizer` and any
+    other p by :func:`_positive_branch_minimizer`.  The closed forms select
+    no entries: each is arithmetic on the whole of t that equals t where
+    t <= 0, multiplied by Y once, as Y * (Y*S) is S:
+
+        p = 2:    min(t, t / (1 + 2k))
+        p = 1:    min(max(t - k, 0), t)
+        p = 1.5:  _three_halves_minimizer(max(t, 0), k) + min(t, 0)
+
+    where the first term at p = 1.5 is exactly 0 for t <= 0, as k > 0.
+    At p = 1 and 1.5 the product with Y is taken as ``np.copysign(value,
+    S)``: the value is t or not negative, so this is Y times the value with
+    the sign of t, and an entry whose target is -0.0 keeps its S whichever
+    zero ``np.minimum`` and ``np.maximum`` return when they compare -0.0
+    with 0.0.  At p = 2 a zero t and t / (1 + 2k) are the same zero, and
+    the product is taken as it is.  Newton starts from a copy of S and
+    writes only the active entries, as its step from t = 0 is 0/0.  When
+    lam/mu underflows to 0 no form runs and a copy of S is returned, as
+    with no loss at all.
     """
     if p < 1:
         raise ValueError("loss power p must be at least 1")
     k = lam / mu
+    if k == 0.0:
+        return S.copy(), 0
     target = Y * S
-    active = target > 0.0
     steps = 0
-    if p == 1:
-        value = Y * np.maximum(target - k, 0.0)
-    elif p == 2:
-        value = S / (1.0 + 2.0 * k)
+    if p == 2:
+        value = target / (1.0 + 2.0 * k)
+        np.minimum(target, value, out=value)
+        value *= Y
+    elif p == 1:
+        value = target - k
+        np.maximum(value, 0.0, out=value)
+        np.minimum(value, target, out=value)
+        np.copysign(value, S, out=value)
     elif p == 1.5:
-        value = Y * _three_halves_minimizer(np.where(active, target, 1.0), k)
+        value = _three_halves_minimizer(np.maximum(target, 0.0), k)
+        value += np.minimum(target, 0.0)
+        np.copysign(value, S, out=value)
     else:
-        value = np.zeros_like(S)
+        value = S.copy()
+        active = target > 0.0
         if active.any():
             t, steps = _positive_branch_minimizer(target[active], k, p)
             value[active] = Y[active] * t
-    np.putmask(value, ~active, S)
     return value, steps
 
 

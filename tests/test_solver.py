@@ -133,6 +133,24 @@ def _bisection_reference(a, k, p):
     return 0.5 * (lo + hi), steps
 
 
+def _masked_update_E(S, Y, lam, mu, p):
+    """The closed forms of ``solver.update_E`` at p = 1, 1.5 and 2 as they
+    selected entries before they were written branch-free: each form on the
+    whole block, at p = 1.5 with the inactive targets (Y*S <= 0) set to 1,
+    then the inactive entries put back from S by ``np.putmask``."""
+    k = lam / mu
+    target = Y * S
+    active = target > 0.0
+    if p == 1:
+        value = Y * np.maximum(target - k, 0.0)
+    elif p == 2:
+        value = S / (1.0 + 2.0 * k)
+    else:
+        value = Y * solver._three_halves_minimizer(np.where(active, target, 1.0), k)
+    np.putmask(value, ~active, S)
+    return value
+
+
 class TestConfig:
     def test_defaults(self):
         config = SolverConfig()
@@ -403,17 +421,6 @@ class TestUpdateE:
         slack = 4 * solver.GENERAL_P_TOL + 16 * np.spacing(a)
         assert np.all(np.abs(t - newton) <= slack)
 
-    @pytest.mark.filterwarnings("error")
-    def test_three_halves_with_underflowed_penalty_ratio(self):
-        # lam/mu underflows to 0: targets of 0 are inactive and stay 0, and
-        # active targets are kept, as with no loss at all.
-        S = np.array([[0.0], [2.0], [-3.0], [0.0]])
-        Y = np.array([[1.0], [1.0], [1.0], [-1.0]])
-        E, steps = solver.update_E(S, Y, lam=1e-300, mu=1e30, p=1.5)
-        assert steps == 0
-        np.testing.assert_array_equal(E[[0, 2, 3]], S[[0, 2, 3]])
-        assert E[1, 0] == pytest.approx(2.0, rel=4 * np.finfo(float).eps)
-
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @settings(max_examples=60, deadline=None)
     @given(p=st.sampled_from([1.0, 1.25, 1.5, 2.0, 3.0]),
@@ -424,6 +431,19 @@ class TestUpdateE:
                             min_size=1, max_size=8))
     @example(p=1.25, k=5e-324, entries=[(300.0, "active", 1.0), (0.0, "zero", -1.0)])
     @example(p=3.0, k=1e300, entries=[(-12.0, "active", -1.0), (0.0, "-zero", 1.0)])
+    # Zeros of both signs under both labels at the closed forms, so that the
+    # sign of a zero target is checked on every run; the first row fails a
+    # p = 1 form that takes the minimum with t and does not copy its sign.
+    @example(p=1.0, k=1.0, entries=[(0.0, "-zero", -1.0)])
+    @example(p=1.0, k=1.0, entries=[(0.0, "zero", -1.0), (0.0, "-zero", 1.0),
+                                    (0.0, "zero", 1.0), (0.0, "active", 1.0)])
+    @example(p=1.5, k=1.0, entries=[(0.0, "-zero", -1.0), (0.0, "zero", -1.0),
+                                    (0.0, "-zero", 1.0), (0.0, "zero", 1.0)])
+    @example(p=1.5, k=5e-324, entries=[(0.0, "-zero", 1.0), (0.0, "zero", -1.0),
+                                       (300.0, "active", -1.0)])
+    @example(p=2.0, k=1.0, entries=[(0.0, "-zero", -1.0), (0.0, "zero", -1.0),
+                                    (0.0, "-zero", 1.0), (0.0, "zero", 1.0)])
+    @example(p=2.0, k=1e300, entries=[(0.0, "-zero", 1.0), (-12.0, "inactive", -1.0)])
     def test_every_power_keeps_inactive_entries(self, p, k, entries):
         # Targets a = Y*S: 10^power when active, -10^power or a signed 0 when not.
         log_a, kinds, labels = (np.array(column) for column in zip(*entries))
@@ -444,6 +464,47 @@ class TestUpdateE:
         S_inactive = np.where(active[:, None], -S, S)
         E, steps = solver.update_E(S_inactive, Y, lam=k, mu=1.0, p=p)
         assert steps == 0 and E.tobytes() == S_inactive.tobytes()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("p", [1.0, 1.25, 1.5, 2.0, 3.0])
+    def test_underflowed_penalty_ratio_returns_target(self, p):
+        # lam/mu underflows to 0: no loss at all, so every entry keeps its
+        # target bit for bit, active or not, signed zeros and subnormals
+        # included, and no form runs to divide by k.
+        S = np.array([[2.0], [-3.0], [0.0], [0.0], [-0.0], [5e-324], [-5e-324], [1e300],
+                      [0.5]])
+        Y = np.array([[1.0], [1.0], [1.0], [-1.0], [1.0], [1.0], [-1.0], [-1.0], [-1.0]])
+        for s, y in ((S, Y), (S[:, 0], Y[:, 0])):
+            E, steps = solver.update_E(s, y, lam=1e-300, mu=1e30, p=p)
+            assert steps == 0 and E.shape == s.shape and E.tobytes() == s.tobytes()
+            assert E is not s
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @settings(max_examples=300, deadline=None)
+    @given(p=st.sampled_from([1.0, 1.5, 2.0]),
+           k=st.one_of(st.sampled_from([5e-324, 1e-300, 1.0, 1e200, 1e300]),
+                       st.floats(-323.3, 300.0).map(lambda power: 10.0**power)),
+           columns=st.one_of(st.none(), st.integers(1, 4)),
+           data=st.data())
+    def test_closed_forms_match_the_masked_forms(self, p, k, columns, data):
+        # The branch-free closed forms have the bits of the masked ones on y
+        # with 1-D targets and on y[:, None] with N x C targets, for targets
+        # of both signs, signed zeros, subnormals and magnitudes up to 1e300.
+        # Infinities and NaN are left out: both versions warn on them.
+        N = data.draw(st.integers(1, 8))
+        y = data.draw(hnp.arrays(np.float64, N, elements=st.sampled_from([-1.0, 1.0])))
+        elements = st.one_of(
+            st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.2250738585072014e-308,
+                             1.0, -1.0, 1e300, -1e300, 9.999999999999999e299]),
+            st.floats(-1e300, 1e300),
+            st.floats(-12.0, 300.0).map(lambda power: 10.0**power))
+        S = data.draw(hnp.arrays(np.float64, (N,) if columns is None else (N, columns),
+                                 elements=elements))
+        Y = y if columns is None else y[:, None]
+        E, steps = solver.update_E(S, Y, lam=k, mu=1.0, p=p)
+        expected = _masked_update_E(S, Y, k, 1.0, p)
+        assert steps == 0 and E.shape == expected.shape
+        assert E.tobytes() == expected.tobytes()
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @settings(max_examples=300, deadline=None)

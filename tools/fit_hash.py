@@ -12,6 +12,11 @@ change confined to one side's solve shows which side moved.  The last line's
 digest covers the sparse text that ``format_sparse_text`` writes for each
 set of the grid and for a CSC and a dense set of repeated log term counts,
 so two versions print the same digest only when they write the same bytes.
+A line before it digests ``update_E`` alone, its slack and Newton step count,
+on a fixed vector of edge targets (zeros of both signs, subnormals, 1 and
+2, 1e300, each under both labels) at k in {5e-324, 1, 1e200} and p in
+{1, 1.25, 1.5, 2, 3}, so that a change to the slack step that no fit of the
+grid reaches still shows.
 Run from the repository root:
 
     PYTHONPATH=src python tools/fit_hash.py
@@ -21,7 +26,10 @@ import hashlib
 import math
 import random
 
+import numpy as np
+
 from xrm import DataSet, SolverConfig, format_sparse_text, parse_sparse_text, train
+from xrm.solver import update_E
 
 
 def sparse_text(M, N, seed):
@@ -72,6 +80,17 @@ for p, power_digest in power_digests.items():
     print(f"p {p} fits {fits // len(POWERS)} sha256 {power_digest.hexdigest()}")
 for side, side_digest in side_digests.items():
     print(f"{side} fits {fits // len(SIDES)} sha256 {side_digest.hexdigest()}")
+EDGES = (0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 2.2250738585072014e-308,
+         -2.2250738585072014e-308, 1.0, -1.0, 2.0, -2.0, 1e300, -1e300)
+S = np.repeat(EDGES, 2)
+y = np.tile([1.0, -1.0], len(EDGES))
+slack_digest, slack_runs = hashlib.sha256(), 0
+for k in (5e-324, 1.0, 1e200):
+    for p in (1.0, 1.25, 1.5, 2.0, 3.0):
+        E, steps = update_E(S, y, k, 1.0, p)
+        slack_digest.update(E.tobytes() + repr(steps).encode())
+        slack_runs += 1
+print(f"update_E runs {slack_runs} targets {len(S)} sha256 {slack_digest.hexdigest()}")
 counts = parse_sparse_text(counts_text(200, 60, seed=7))
 for data in (counts, DataSet(X=counts.X.toarray(), y=counts.y)):
     written.append(format_sparse_text(data))
