@@ -66,7 +66,9 @@ class EnsembleModel:
         if self.scaler is not None and self.scaler.mean.size != W.shape[0]:
             raise ValueError(f"scaler has {self.scaler.mean.size} features but W has {W.shape[0]}")
         _store_frozen(self, W=W, b=b, w_e=W.mean(axis=1))
-        object.__setattr__(self, "b_e", float(b.mean()))
+        # Plain floats, which save_model writes as JSON numbers that load_model reads back.
+        for name, value in (("lam", self.lam), ("p", self.p), ("b_e", b.mean())):
+            object.__setattr__(self, name, float(value))
 
     @property
     def feature_count(self) -> int:

@@ -17,9 +17,10 @@ column permutations and every block update is column-equivariant, so the C
 columns stay identical.  :func:`train` therefore carries one column, as 1-D
 vectors with a scalar bias, counts it ``multiplicity`` = C times where the
 columns are summed, and repeats it C times at the end; its W prox is the
-shrink W = (P + Q/mu) * mu / (mu + C).  The block functions broadcast over
-the layout their caller shapes: y and a scalar b, or N x C blocks with
-y[:, None] and b[None, :], with the same bits.
+shrink W = (P + Q/mu) * mu / (mu + C).  The block functions, the slack
+step at every power included, broadcast over the layout their caller
+shapes: y and a scalar b, or N x C blocks with y[:, None] and b[None, :],
+with the same bits.
 
 With W a shrink, the W, Q and P updates are affine, so :func:`train`
 updates X^T P, X^T Q and X^T W by the same formulas instead of multiplying
@@ -35,9 +36,8 @@ product is ``X.dot(v)`` or ``Xt.dot(v)``, which dispatches faster than
 :func:`factor_gram` looks at how X is stored.
 
 The slack step at p = 1, 1.5 and 2 is branch-free: its closed forms are
-arithmetic on the whole target Y*S with no mask of the active entries, and
-keep signed zeros by ``np.copysign``, with the bits of the masked forms
-(:func:`update_E`).
+arithmetic on the whole target Y*S with no mask of the active entries, with
+the bits of the masked forms (:func:`update_E`).
 
 The P step takes two functions: :func:`factor_gram` factors I plus the Gram
 matrix on the smaller side once per fit and returns the Cholesky factor with
@@ -307,15 +307,16 @@ def update_E(S: np.ndarray, Y: np.ndarray, lam: float, mu: float,
         p = 1.5:  _three_halves_minimizer(max(t, 0), k) + min(t, 0)
 
     where the first term at p = 1.5 is exactly 0 for t <= 0, as k > 0.
-    At p = 1 and 1.5 the product with Y is taken as ``np.copysign(value,
-    S)``: the value is t or not negative, so this is Y times the value with
-    the sign of t, and an entry whose target is -0.0 keeps its S whichever
-    zero ``np.minimum`` and ``np.maximum`` return when they compare -0.0
-    with 0.0.  At p = 2 a zero t and t / (1 + 2k) are the same zero, and
-    the product is taken as it is.  Newton starts from a copy of S and
-    writes only the active entries, as its step from t = 0 is 0/0.  When
-    lam/mu underflows to 0 no form runs and a copy of S is returned, as
-    with no loss at all.
+    Newton overwrites only the active entries of t, as its step from t = 0
+    is 0/0.  At p = 2 and at Newton powers the value is computed in t
+    itself and the product with Y is one ``t *= Y``: a zero t and
+    t / (1 + 2k) are the same zero, and Newton leaves the inactive entries
+    as they are.  At p = 1 and 1.5 the product with Y is taken as
+    ``np.copysign(value, S)``: the value is t or not negative, so this is Y
+    times the value with the sign of t, and an entry whose target is -0.0
+    keeps its S whichever zero ``np.minimum`` and ``np.maximum`` return
+    when they compare -0.0 with 0.0.  When lam/mu underflows to 0 no form
+    runs and a copy of S is returned, as with no loss at all.
     """
     if p < 1:
         raise ValueError("loss power p must be at least 1")
@@ -324,26 +325,23 @@ def update_E(S: np.ndarray, Y: np.ndarray, lam: float, mu: float,
         return S.copy(), 0
     target = Y * S
     steps = 0
+    if p == 1 or p == 1.5:
+        if p == 1:
+            value = target - k
+            np.maximum(value, 0.0, out=value)
+            np.minimum(value, target, out=value)
+        else:
+            value = _three_halves_minimizer(np.maximum(target, 0.0), k)
+            value += np.minimum(target, 0.0)
+        return np.copysign(value, S, out=value), steps
     if p == 2:
-        value = target / (1.0 + 2.0 * k)
-        np.minimum(target, value, out=value)
-        value *= Y
-    elif p == 1:
-        value = target - k
-        np.maximum(value, 0.0, out=value)
-        np.minimum(value, target, out=value)
-        np.copysign(value, S, out=value)
-    elif p == 1.5:
-        value = _three_halves_minimizer(np.maximum(target, 0.0), k)
-        value += np.minimum(target, 0.0)
-        np.copysign(value, S, out=value)
+        np.minimum(target, target / (1.0 + 2.0 * k), out=target)
     else:
-        value = S.copy()
         active = target > 0.0
         if active.any():
-            t, steps = _positive_branch_minimizer(target[active], k, p)
-            value[active] = Y[active] * t
-    return value, steps
+            target[active], steps = _positive_branch_minimizer(target[active], k, p)
+    target *= Y
+    return target, steps
 
 
 def update_P(gram: tuple, WX: np.ndarray, over_mu: np.ndarray, u: np.ndarray,

@@ -298,6 +298,20 @@ class TestSerialization:
         assert again.lam == model.lam
         assert again.p == model.p
 
+    @pytest.mark.parametrize("number", [2, np.float32(2.0), np.float64(2.0), True],
+                             ids=["int", "float32", "float64", "bool"])
+    def test_numeric_hyperparameters_round_trip(self, tmp_path, number):
+        # The model stores lam and p as plain floats, so every number it
+        # accepts saves to a file that loads back with the same fields.
+        model = EnsembleModel(W=np.ones((2, 1)), b=[0.0], lam=number, p=number)
+        assert type(model.lam) is float and type(model.p) is float
+        save_model(model, tmp_path / "model.json")
+        again = load_model(tmp_path / "model.json")
+        assert again.W.tobytes() == model.W.tobytes()
+        assert again.b.tobytes() == model.b.tobytes()
+        assert (again.lam, again.p, again.scaler) == (model.lam, model.p, None)
+        assert again.lam == float(number)
+
     def test_version_field(self):
         payload = model_to_dict(_model([[1.0]], [0.0]))
         assert payload["version"] == "xrm-model/3"

@@ -89,7 +89,7 @@ def _reference_train(data, config):
     reason."""
     C = config.components
     M, N = data.X.shape
-    Y = np.broadcast_to(data.y[:, None], (N, C))
+    Y = data.y[:, None]
     gram = solver.factor_gram(data.X)
     P, Q, mu = np.zeros((M, C)), np.ones((M, C)), solver.MU_INIT
     E, Z = np.zeros((N, C)), np.zeros((N, C))
@@ -459,6 +459,14 @@ class TestUpdateE:
         assert np.all((t >= 0.0) & (t <= a * (1.0 + 4 * np.finfo(float).eps)))
         if p in (1.0, 1.5, 2.0):
             assert steps == 0
+        # The same entries in two columns, the second with the signs of S
+        # flipped, take the labels as y[:, None] with the bytes and step
+        # count of the labels broadcast to the block.
+        S_wide = np.hstack((S, -S))
+        E, steps = solver.update_E(S_wide, Y, lam=k, mu=1.0, p=p)
+        E_full, steps_full = solver.update_E(S_wide, np.broadcast_to(Y, S_wide.shape), lam=k,
+                                             mu=1.0, p=p)
+        assert E.tobytes() == E_full.tobytes() and steps == steps_full
         # The same block with every entry inactive is returned as it is,
         # without a Newton step.
         S_inactive = np.where(active[:, None], -S, S)
@@ -897,7 +905,7 @@ class TestColumnSymmetry:
         perm = rng.permutation(C)
         swapped = {name: value[:, perm] for name, value in state.items()}
         gram = solver.factor_gram(data.X)
-        Y = np.broadcast_to(data.y[:, None], (N, C))
+        Y = data.y[:, None]
 
         def blocks(s, mu=1.7):
             XtP, Z_over_mu = data.X.T @ s["P"], s["Z"] / mu
@@ -1267,7 +1275,7 @@ class TestTrain:
 
     @pytest.mark.parametrize("components", [1, 3, 7])
     @pytest.mark.parametrize("shape", [(40, 5), (12, 30)], ids=["features", "instances"])
-    @pytest.mark.parametrize("power", [1.0, 1.5, 2.0])
+    @pytest.mark.parametrize("power", [1.0, 1.25, 1.5, 2.0])
     def test_matches_c_column_reference(self, power, shape, components):
         # train carries one column of multiplicity C; the reference loop runs
         # all C columns with unit multiplicities from the symmetric start.
